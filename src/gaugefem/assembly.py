@@ -32,7 +32,7 @@ from numbers import Real
 import numpy as np
 import scipy.sparse as sparse
 
-from .gauge import TransportConsistencyError, unit_transports
+from .gauge import unit_transports
 from .gauge import transports as make_transports
 from .mesh import MeshGeometryError, cell_volumes, interior_dof_map
 
@@ -191,15 +191,6 @@ def local_mass(volume, dim):
 # geometry kernels
 
 
-def _check_transports(mesh, transports):
-    if transports.n_vertices != mesh.n_vertices or not np.array_equal(
-        transports.edges, mesh.edges
-    ):
-        raise TransportConsistencyError(
-            "transport table does not match the mesh edge set"
-        )
-
-
 def _barycentric_gradients(coords):
     """Gradients of the barycentric coordinates, shape (nc, m, d).
 
@@ -241,9 +232,9 @@ def _dual_tangent_basis(coords):
     return mu
 
 
-def _scatter(n, cells, local):
-    """Scatter (nc, m, m) cell matrices into a global HermitianSparse."""
-    nc, m = cells.shape
+def _scatter(cells, local):
+    """(rows, cols, values) triplets of (nc, m, m) cell matrices."""
+    m = cells.shape[1]
     rows = np.repeat(cells, m, axis=1).ravel()
     cols = np.tile(cells, (1, m)).ravel()
     return rows, cols, local.reshape(-1)
@@ -266,15 +257,14 @@ def covariant_mass(mesh, transports):
     Reduces to the classical P1 mass matrix when U = 1 and is Hermitian by
     the reversal symmetry U_yx = conj(U_xy).
     """
-    _check_transports(mesh, transports)
     vols = cell_volumes(mesh)
     factor = _pair_factor(mesh.dim)
     pieces = []
     for lo in range(0, mesh.n_cells, _CHUNK):
-        cells = mesh.cells[lo : lo + _CHUNK]
-        u_loc = transports.local_values(cells)
-        local = vols[lo : lo + _CHUNK, None, None] * factor * u_loc
-        pieces.append(_scatter(mesh.n_vertices, cells, local))
+        rows = slice(lo, lo + _CHUNK)
+        u_loc = transports.local_values(mesh, rows)
+        local = vols[rows, None, None] * factor * u_loc
+        pieces.append(_scatter(mesh.cells[rows], local))
     return _accumulate(mesh.n_vertices, pieces)
 
 
@@ -325,17 +315,14 @@ def local_covariant_stiffness(coords, transports_local):
 
 def covariant_stiffness(mesh, transports):
     """Assembled covariant stiffness matrix on all vertices."""
-    _check_transports(mesh, transports)
     vols = cell_volumes(mesh)
     coords = mesh.vertices[mesh.cells]
     pieces = []
     for lo in range(0, mesh.n_cells, _CHUNK):
-        cells = mesh.cells[lo : lo + _CHUNK]
-        u_loc = transports.local_values(cells)
-        local = _covariant_stiffness_local(
-            coords[lo : lo + _CHUNK], u_loc, vols[lo : lo + _CHUNK]
-        )
-        pieces.append(_scatter(mesh.n_vertices, cells, local))
+        rows = slice(lo, lo + _CHUNK)
+        u_loc = transports.local_values(mesh, rows)
+        local = _covariant_stiffness_local(coords[rows], u_loc, vols[rows])
+        pieces.append(_scatter(mesh.cells[rows], local))
     return _accumulate(mesh.n_vertices, pieces)
 
 
@@ -347,7 +334,6 @@ def potential_matrix(mesh, transports, values):
     cubic integrals evaluated exactly.  For constant V and U = 1 this is
     exactly V times the mass matrix.
     """
-    _check_transports(mesh, transports)
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (mesh.n_vertices,):
         raise ValueError("potential needs one sample per vertex")
@@ -357,11 +343,12 @@ def potential_matrix(mesh, transports, values):
     cubic = _monomial_table(mesh.dim, 3)
     pieces = []
     for lo in range(0, mesh.n_cells, _CHUNK):
-        cells = mesh.cells[lo : lo + _CHUNK]
-        u_loc = transports.local_values(cells)
+        rows = slice(lo, lo + _CHUNK)
+        cells = mesh.cells[rows]
+        u_loc = transports.local_values(mesh, rows)
         weights = np.einsum("cz,xyz->cxy", values[cells], cubic)
-        local = vols[lo : lo + _CHUNK, None, None] * weights * u_loc
-        pieces.append(_scatter(mesh.n_vertices, cells, local))
+        local = vols[rows, None, None] * weights * u_loc
+        pieces.append(_scatter(cells, local))
     return _accumulate(mesh.n_vertices, pieces)
 
 
@@ -379,12 +366,6 @@ def standard_galerkin(mesh, circulation):
     consistent but NOT gauge invariant: discrete gauge maps do not conjugate
     it, which is the behaviour the covariant assembly exists to fix.
     """
-    if circulation.n_vertices != mesh.n_vertices or not np.array_equal(
-        circulation.edges, mesh.edges
-    ):
-        raise TransportConsistencyError(
-            "circulation table does not match the mesh edge set"
-        )
     vols = cell_volumes(mesh)
     coords = mesh.vertices[mesh.cells]
     pair = _pair_factor(mesh.dim)
@@ -394,10 +375,11 @@ def standard_galerkin(mesh, circulation):
     k_pieces = []
     m_pieces = []
     for lo in range(0, mesh.n_cells, _CHUNK):
-        cells = mesh.cells[lo : lo + _CHUNK]
-        v = vols[lo : lo + _CHUNK]
-        grads = _barycentric_gradients(coords[lo : lo + _CHUNK])
-        a_loc = circulation.local_values(cells)
+        rows = slice(lo, lo + _CHUNK)
+        cells = mesh.cells[rows]
+        v = vols[rows]
+        grads = _barycentric_gradients(coords[rows])
+        a_loc = circulation.local_values(mesh, rows)
         w = np.einsum("cmb,cbi->cmi", a_loc, grads)
 
         local = np.einsum("cxi,cyi->cxy", grads, grads) * v[:, None, None]
@@ -407,8 +389,8 @@ def standard_galerkin(mesh, circulation):
         local += 1j * np.einsum("cxm,cym->cxy", gw, pm)
         local -= 1j * np.einsum("cym,cxm->cxy", gw, pm)
         local += np.einsum("cmi,cli,xyml->cxy", w, w, quartic) * v[:, None, None]
-        k_pieces.append(_scatter(nv, cells, local))
-        m_pieces.append(_scatter(nv, cells, pm))
+        k_pieces.append(_scatter(cells, local))
+        m_pieces.append(_scatter(cells, pm))
 
     return _accumulate(nv, k_pieces), _accumulate(nv, m_pieces)
 

@@ -313,11 +313,7 @@ def run_convergence(cfg):
         circ = circulate(spec, mesh)
         pot = potential_values(cfg.potential, mesh)
         problem = assemble_scalar_problem(mesh, circ, pot, method=cfg.method)
-        t0 = time.perf_counter()
-        result = solve_hermitian_gevp(
-            problem.stiffness, problem.mass, cfg.k, tol=cfg.tol, seed=cfg.seed
-        )
-        runtime = None if cfg.deterministic else time.perf_counter() - t0
+        result, runtime = _timed_solve(cfg, problem)
         eigs.append(result.eigenvalues)
         per_level.append(
             {

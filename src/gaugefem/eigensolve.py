@@ -6,6 +6,8 @@ returned eigenvectors are M-normalized and phase-fixed so repeated runs are
 reproducible and gauge-paired solves can be compared pointwise.
 """
 
+import gc
+
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +70,6 @@ class SpectrumResult:
     multiplet : (k,) bool ndarray
         True where the eigenvalue sits within ``MULTIPLET_GAP`` (relative) of
         a neighbour; such eigenvectors are only fixed up to mixing.
-    iterations : int or None
-        Iteration count when the backend reports one.
     method_tag : str
         "dense-eigh" or "arpack-shift-invert".
     """
@@ -78,7 +78,6 @@ class SpectrumResult:
     eigenvectors: np.ndarray
     residuals: np.ndarray
     multiplet: np.ndarray
-    iterations: "int | None"
     method_tag: str
 
 
@@ -92,7 +91,7 @@ def _flag_multiplets(vals):
     return flags
 
 
-def _postprocess(vals, vecs, h_csr, m_csr, tol, iterations, tag):
+def _postprocess(vals, vecs, h_csr, m_csr, tol, tag):
     order = np.argsort(vals, kind="stable")
     vals = np.asarray(vals[order], dtype=np.float64)
     vecs = np.ascontiguousarray(vecs[:, order].T, dtype=np.complex128)  # (k, n)
@@ -113,9 +112,7 @@ def _postprocess(vals, vecs, h_csr, m_csr, tol, iterations, tag):
     worst = residuals.max() if residuals.size else 0.0
     if worst > tol:
         raise ConvergenceError(worst)
-    return SpectrumResult(
-        vals, vecs, residuals, _flag_multiplets(vals), iterations, tag
-    )
+    return SpectrumResult(vals, vecs, residuals, _flag_multiplets(vals), tag)
 
 
 def _gershgorin_lower(h_csr):
@@ -165,7 +162,7 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
             pivot = scipy.linalg.eigh(md, eigvals_only=True, subset_by_index=[0, 0])[0]
             raise DefinitenessError(pivot) from None
         vals, vecs = scipy.linalg.eigh(hd, md, subset_by_index=[0, k - 1])
-        return _postprocess(vals, vecs, h_csr, m_csr, tol, None, "dense-eigh")
+        return _postprocess(vals, vecs, h_csr, m_csr, tol, "dense-eigh")
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -206,7 +203,11 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
                 for i in range(vv.shape[1])
             )
         raise ConvergenceError(best) from None
-    return _postprocess(vals, vecs, h_csr, m_csr, tol, None, "arpack-shift-invert")
+    # scipy's eigsh keeps its shift-invert LU factor in a reference
+    # cycle; free it now, not at whatever later collection, so it does not
+    # stay alive through the caller's next assembly and solve.
+    gc.collect()
+    return _postprocess(vals, vecs, h_csr, m_csr, tol, "arpack-shift-invert")
 
 
 def reconstruct_field(coefficients, mesh, dof_map):

@@ -90,8 +90,10 @@ class GaugeFieldSpec:
 class _EdgeTable:
     """Shared machinery: values attached to canonically oriented edges.
 
-    Lookup is by sorted integer key i * n_vertices + j (i < j); reversed
-    queries are mapped back through the subclass's orientation rule.
+    Cells read their edge values through the mesh's cell -> edge incidence;
+    a pair whose cell vertex order runs high -> low reads the stored value
+    through the subclass's orientation rule ``_reverse``, and a vertex reads
+    ``_diagonal`` against itself.
     """
 
     def __init__(self, n_vertices, edges, values):
@@ -111,68 +113,49 @@ class _EdgeTable:
         self.n_vertices = int(n_vertices)
         self.edges = edges
         self.values = values
-        self._keys = keys
 
     @property
     def n_edges(self):
         return self.edges.shape[0]
 
-    def _rows(self, vi, vj):
-        """Table rows for vertex pairs; also returns the swap mask.
+    def local_values(self, mesh, rows):
+        """(nc, m, m) array of the values along x -> y between the vertices
+        of each cell of ``mesh.cells[rows]`` (``rows`` a slice).
 
-        Raises TransportConsistencyError if some pair is not an edge of the
-        table.  Diagonal pairs (vi == vj) are the caller's business.
+        Raises TransportConsistencyError if the table is not on the mesh's
+        edge set.
         """
-        vi = np.asarray(vi, dtype=np.int64)
-        vj = np.asarray(vj, dtype=np.int64)
-        swap = vi > vj
-        lo = np.where(swap, vj, vi)
-        hi = np.where(swap, vi, vj)
-        key = lo * self.n_vertices + hi
-        pos = np.searchsorted(self._keys, key)
-        pos_c = np.minimum(pos, self.n_edges - 1)
-        ok = self._keys[pos_c] == key
-        if not np.all(ok):
-            bad = np.argwhere(~ok)
+        if self.n_vertices != mesh.n_vertices or not np.array_equal(
+            self.edges, mesh.edges
+        ):
             raise TransportConsistencyError(
-                f"pair ({lo.ravel()[bad.ravel()[0]]}, {hi.ravel()[bad.ravel()[0]]}) "
-                "is not an edge of this table"
+                f"{type(self).__name__} does not match the mesh edge set"
             )
-        return pos_c, swap
+        cells = mesh.cells[rows]
+        m = mesh.dim + 1
+        a, b = np.triu_indices(m, 1)
+        val = self.values[mesh.cell_edges[rows]]
+        val = np.where(cells[:, a] > cells[:, b], self._reverse(val), val)
+        out = np.full((cells.shape[0], m, m), self._diagonal, dtype=val.dtype)
+        out[:, a, b] = val
+        out[:, b, a] = self._reverse(val)
+        return out
 
 
 class EdgeCirculation(_EdgeTable):
     """Real circulations A_ij on canonical edges (i < j), antisymmetric.
 
-    value(i, j) = -value(j, i); value(i, i) = 0.
+    A_ji = -A_ij; A_ii = 0.
     """
+
+    _reverse = np.negative
+    _diagonal = 0.0
 
     def __init__(self, n_vertices, edges, values):
         values = np.asarray(values, dtype=np.float64)
         if not np.all(np.isfinite(values)):
             raise ValueError("circulations must be finite")
         super().__init__(n_vertices, edges, values)
-
-    def value(self, i, j):
-        """Scalar circulation along i -> j (antisymmetric lookup)."""
-        if i == j:
-            return 0.0
-        pos, swap = self._rows(np.asarray([i]), np.asarray([j]))
-        val = self.values[pos[0]]
-        return float(-val if swap[0] else val)
-
-    def local_values(self, cells):
-        """Antisymmetric (nc, m, m) array of circulations within each cell."""
-        cells = np.asarray(cells, dtype=np.int64)
-        nc, m = cells.shape
-        out = np.zeros((nc, m, m))
-        for a in range(m):
-            for b in range(a + 1, m):
-                pos, swap = self._rows(cells[:, a], cells[:, b])
-                val = np.where(swap, -self.values[pos], self.values[pos])
-                out[:, a, b] = val
-                out[:, b, a] = -val
-        return out
 
 
 class TransportTable(_EdgeTable):
@@ -181,6 +164,9 @@ class TransportTable(_EdgeTable):
     U_ji = conj(U_ij) and U_ii = 1.  Moduli are checked against 1 with
     tolerance ``UNIT_MODULUS_TOL`` at construction.
     """
+
+    _reverse = np.conj
+    _diagonal = 1.0
 
     def __init__(self, n_vertices, edges, values):
         values = np.asarray(values, dtype=np.complex128)
@@ -192,28 +178,6 @@ class TransportTable(_EdgeTable):
                 f"transport modulus drifts from 1 by {drift.max():.3e}"
             )
         super().__init__(n_vertices, edges, values)
-
-    def value(self, i, j):
-        """Scalar transport along i -> j (conjugate for reversed edges)."""
-        if i == j:
-            return 1.0 + 0.0j
-        pos, swap = self._rows(np.asarray([i]), np.asarray([j]))
-        val = self.values[pos[0]]
-        return complex(np.conj(val) if swap[0] else val)
-
-    def local_values(self, cells):
-        """(nc, m, m) complex array of transports within each cell, ones on
-        the diagonal."""
-        cells = np.asarray(cells, dtype=np.int64)
-        nc, m = cells.shape
-        out = np.ones((nc, m, m), dtype=np.complex128)
-        for a in range(m):
-            for b in range(a + 1, m):
-                pos, swap = self._rows(cells[:, a], cells[:, b])
-                val = np.where(swap, np.conj(self.values[pos]), self.values[pos])
-                out[:, a, b] = val
-                out[:, b, a] = np.conj(val)
-        return out
 
 
 @dataclass

@@ -51,6 +51,9 @@ class SimplicialMesh:
     edges : (ne, 2) int ndarray
         Every 1-subsimplex exactly once, stored lower index first and
         sorted lexicographically.
+    cell_edges : (nc, m(m-1)/2) int ndarray
+        Row of ``edges`` joining each vertex pair (a, b), a < b, of each cell
+        (m = dim+1 vertices), pairs in ``np.triu_indices(m, 1)`` order.
     boundary_vertex : (nv,) bool ndarray
         True where the vertex lies on the bounding box of the mesh.
     h : float
@@ -61,6 +64,7 @@ class SimplicialMesh:
     vertices: np.ndarray
     cells: np.ndarray
     edges: np.ndarray
+    cell_edges: np.ndarray
     boundary_vertex: np.ndarray
     h: float
 
@@ -112,7 +116,14 @@ def make_mesh(dim, vertices, cells):
             f"cell {worst} is degenerate (volume {vols[worst]:.3e})"
         )
 
-    edges = _edge_set(dim, cells)
+    # Key each vertex pair as lo * nv + hi: the sorted unique keys are the
+    # lexicographically sorted edges, and the inverse is the incidence.
+    a, b = np.triu_indices(dim + 1, 1)
+    ends = cells[:, a], cells[:, b]
+    keys = np.minimum(*ends) * nv + np.maximum(*ends)
+    keys, cell_edges = np.unique(keys, return_inverse=True)
+    edges = np.stack([keys // nv, keys % nv], axis=1)
+    cell_edges = cell_edges.reshape(cells.shape[0], a.size)
     evec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     h = float(np.sqrt((evec**2).sum(axis=1)).max())
 
@@ -123,15 +134,7 @@ def make_mesh(dim, vertices, cells):
     )
     boundary = on_face.any(axis=1)
 
-    return SimplicialMesh(dim, vertices, cells, edges, boundary, h)
-
-
-def _edge_set(dim, cells):
-    """All 1-subsimplices of the cells, each once, lower index first."""
-    pairs = [cells[:, [a, b]] for a, b in itertools.combinations(range(dim + 1), 2)]
-    pairs = np.vstack(pairs)
-    pairs.sort(axis=1)
-    return np.unique(pairs, axis=0)
+    return SimplicialMesh(dim, vertices, cells, edges, cell_edges, boundary, h)
 
 
 def _volumes(dim, vertices, cells):
@@ -184,17 +187,17 @@ def build_box_mesh(dim, n, lengths=None):
     grid = np.meshgrid(*axes, indexing="ij")
     vertices = np.stack(grid, axis=-1).reshape(-1, dim)
 
-    shape = (n + 1,) * dim
-    cells = []
-    offsets = np.eye(dim, dtype=np.int64)
-    for corner in itertools.product(range(n), repeat=dim):
-        corner = np.asarray(corner, dtype=np.int64)
-        for perm in itertools.permutations(range(dim)):
-            path = [corner]
-            for axis in perm:
-                path.append(path[-1] + offsets[axis])
-            cells.append([np.ravel_multi_index(tuple(p), shape) for p in path])
-    cells = np.asarray(cells, dtype=np.int64)
+    # A Kuhn cell walks from a grid corner one axis step at a time, in the
+    # order of one axis permutation; in row-major vertex numbering each step
+    # adds that axis's stride.  Cells are ordered corner-major, then by
+    # permutation in itertools order.
+    strides = (n + 1) ** np.arange(dim - 1, -1, -1)
+    corners = np.indices((n,) * dim).reshape(dim, -1).T @ strides
+    walks = np.array(
+        [np.cumsum([0, *strides[list(perm)]])
+         for perm in itertools.permutations(range(dim))]
+    )
+    cells = (corners[:, None, None] + walks[None]).reshape(-1, dim + 1)
 
     return make_mesh(dim, vertices, cells)
 

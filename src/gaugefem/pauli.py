@@ -69,15 +69,14 @@ def spin_block(spin_matrix, scalar_matrix):
     return HermitianSparse.from_csr(full)
 
 
-def zeeman_matrix(mesh, transport_table, field_spec):
-    """Spin coupling -(sigma . B) tensor the covariant mass matrix.
+def zeeman_matrix(mass, field_spec):
+    """Spin coupling -(sigma . B) tensor the covariant mass matrix ``mass``.
 
     Uniform B means sigma . curl A is the constant matrix sigma . B, so the
     cell sums collapse to the covariant mass matrix; the result is the
     2x2-block matrix over all vertices.
     """
-    coupling = -sigma_dot(field_spec.b)
-    return spin_block(coupling, covariant_mass(mesh, transport_table))
+    return spin_block(-sigma_dot(field_spec.b), mass)
 
 
 @dataclass
@@ -115,9 +114,10 @@ def assemble_pauli(mesh, field_spec, potential=None, circulation=None):
         potential = np.asarray(potential, dtype=np.float64)
         if np.any(potential != 0.0):
             scalar = scalar + potential_matrix(mesh, u, potential)
+    mass = covariant_mass(mesh, u)
     identity = np.eye(2, dtype=np.complex128)
-    h_full = spin_block(identity, scalar) + zeeman_matrix(mesh, u, field_spec)
-    m_full = spin_block(identity, covariant_mass(mesh, u))
+    h_full = spin_block(identity, scalar) + zeeman_matrix(mass, field_spec)
+    m_full = spin_block(identity, mass)
 
     dof = interior_dof_map(mesh)
     meta = {

@@ -20,3 +20,10 @@ def perturbed_box_mesh(dim, n, seed, scale=0.2):
         -1.0, 1.0, (int(interior.sum()), dim)
     )
     return make_mesh(dim, vertices, base.cells)
+
+
+def shuffled_cells(mesh, seed):
+    """The same mesh with each cell's vertices listed in random order, so
+    that cells traverse about half of their edges high -> low."""
+    cells = np.random.default_rng(seed).permuted(mesh.cells, axis=1)
+    return make_mesh(mesh.dim, mesh.vertices, cells)

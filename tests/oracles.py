@@ -3,8 +3,9 @@
 Everything here is deliberately written loop-by-loop from first principles so
 it shares no code path (and no closed-form integral tables) with the package:
 simplex integrals are done by collapsed tensor-product Gauss quadrature, P1
-matrices are assembled entry by entry from quadrature values, and structured
-edge sets are enumerated with Python sets.  Slow but unarguable.
+matrices are assembled entry by entry from quadrature values, structured
+cells and edge sets are enumerated with Python loops and sets, and edge values
+are looked up in plain dicts.  Slow but unarguable.
 """
 
 import itertools
@@ -230,3 +231,46 @@ def structured_box_edges(dim, n):
             j = int(np.ravel_multi_index(q, shape))
             edges.add((min(i, j), max(i, j)))
     return edges
+
+
+def structured_box_cells(dim, n):
+    """Cells of the n-per-axis Kuhn-triangulated box, walked one by one.
+
+    For every grid corner (row-major) and every axis permutation (itertools
+    order) the cell is the path that leaves the corner and steps +1 along
+    each axis in permutation order.  Vertex numbering matches row-major
+    ordering of the (n+1)^d grid.
+    """
+    shape = (n + 1,) * dim
+    cells = []
+    for corner in itertools.product(range(n), repeat=dim):
+        for perm in itertools.permutations(range(dim)):
+            path = [list(corner)]
+            for axis in perm:
+                step = list(path[-1])
+                step[axis] += 1
+                path.append(step)
+            cells.append([int(np.ravel_multi_index(tuple(p), shape)) for p in path])
+    return np.asarray(cells, dtype=np.int64)
+
+
+def edge_lookup(table, reverse, diagonal):
+    """Directed-edge value function (i, j) -> value from a plain dict.
+
+    ``table`` holds one value per canonical edge (``table.edges`` lower index
+    first, ``table.values``); the reversed edge j -> i gives
+    ``reverse(value)`` and i -> i gives ``diagonal``.  A pair that is not an
+    edge raises KeyError.  Use ``reverse=np.conj, diagonal=1.0`` for
+    transports and ``reverse=np.negative, diagonal=0.0`` for circulations.
+    """
+    values = {(int(i), int(j)): v for (i, j), v in zip(table.edges, table.values)}
+
+    def value(i, j):
+        i, j = int(i), int(j)
+        if i == j:
+            return diagonal
+        if i < j:
+            return values[(i, j)]
+        return reverse(values[(j, i)])
+
+    return value

@@ -38,7 +38,7 @@ from gaugefem import (
 from gaugefem.cli import main
 
 from conftest import perturbed_box_mesh
-from oracles import p1_mass_dense, p1_stiffness_dense
+from oracles import edge_lookup, p1_mass_dense, p1_stiffness_dense
 
 
 def _criterion(name, passed, detail):
@@ -205,7 +205,7 @@ def test_criterion_7_structural_invariants(tmp_path):
         potential_matrix(mesh, table, potential),
         k_std,
         m_std,
-        zeeman_matrix(mesh, table, spec),
+        zeeman_matrix(covariant_mass(mesh, table), spec),
     ]
     spinor = assemble_pauli(mesh, spec)
     assembled += [spinor.h_total, spinor.mass]
@@ -219,12 +219,15 @@ def test_criterion_7_structural_invariants(tmp_path):
         and np.linalg.eigvalsh(m_std.to_dense()).min() > 0.0
     )
 
-    # transport algebra
+    # transport algebra: unit moduli, and every cell reads U_xy along its
+    # own vertex order (conjugated against the stored edge direction)
+    value = edge_lookup(table, np.conj, 1.0)
+    local = table.local_values(mesh, slice(None))
     checks["transports"] = (
         np.max(np.abs(np.abs(table.values) - 1.0)) <= 1e-14
         and all(
-            table.value(j, i) == np.conj(table.value(i, j))
-            for i, j in mesh.edges[::7]
+            np.array_equal(loc, [[value(i, j) for j in cell] for i in cell])
+            for cell, loc in zip(mesh.cells[::7], local[::7])
         )
     )
 

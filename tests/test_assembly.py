@@ -28,8 +28,10 @@ from gaugefem import (
     unit_transports,
 )
 
-from conftest import perturbed_box_mesh
+from conftest import perturbed_box_mesh, shuffled_cells
 from oracles import (
+    covariant_mass_dense,
+    edge_lookup,
     magnetic_galerkin_dense,
     p1_local_stiffness,
     p1_mass_dense,
@@ -147,6 +149,21 @@ def test_covariant_mass_positive_definite(dim, n):
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
 
+@pytest.mark.parametrize("dim,n", [(2, 2), (3, 1)])
+def test_covariant_mass_matches_quadrature_in_any_cell_order(dim, n):
+    mesh = shuffled_cells(perturbed_box_mesh(dim, n, seed=dim), seed=3)
+    rng = np.random.default_rng(dim)
+    circ = EdgeCirculation(
+        mesh.n_vertices, mesh.edges, rng.uniform(-1.0, 1.0, mesh.n_edges)
+    )
+    table = transports(circ)
+    dense = covariant_mass(mesh, table).to_dense()
+    reference = covariant_mass_dense(
+        mesh.vertices, mesh.cells, edge_lookup(table, np.conj, 1.0)
+    )
+    assert np.allclose(dense, reference, rtol=0, atol=1e-14)
+
+
 def test_assembly_rejects_foreign_transport_table():
     mesh = build_box_mesh(2, 2)
     other = build_box_mesh(2, 3)
@@ -247,7 +264,9 @@ def test_potential_matches_quadrature_with_transports():
     circ = circulate(GaugeFieldSpec([0.3, -0.2], [0.0, 0.0, 0.9]), mesh)
     table = transports(circ)
     dense = potential_matrix(mesh, table, values).to_dense()
-    reference = potential_dense(mesh.vertices, mesh.cells, values, table.value)
+    reference = potential_dense(
+        mesh.vertices, mesh.cells, values, edge_lookup(table, np.conj, 1.0)
+    )
     assert np.allclose(dense, reference, rtol=0, atol=1e-13)
 
 
@@ -285,7 +304,9 @@ def test_standard_galerkin_matches_quadrature(dim, n):
         mesh.n_vertices, mesh.edges, rng.uniform(-1.0, 1.0, mesh.n_edges)
     )
     k_std, m_std = standard_galerkin(mesh, circ)
-    reference = magnetic_galerkin_dense(mesh.vertices, mesh.cells, circ.value)
+    reference = magnetic_galerkin_dense(
+        mesh.vertices, mesh.cells, edge_lookup(circ, np.negative, 0.0)
+    )
     assert np.allclose(k_std.to_dense(), reference, rtol=0, atol=1e-13)
     assert np.allclose(
         m_std.to_dense(), p1_mass_dense(mesh.vertices, mesh.cells), rtol=0, atol=1e-14

@@ -12,7 +12,8 @@ from gaugefem import (
     write_mesh_file,
 )
 
-from oracles import structured_box_edges
+from conftest import perturbed_box_mesh, shuffled_cells
+from oracles import structured_box_cells, structured_box_edges
 
 
 def test_box_mesh_counts_2d():
@@ -38,6 +39,37 @@ def test_edges_match_independent_enumeration(dim, n):
     mesh = build_box_mesh(dim, n)
     got = {(int(i), int(j)) for i, j in mesh.edges}
     assert got == structured_box_edges(dim, n)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cells_match_walked_kuhn_cells(dim, n):
+    mesh = build_box_mesh(dim, n)
+    assert np.array_equal(mesh.cells, structured_box_cells(dim, n))
+
+
+def _assert_cell_edges_join_cell_pairs(mesh):
+    pairs = [
+        [sorted((int(cell[a]), int(cell[b]))) for a in range(len(cell))
+         for b in range(a + 1, len(cell))]
+        for cell in mesh.cells
+    ]
+    assert mesh.cell_edges.shape == (mesh.n_cells, len(pairs[0]))
+    assert np.array_equal(mesh.edges[mesh.cell_edges], pairs)
+
+
+def test_cell_edges_join_cell_pairs(tmp_path):
+    for dim in (2, 3):
+        _assert_cell_edges_join_cell_pairs(build_box_mesh(dim, 3))
+        _assert_cell_edges_join_cell_pairs(perturbed_box_mesh(dim, 3, seed=dim))
+    # cells that list their vertices in random order, through a file
+    shuffled = shuffled_cells(build_box_mesh(3, 2), seed=6)
+    path = tmp_path / "shuffled.txt"
+    write_mesh_file(shuffled, path)
+    back = read_mesh_file(path)
+    assert np.array_equal(back.cells, shuffled.cells)
+    assert np.any(back.cells[:, 0] > back.cells[:, 1])
+    _assert_cell_edges_join_cell_pairs(back)
 
 
 def test_edge_ordering_invariants():
@@ -139,6 +171,7 @@ def test_mesh_file_round_trip(tmp_path):
     assert np.array_equal(back.vertices, mesh.vertices)  # repr round trip
     assert np.array_equal(back.cells, mesh.cells)
     assert np.array_equal(back.edges, mesh.edges)
+    assert np.array_equal(back.cell_edges, mesh.cell_edges)
     assert np.array_equal(back.boundary_vertex, mesh.boundary_vertex)
     assert back.h == mesh.h
 

@@ -61,7 +61,7 @@ def test_zeeman_zero_field():
     mesh = build_box_mesh(2, 2)
     spec = GaugeFieldSpec([0.3, 0.1], [0.0, 0.0, 0.0])
     table = transports(circulate(spec, mesh))
-    assert np.all(zeeman_matrix(mesh, table, spec).to_dense() == 0.0)
+    assert np.all(zeeman_matrix(covariant_mass(mesh, table), spec).to_dense() == 0.0)
 
 
 def test_zeeman_axis_aligned_blocks():
@@ -69,9 +69,10 @@ def test_zeeman_axis_aligned_blocks():
     b3 = 0.7
     spec = GaugeFieldSpec([0.0, 0.0], [0.0, 0.0, b3])
     table = transports(circulate(spec, mesh))
-    md = covariant_mass(mesh, table).to_dense()
+    mass = covariant_mass(mesh, table)
+    md = mass.to_dense()
     nv = mesh.n_vertices
-    z = zeeman_matrix(mesh, table, spec).to_dense()
+    z = zeeman_matrix(mass, spec).to_dense()
     assert np.allclose(z[:nv, :nv], -b3 * md, atol=1e-15)
     assert np.allclose(z[nv:, nv:], b3 * md, atol=1e-15)
     assert np.all(z[:nv, nv:] == 0.0)
@@ -81,9 +82,10 @@ def test_zeeman_transverse_field_couples_spins():
     mesh = build_box_mesh(3, 1)
     spec = GaugeFieldSpec([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     table = transports(circulate(spec, mesh))
-    md = covariant_mass(mesh, table).to_dense()
+    mass = covariant_mass(mesh, table)
+    md = mass.to_dense()
     nv = mesh.n_vertices
-    z = zeeman_matrix(mesh, table, spec).to_dense()
+    z = zeeman_matrix(mass, spec).to_dense()
     assert np.array_equal(z, z.conj().T)
     assert np.allclose(z[:nv, nv:], -md, atol=1e-15)  # sigma_1 off-diagonal
     assert np.all(z[:nv, :nv] == 0.0)
