@@ -43,6 +43,7 @@ from .assembly import (
     export_matrix,
     local_covariant_stiffness,
     local_mass,
+    mass_floor,
     potential_matrix,
     standard_galerkin,
 )
@@ -77,7 +78,7 @@ __all__ = [
     "AssembledProblem", "EmptyProblemError", "HermitianSparse",
     "assemble_scalar_problem", "covariant_mass", "covariant_stiffness",
     "eliminate_dirichlet", "export_matrix", "local_covariant_stiffness",
-    "local_mass", "potential_matrix", "standard_galerkin",
+    "local_mass", "mass_floor", "potential_matrix", "standard_galerkin",
     "ConvergenceError", "DefinitenessError", "SpectrumResult",
     "reconstruct_field", "solve_hermitian_gevp",
     "PAULI_MATRICES", "SpinorProblem", "assemble_pauli", "sigma_dot",

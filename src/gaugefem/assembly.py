@@ -43,6 +43,7 @@ __all__ = [
     "AssembledProblem",
     "local_mass",
     "covariant_mass",
+    "mass_floor",
     "local_covariant_stiffness",
     "covariant_stiffness",
     "potential_matrix",
@@ -148,12 +149,17 @@ class HermitianSparse:
 
 @dataclass
 class AssembledProblem:
-    """Interior-eliminated stiffness/mass pair ready for the eigensolver."""
+    """Interior-eliminated stiffness/mass pair ready for the eigensolver.
+
+    ``mass_floor`` holds, per interior DOF, the floor f of :func:`mass_floor`
+    with ``mass`` - diag(f) PSD; min f > 0 proves ``mass`` positive definite.
+    """
 
     stiffness: HermitianSparse
     mass: HermitianSparse
     dof_map: np.ndarray
     metadata: dict = field(default_factory=dict)
+    mass_floor: np.ndarray = None
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +272,44 @@ def covariant_mass(mesh, transports):
         local = vols[rows, None, None] * factor * u_loc
         pieces.append(_scatter(mesh.cells[rows], local))
     return _accumulate(mesh.n_vertices, pieces)
+
+
+def mass_floor(mesh, transports=None):
+    """Per-vertex floor f of the (covariant) mass matrix: M - diag(f) is PSD.
+
+    M is a sum of cell blocks B_T = vol_T (I + U_T) / ((d+1)(d+2)), with U_T
+    the transports between the cell's vertices (all ones for the plain P1
+    mass, ``transports=None``).  Each block dominates lambda_min(B_T) times
+    the identity on its cell's vertices, so summing gives M >= diag(f) with
+    f_v the sum of lambda_min(B_T) over the cells around v, whatever their
+    signs.  So min f > 0 proves M positive definite with lambda_min(M) >=
+    min f, and the Dirichlet-reduced mass, a principal submatrix, is bounded
+    by f on the kept vertices.  A gauge change conjugates each U_T by a
+    diagonal unitary, so f is gauge invariant.  The bound is sufficient, not
+    necessary: f_v <= 0 where the cells around v have lambda_min(I + U_T)
+    <= 0 (in 2D: flux pi through each of them) or where v is in no cell.
+    """
+    m = mesh.dim + 1
+    lam = np.ones(mesh.n_cells)
+    if transports is not None:
+        eye = np.eye(m)
+        for lo in range(0, mesh.n_cells, _CHUNK):
+            rows = slice(lo, lo + _CHUNK)
+            u = transports.local_values(mesh, rows)
+            if m == 3:
+                # I + U_T has the eigenvalues 2 + 2 cos((phi + 2 pi j) / 3),
+                # j = 0, 1, 2, for the cell holonomy phi in [-pi, pi]; the
+                # smallest is 2 + 2 cos((2 pi + |phi|) / 3)
+                phi = np.abs(np.angle(u[:, 0, 1] * u[:, 1, 2] * u[:, 2, 0]))
+                lam[rows] = 2.0 + 2.0 * np.cos((2.0 * np.pi + phi) / 3.0)
+            else:
+                lam[rows] = np.linalg.eigvalsh(eye + u)[:, 0]
+        # both err by a small multiple of m eps ||I + U_T||_2, and the norm
+        # is at most m + 1
+        lam -= 8 * m * (m + 1) * np.finfo(float).eps
+    per_cell = cell_volumes(mesh) * lam / (m * (m + 1))
+    return np.bincount(mesh.cells.ravel(), weights=np.repeat(per_cell, m),
+                       minlength=mesh.n_vertices)
 
 
 def _covariant_stiffness_local(coords, u_loc, vols):
@@ -439,9 +483,11 @@ def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant
         u = make_transports(circulation)
         stiffness = covariant_stiffness(mesh, u)
         mass = covariant_mass(mesh, u)
+        floor = mass_floor(mesh, u)
         u_pot = u
     elif method == "baseline":
         stiffness, mass = standard_galerkin(mesh, circulation)
+        floor = mass_floor(mesh)
         u_pot = unit_transports(mesh)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -467,6 +513,7 @@ def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant
         eliminate_dirichlet(mass, dof),
         dof,
         info,
+        floor[dof >= 0],
     )
 
 

@@ -196,7 +196,8 @@ def dirichlet_reference(dim, lengths, count):
 def _timed_solve(cfg, problem):
     t0 = time.perf_counter()
     result = solve_hermitian_gevp(
-        problem.stiffness, problem.mass, cfg.k, tol=cfg.tol, seed=cfg.seed
+        problem.stiffness, problem.mass, cfg.k, tol=cfg.tol, seed=cfg.seed,
+        mass_floor=problem.mass_floor,
     )
     runtime = None if cfg.deterministic else time.perf_counter() - t0
     return result, runtime

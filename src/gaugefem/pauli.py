@@ -22,6 +22,7 @@ from .assembly import (
     covariant_mass,
     covariant_stiffness,
     eliminate_dirichlet,
+    mass_floor,
     potential_matrix,
 )
 from .eigensolve import solve_hermitian_gevp
@@ -81,12 +82,18 @@ def zeeman_matrix(mass, field_spec):
 
 @dataclass
 class SpinorProblem:
-    """Interior-eliminated Pauli pencil (h_total, mass) plus bookkeeping."""
+    """Interior-eliminated Pauli pencil (h_total, mass) plus bookkeeping.
+
+    ``mass_floor`` is the scalar covariant mass's floor f of
+    :func:`gaugefem.assembly.mass_floor` on the interior DOFs, once per spin
+    block: mass = kron(I2, M_U) >= kron(I2, diag(f)).
+    """
 
     h_total: HermitianSparse
     mass: HermitianSparse
     dof_map: np.ndarray
     metadata: dict = field(default_factory=dict)
+    mass_floor: np.ndarray = None
 
     @property
     def n_interior(self):
@@ -133,12 +140,14 @@ def assemble_pauli(mesh, field_spec, potential=None, circulation=None):
         eliminate_dirichlet(m_full, dof),
         dof,
         meta,
+        np.tile(mass_floor(mesh, u)[dof >= 0], 2),
     )
 
 
 def solve_pauli(problem, k, tol=1e-9, seed=0):
     """Smallest k Pauli eigenpairs; see solve_hermitian_gevp for guarantees."""
-    return solve_hermitian_gevp(problem.h_total, problem.mass, k, tol=tol, seed=seed)
+    return solve_hermitian_gevp(problem.h_total, problem.mass, k, tol=tol, seed=seed,
+                                mass_floor=problem.mass_floor)
 
 
 def spin_components(vec, n_interior):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 
 from gaugefem import (
     EdgeCirculation,
@@ -12,6 +13,7 @@ from gaugefem import (
     apply_gauge_to_circulation,
     assemble_scalar_problem,
     build_box_mesh,
+    cell_volumes,
     circulate,
     covariant_mass,
     covariant_stiffness,
@@ -21,6 +23,7 @@ from gaugefem import (
     local_covariant_stiffness,
     local_mass,
     make_mesh,
+    mass_floor,
     potential_matrix,
     random_gauge,
     standard_galerkin,
@@ -532,3 +535,46 @@ def test_export_matrix_round_trip(tmp_path):
         back[r, c] = float(re) + 1j * float(im)
     full = back + back.conj().T - np.diag(np.diag(back))
     assert np.array_equal(full, h.to_dense())  # repr precision is exact
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(2, 4),
+    mesh_seed=st.integers(0, 2**16),
+    b=st.tuples(*[st.floats(-90.0, 90.0)] * 3),
+    gauge_seed=st.integers(0, 2**16),
+)
+def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
+    mesh = perturbed_box_mesh(dim, n, mesh_seed)
+    b = (0.0, 0.0, b[2]) if dim == 2 else b
+    circ = circulate(GaugeFieldSpec((0.3,) * dim, b), mesh)
+    table = transports(circ)
+    floor = mass_floor(mesh, table)
+    m = covariant_mass(mesh, table).to_dense()
+    scale = np.abs(m).max()
+    # f_v sums lambda_min of the cell blocks around v
+    blocks = np.eye(dim + 1) + table.local_values(mesh, slice(None))
+    per_cell = cell_volumes(mesh) * np.linalg.eigvalsh(blocks)[:, 0]
+    per_cell /= (dim + 1) * (dim + 2)
+    expected = np.zeros(mesh.n_vertices)
+    np.add.at(expected, mesh.cells, per_cell[:, None])
+    assert np.allclose(floor, expected, rtol=0, atol=1e-13 * scale)
+    # M - diag(f) is PSD, whatever the sign of f
+    assert np.linalg.eigvalsh(m - np.diag(floor))[0] >= -1e-13 * scale
+
+    problem = assemble_scalar_problem(mesh, circ)
+    for mass, f in ((m, floor), (problem.mass.to_dense(), problem.mass_floor)):
+        if f.min() > 0.0:
+            np.linalg.cholesky(mass)
+            assert np.linalg.eigvalsh(mass)[0] >= f.min() * (1.0 - 1e-12)
+
+    gauged = apply_gauge_to_circulation(circ, random_gauge(mesh, np.pi, gauge_seed))
+    moved = mass_floor(mesh, transports(gauged))
+    assert np.allclose(moved, floor, rtol=0, atol=1e-13 * scale)
+
+    # the plain P1 mass: every cell block has lambda_min = vol / ((d+1)(d+2))
+    plain = mass_floor(mesh)
+    assert plain.min() > 0.0
+    assert np.allclose(mass_floor(mesh, unit_transports(mesh)), plain,
+                       rtol=1e-13, atol=0)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from gaugefem import build_box_mesh
 from gaugefem.cli import RunConfig, dirichlet_reference, main, potential_values
@@ -80,6 +81,32 @@ def test_numerical_failure_exits_with_code_1(capsys):
     )
     assert rc == 1
     assert "numerical failure" in err
+
+
+def test_arpack_stall_exits_with_code_1(monkeypatch, capsys):
+    # 361 DOFs: above the dense cutoff, so the solve runs ARPACK
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK stalled", np.empty(0),
+                                       np.empty((args[0].shape[0], 0)))
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    rc, out, err = run_cli(["solve", "--dim", "2", "--n", "20", "--b", "1"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert "numerical failure" in err
+    assert "eigensolver did not converge" in err
+
+
+def test_k_of_all_but_one_dof_solves(capsys):
+    # k = n - 1 above the dense cutoff, which ARPACK cannot serve
+    rc, out, _ = run_cli(
+        ["solve", "--dim", "2", "--n", "20", "--b", "1", "--k", "360"], capsys
+    )
+    assert rc == 0
+    res = json.loads(out)["results"]
+    assert res["n_dofs"] == 361
+    assert len(res["eigenvalues"]) == 360
+    assert res["method_tag"] == "dense-eigh"
 
 
 def test_gauge_check_covariant_versus_baseline(capsys):

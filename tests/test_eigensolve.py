@@ -3,6 +3,7 @@ import gc
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 from gaugefem import (
     ConvergenceError,
@@ -24,11 +25,50 @@ def _pencil_from_dense(h, m):
     )
 
 
-def _magnetic_problem(dim=2, n=8, bz=1.0):
+def _magnetic_problem(dim=2, n=8, bz=1.0, b=None, potential=None):
     mesh = build_box_mesh(dim, n)
-    b = (0.0, 0.0, bz)
+    b = (0.0, 0.0, bz) if b is None else b
     circ = circulate(GaugeFieldSpec((0.0,) * dim, b), mesh)
-    return mesh, assemble_scalar_problem(mesh, circ)
+    if potential is not None:
+        center = np.full(dim, 0.5)
+        potential = np.where(
+            np.linalg.norm(mesh.vertices - center, axis=1) <= 0.3, potential, 0.0
+        )
+    return mesh, assemble_scalar_problem(mesh, circ, potential)
+
+
+@pytest.fixture
+def eigsh_shifts(monkeypatch):
+    """The sigma of every scipy eigsh call the solver makes (None: the
+    Lanczos mass probe)."""
+    shifts = []
+    original = spla.eigsh
+
+    def recording(*args, **kwargs):
+        shifts.append(kwargs.get("sigma"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recording)
+    return shifts
+
+
+def _solve_both_paths(problem, k):
+    """Dense and ARPACK solves of one problem, the latter with its floor."""
+    h, m, floor = problem.stiffness, problem.mass, problem.mass_floor
+    dense = solve_hermitian_gevp(h, m, k=k, dense_cutoff=h.n, mass_floor=floor)
+    arpack = solve_hermitian_gevp(h, m, k=k, dense_cutoff=0, mass_floor=floor)
+    assert dense.method_tag == "dense-eigh"
+    assert arpack.method_tag == "arpack-shift-invert"
+    return dense, arpack
+
+
+# problems on both sides of DENSE_CUTOFF, for the path agreement tests
+_ACROSS_CUTOFF = {
+    "2d-n20": dict(dim=2, n=20, b=(0.0, 0.0, 7.0)),
+    "2d-n28": dict(dim=2, n=28, b=(0.0, 0.0, 7.0)),
+    "3d-n8": dict(dim=3, n=8, b=(2.0, -1.0, 5.0)),
+    "unit-square-zero-field": dict(dim=2, n=20, b=(0.0, 0.0, 0.0)),
+}
 
 
 def test_diagonal_pencil():
@@ -174,27 +214,59 @@ def test_convergence_error_iteration_cap():
         solve_hermitian_gevp(h, m, k=6, maxiter=1)
 
 
-def test_iterative_path_matches_dense():
-    _, problem = _magnetic_problem(dim=2, n=8, bz=1.0)
-    dense = solve_hermitian_gevp(problem.stiffness, problem.mass, k=3)
-    arpack = solve_hermitian_gevp(
-        problem.stiffness, problem.mass, k=3, dense_cutoff=10
-    )
-    assert arpack.method_tag == "arpack-shift-invert"
-    assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-9)
+@pytest.mark.parametrize("case, k", [
+    ("2d-n20", 3), ("2d-n28", 4), ("3d-n8", 4), ("unit-square-zero-field", 6),
+], ids=["2d-n20", "2d-n28", "3d-n8", "unit-square-zero-field"])
+def test_iterative_path_matches_dense(case, k, eigsh_shifts):
+    _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case])
+    assert problem.mass_floor.min() > 0.0
+    dense, arpack = _solve_both_paths(problem, k)
+    # the certificate replaces the Lanczos mass probe: one eigsh call only
+    assert len(eigsh_shifts) == 1 and eigsh_shifts[0] is not None
+    assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
     assert np.all(arpack.residuals < 1e-9)
 
 
-def test_iterative_path_with_indefinite_stiffness():
-    # shifting the pencil downward makes the lowest eigenvalues negative and
-    # exercises the nonzero-shift branch of the iterative solver
-    _, problem = _magnetic_problem(dim=2, n=8, bz=1.0)
-    s = 50.0
-    shifted = problem.stiffness + (-s) * problem.mass
-    dense = solve_hermitian_gevp(shifted, problem.mass, k=3)
-    arpack = solve_hermitian_gevp(shifted, problem.mass, k=3, dense_cutoff=10)
+@pytest.mark.parametrize("case, well", [
+    ("2d-n20", None), ("2d-n28", None), ("3d-n8", None),
+    ("2d-n20", -400.0), ("3d-n8", -400.0),
+], ids=["2d-n20-shift", "2d-n28-shift", "3d-n8-shift", "2d-n20-well", "3d-n8-well"])
+def test_iterative_path_with_indefinite_stiffness(case, well, eigsh_shifts):
+    # a downward shift of the pencil or a deep well makes the lowest
+    # eigenvalues negative and exercises the nonzero shift, here placed by
+    # the certificate floor instead of the mass probe
+    _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case], potential=well)
+    if well is None:
+        problem.stiffness = problem.stiffness + (-50.0) * problem.mass
+    dense, arpack = _solve_both_paths(problem, 3)
     assert dense.eigenvalues[0] < 0
-    assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-8)
+    assert len(eigsh_shifts) == 1 and eigsh_shifts[0] < dense.eigenvalues[0]
+    assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+
+
+def test_k_near_n_takes_the_dense_path():
+    # ARPACK cannot return k >= n - 1 pairs; such requests go dense whatever
+    # the cutoff instead of failing inside scipy
+    _, problem = _magnetic_problem(dim=2, n=8, bz=1.0)
+    n = problem.stiffness.n
+    reference = solve_hermitian_gevp(problem.stiffness, problem.mass, k=n)
+    for k in (n - 1, n):
+        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=k,
+                                      dense_cutoff=0, mass_floor=problem.mass_floor)
+        assert result.method_tag == "dense-eigh"
+        assert np.allclose(result.eigenvalues, reference.eigenvalues[:k],
+                           rtol=1e-12, atol=0)
+
+
+def test_uncertified_mass_falls_back_to_the_probe(eigsh_shifts):
+    # B = 100 on the 3D n=4 cube gives cells with lambda_min(I + U_T) < 0 and
+    # no positive vertex floor, yet the global mass is positive definite
+    _, problem = _magnetic_problem(dim=3, n=4, bz=100.0)
+    assert problem.mass_floor.max() <= 0.0
+    np.linalg.cholesky(problem.mass.to_dense())
+    dense, arpack = _solve_both_paths(problem, 3)
+    assert eigsh_shifts[0] is None  # the Lanczos probe ran
+    assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
 
 def test_reconstruct_field():
