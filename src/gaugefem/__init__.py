@@ -60,9 +60,7 @@ from .pauli import (
     assemble_pauli,
     sigma_dot,
     solve_pauli,
-    spin_block,
     spin_components,
-    zeeman_matrix,
 )
 
 __version__ = "0.1.0"
@@ -82,6 +80,6 @@ __all__ = [
     "ConvergenceError", "DefinitenessError", "SpectrumResult",
     "reconstruct_field", "solve_hermitian_gevp",
     "PAULI_MATRICES", "SpinorProblem", "assemble_pauli", "sigma_dot",
-    "solve_pauli", "spin_block", "spin_components", "zeeman_matrix",
+    "solve_pauli", "spin_components",
     "__version__",
 ]

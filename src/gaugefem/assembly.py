@@ -447,22 +447,16 @@ def eliminate_dirichlet(matrix, dof_map):
     """Drop boundary rows/columns (homogeneous Dirichlet condition).
 
     ``dof_map`` is the vertex -> interior-index array from
-    :func:`gaugefem.mesh.interior_dof_map`.  Scalar matrices (one row per
-    vertex) and 2x2 spinor block matrices (two rows per vertex, all spin-up
-    then all spin-down) are both handled.
+    :func:`gaugefem.mesh.interior_dof_map`; ``matrix`` has one row per vertex.
     """
     dof_map = np.asarray(dof_map)
     nv = dof_map.shape[0]
     keep = np.flatnonzero(dof_map >= 0)
     if keep.size == 0:
         raise EmptyProblemError("no interior vertices: nothing to solve for")
-    if matrix.n == nv:
-        return matrix.restrict(keep)
-    if matrix.n == 2 * nv:
-        return matrix.restrict(np.concatenate([keep, keep + nv]))
-    raise ValueError(
-        f"matrix size {matrix.n} matches neither {nv} vertices nor spinor blocks"
-    )
+    if matrix.n != nv:
+        raise ValueError(f"matrix size {matrix.n} does not match {nv} vertices")
+    return matrix.restrict(keep)
 
 
 def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant",

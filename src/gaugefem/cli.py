@@ -87,10 +87,10 @@ class RunConfig:
             raise ValueError(f"--a0 needs {self.dim} values")
         if self.k < 1:
             raise ValueError("--k must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("--tol must be positive")
-        if self.gauge_amplitude < 0:
-            raise ValueError("--gauge-amplitude must be nonnegative")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("--tol must be finite and positive")
+        if not 0.0 <= self.gauge_amplitude < math.inf:
+            raise ValueError("--gauge-amplitude must be finite and nonnegative")
 
     @property
     def n(self):
@@ -165,8 +165,8 @@ def potential_values(expr, mesh):
         if len(parts) != 2:
             raise ValueError("well potential takes depth,radius")
         depth, radius = float(parts[0]), float(parts[1])
-        if radius <= 0:
-            raise ValueError("well radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise ValueError("well radius must be finite and positive")
         center = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
         dist = np.linalg.norm(mesh.vertices - center, axis=1)
         return np.where(dist <= radius, depth, 0.0)
@@ -248,7 +248,7 @@ def run_pauli(cfg):
         "config": cfg.config_echo(),
         "results": {
             **_spectrum_block(result),
-            "n_dofs": problem.h_total.n,
+            "n_dofs": 2 * problem.n_interior,
             "h": mesh.h,
             "density_up": dens_up.tolist(),
             "density_down": dens_down.tolist(),

@@ -146,7 +146,7 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
     k : int
         Number of eigenpairs, 1 <= k <= n.
     tol : float
-        Acceptance threshold for the relative residuals.
+        Acceptance threshold for the relative residuals; finite and positive.
     seed : int
         Seeds the ARPACK start vector; fixed seed gives bit-reproducible runs.
     dense_cutoff : int
@@ -169,8 +169,8 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
         raise ValueError("empty problem")
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k!r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
 
     h_csr = H.to_csr()
     m_csr = M.to_csr()

@@ -251,7 +251,7 @@ def apply_gauge_to_state(u, gauge):
 
 def random_gauge(mesh, amplitude, seed):
     """Uniform random vertex phases alpha_x ~ U[-amplitude, amplitude]."""
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    if not 0.0 <= amplitude < np.inf:
+        raise ValueError("amplitude must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     return GaugeTransform(rng.uniform(-amplitude, amplitude, mesh.n_vertices))

@@ -1,21 +1,20 @@
 """Pauli operator: spinor states, Zeeman coupling, assembly and solve.
 
 Spinors are C^2-valued vertex fields stored block-wise: all spin-up
-coefficients first, then all spin-down.  For the uniform fields produced by
-:class:`gaugefem.gauge.GaugeFieldSpec`, curl A = B is constant, so the spin
-coupling -(sigma . B) multiplies the covariant mass matrix and the full
-Hamiltonian block structure is
-
-    H = kron(I2, K + V-term) + kron(-(sigma . B), M_U),   M = kron(I2, M_U).
-
-With B along z the pencil block-diagonalizes and the spectrum is exactly the
-scalar one shifted by -b3 (spin up) and +b3 (spin down).
+coefficients first, then all spin-down.  For the uniform fields of
+:class:`gaugefem.gauge.GaugeFieldSpec` the Pauli pencil is
+H = I2 (x) K - (sigma . B) (x) M_U, M = I2 (x) M_U, with K the scalar
+covariant stiffness plus potential and M_U the covariant mass.  sigma . B is
+one constant Hermitian 2x2 matrix with eigenvalues +-|B|; in the basis of
+its eigenvectors chi_-, chi_+ the pencil is diag(K - |B| M_U, K + |B| M_U)
+exactly, for any direction of B.  So the spinor eigenpairs are
+(lambda -+ |B|, chi_-+ (x) u) over the scalar eigenpairs (lambda, u) of
+(K, M_U), and only the scalar pencil is assembled and solved.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .assembly import (
     HermitianSparse,
@@ -25,15 +24,13 @@ from .assembly import (
     mass_floor,
     potential_matrix,
 )
-from .eigensolve import solve_hermitian_gevp
+from .eigensolve import SpectrumResult, _flag_multiplets, solve_hermitian_gevp
 from .gauge import circulate, transports
 from .mesh import interior_dof_map
 
 __all__ = [
     "PAULI_MATRICES",
     "sigma_dot",
-    "spin_block",
-    "zeeman_matrix",
     "SpinorProblem",
     "assemble_pauli",
     "solve_pauli",
@@ -55,49 +52,22 @@ def sigma_dot(b):
     return b[0] * PAULI_MATRICES[0] + b[1] * PAULI_MATRICES[1] + b[2] * PAULI_MATRICES[2]
 
 
-def spin_block(spin_matrix, scalar_matrix):
-    """kron(spin_matrix, scalar_matrix) as a HermitianSparse.
-
-    ``spin_matrix`` must be a Hermitian 2x2 array; the block ordering puts
-    all spin-up rows before all spin-down rows.
-    """
-    s = np.asarray(spin_matrix, dtype=np.complex128)
-    if s.shape != (2, 2):
-        raise ValueError("spin matrix must be 2x2")
-    if not np.allclose(s, s.conj().T, rtol=0.0, atol=1e-14):
-        raise ValueError("spin matrix must be Hermitian")
-    full = sparse.kron(sparse.csr_matrix(s), scalar_matrix.to_csr(), format="csr")
-    return HermitianSparse.from_csr(full)
-
-
-def zeeman_matrix(mass, field_spec):
-    """Spin coupling -(sigma . B) tensor the covariant mass matrix ``mass``.
-
-    Uniform B means sigma . curl A is the constant matrix sigma . B, so the
-    cell sums collapse to the covariant mass matrix; the result is the
-    2x2-block matrix over all vertices.
-    """
-    return spin_block(-sigma_dot(field_spec.b), mass)
-
-
 @dataclass
 class SpinorProblem:
-    """Interior-eliminated Pauli pencil (h_total, mass) plus bookkeeping.
+    """The interior scalar pencil (stiffness K, mass M_U) of a Pauli problem,
+    the uniform field ``b`` whose Zeeman term splits it, and the floor f of
+    :func:`gaugefem.assembly.mass_floor` on the interior DOFs."""
 
-    ``mass_floor`` is the scalar covariant mass's floor f of
-    :func:`gaugefem.assembly.mass_floor` on the interior DOFs, once per spin
-    block: mass = kron(I2, M_U) >= kron(I2, diag(f)).
-    """
-
-    h_total: HermitianSparse
+    stiffness: HermitianSparse
     mass: HermitianSparse
     dof_map: np.ndarray
+    b: np.ndarray
     metadata: dict = field(default_factory=dict)
     mass_floor: np.ndarray = None
 
     @property
     def n_interior(self):
-        return self.h_total.n // 2
+        return self.stiffness.n
 
 
 def assemble_pauli(mesh, field_spec, potential=None, circulation=None):
@@ -122,9 +92,6 @@ def assemble_pauli(mesh, field_spec, potential=None, circulation=None):
         if np.any(potential != 0.0):
             scalar = scalar + potential_matrix(mesh, u, potential)
     mass = covariant_mass(mesh, u)
-    identity = np.eye(2, dtype=np.complex128)
-    h_full = spin_block(identity, scalar) + zeeman_matrix(mass, field_spec)
-    m_full = spin_block(identity, mass)
 
     dof = interior_dof_map(mesh)
     meta = {
@@ -136,18 +103,48 @@ def assemble_pauli(mesh, field_spec, potential=None, circulation=None):
         "has_potential": potential is not None and bool(np.any(potential != 0.0)),
     }
     return SpinorProblem(
-        eliminate_dirichlet(h_full, dof),
-        eliminate_dirichlet(m_full, dof),
+        eliminate_dirichlet(scalar, dof),
+        eliminate_dirichlet(mass, dof),
         dof,
+        field_spec.b,
         meta,
-        np.tile(mass_floor(mesh, u)[dof >= 0], 2),
+        mass_floor(mesh, u)[dof >= 0],
     )
 
 
 def solve_pauli(problem, k, tol=1e-9, seed=0):
-    """Smallest k Pauli eigenpairs; see solve_hermitian_gevp for guarantees."""
-    return solve_hermitian_gevp(problem.h_total, problem.mass, k, tol=tol, seed=seed,
-                                mass_floor=problem.mass_floor)
+    """Smallest k (1 <= k <= 2n) Pauli eigenpairs from one scalar solve.
+
+    Spinors use the up-then-down layout, are M-normalized and have their
+    largest-modulus entry real and positive; their residuals equal the
+    scalar ones exactly.  Exact ties list the lower branch first.
+    """
+    n = problem.n_interior
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 2 * n:
+        raise ValueError(f"k must be in [1, {2 * n}], got {k!r}")
+    scalar = solve_hermitian_gevp(problem.stiffness, problem.mass, min(k, n), tol=tol,
+                                  seed=seed, mass_floor=problem.mass_floor)
+
+    # Columns chi_-, chi_+ of -(sigma . B), eigenvalues -|B|, +|B|.
+    if np.any(problem.b != 0.0):
+        _, chi = np.linalg.eigh(-sigma_dot(problem.b))
+    else:
+        chi = np.eye(2, dtype=np.complex128)
+    zeeman = np.linalg.norm(problem.b)
+    m = scalar.eigenvalues.size
+    energies = np.concatenate([scalar.eigenvalues - zeeman, scalar.eigenvalues + zeeman])
+    order = np.argsort(energies, kind="stable")[:k]
+    branch, index = np.divmod(order, m)
+
+    u = scalar.eigenvectors[index]
+    vecs = np.concatenate([chi[0, branch][:, None] * u, chi[1, branch][:, None] * u],
+                          axis=1)
+    top = vecs[np.arange(k), np.argmax(np.abs(vecs), axis=1)]
+    vecs *= np.conj(top / np.abs(top))[:, None]
+
+    energies = energies[order]
+    return SpectrumResult(energies, vecs, scalar.residuals[index],
+                          _flag_multiplets(energies), scalar.method_tag)
 
 
 def spin_components(vec, n_interior):

@@ -274,3 +274,44 @@ def edge_lookup(table, reverse, diagonal):
         return reverse(values[(j, i)])
 
     return value
+
+
+def spin_block(spin_matrix, scalar_matrix):
+    """Dense kron(spin_matrix, scalar_matrix): all spin-up rows first.
+
+    ``spin_matrix`` must be a Hermitian 2x2 array and ``scalar_matrix`` a
+    dense square array.
+    """
+    s = np.asarray(spin_matrix, dtype=np.complex128)
+    if s.shape != (2, 2):
+        raise ValueError("spin matrix must be 2x2")
+    if not np.allclose(s, s.conj().T, rtol=0.0, atol=1e-14):
+        raise ValueError("spin matrix must be Hermitian")
+    return np.kron(s, np.asarray(scalar_matrix, dtype=np.complex128))
+
+
+def zeeman_matrix(mass, b):
+    """Dense spin coupling -(sigma . B) tensor the scalar mass matrix.
+
+    sigma . B = [[b3, b1 - i b2], [b1 + i b2, -b3]] is written out here
+    rather than taken from the package.
+    """
+    b1, b2, b3 = (float(x) for x in b)
+    sigma_b = np.array([[b3, b1 - 1j * b2], [b1 + 1j * b2, -b3]])
+    return spin_block(-sigma_b, mass)
+
+
+def pauli_pencil_dense(stiffness, mass, b, boundary):
+    """The full 2n Pauli pencil (H, M), Dirichlet-reduced, as dense arrays.
+
+    ``stiffness`` (kinetic plus potential) and ``mass`` are the dense scalar
+    matrices over all vertices, ``b`` is the uniform field and ``boundary``
+    the boundary-vertex mask.  H = kron(I2, K) + kron(-(sigma . B), M) and
+    M = kron(I2, M); then the boundary rows and columns of both spin blocks
+    are dropped, leaving the up-then-down interior layout.
+    """
+    identity = np.eye(2)
+    h = spin_block(identity, stiffness) + zeeman_matrix(mass, b)
+    m = spin_block(identity, mass)
+    keep = np.flatnonzero(~np.concatenate([boundary, boundary]))
+    return h[np.ix_(keep, keep)], m[np.ix_(keep, keep)]

@@ -184,6 +184,34 @@ def test_pauli_report(capsys):
     assert res["eigenvalues"] == sorted(res["eigenvalues"])
 
 
+def test_pauli_k_runs_up_to_both_spin_components(capsys):
+    # 2D n=3: 4 interior vertices, 8 spinor DOFs
+    rc, out, _ = run_cli(["pauli", "--dim", "2", "--n", "3", "--k", "8"], capsys)
+    assert rc == 0
+    res = json.loads(out)["results"]
+    assert res["n_dofs"] == 8
+    assert len(res["eigenvalues"]) == 8
+    rc, _, err = run_cli(["pauli", "--dim", "2", "--n", "3", "--k", "9"], capsys)
+    assert rc == 2
+    assert "gaugefem:" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--n", "4", "--tol", "nan"],
+    ["solve", "--n", "4", "--tol", "inf"],
+    ["gauge-check", "--n", "4", "--gauge-amplitude", "nan"],
+    ["gauge-check", "--n", "4", "--gauge-amplitude", "inf"],
+    ["solve", "--n", "4", "--potential", "well:5,nan"],
+    ["solve", "--n", "4", "--potential", "well:5,inf"],
+], ids=["tol-nan", "tol-inf", "amplitude-nan", "amplitude-inf", "radius-nan",
+        "radius-inf"])
+def test_non_finite_inputs_exit_with_code_2(args, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("gaugefem:")
+
+
 def test_csv_projections(capsys):
     rc, out, _ = run_cli(
         ["solve", "--dim", "2", "--n", "4", "--k", "2", "--format", "csv"], capsys

@@ -101,6 +101,9 @@ def test_argument_validation():
         solve_hermitian_gevp(h, m, k=4)
     with pytest.raises(ValueError):
         solve_hermitian_gevp(h, m, k=1, tol=-1.0)
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            solve_hermitian_gevp(h, m, k=1, tol=tol)
     h2, m2 = _pencil_from_dense(np.eye(3), np.eye(2))
     with pytest.raises(ValueError):
         solve_hermitian_gevp(h2, m2, k=1)

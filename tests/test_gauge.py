@@ -186,6 +186,9 @@ def test_random_gauge_contract():
     assert np.all(np.abs(g1.alpha) <= np.pi)
     with pytest.raises(ValueError):
         random_gauge(mesh, -1.0, seed=0)
+    for amplitude in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            random_gauge(mesh, amplitude, seed=0)
 
 
 def test_gauge_compatibility_of_transports():
