@@ -9,7 +9,15 @@ transport along the connecting edge:
   of conj(U_xy u_y - u_x) U_xz (U_zt v_t - v_z) (mu_xy . mu_zt) M_xz,
 
 where M is the P1 mass matrix and mu_xy is the basis dual to the tangents
-y - x at vertex x.  Substituting U_xy -> exp(i a_x) U_xy exp(-i a_y) and
+y - x at vertex x.  On a cell that dual basis is mu_xy = grad lambda_y
+(grad lambda_y . (p_z - p_x) = delta_yz for y, z != x), and the gradients
+sum to zero, so the stiffness of a cell T is the plain P1 stiffness times a
+Hadamard factor:
+
+    K_T = (grad lambda_y . grad lambda_t)_yt  o  U_T (M_T o U_T) U_T,
+
+with U_T the transports between the cell's vertices and o the entrywise
+product.  Substituting U_xy -> exp(i a_x) U_xy exp(-i a_y) and
 u -> exp(i a) u conjugates both matrices by the diagonal phase matrix, which
 is what makes the discrete spectra exactly gauge invariant.
 
@@ -57,7 +65,7 @@ __all__ = [
 # upstream rather than roundoff, so they raise instead of being dropped.
 DIAG_IMAG_TOL = 1e-13
 
-# Cells per vectorized assembly batch; bounds the (chunk, m, m, m, m) scratch.
+# Cells per vectorized assembly batch; bounds the cell kernels' scratch arrays.
 _CHUNK = 4096
 
 
@@ -65,18 +73,31 @@ class EmptyProblemError(ValueError):
     """The problem has no degrees of freedom (e.g. no interior vertices)."""
 
 
-class HermitianSparse:
-    """Sparse Hermitian matrix stored as its upper triangle.
+def _triplet_sum(n, parts):
+    """CSR sum of (data, rows, cols) triplet parts.
 
-    Construction symmetrizes: the stored entry is (H_xy + conj(H_yx)) / 2,
-    so reconstructing the full matrix gives exactly H = H^dagger.  Diagonal
-    imaginary parts beyond ``DIAG_IMAG_TOL`` raise.
+    Unlike a scipy sparse sum, which drops every 0 + 0, this keeps exact
+    zeros, so assembled matrices and their sums keep every vertex pair that
+    shares a cell in their pattern.
+    """
+    data, rows, cols = (np.concatenate(p) for p in zip(*parts))
+    return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+class HermitianSparse:
+    """Sparse Hermitian matrix stored as its full CSR matrix.
+
+    Construction symmetrizes: the stored entries are (H_xy + conj(H_yx)) / 2,
+    so the stored matrix is exactly H = H^dagger.  Diagonal imaginary parts
+    beyond ``DIAG_IMAG_TOL`` raise.  Sums, differences, real multiples and
+    principal submatrices stay exactly Hermitian, so they are not
+    re-symmetrized.
     """
 
-    def __init__(self, n, upper):
+    def __init__(self, n, full):
         self.n = int(n)
-        self._upper = upper.tocsr()
-        self._upper.sum_duplicates()
+        self._full = full.tocsr()
+        self._full.sum_duplicates()
 
     @classmethod
     def from_entries(cls, n, rows, cols, vals):
@@ -97,28 +118,30 @@ class HermitianSparse:
                 f"diagonal imaginary part {diag_imag.max():.3e} exceeds "
                 f"{DIAG_IMAG_TOL:.0e}"
             )
-        herm = (full + full.conj().T) * 0.5  # diagonal becomes exactly real
-        upper = sparse.triu(herm, k=0).tocsr()
-        upper.eliminate_zeros()
-        return cls(n, upper)
+        # each entry plus its mirror: the diagonal becomes exactly real
+        coo = sparse.csr_matrix(full, dtype=np.complex128, copy=True).tocoo()
+        herm = _triplet_sum(
+            n, [(coo.data, coo.row, coo.col), (coo.data.conj(), coo.col, coo.row)]
+        )
+        return cls(n, herm * 0.5)
 
     @property
     def nnz(self):
-        """Stored (upper-triangle) entry count."""
-        return self._upper.nnz
+        """Entry count of the upper triangle (what :func:`export_matrix` writes)."""
+        full = self._full
+        rows = np.repeat(np.arange(self.n), np.diff(full.indptr))
+        return int(np.count_nonzero(full.indices >= rows))
 
     def to_csr(self):
-        """Full Hermitian matrix as CSR."""
-        upper = self._upper
-        diag = sparse.diags(upper.diagonal(), format="csr", dtype=np.complex128)
-        return upper + upper.conj().T - diag
+        """Full Hermitian matrix as CSR (the stored matrix; do not modify)."""
+        return self._full
 
     def to_dense(self):
-        return self.to_csr().toarray()
+        return self._full.toarray()
 
     def upper_coo(self):
-        """Stored triangle as (rows, cols, values) in row-major order."""
-        coo = self._upper.tocoo()
+        """Upper triangle as (rows, cols, values) in row-major order."""
+        coo = sparse.triu(self._full, format="csr").tocoo()
         return coo.row, coo.col, coo.data
 
     def restrict(self, keep):
@@ -126,23 +149,25 @@ class HermitianSparse:
         keep = np.asarray(keep, dtype=np.int64)
         if keep.size and np.any(np.diff(keep) <= 0):
             raise ValueError("keep indices must be strictly ascending")
-        sub = self._upper[keep][:, keep].tocsr()
-        return HermitianSparse(keep.size, sub)
+        return HermitianSparse(keep.size, self._full[keep][:, keep])
+
+    def _combine(self, other, sign):
+        if not isinstance(other, HermitianSparse) or other.n != self.n:
+            return NotImplemented
+        a, b = self._full.tocoo(), other._full.tocoo()
+        parts = [(a.data, a.row, a.col), (sign * b.data, b.row, b.col)]
+        return HermitianSparse(self.n, _triplet_sum(self.n, parts))
 
     def __add__(self, other):
-        if not isinstance(other, HermitianSparse) or other.n != self.n:
-            return NotImplemented
-        return HermitianSparse(self.n, self._upper + other._upper)
+        return self._combine(other, 1.0)
 
     def __sub__(self, other):
-        if not isinstance(other, HermitianSparse) or other.n != self.n:
-            return NotImplemented
-        return HermitianSparse(self.n, self._upper - other._upper)
+        return self._combine(other, -1.0)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, Real):
             raise TypeError("only real scalars keep the matrix Hermitian")
-        return HermitianSparse(self.n, self._upper * float(scalar))
+        return HermitianSparse(self.n, self._full * float(scalar))
 
     __rmul__ = __mul__
 
@@ -215,42 +240,25 @@ def _barycentric_gradients(coords):
     return grads
 
 
-def _dual_tangent_basis(coords):
-    """Per-vertex dual basis mu, shape (nc, m, m, d).
+def _assemble(mesh, table, kernel):
+    """Sum per-cell matrices into one HermitianSparse over all vertices.
 
-    mu[c, x, y] is dual to the tangents tau_xy = p_y - p_x at vertex x:
-    mu[c, x, y] . tau_xz = delta_yz for y, z != x.  The diagonal mu[c, x, x]
-    is zero, which conveniently kills the y = x terms of the covariant sums.
+    ``kernel(rows, local)`` returns the (chunk, m, m) cell matrices of the
+    cells ``mesh.cells[rows]``, given ``local = table.local_values(mesh,
+    rows)``; chunks of ``_CHUNK`` cells bound its scratch arrays.
     """
-    nc, m, d = coords.shape
-    tau = coords[:, None, :, :] - coords[:, :, None, :]  # tau[c, x, y] = p_y - p_x
-    mats = np.empty((nc, m, d, d))
-    others = [[y for y in range(m) if y != x] for x in range(m)]
-    for x in range(m):
-        mats[:, x] = tau[:, x, others[x], :].transpose(0, 2, 1)  # tangent columns
-    det = np.linalg.det(mats)
-    if np.any(np.abs(det) == 0.0):
-        raise MeshGeometryError("degenerate cell: singular tangent basis")
-    inv = np.linalg.inv(mats.reshape(-1, d, d)).reshape(nc, m, d, d)
-    mu = np.zeros((nc, m, m, d))
-    for x in range(m):
-        mu[:, x, others[x], :] = inv[:, x, :, :]
-    return mu
-
-
-def _scatter(cells, local):
-    """(rows, cols, values) triplets of (nc, m, m) cell matrices."""
+    cells = mesh.cells
     m = cells.shape[1]
-    rows = np.repeat(cells, m, axis=1).ravel()
-    cols = np.tile(cells, (1, m)).ravel()
-    return rows, cols, local.reshape(-1)
-
-
-def _accumulate(n, pieces):
-    rows = np.concatenate([p[0] for p in pieces])
-    cols = np.concatenate([p[1] for p in pieces])
-    vals = np.concatenate([p[2] for p in pieces])
-    return HermitianSparse.from_entries(n, rows, cols, vals)
+    local = np.empty((mesh.n_cells, m, m), dtype=np.complex128)
+    for lo in range(0, mesh.n_cells, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        local[rows] = kernel(rows, table.local_values(mesh, rows))
+    return HermitianSparse.from_entries(
+        mesh.n_vertices,
+        np.repeat(cells, m, axis=1).ravel(),
+        np.tile(cells, (1, m)).ravel(),
+        local.ravel(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +271,8 @@ def covariant_mass(mesh, transports):
     Reduces to the classical P1 mass matrix when U = 1 and is Hermitian by
     the reversal symmetry U_yx = conj(U_xy).
     """
-    vols = cell_volumes(mesh)
-    factor = _pair_factor(mesh.dim)
-    pieces = []
-    for lo in range(0, mesh.n_cells, _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        u_loc = transports.local_values(mesh, rows)
-        local = vols[rows, None, None] * factor * u_loc
-        pieces.append(_scatter(mesh.cells[rows], local))
-    return _accumulate(mesh.n_vertices, pieces)
+    mass = cell_volumes(mesh)[:, None, None] * _pair_factor(mesh.dim)
+    return _assemble(mesh, transports, lambda rows, u: mass[rows] * u)
 
 
 def mass_floor(mesh, transports=None):
@@ -315,23 +316,15 @@ def mass_floor(mesh, transports=None):
 def _covariant_stiffness_local(coords, u_loc, vols):
     """Covariant stiffness matrices of a batch of cells.
 
-    Expands the quadratic form
-        sum_{x, y != x} sum_{z, t != z} conj(U_xy u_y - u_x) U_xz
-            (U_zt v_t - v_z) (mu_xy . mu_zt) M_xz(T)
-    into its four u/v matrix contributions.  The diagonal of mu is zero, so
-    the y = x and t = z exclusions are automatic.
+    With mu_xy = grad lambda_y the quadratic form of the module docstring
+    sums to (grad lambda_y . grad lambda_t) [U (M o U) U]_yt, by
+    U_xy = conj(U_yx) and sum_y grad lambda_y = 0 (which drops the -u_x and
+    -v_z terms).
     """
-    m = coords.shape[1]
-    mu = _dual_tangent_basis(coords)
-    mass = vols[:, None, None] * _pair_factor(m - 1)
-    geo = np.einsum("cxyi,czti->cxyzt", mu, mu)
-    core = geo * (mass * u_loc)[:, :, None, :, None]  # (mu.mu) M_xz U_xz
-    ub = u_loc.conj()
-    k = np.einsum("cxyzt,cxy,czt->cyt", core, ub, u_loc)
-    k -= np.einsum("cxyzt,cxy->cyz", core, ub)
-    k -= np.einsum("cxyzt,czt->cxt", core, u_loc)
-    k += np.einsum("cxyzt->cxz", core)
-    return k
+    grads = _barycentric_gradients(coords)
+    mass = vols[:, None, None] * _pair_factor(coords.shape[1] - 1)
+    geo = np.einsum("cji,cli->cjl", grads, grads)
+    return geo * (u_loc @ (mass * u_loc) @ u_loc)
 
 
 def local_covariant_stiffness(coords, transports_local):
@@ -342,7 +335,9 @@ def local_covariant_stiffness(coords, transports_local):
     coords : (d+1, d) array
         Cell vertex coordinates.
     transports_local : (d+1, d+1) complex array
-        Transports between the cell's vertices (ones on the diagonal).
+        Transports between the cell's vertices: Hermitian (U_yx =
+        conj(U_xy)) with ones on the diagonal, which the Hadamard form of
+        the stiffness relies on.
     """
     coords = np.asarray(coords, dtype=np.float64)
     m, d = coords.shape
@@ -351,6 +346,8 @@ def local_covariant_stiffness(coords, transports_local):
     u_loc = np.asarray(transports_local, dtype=np.complex128)
     if u_loc.shape != (m, m):
         raise ValueError("transports_local must be (d+1, d+1)")
+    if not (np.allclose(u_loc, u_loc.conj().T) and np.allclose(np.diag(u_loc), 1.0)):
+        raise ValueError("transports_local must be Hermitian with a unit diagonal")
     vol = abs(np.linalg.det(coords[1:] - coords[0])) / factorial(d)
     if vol == 0.0:
         raise MeshGeometryError("degenerate cell: zero volume")
@@ -361,13 +358,10 @@ def covariant_stiffness(mesh, transports):
     """Assembled covariant stiffness matrix on all vertices."""
     vols = cell_volumes(mesh)
     coords = mesh.vertices[mesh.cells]
-    pieces = []
-    for lo in range(0, mesh.n_cells, _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        u_loc = transports.local_values(mesh, rows)
-        local = _covariant_stiffness_local(coords[rows], u_loc, vols[rows])
-        pieces.append(_scatter(mesh.cells[rows], local))
-    return _accumulate(mesh.n_vertices, pieces)
+    return _assemble(
+        mesh, transports,
+        lambda rows, u: _covariant_stiffness_local(coords[rows], u, vols[rows]),
+    )
 
 
 def potential_matrix(mesh, transports, values):
@@ -383,17 +377,9 @@ def potential_matrix(mesh, transports, values):
         raise ValueError("potential needs one sample per vertex")
     if not np.all(np.isfinite(values)):
         raise ValueError("potential samples must be finite")
-    vols = cell_volumes(mesh)
-    cubic = _monomial_table(mesh.dim, 3)
-    pieces = []
-    for lo in range(0, mesh.n_cells, _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        cells = mesh.cells[rows]
-        u_loc = transports.local_values(mesh, rows)
-        weights = np.einsum("cz,xyz->cxy", values[cells], cubic)
-        local = vols[rows, None, None] * weights * u_loc
-        pieces.append(_scatter(cells, local))
-    return _accumulate(mesh.n_vertices, pieces)
+    weights = np.einsum("cz,xyz->cxy", values[mesh.cells], _monomial_table(mesh.dim, 3))
+    weights *= cell_volumes(mesh)[:, None, None]
+    return _assemble(mesh, transports, lambda rows, u: weights[rows] * u)
 
 
 # ---------------------------------------------------------------------------
@@ -414,29 +400,21 @@ def standard_galerkin(mesh, circulation):
     coords = mesh.vertices[mesh.cells]
     pair = _pair_factor(mesh.dim)
     quartic = _monomial_table(mesh.dim, 4)
-    nv = mesh.n_vertices
 
-    k_pieces = []
-    m_pieces = []
-    for lo in range(0, mesh.n_cells, _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        cells = mesh.cells[rows]
-        v = vols[rows]
+    def kernel(rows, a_loc):
+        v = vols[rows, None, None]
         grads = _barycentric_gradients(coords[rows])
-        a_loc = circulation.local_values(mesh, rows)
         w = np.einsum("cmb,cbi->cmi", a_loc, grads)
-
-        local = np.einsum("cxi,cyi->cxy", grads, grads) * v[:, None, None]
         gw = np.einsum("cxi,cmi->cxm", grads, w)
-        pm = pair[None] * v[:, None, None]  # int lambda_y lambda_m
-        local = local.astype(np.complex128)
+        pm = pair[None] * v  # int lambda_y lambda_m
+        local = (np.einsum("cxi,cyi->cxy", grads, grads) * v).astype(np.complex128)
         local += 1j * np.einsum("cxm,cym->cxy", gw, pm)
         local -= 1j * np.einsum("cym,cxm->cxy", gw, pm)
-        local += np.einsum("cmi,cli,xyml->cxy", w, w, quartic) * v[:, None, None]
-        k_pieces.append(_scatter(cells, local))
-        m_pieces.append(_scatter(cells, pm))
+        local += np.einsum("cmi,cli,xyml->cxy", w, w, quartic) * v
+        return local
 
-    return _accumulate(nv, k_pieces), _accumulate(nv, m_pieces)
+    stiffness = _assemble(mesh, circulation, kernel)
+    return stiffness, covariant_mass(mesh, unit_transports(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +496,7 @@ def export_matrix(matrix, path):
     row-major order, 0-based indices.
     """
     rows, cols, vals = matrix.upper_coo()
-    lines = [f"{matrix.n} {matrix.nnz}"]
+    lines = [f"{matrix.n} {rows.size}"]
     for r, c, v in zip(rows, cols, vals):
         lines.append(f"{int(r)} {int(c)} {repr(float(v.real))} {repr(float(v.imag))}")
     with open(path, "w") as fh:

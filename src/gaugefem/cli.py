@@ -176,15 +176,18 @@ def potential_values(expr, mesh):
 def dirichlet_reference(dim, lengths, count):
     """Smallest Dirichlet Laplacian eigenvalues of the box, ascending.
 
-    pi^2 sum_i (m_i / L_i)^2 over positive integer mode tuples m.
+    pi^2 sum_i (m_i / L_i)^2 over positive integer mode tuples m.  The table
+    holds the modes 1..24 per axis; a count whose last value exceeds the
+    smallest value it omits (one mode 25, the others 1) raises.
     """
-    modes = range(1, 25)
-    vals = [
+    top = 24
+    vals = sorted(
         math.pi**2 * sum((m / L) ** 2 for m, L in zip(combo, lengths))
-        for combo in itertools.product(modes, repeat=dim)
-    ]
-    vals.sort()
-    if count > len(vals):
+        for combo in itertools.product(range(1, top + 1), repeat=dim)
+    )
+    base = sum(L**-2 for L in lengths)
+    omitted = min(math.pi**2 * (base + ((top + 1) ** 2 - 1) / L**2) for L in lengths)
+    if count > len(vals) or vals[count - 1] > omitted:
         raise ValueError("reference mode table too small")
     return np.asarray(vals[:count])
 
@@ -193,14 +196,31 @@ def dirichlet_reference(dim, lengths, count):
 # subcommand drivers (pure: RunConfig -> report dict)
 
 
-def _timed_solve(cfg, problem):
+def _timed(cfg, solve, *args, **kwargs):
+    """solve(*args, **kwargs) and its wall time (None if deterministic)."""
     t0 = time.perf_counter()
-    result = solve_hermitian_gevp(
-        problem.stiffness, problem.mass, cfg.k, tol=cfg.tol, seed=cfg.seed,
-        mass_floor=problem.mass_floor,
+    result = solve(*args, **kwargs)
+    return result, None if cfg.deterministic else time.perf_counter() - t0
+
+
+def _timed_solve(cfg, problem):
+    return _timed(
+        cfg, solve_hermitian_gevp, problem.stiffness, problem.mass, cfg.k,
+        tol=cfg.tol, seed=cfg.seed, mass_floor=problem.mass_floor,
     )
-    runtime = None if cfg.deterministic else time.perf_counter() - t0
-    return result, runtime
+
+
+def _setup(cfg, n):
+    """Box mesh at n cells per axis and its potential samples."""
+    mesh = build_box_mesh(cfg.dim, n, cfg.lengths)
+    return mesh, potential_values(cfg.potential, mesh)
+
+
+def _scalar_problem(cfg, n):
+    """Box mesh at n cells per axis and its reduced scalar problem."""
+    mesh, pot = _setup(cfg, n)
+    circ = circulate(cfg.field_spec(), mesh)
+    return mesh, assemble_scalar_problem(mesh, circ, pot, method=cfg.method)
 
 
 def _spectrum_block(result):
@@ -213,10 +233,7 @@ def _spectrum_block(result):
 
 
 def run_solve(cfg):
-    mesh = build_box_mesh(cfg.dim, cfg.n, cfg.lengths)
-    circ = circulate(cfg.field_spec(), mesh)
-    pot = potential_values(cfg.potential, mesh)
-    problem = assemble_scalar_problem(mesh, circ, pot, method=cfg.method)
+    mesh, problem = _scalar_problem(cfg, cfg.n)
     result, runtime = _timed_solve(cfg, problem)
     fields = reconstruct_field(result.eigenvectors, mesh, problem.dof_map)
     report = {
@@ -234,12 +251,10 @@ def run_solve(cfg):
 
 
 def run_pauli(cfg):
-    mesh = build_box_mesh(cfg.dim, cfg.n, cfg.lengths)
-    pot = potential_values(cfg.potential, mesh)
+    mesh, pot = _setup(cfg, cfg.n)
     problem = assemble_pauli(mesh, cfg.field_spec(), pot)
-    t0 = time.perf_counter()
-    result = solve_pauli(problem, cfg.k, tol=cfg.tol, seed=cfg.seed)
-    runtime = None if cfg.deterministic else time.perf_counter() - t0
+    result, runtime = _timed(cfg, solve_pauli, problem, cfg.k, tol=cfg.tol,
+                             seed=cfg.seed)
     up, down = spin_components(result.eigenvectors, problem.n_interior)
     dens_up = np.abs(reconstruct_field(up, mesh, problem.dof_map)) ** 2
     dens_down = np.abs(reconstruct_field(down, mesh, problem.dof_map)) ** 2
@@ -259,9 +274,8 @@ def run_pauli(cfg):
 
 
 def run_gauge_check(cfg):
-    mesh = build_box_mesh(cfg.dim, cfg.n, cfg.lengths)
+    mesh, pot = _setup(cfg, cfg.n)
     circ = circulate(cfg.field_spec(), mesh)
-    pot = potential_values(cfg.potential, mesh)
     gauge = random_gauge(mesh, cfg.gauge_amplitude, cfg.seed)
     gauged = apply_gauge_to_circulation(circ, gauge)
 
@@ -306,14 +320,10 @@ def run_convergence(cfg):
                 f"levels must double (nested refinement); got {a} -> {b}"
             )
 
-    spec = cfg.field_spec()
     per_level = []
     eigs = []
     for n in levels:
-        mesh = build_box_mesh(cfg.dim, n, cfg.lengths)
-        circ = circulate(spec, mesh)
-        pot = potential_values(cfg.potential, mesh)
-        problem = assemble_scalar_problem(mesh, circ, pot, method=cfg.method)
+        mesh, problem = _scalar_problem(cfg, n)
         result, runtime = _timed_solve(cfg, problem)
         eigs.append(result.eigenvalues)
         per_level.append(
@@ -374,10 +384,7 @@ def run_export_matrices(cfg):
         raise ValueError("export-matrices requires --output PREFIX")
     if cfg.fmt != "json":
         raise ValueError("export-matrices writes text matrix files; use --format json")
-    mesh = build_box_mesh(cfg.dim, cfg.n, cfg.lengths)
-    circ = circulate(cfg.field_spec(), mesh)
-    pot = potential_values(cfg.potential, mesh)
-    problem = assemble_scalar_problem(mesh, circ, pot, method=cfg.method)
+    _, problem = _scalar_problem(cfg, cfg.n)
     paths = {
         "stiffness": f"{cfg.output}_stiffness.txt",
         "mass": f"{cfg.output}_mass.txt",

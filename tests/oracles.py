@@ -154,6 +154,53 @@ def covariant_mass_dense(vertices, cells, transport_of):
     return out
 
 
+def local_covariant_stiffness_dual(coords, transports_local):
+    """Covariant stiffness of one cell from its defining form, term by term.
+
+    a(u, v) = sum_{x, y != x} sum_{z, t != z} conj(U_xy u_y - u_x) U_xz
+    (U_zt v_t - v_z) (mu_xy . mu_zt) M_xz, where mu_x. is the basis dual to
+    the tangents p_y - p_x at vertex x (one matrix inverse per vertex) and
+    M is the P1 mass of the cell by quadrature.  Each pair of vertex pairs
+    adds its four u/v contributions to the matrix of conj(u_j) v_l.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    u = np.asarray(transports_local, dtype=np.complex128)
+    m = coords.shape[0]
+    pts, w = simplex_quadrature(coords, 4)
+    lam = barycentric_values(coords, pts)
+    mass = np.einsum("q,qa,qb->ab", w, lam, lam)
+    mu = {}
+    for x in range(m):
+        others = [y for y in range(m) if y != x]
+        tangents = np.array([coords[y] - coords[x] for y in others])
+        dual = np.linalg.inv(tangents).T  # dual[a] . tangents[b] = delta_ab
+        for a, y in enumerate(others):
+            mu[x, y] = dual[a]
+    k = np.zeros((m, m), dtype=np.complex128)
+    for x, y in mu:
+        for z, t in mu:
+            core = (mu[x, y] @ mu[z, t]) * mass[x, z] * u[x, z]
+            k[y, t] += core * np.conj(u[x, y]) * u[z, t]
+            k[y, z] -= core * np.conj(u[x, y])
+            k[x, t] -= core * u[z, t]
+            k[x, z] += core
+    return k
+
+
+def covariant_stiffness_dense(vertices, cells, transport_of):
+    """Covariant stiffness matrix summed from :func:`local_covariant_stiffness_dual`.
+
+    ``transport_of(i, j)`` returns the transport along the directed edge
+    i -> j (and 1 on the diagonal).
+    """
+    nv = vertices.shape[0]
+    out = np.zeros((nv, nv), dtype=np.complex128)
+    for cell in cells:
+        u = np.array([[transport_of(i, j) for j in cell] for i in cell])
+        out[np.ix_(cell, cell)] += local_covariant_stiffness_dual(vertices[cell], u)
+    return out
+
+
 def potential_dense(vertices, cells, vertex_values, transport_of=None, npts=8):
     """Potential term by quadrature: int lam_a V_h lam_b times the transport.
 

@@ -34,7 +34,9 @@ from gaugefem import (
 from conftest import perturbed_box_mesh, shuffled_cells
 from oracles import (
     covariant_mass_dense,
+    covariant_stiffness_dense,
     edge_lookup,
+    local_covariant_stiffness_dual,
     magnetic_galerkin_dense,
     p1_local_stiffness,
     p1_mass_dense,
@@ -211,6 +213,17 @@ def test_local_stiffness_degenerate_cell():
         local_covariant_stiffness(coords[:3], np.ones((3, 3)))
 
 
+def test_local_stiffness_rejects_non_hermitian_transports():
+    coords = _random_cell(2, seed=7)
+    u = _random_local_transports(3, 8)
+    bent = u.copy()
+    bent[0, 1] *= np.exp(0.3j)  # U_10 no longer conj(U_01)
+    with pytest.raises(ValueError):
+        local_covariant_stiffness(coords, bent)
+    with pytest.raises(ValueError):
+        local_covariant_stiffness(coords, 2.0 * u)  # diagonal not one
+
+
 def test_global_stiffness_zero_field_is_p1():
     for mesh in (build_box_mesh(2, 2), perturbed_box_mesh(2, 4, seed=1)):
         dense = covariant_stiffness(mesh, unit_transports(mesh)).to_dense()
@@ -218,6 +231,30 @@ def test_global_stiffness_zero_field_is_p1():
         assert np.allclose(dense, reference, rtol=0, atol=1e-14)
         assert np.allclose(dense @ np.ones(mesh.n_vertices), 0.0, atol=1e-13)
         assert np.linalg.eigvalsh(dense).min() >= -1e-12
+
+
+@pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
+def test_stiffness_matches_dual_basis_form(dim, n):
+    # arbitrary (non-flat) edge phases on a perturbed mesh whose cells list
+    # their vertices in random order
+    mesh = shuffled_cells(perturbed_box_mesh(dim, n, seed=5 + dim), seed=dim)
+    rng = np.random.default_rng(30 + dim)
+    circ = EdgeCirculation(
+        mesh.n_vertices, mesh.edges, rng.uniform(-np.pi, np.pi, mesh.n_edges)
+    )
+    table = transports(circ)
+    transport_of = edge_lookup(table, np.conj, 1.0)
+
+    local = table.local_values(mesh, slice(None))
+    for cell, u_loc in zip(mesh.cells, local):
+        coords = mesh.vertices[cell]
+        k = local_covariant_stiffness(coords, u_loc)
+        reference = local_covariant_stiffness_dual(coords, u_loc)
+        assert np.abs(k - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    dense = covariant_stiffness(mesh, table).to_dense()
+    reference = covariant_stiffness_dense(mesh.vertices, mesh.cells, transport_of)
+    assert np.abs(dense - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 def test_gauge_transform_conjugates_assembled_matrices():
@@ -231,6 +268,40 @@ def test_gauge_transform_conjugates_assembled_matrices():
         original = assemble(mesh, transports(circ)).to_dense()
         twin = assemble(mesh, transports(gauged)).to_dense()
         assert np.allclose(twin, d @ original @ d.conj().T, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(2, 3),
+    scale=st.sampled_from([0.0, 0.2]),
+    mesh_seed=st.integers(0, 2**16),
+    a0=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+    b=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+    gauge_seed=st.integers(0, 2**16),
+)
+def test_gauge_transform_conjugates_over_meshes_and_fields(dim, n, scale, mesh_seed,
+                                                           a0, b, gauge_seed):
+    # A -> A - d(alpha) turns stiffness, mass and potential into D (.) D^H, on
+    # the box mesh (scale 0) and on perturbed ones
+    mesh = perturbed_box_mesh(dim, n, mesh_seed, scale=scale)
+    b = (0.0, 0.0, b[2]) if dim == 2 else b
+    circ = circulate(GaugeFieldSpec(a0[:dim], b), mesh)
+    gauge = random_gauge(mesh, np.pi, gauge_seed)
+    gauged = apply_gauge_to_circulation(circ, gauge)
+    d = np.exp(1j * gauge.alpha)
+    values = np.random.default_rng(mesh_seed).standard_normal(mesh.n_vertices)
+
+    forms = (
+        covariant_stiffness,
+        covariant_mass,
+        lambda mesh, table: potential_matrix(mesh, table, values),
+    )
+    for assemble in forms:
+        original = assemble(mesh, transports(circ)).to_dense()
+        twin = assemble(mesh, transports(gauged)).to_dense()
+        conjugated = d[:, None] * original * d.conj()[None, :]
+        assert np.abs(twin - conjugated).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

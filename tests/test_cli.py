@@ -1,10 +1,11 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from gaugefem import build_box_mesh
+from gaugefem import build_box_mesh, interior_dof_map
 from gaugefem.cli import RunConfig, dirichlet_reference, main, potential_values
 
 
@@ -270,6 +271,32 @@ def test_export_matrices(tmp_path, capsys):
     assert rc == 2
 
 
+def test_export_pattern_keeps_every_cell_pair(tmp_path, capsys):
+    # a localized well leaves V = 0 on far cells, where the stiffness has exact
+    # zeros (the hypotenuse pairs); the sum with the potential term keeps them
+    prefix = str(tmp_path / "well")
+    rc, out, _ = run_cli(
+        ["export-matrices", "--dim", "2", "--n", "8", "--b", "1",
+         "--potential", "well:-5,0.3", "--output", prefix],
+        capsys,
+    )
+    assert rc == 0
+    res = json.loads(out)["results"]
+    mesh = build_box_mesh(2, 8)
+    dof = interior_dof_map(mesh)
+    pairs = {
+        (min(dof[x], dof[y]), max(dof[x], dof[y]))
+        for cell in mesh.cells
+        for x in cell
+        for y in cell
+        if dof[x] >= 0 and dof[y] >= 0
+    }
+    for name in ("stiffness", "mass"):
+        lines = (tmp_path / f"well_{name}.txt").read_text().strip().split("\n")
+        assert int(lines[0].split()[1]) == res[f"{name}_nnz"] == len(pairs)
+        assert {tuple(int(t) for t in line.split()[:2]) for line in lines[1:]} == pairs
+
+
 def test_deterministic_reports_are_byte_identical(capsys):
     for args in (
         ["solve", "--dim", "2", "--n", "6", "--b", "1", "--k", "2",
@@ -322,6 +349,30 @@ def test_dirichlet_reference_table():
     assert vals[0] == pytest.approx(3 * np.pi**2, rel=1e-15)
     with pytest.raises(ValueError):
         dirichlet_reference(2, (1.0, 1.0), 10_000)
+
+
+@pytest.mark.parametrize(
+    "lengths,counts,first_refused",
+    [
+        ((1.0, 4.0), (1, 50, 112), 113),
+        ((1.0, 1.0), (1, 100, 300, 465), 466),
+        ((1.0, 2.0, 3.0), (1, 200, 1580), 1581),
+    ],
+)
+def test_dirichlet_reference_matches_brute_force(lengths, counts, first_refused):
+    # a table with far more modes per axis than the reference keeps
+    top = 60 if len(lengths) == 2 else 30
+    brute = sorted(
+        np.pi**2 * sum((m / L) ** 2 for m, L in zip(combo, lengths))
+        for combo in itertools.product(range(1, top), repeat=len(lengths))
+    )
+    for count in counts:
+        vals = dirichlet_reference(len(lengths), lengths, count)
+        assert np.allclose(vals, brute[:count], rtol=1e-14, atol=0)
+    # the values grow with the count, so every larger count is refused too;
+    # 113 for lengths (1, 4) used to return 404.65 where the truth is 395.40
+    with pytest.raises(ValueError, match="table too small"):
+        dirichlet_reference(len(lengths), lengths, first_refused)
 
 
 def test_runconfig_validation():
