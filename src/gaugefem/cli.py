@@ -16,6 +16,7 @@ same command line produce byte-identical output.
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -444,9 +445,40 @@ def _csv_projection(report):
     return rows
 
 
+def _indented_json(value, newline):
+    """json.dumps(value, indent=2, sort_keys=True) for report values.
+
+    Dict keys are str.  With an indent the stdlib runs its pure-Python
+    encoder, so a list of numbers, bools and nulls (the eigenvalues, a
+    density row) is encoded in one C call instead and re-indented at its
+    ", " separators, which those encodings never contain.  A list whose C
+    encoding holds a quote or an inner "[" is walked item by item; an empty
+    dict or list encodes as {} or [] at any indent.  ``newline`` is a
+    newline followed by the current indentation.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (json.dumps(key) + ": " + _indented_json(item, inner)
+                 for key, item in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if not isinstance(value[0], (dict, list, tuple)):
+            flat = json.dumps(value)
+            if '"' not in flat and flat.find("[", 1) < 0:
+                return ("[" + inner + flat[1:-1].replace(", ", "," + inner)
+                        + newline + "]")
+        items = (_indented_json(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)
+
+
 def _render(report, fmt):
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _indented_json(report, "\n") + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(_csv_projection(report))
@@ -496,7 +528,9 @@ def _add_common(p, *, method=True, amplitude=False):
                    help="byte-identical reports: wall-clock fields become null")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="gaugefem",
         description="Gauge-invariant finite elements for magnetic Schrodinger "
@@ -547,8 +581,7 @@ def _config_from_args(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         report = _DISPATCH[cfg.subcommand](cfg)

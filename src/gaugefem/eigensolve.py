@@ -8,6 +8,7 @@ gauge-paired solves can be compared pointwise.
 """
 
 import gc
+import weakref
 
 from dataclasses import dataclass
 
@@ -30,14 +31,14 @@ __all__ = [
 # crossover, dense vs ARPACK with the mass floor and the explicit factor
 # (best of 5, one core, one BLAS thread, k = 4, uniform B, Xeon VM):
 #
-#   2D scalar  ~260   n=16 (225 DOFs): 13 vs 22 ms; n=18 (289): 30 vs 23 ms;
-#                     n=20 (361): 39 vs 19 ms; n=24 (529): 96 vs 22 ms
-#   3D scalar  ~280   n=7 (216 DOFs): 8 vs 15 ms; n=8 (343): 24 vs 18 ms
-#   2D Pauli   ~290   n=13 (288 DOFs): 17 vs 17 ms; n=14 (338): 23 vs 18 ms
-#   3D Pauli   ~330   n=6 (250 DOFs): 11 vs 20 ms; n=7 (432): 43 vs 25 ms
+#   2D scalar  ~170   n=14 (169 DOFs): 7.1 vs 7.4 ms; n=16 (225): 14 vs 8 ms;
+#                     n=20 (361): 44 vs 9 ms; n=24 (529): 117 vs 13 ms
+#   3D scalar  ~200   n=6 (125 DOFs): 3.6 vs 8.3 ms; n=7 (216): 11 vs 10 ms;
+#                     n=8 (343): 34 vs 12 ms
 #
-# Around the crossover the two paths differ by a few ms either way, so one
-# constant serves all four cases.
+# A Pauli job runs one such scalar solve, so the same crossover holds.  The
+# constant predates these numbers: it was set when each ARPACK solve also
+# paid a full garbage collection, and lowering it is open.
 DENSE_CUTOFF = 300
 
 # Neighbouring eigenvalues closer than this (relative) are flagged as a
@@ -176,14 +177,15 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
     m_csr = M.to_csr()
 
     if n <= dense_cutoff or k >= n - 1:
-        hd = h_csr.toarray()
         md = m_csr.toarray()
         try:
-            np.linalg.cholesky(md)
+            # eigh factors M itself and fails on the first nonpositive pivot
+            vals, vecs = scipy.linalg.eigh(h_csr.toarray(), md, subset_by_index=[0, k - 1])
         except np.linalg.LinAlgError:
             pivot = scipy.linalg.eigh(md, eigvals_only=True, subset_by_index=[0, 0])[0]
+            if pivot > 0.0:
+                raise
             raise DefinitenessError(pivot) from None
-        vals, vecs = scipy.linalg.eigh(hd, md, subset_by_index=[0, k - 1])
         return _postprocess(vals, vecs, h_csr, m_csr, tol, "dense-eigh")
 
     rng = np.random.default_rng(seed)
@@ -212,14 +214,19 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
     sigma = 0.0 if lower.min() > 0.0 else float(np.min(lower / (0.9 * floor))) - 1.0
 
     # H - sigma M is Hermitian positive definite, so diagonal pivots are
-    # stable and a symmetric ordering of the pattern cuts the fill.
-    lu = spla.splu(
+    # stable and a symmetric ordering of the pattern cuts the fill.  OPinv
+    # reads the factor through a holder: clearing it frees the factor as soon
+    # as eigsh is done, whatever still holds OPinv.
+    factor = [spla.splu(
         (h_csr - sigma * m_csr).tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
-    )
-    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.complex128)
+    )]
+    op_inv = spla.LinearOperator((n, n), matvec=lambda x: factor[0].solve(x),
+                                 dtype=np.complex128)
+    op_ref = weakref.ref(op_inv)
+    best = None
     try:
         vals, vecs = spla.eigsh(
             h_csr,
@@ -241,12 +248,22 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
                 / np.linalg.norm(vv[:, i])
                 for i in range(vv.shape[1])
             )
-        raise ConvergenceError(best) from None
-    # scipy's eigsh keeps its shift-invert operator in a reference cycle;
-    # free it and the factor now, not at whatever later collection, so they
-    # do not stay alive through the caller's next assembly and solve.
-    del lu, op_inv
-    gc.collect()
+    factor.clear()
+    del op_inv  # from here on only scipy's cycle can keep OPinv alive
+    # scipy's eigsh leaves its ARPACK state, which holds OPinv and the n x ncv
+    # workspace, in a reference cycle, so it would stay alive through the
+    # caller's next assembly and solve until a collection found it.  Every
+    # object of that cycle was made during this solve, so it is normally
+    # still in generation 0 or 1, and a young-generation pass (well under
+    # 1 ms) frees it without the full collection's walk over every live
+    # object (9-17 ms).  An automatic generation-1 collection during eigsh
+    # can promote the cycle to the oldest generation; the full pass, run only
+    # when OPinv outlived the young one, catches that.
+    gc.collect(1)
+    if op_ref() is not None:
+        gc.collect()
+    if best is not None:
+        raise ConvergenceError(best)
     return _postprocess(vals, vecs, h_csr, m_csr, tol, "arpack-shift-invert")
 
 

@@ -1,12 +1,23 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
 
 from gaugefem import build_box_mesh, interior_dof_map
-from gaugefem.cli import RunConfig, dirichlet_reference, main, potential_values
+from gaugefem.cli import (
+    RunConfig,
+    _build_parser,
+    _config_from_args,
+    _render,
+    dirichlet_reference,
+    main,
+    potential_values,
+)
 
 
 def run_cli(args, capsys):
@@ -82,6 +93,23 @@ def test_numerical_failure_exits_with_code_1(capsys):
     )
     assert rc == 1
     assert "numerical failure" in err
+
+
+def test_dense_solver_failure_exits_with_code_1(monkeypatch, capsys):
+    # 9 DOFs, dense path; M is positive definite, so the LinAlgError itself
+    # reaches the front end
+    original = scipy.linalg.eigh
+
+    def failing(a, b=None, **kwargs):
+        if b is not None:
+            raise np.linalg.LinAlgError("pencil solve failed")
+        return original(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    rc, out, err = run_cli(["solve", "--dim", "2", "--n", "4"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert "numerical failure: pencil solve failed" in err
 
 
 def test_arpack_stall_exits_with_code_1(monkeypatch, capsys):
@@ -297,16 +325,79 @@ def test_export_pattern_keeps_every_cell_pair(tmp_path, capsys):
         assert {tuple(int(t) for t in line.split()[:2]) for line in lines[1:]} == pairs
 
 
-def test_deterministic_reports_are_byte_identical(capsys):
-    for args in (
-        ["solve", "--dim", "2", "--n", "6", "--b", "1", "--k", "2",
-         "--deterministic"],
-        ["pauli", "--dim", "2", "--n", "4", "--b", "0.5", "--deterministic"],
-        ["convergence", "--dim", "2", "--n", "2,4,8", "--deterministic"],
-    ):
-        _, first, _ = run_cli(args, capsys)
+def test_deterministic_reports_are_byte_identical(tmp_path, capsys):
+    prefix = str(tmp_path / "pencil")
+    runs = [
+        ["solve", "--dim", "2", "--n", "6", "--b", "1", "--k", "2"],
+        ["pauli", "--dim", "2", "--n", "4", "--b", "0.5"],
+        ["gauge-check", "--dim", "2", "--n", "4", "--b", "1", "--k", "2"],
+        ["convergence", "--dim", "2", "--n", "2,4,8"],
+        ["export-matrices", "--dim", "2", "--n", "4", "--b", "1",
+         "--potential", "well:-5,0.3", "--output", prefix],
+    ]
+    runs += [args + ["--format", "csv"] for args in runs[:4]]
+    for args in runs:
+        args = args + ["--deterministic"]
+        rc, first, _ = run_cli(args, capsys)
+        assert rc == 0, args
         _, second, _ = run_cli(args, capsys)
-        assert first == second
+        assert first == second, args
+        if "csv" not in args:
+            # the report renderer matches the stdlib's indented encoding
+            canonical = json.dumps(json.loads(first), indent=2, sort_keys=True)
+            assert first == canonical + "\n", args
+
+
+_REPORT_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]),
+    st.text(),
+    st.sampled_from(["a, b", ", ", '"quoted"', "two\nlines", "gr\u00fc\u00dfe \u2713"]),
+)
+_REPORT_KEYS = st.text(max_size=6) | st.sampled_from(["a, b", '"k"', "\u00e9\n"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    _REPORT_SCALARS | st.lists(st.one_of(st.none(), st.booleans(), st.integers(),
+                                         st.floats())),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(_REPORT_KEYS, inner, max_size=5),
+    max_leaves=30,
+))
+@example({"empty_list": [], "empty_dict": {}, "nested_empty": [[], {}, [[]]]})
+@example({"mixed": [1, [2.0, None], {"k": "a, b"}, "s", [], 1e16],
+          "numbers_then_list": [0.5, -0.0, [1]], "numbers_then_dict": [True, {}]})
+@example([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, False, None, -3])
+def test_render_matches_the_stdlib_encoder(value):
+    expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert _render(value, "json") == expected
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    def echo(argv):
+        rc, out, _ = run_cli(argv, capsys)
+        assert rc == 0, argv
+        fresh = _config_from_args(_build_parser.__wrapped__().parse_args(argv))
+        config = json.loads(out)["config"]
+        assert config == json.loads(json.dumps(fresh.config_echo())), argv
+        return config
+
+    echo(["gauge-check", "--n", "4", "--b", "1", "--gauge-amplitude", "1"])
+    # argparse rejects --dim 4 after it has read --k and --seed
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--n", "4", "--k", "2", "--seed", "5", "--dim", "4"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert echo(["solve", "--n", "4", "--deterministic"])["deterministic"] is True
+    plain = echo(["solve", "--n", "4"])
+    assert plain["deterministic"] is False
+    assert plain["gauge_amplitude"] == math.pi
+    assert (plain["k"], plain["seed"]) == (1, 0)
+    assert _build_parser() is _build_parser()
 
 
 def test_well_potential_lowers_ground_state(capsys):

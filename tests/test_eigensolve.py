@@ -187,7 +187,7 @@ def test_definiteness_error_dense():
     h, m = _pencil_from_dense(np.eye(3), np.diag([1.0, -0.5, 1.0]))
     with pytest.raises(DefinitenessError) as info:
         solve_hermitian_gevp(h, m, k=1)
-    assert info.value.pivot < 0
+    assert info.value.pivot == pytest.approx(-0.5, rel=1e-14)
 
 
 def test_definiteness_error_sparse():
@@ -305,5 +305,68 @@ def test_arpack_path_leaves_no_cyclic_garbage():
         leftover = gc.collect()
     finally:
         gc.enable()
+    assert result.method_tag == "arpack-shift-invert"
+    assert leftover == 0
+
+
+def test_arpack_stall_leaves_no_cyclic_garbage():
+    # the ConvergenceError path frees scipy's ARPACK cycle as well
+    n = 2100
+    diag = 1.0 + 1e-6 * np.arange(n) / n
+    h = HermitianSparse.from_csr(sparse.diags(diag, format="csr", dtype=complex))
+    m = HermitianSparse.from_csr(sparse.identity(n, format="csr", dtype=complex))
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(ConvergenceError):
+            solve_hermitian_gevp(h, m, k=6, maxiter=1)
+        leftover = gc.collect()
+    finally:
+        gc.enable()
+    assert leftover == 0
+
+
+def test_arpack_cleanup_is_a_young_generation_pass():
+    _, problem = _magnetic_problem(2, 8, bz=1.0)
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()
+    gc.disable()
+    gc.callbacks.append(record)
+    try:
+        solve_hermitian_gevp(problem.stiffness, problem.mass, k=2, dense_cutoff=0)
+    finally:
+        gc.callbacks.remove(record)
+        gc.enable()
+    assert generations == [1]
+
+
+def test_successive_arpack_solves_leave_nothing_to_collect():
+    _, problem = _magnetic_problem(2, 8, bz=1.0)
+    gc.collect()
+    for k in (1, 2, 3, 2, 1):
+        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=k,
+                                      dense_cutoff=0)
+        assert result.method_tag == "arpack-shift-invert"
+    assert gc.collect() == 0
+
+
+def test_arpack_cycle_promoted_during_the_solve_is_freed():
+    # with these thresholds the automatic collections during eigsh move its
+    # cycle to the oldest generation, out of reach of a young-generation pass
+    _, problem = _magnetic_problem(2, 8, bz=1.0)
+    gc.collect()
+    thresholds = gc.get_threshold()
+    gc.set_threshold(1, 1, 10**9)
+    try:
+        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=2,
+                                      dense_cutoff=0)
+        leftover = gc.collect()
+    finally:
+        gc.set_threshold(*thresholds)
     assert result.method_tag == "arpack-shift-invert"
     assert leftover == 0
