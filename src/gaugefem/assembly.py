@@ -17,9 +17,22 @@ Hadamard factor:
     K_T = (grad lambda_y . grad lambda_t)_yt  o  U_T (M_T o U_T) U_T,
 
 with U_T the transports between the cell's vertices and o the entrywise
-product.  Substituting U_xy -> exp(i a_x) U_xy exp(-i a_y) and
+product.  U_T has a unit diagonal, so M_T o U_T = c |T| A_T with
+A_T = I + U_T and c = 1 / ((d+1)(d+2)), and U_T (M_T o U_T) U_T =
+c |T| U_T^2 A_T.  Substituting U_xy -> exp(i a_x) U_xy exp(-i a_y) and
 u -> exp(i a) u conjugates both matrices by the diagonal phase matrix, which
 is what makes the discrete spectra exactly gauge invariant.
+
+Every form comes out of one pass over the cells (:func:`_cell_pass`).  Per
+chunk of cells it computes the closed-form barycentric gradients, gathers
+U_T once and forms A_T, and from them the stiffness (plus potential) block,
+the mass block c |T| A_T and the mass floor lambda_min(A_T).  The blocks are
+summed by ``np.bincount`` straight into the data of one CSR pattern per mesh
+(:class:`_CellPattern`): the diagonal and both directions of every edge,
+which is every vertex pair that shares a cell.  Entries that vanish exactly,
+such as the stiffness of an orthogonal Kuhn pair, stay stored, so every
+assembled matrix has that same pattern and one selection eliminates the
+Dirichlet rows and columns of all of them.
 
 A conventional (non-invariant) P1 discretization of |grad u + i A u|^2 with
 A interpolated from the same edge circulations is provided as a baseline;
@@ -40,9 +53,8 @@ from numbers import Real
 import numpy as np
 import scipy.sparse as sparse
 
-from .gauge import unit_transports
 from .gauge import transports as make_transports
-from .mesh import MeshGeometryError, cell_volumes, interior_dof_map
+from .mesh import MeshGeometryError, _span_adjugate, interior_dof_map
 
 __all__ = [
     "DIAG_IMAG_TOL",
@@ -73,15 +85,38 @@ class EmptyProblemError(ValueError):
     """The problem has no degrees of freedom (e.g. no interior vertices)."""
 
 
+def _check_diagonal(diag):
+    diag_imag = np.abs(diag.imag)
+    if diag_imag.size and diag_imag.max() > DIAG_IMAG_TOL:
+        raise ValueError(
+            f"diagonal imaginary part {diag_imag.max():.3e} exceeds "
+            f"{DIAG_IMAG_TOL:.0e}"
+        )
+
+
 def _triplet_sum(n, parts):
     """CSR sum of (data, rows, cols) triplet parts.
 
     Unlike a scipy sparse sum, which drops every 0 + 0, this keeps exact
-    zeros, so assembled matrices and their sums keep every vertex pair that
-    shares a cell in their pattern.
+    zeros, so sums of assembled matrices keep every vertex pair that shares
+    a cell in their pattern.
     """
     data, rows, cols = (np.concatenate(p) for p in zip(*parts))
     return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _principal_selection(full, keep):
+    """Stored entries of the CSR matrix ``full`` in the rows and columns
+    ``keep`` (ascending): (entry positions, column indices, row pointer) of
+    the principal submatrix, stored zeros included."""
+    index = np.full(full.shape[0], -1, dtype=np.int64)
+    index[keep] = np.arange(keep.size)
+    rows = np.repeat(index, np.diff(full.indptr))
+    cols = index[full.indices]
+    entries = np.flatnonzero((rows >= 0) & (cols >= 0))
+    indptr = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[entries], minlength=keep.size), out=indptr[1:])
+    return entries, cols[entries], indptr
 
 
 class HermitianSparse:
@@ -112,12 +147,7 @@ class HermitianSparse:
         n = full.shape[0]
         if full.shape != (n, n):
             raise ValueError("matrix must be square")
-        diag_imag = np.abs(full.diagonal().imag)
-        if diag_imag.size and diag_imag.max() > DIAG_IMAG_TOL:
-            raise ValueError(
-                f"diagonal imaginary part {diag_imag.max():.3e} exceeds "
-                f"{DIAG_IMAG_TOL:.0e}"
-            )
+        _check_diagonal(full.diagonal())
         # each entry plus its mirror: the diagonal becomes exactly real
         coo = sparse.csr_matrix(full, dtype=np.complex128, copy=True).tocoo()
         herm = _triplet_sum(
@@ -149,7 +179,14 @@ class HermitianSparse:
         keep = np.asarray(keep, dtype=np.int64)
         if keep.size and np.any(np.diff(keep) <= 0):
             raise ValueError("keep indices must be strictly ascending")
-        return HermitianSparse(keep.size, self._full[keep][:, keep])
+        return self._take(_principal_selection(self._full, keep))
+
+    def _take(self, selection):
+        """Submatrix from a :func:`_principal_selection` of this pattern."""
+        entries, indices, indptr = selection
+        n = indptr.size - 1
+        data = self._full.data[entries]
+        return HermitianSparse(n, sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
 
     def _combine(self, other, sign):
         if not isinstance(other, HermitianSparse) or other.n != self.n:
@@ -219,50 +256,200 @@ def local_mass(volume, dim):
 
 
 # ---------------------------------------------------------------------------
-# geometry kernels
+# the cell pass
 
 
 def _barycentric_gradients(coords):
     """Gradients of the barycentric coordinates, shape (nc, m, d).
 
-    Rows k >= 1 of the inverse of the span matrix [p_k - p_0] are grad
-    lambda_k; grad lambda_0 closes the partition of unity.
+    grad lambda_k for k >= 1 is row k-1 of the span adjugate over the span
+    determinant (:func:`gaugefem.mesh._span_adjugate`); grad lambda_0 closes
+    the partition of unity.
     """
-    nc, m, d = coords.shape
-    span = (coords[:, 1:, :] - coords[:, :1, :]).transpose(0, 2, 1)  # columns
-    det = np.linalg.det(span)
-    if np.any(np.abs(det) == 0.0):
+    det, adj = _span_adjugate(coords)
+    if np.any(det == 0.0):
         raise MeshGeometryError("degenerate cell: singular coordinate span")
-    inv = np.linalg.inv(span)
-    grads = np.empty((nc, m, d))
-    grads[:, 1:, :] = inv
-    grads[:, 0, :] = -inv.sum(axis=1)
+    grads = np.empty(coords.shape)
+    grads[:, 1:, :] = adj / det[:, None, None]
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
     return grads
 
 
-def _assemble(mesh, table, kernel):
-    """Sum per-cell matrices into one HermitianSparse over all vertices.
+class _CellPattern:
+    """The CSR pattern every assembled matrix of a mesh shares.
 
-    ``kernel(rows, local)`` returns the (chunk, m, m) cell matrices of the
-    cells ``mesh.cells[rows]``, given ``local = table.local_values(mesh,
-    rows)``; chunks of ``_CHUNK`` cells bound its scratch arrays.
+    Row x holds x itself and both directions of every edge at x, which are
+    exactly the vertices sharing a cell with x.  ``diag``, ``up`` and ``down``
+    are the data positions of (v, v), (lo, hi) and (hi, lo) for each vertex v
+    and edge (lo, hi); ``mirror`` maps the position of (x, y) to that of
+    (y, x).
     """
-    cells = mesh.cells
-    m = cells.shape[1]
-    local = np.empty((mesh.n_cells, m, m), dtype=np.complex128)
+
+    def __init__(self, mesh):
+        nv, ne = mesh.n_vertices, mesh.n_edges
+        lo, hi = mesh.edges.T
+        verts = np.arange(nv)
+        rows = np.concatenate([verts, lo, hi])
+        cols = np.concatenate([verts, hi, lo])
+        order = np.argsort(rows * nv + cols)
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        partner = np.concatenate([verts, np.arange(nv + ne, nv + 2 * ne),
+                                  np.arange(nv, nv + ne)])
+        self.n = nv
+        self.indices = cols[order]
+        self.indptr = np.zeros(nv + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nv), out=self.indptr[1:])
+        self.diag = position[:nv]
+        self.up = position[nv:nv + ne]
+        self.down = position[nv + ne:]
+        self.mirror = position[partner[order]]
+
+    def slots(self, mesh, rows):
+        """Data positions of the (nc, m, m) blocks of ``mesh.cells[rows]``."""
+        cells = mesh.cells[rows]
+        m = cells.shape[1]
+        a, b = np.triu_indices(m, 1)
+        edges = mesh.cell_edges[rows]
+        ascending = cells[:, a] < cells[:, b]
+        up, down = self.up[edges], self.down[edges]
+        out = np.empty(cells.shape + (m,), dtype=np.int64)
+        out[:, a, b] = np.where(ascending, up, down)
+        out[:, b, a] = np.where(ascending, down, up)
+        out[:, np.arange(m), np.arange(m)] = self.diag[cells]
+        return out
+
+    def matrix(self, data):
+        """The HermitianSparse (H + H^dagger) / 2 of summed cell entries ``data``."""
+        _check_diagonal(data[self.diag])
+        data = 0.5 * (data + data[self.mirror].conj())
+        return HermitianSparse(
+            self.n, sparse.csr_matrix((data, self.indices, self.indptr),
+                                      shape=(self.n, self.n))
+        )
+
+
+def _scatter_add(out, slots, block):
+    """out[slots] += block for complex ``out``, duplicates summed."""
+    n = out.size
+    out.real += np.bincount(slots, block.real.ravel(), n)
+    if np.iscomplexobj(block):
+        out.imag += np.bincount(slots, block.imag.ravel(), n)
+
+
+def _covariant_kinetic(rows, grads, vols, u, a):
+    """Covariant stiffness blocks c |T| (grad lambda_y . grad lambda_t) o U^2 A."""
+    m = grads.shape[1]
+    geo = grads @ grads.transpose(0, 2, 1)
+    geo *= (vols / (m * (m + 1)))[:, None, None]
+    block = u @ u @ a
+    block *= geo
+    return block
+
+
+def _galerkin_kinetic(mesh, circulation):
+    """Stiffness blocks of the conventional P1 baseline (:func:`standard_galerkin`)."""
+    pair = _pair_factor(mesh.dim)
+    quartic = _monomial_table(mesh.dim, 4)
+
+    def kinetic(rows, grads, vols, u, a):
+        v = vols[:, None, None]
+        a_loc = circulation.local_values(mesh, rows)
+        w = np.einsum("cmb,cbi->cmi", a_loc, grads)
+        gw = np.einsum("cxi,cmi->cxm", grads, w)
+        pm = pair[None] * v  # int lambda_y lambda_m
+        local = (np.einsum("cxi,cyi->cxy", grads, grads) * v).astype(np.complex128)
+        local += 1j * np.einsum("cxm,cym->cxy", gw, pm)
+        local -= 1j * np.einsum("cym,cxm->cxy", gw, pm)
+        local += np.einsum("cmi,cli,xyml->cxy", w, w, quartic) * v
+        return local
+
+    return kinetic
+
+
+def _floor_eigenvalue(u, a):
+    """Lower bound on lambda_min(A_T) per cell, A_T = I + U_T: exact in 2D,
+    ``eigvalsh`` in 3D, less a roundoff margin."""
+    m = a.shape[1]
+    if m == 3:
+        # A_T has the eigenvalues 2 + 2 cos((phi + 2 pi j) / 3), j = 0, 1, 2,
+        # for the cell holonomy phi in [-pi, pi]; the smallest is
+        # 2 + 2 cos((2 pi + |phi|) / 3)
+        phi = np.abs(np.angle(u[:, 0, 1] * u[:, 1, 2] * u[:, 2, 0]))
+        lam = 2.0 + 2.0 * np.cos((2.0 * np.pi + phi) / 3.0)
+    else:
+        lam = np.linalg.eigvalsh(a)[:, 0]
+    # both err by a small multiple of m eps ||A_T||_2, and the norm is at
+    # most m + 1
+    return lam - 8 * m * (m + 1) * np.finfo(float).eps
+
+
+def _potential_samples(mesh, values):
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (mesh.n_vertices,):
+        raise ValueError("potential needs one sample per vertex")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("potential samples must be finite")
+    return values
+
+
+def _cell_pass(mesh, pattern, table, kinetic=None, potential=None, mass=False,
+               floor=False):
+    """Assemble the requested forms in one pass over the cells.
+
+    Per chunk of ``_CHUNK`` cells: the gradients (only for ``kinetic``), one
+    gather of U_T from the TransportTable ``table`` (all ones for ``None``,
+    the plain P1 forms) and A_T = I + U_T.  From them come the stiffness
+    blocks ``kinetic(rows, grads, vols, U_T, A_T)`` plus the potential
+    blocks |T| (sum_z V_z int lambda_x lambda_y lambda_z / |T|) U_xy for the
+    vertex samples ``potential``, the mass blocks c |T| A_T, and the floor
+    lambda_min(A_T) of :func:`mass_floor`.
+
+    Returns (stiffness, mass, floor): HermitianSparse matrices on ``pattern``
+    and the per-vertex floor, each None where not requested.
+    """
+    m = mesh.dim + 1
+    nnz, nv = pattern.indices.size, mesh.n_vertices
+    eye = np.eye(m)
+    cubic = None if potential is None else _monomial_table(mesh.dim, 3)
+    stiff = kinetic is not None or cubic is not None
+    k_data = np.zeros(nnz, np.complex128) if stiff else None
+    m_data = np.zeros(nnz, np.complex128) if mass else None
+    f = np.zeros(nv) if floor else None
     for lo in range(0, mesh.n_cells, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
-        local[rows] = kernel(rows, table.local_values(mesh, rows))
-    return HermitianSparse.from_entries(
-        mesh.n_vertices,
-        np.repeat(cells, m, axis=1).ravel(),
-        np.tile(cells, (1, m)).ravel(),
-        local.ravel(),
+        cells, vols = mesh.cells[rows], mesh.volumes[rows]
+        scaled = vols / (m * (m + 1))  # c |T|
+        if table is None:
+            u = np.ones((cells.shape[0], m, m))
+        else:
+            u = table.local_values(mesh, rows)
+        a = eye + u
+        slots = pattern.slots(mesh, rows).ravel() if stiff or mass else None
+        if stiff:
+            block = 0.0
+            if kinetic is not None:
+                grads = _barycentric_gradients(mesh.vertices[cells])
+                block = kinetic(rows, grads, vols, u, a)
+            if cubic is not None:
+                weights = np.einsum("cz,xyz->cxy", potential[cells], cubic)
+                block = block + weights * vols[:, None, None] * u
+            _scatter_add(k_data, slots, block)
+        if mass:
+            _scatter_add(m_data, slots, scaled[:, None, None] * a)
+        if floor:
+            # the plain P1 block I + ones has lambda_min = 1 exactly
+            lam = 1.0 if table is None else _floor_eigenvalue(u, a)
+            f += np.bincount(cells.ravel(), np.repeat(scaled * lam, m), nv)
+    return (
+        pattern.matrix(k_data) if stiff else None,
+        pattern.matrix(m_data) if mass else None,
+        f,
     )
 
 
 # ---------------------------------------------------------------------------
-# covariant forms
+# covariant forms: single-form entries into the cell pass
 
 
 def covariant_mass(mesh, transports):
@@ -271,8 +458,7 @@ def covariant_mass(mesh, transports):
     Reduces to the classical P1 mass matrix when U = 1 and is Hermitian by
     the reversal symmetry U_yx = conj(U_xy).
     """
-    mass = cell_volumes(mesh)[:, None, None] * _pair_factor(mesh.dim)
-    return _assemble(mesh, transports, lambda rows, u: mass[rows] * u)
+    return _cell_pass(mesh, _CellPattern(mesh), transports, mass=True)[1]
 
 
 def mass_floor(mesh, transports=None):
@@ -290,41 +476,7 @@ def mass_floor(mesh, transports=None):
     necessary: f_v <= 0 where the cells around v have lambda_min(I + U_T)
     <= 0 (in 2D: flux pi through each of them) or where v is in no cell.
     """
-    m = mesh.dim + 1
-    lam = np.ones(mesh.n_cells)
-    if transports is not None:
-        eye = np.eye(m)
-        for lo in range(0, mesh.n_cells, _CHUNK):
-            rows = slice(lo, lo + _CHUNK)
-            u = transports.local_values(mesh, rows)
-            if m == 3:
-                # I + U_T has the eigenvalues 2 + 2 cos((phi + 2 pi j) / 3),
-                # j = 0, 1, 2, for the cell holonomy phi in [-pi, pi]; the
-                # smallest is 2 + 2 cos((2 pi + |phi|) / 3)
-                phi = np.abs(np.angle(u[:, 0, 1] * u[:, 1, 2] * u[:, 2, 0]))
-                lam[rows] = 2.0 + 2.0 * np.cos((2.0 * np.pi + phi) / 3.0)
-            else:
-                lam[rows] = np.linalg.eigvalsh(eye + u)[:, 0]
-        # both err by a small multiple of m eps ||I + U_T||_2, and the norm
-        # is at most m + 1
-        lam -= 8 * m * (m + 1) * np.finfo(float).eps
-    per_cell = cell_volumes(mesh) * lam / (m * (m + 1))
-    return np.bincount(mesh.cells.ravel(), weights=np.repeat(per_cell, m),
-                       minlength=mesh.n_vertices)
-
-
-def _covariant_stiffness_local(coords, u_loc, vols):
-    """Covariant stiffness matrices of a batch of cells.
-
-    With mu_xy = grad lambda_y the quadratic form of the module docstring
-    sums to (grad lambda_y . grad lambda_t) [U (M o U) U]_yt, by
-    U_xy = conj(U_yx) and sum_y grad lambda_y = 0 (which drops the -u_x and
-    -v_z terms).
-    """
-    grads = _barycentric_gradients(coords)
-    mass = vols[:, None, None] * _pair_factor(coords.shape[1] - 1)
-    geo = np.einsum("cji,cli->cjl", grads, grads)
-    return geo * (u_loc @ (mass * u_loc) @ u_loc)
+    return _cell_pass(mesh, _CellPattern(mesh), transports, floor=True)[2]
 
 
 def local_covariant_stiffness(coords, transports_local):
@@ -348,20 +500,24 @@ def local_covariant_stiffness(coords, transports_local):
         raise ValueError("transports_local must be (d+1, d+1)")
     if not (np.allclose(u_loc, u_loc.conj().T) and np.allclose(np.diag(u_loc), 1.0)):
         raise ValueError("transports_local must be Hermitian with a unit diagonal")
-    vol = abs(np.linalg.det(coords[1:] - coords[0])) / factorial(d)
-    if vol == 0.0:
-        raise MeshGeometryError("degenerate cell: zero volume")
-    return _covariant_stiffness_local(coords[None], u_loc[None], np.asarray([vol]))[0]
+    grads = _barycentric_gradients(coords[None])
+    vol = abs(_span_adjugate(coords[None])[0]) / factorial(d)
+    return _covariant_kinetic(None, grads, vol, u_loc[None], np.eye(m) + u_loc[None])[0]
 
 
-def covariant_stiffness(mesh, transports):
-    """Assembled covariant stiffness matrix on all vertices."""
-    vols = cell_volumes(mesh)
-    coords = mesh.vertices[mesh.cells]
-    return _assemble(
-        mesh, transports,
-        lambda rows, u: _covariant_stiffness_local(coords[rows], u, vols[rows]),
-    )
+def covariant_stiffness(mesh, transports, potential=None, *, with_mass=False):
+    """Assembled covariant stiffness matrix on all vertices.
+
+    With vertex samples ``potential`` the matrix includes the potential term
+    of :func:`potential_matrix`.  With ``with_mass`` the same pass over the
+    cells also gives the covariant mass and the floor of :func:`mass_floor`,
+    and the result is the triple (stiffness, mass, floor).
+    """
+    if potential is not None:
+        potential = _potential_samples(mesh, potential)
+    forms = _cell_pass(mesh, _CellPattern(mesh), transports, _covariant_kinetic,
+                       potential, mass=with_mass, floor=with_mass)
+    return forms if with_mass else forms[0]
 
 
 def potential_matrix(mesh, transports, values):
@@ -372,14 +528,8 @@ def potential_matrix(mesh, transports, values):
     cubic integrals evaluated exactly.  For constant V and U = 1 this is
     exactly V times the mass matrix.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (mesh.n_vertices,):
-        raise ValueError("potential needs one sample per vertex")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("potential samples must be finite")
-    weights = np.einsum("cz,xyz->cxy", values[mesh.cells], _monomial_table(mesh.dim, 3))
-    weights *= cell_volumes(mesh)[:, None, None]
-    return _assemble(mesh, transports, lambda rows, u: weights[rows] * u)
+    values = _potential_samples(mesh, values)
+    return _cell_pass(mesh, _CellPattern(mesh), transports, potential=values)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,29 +546,19 @@ def standard_galerkin(mesh, circulation):
     consistent but NOT gauge invariant: discrete gauge maps do not conjugate
     it, which is the behaviour the covariant assembly exists to fix.
     """
-    vols = cell_volumes(mesh)
-    coords = mesh.vertices[mesh.cells]
-    pair = _pair_factor(mesh.dim)
-    quartic = _monomial_table(mesh.dim, 4)
-
-    def kernel(rows, a_loc):
-        v = vols[rows, None, None]
-        grads = _barycentric_gradients(coords[rows])
-        w = np.einsum("cmb,cbi->cmi", a_loc, grads)
-        gw = np.einsum("cxi,cmi->cxm", grads, w)
-        pm = pair[None] * v  # int lambda_y lambda_m
-        local = (np.einsum("cxi,cyi->cxy", grads, grads) * v).astype(np.complex128)
-        local += 1j * np.einsum("cxm,cym->cxy", gw, pm)
-        local -= 1j * np.einsum("cym,cxm->cxy", gw, pm)
-        local += np.einsum("cmi,cli,xyml->cxy", w, w, quartic) * v
-        return local
-
-    stiffness = _assemble(mesh, circulation, kernel)
-    return stiffness, covariant_mass(mesh, unit_transports(mesh))
+    kinetic = _galerkin_kinetic(mesh, circulation)
+    return _cell_pass(mesh, _CellPattern(mesh), None, kinetic, mass=True)[:2]
 
 
 # ---------------------------------------------------------------------------
 # boundary conditions and problem assembly
+
+
+def _interior(dof_map):
+    keep = np.flatnonzero(np.asarray(dof_map) >= 0)
+    if keep.size == 0:
+        raise EmptyProblemError("no interior vertices: nothing to solve for")
+    return keep
 
 
 def eliminate_dirichlet(matrix, dof_map):
@@ -427,11 +567,8 @@ def eliminate_dirichlet(matrix, dof_map):
     ``dof_map`` is the vertex -> interior-index array from
     :func:`gaugefem.mesh.interior_dof_map`; ``matrix`` has one row per vertex.
     """
-    dof_map = np.asarray(dof_map)
-    nv = dof_map.shape[0]
-    keep = np.flatnonzero(dof_map >= 0)
-    if keep.size == 0:
-        raise EmptyProblemError("no interior vertices: nothing to solve for")
+    nv = np.asarray(dof_map).shape[0]
+    keep = _interior(dof_map)
     if matrix.n != nv:
         raise ValueError(f"matrix size {matrix.n} does not match {nv} vertices")
     return matrix.restrict(keep)
@@ -451,41 +588,37 @@ def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant
     method : {"covariant", "baseline"}
         Gauge-invariant assembly or the conventional Galerkin baseline.
     """
-    if method == "covariant":
-        u = make_transports(circulation)
-        stiffness = covariant_stiffness(mesh, u)
-        mass = covariant_mass(mesh, u)
-        floor = mass_floor(mesh, u)
-        u_pot = u
-    elif method == "baseline":
-        stiffness, mass = standard_galerkin(mesh, circulation)
-        floor = mass_floor(mesh)
-        u_pot = unit_transports(mesh)
-    else:
+    if method not in ("covariant", "baseline"):
         raise ValueError(f"unknown method {method!r}")
-
     if potential is not None:
-        potential = np.asarray(potential, dtype=np.float64)
-        if np.any(potential != 0.0):
-            stiffness = stiffness + potential_matrix(mesh, u_pot, potential)
+        potential = _potential_samples(mesh, potential)
+    has_potential = potential is not None and bool(np.any(potential != 0.0))
+    potential = potential if has_potential else None
 
+    if method == "covariant":
+        stiffness, mass, floor = covariant_stiffness(
+            mesh, make_transports(circulation), potential, with_mass=True
+        )
+    else:
+        stiffness, mass, floor = _cell_pass(
+            mesh, _CellPattern(mesh), None, _galerkin_kinetic(mesh, circulation),
+            potential, mass=True, floor=True,
+        )
     dof = interior_dof_map(mesh)
+    # stiffness and mass share the pattern, so one selection reduces both
+    selection = _principal_selection(stiffness.to_csr(), _interior(dof))
     info = {
         "method": method,
         "dim": mesh.dim,
         "n_vertices": mesh.n_vertices,
         "n_cells": mesh.n_cells,
         "h": mesh.h,
-        "has_potential": potential is not None and bool(np.any(potential != 0.0)),
+        "has_potential": has_potential,
     }
     if metadata:
         info.update(metadata)
     return AssembledProblem(
-        eliminate_dirichlet(stiffness, dof),
-        eliminate_dirichlet(mass, dof),
-        dof,
-        info,
-        floor[dof >= 0],
+        stiffness._take(selection), mass._take(selection), dof, info, floor[dof >= 0]
     )
 
 

@@ -214,11 +214,20 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
     sigma = 0.0 if lower.min() > 0.0 else float(np.min(lower / (0.9 * floor))) - 1.0
 
     # H - sigma M is Hermitian positive definite, so diagonal pivots are
-    # stable and a symmetric ordering of the pattern cuts the fill.  OPinv
-    # reads the factor through a holder: clearing it frees the factor as soon
-    # as eigsh is done, whatever still holds OPinv.
+    # stable and a symmetric ordering of the pattern cuts the fill.  At
+    # sigma = 0 that matrix is H on its true nonzero pattern: the exact zeros
+    # H stores (orthogonal Kuhn pairs of a field-only stiffness) are removed,
+    # which gives the ordering a sparser graph.  Otherwise it is H - sigma M,
+    # whose pattern is the stored one.  OPinv reads the factor through a
+    # holder: clearing it frees the factor as soon as eigsh is done, whatever
+    # still holds OPinv.
+    if sigma == 0.0:
+        shifted = h_csr.copy()
+        shifted.eliminate_zeros()
+    else:
+        shifted = h_csr - sigma * m_csr
     factor = [spla.splu(
-        (h_csr - sigma * m_csr).tocsc(),
+        shifted.tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},

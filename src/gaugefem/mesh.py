@@ -21,7 +21,6 @@ __all__ = [
     "SimplicialMesh",
     "make_mesh",
     "build_box_mesh",
-    "cell_geometry",
     "cell_volumes",
     "interior_dof_map",
     "write_mesh_file",
@@ -58,6 +57,8 @@ class SimplicialMesh:
         True where the vertex lies on the bounding box of the mesh.
     h : float
         Length of the longest edge.
+    volumes : (nc,) float ndarray
+        Cell volumes, all strictly positive.
     """
 
     dim: int
@@ -67,6 +68,7 @@ class SimplicialMesh:
     cell_edges: np.ndarray
     boundary_vertex: np.ndarray
     h: float
+    volumes: np.ndarray
 
     @property
     def n_vertices(self):
@@ -84,10 +86,10 @@ class SimplicialMesh:
 def make_mesh(dim, vertices, cells):
     """Build a validated mesh from raw vertex and cell arrays.
 
-    Edges, boundary flags and h are derived.  Cells must reference distinct,
-    in-range vertices and span strictly positive volume; the boundary is the
-    bounding box of the vertex cloud (coordinates compared with absolute
-    tolerance ``BOUNDARY_TOL``).
+    Edges, boundary flags, h and cell volumes are derived.  Cells must
+    reference distinct, in-range vertices and span strictly positive volume;
+    the boundary is the bounding box of the vertex cloud (coordinates
+    compared with absolute tolerance ``BOUNDARY_TOL``).
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -109,7 +111,8 @@ def make_mesh(dim, vertices, cells):
     if cells.shape[0] == 0:
         raise ValueError("mesh needs at least one cell")
 
-    vols = _volumes(dim, vertices, cells)
+    det, _ = _span_adjugate(vertices[cells])
+    vols = np.abs(det) / factorial(dim)
     if np.any(vols <= 0.0):
         worst = int(np.argmin(vols))
         raise MeshGeometryError(
@@ -134,26 +137,35 @@ def make_mesh(dim, vertices, cells):
     )
     boundary = on_face.any(axis=1)
 
-    return SimplicialMesh(dim, vertices, cells, edges, cell_edges, boundary, h)
+    return SimplicialMesh(dim, vertices, cells, edges, cell_edges, boundary, h, vols)
 
 
-def _volumes(dim, vertices, cells):
-    span = vertices[cells[:, 1:]] - vertices[cells[:, :1]]  # (nc, d, d)
-    return np.abs(np.linalg.det(span)) / factorial(dim)
+def _span_adjugate(coords):
+    """Signed determinant and adjugate of each cell's edge span, in closed form.
+
+    ``coords`` is (nc, d+1, d).  With e_k = p_k - p_0 the span S has the e_k
+    as columns; row k-1 of the returned (nc, d, d) adjugate is det(S) times
+    row k-1 of S^-1, which is det(S) grad lambda_k.  In 3D those rows are the
+    cross products e2 x e3, e3 x e1, e1 x e2 and det(S) = e1 . (e2 x e3); in
+    2D they are (e2y, -e2x), (-e1y, e1x).  Products with a zero coordinate
+    stay exact, so gradients that are orthogonal in exact arithmetic (the
+    axis-aligned Kuhn cells) have an exactly zero dot product.
+    """
+    e = coords[:, 1:, :] - coords[:, :1, :]
+    if coords.shape[2] == 3:
+        adj = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])
+        det = np.einsum("ci,ci->c", e[:, 0], adj[:, 0])
+    else:
+        adj = np.empty_like(e)
+        adj[:, 0, 0], adj[:, 0, 1] = e[:, 1, 1], -e[:, 1, 0]
+        adj[:, 1, 0], adj[:, 1, 1] = -e[:, 0, 1], e[:, 0, 0]
+        det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+    return det, adj
 
 
 def cell_volumes(mesh):
     """Volumes of all cells, shape (nc,)."""
-    return _volumes(mesh.dim, mesh.vertices, mesh.cells)
-
-
-def cell_geometry(mesh, cell_index):
-    """Return (volume, vertex coordinates) of one cell."""
-    idx = mesh.cells[cell_index]
-    coords = mesh.vertices[idx]
-    span = coords[1:] - coords[0]
-    vol = abs(np.linalg.det(span)) / factorial(mesh.dim)
-    return float(vol), coords
+    return mesh.volumes
 
 
 def build_box_mesh(dim, n, lengths=None):

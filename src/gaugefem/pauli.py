@@ -16,17 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (
-    HermitianSparse,
+from .assembly import HermitianSparse, assemble_scalar_problem
+from .eigensolve import SpectrumResult, _flag_multiplets, solve_hermitian_gevp
+from .gauge import circulate
+
+# Unused here, but perfbench/tracing.py wraps these names as attributes of
+# this module, and its tests require every traced name to exist.
+from .assembly import (  # noqa: F401
     covariant_mass,
     covariant_stiffness,
     eliminate_dirichlet,
-    mass_floor,
     potential_matrix,
 )
-from .eigensolve import SpectrumResult, _flag_multiplets, solve_hermitian_gevp
-from .gauge import circulate, transports
-from .mesh import interior_dof_map
+from .gauge import transports  # noqa: F401
 
 __all__ = [
     "PAULI_MATRICES",
@@ -85,31 +87,17 @@ def assemble_pauli(mesh, field_spec, potential=None, circulation=None):
         uses the (gauge-independent) B of ``field_spec``.
     """
     circ = circulate(field_spec, mesh) if circulation is None else circulation
-    u = transports(circ)
-    scalar = covariant_stiffness(mesh, u)
-    if potential is not None:
-        potential = np.asarray(potential, dtype=np.float64)
-        if np.any(potential != 0.0):
-            scalar = scalar + potential_matrix(mesh, u, potential)
-    mass = covariant_mass(mesh, u)
-
-    dof = interior_dof_map(mesh)
+    scalar = assemble_scalar_problem(mesh, circ, potential)
     meta = {
         "dim": mesh.dim,
         "n_vertices": mesh.n_vertices,
         "h": mesh.h,
         "a0": field_spec.a0.tolist(),
         "b": field_spec.b.tolist(),
-        "has_potential": potential is not None and bool(np.any(potential != 0.0)),
+        "has_potential": scalar.metadata["has_potential"],
     }
-    return SpinorProblem(
-        eliminate_dirichlet(scalar, dof),
-        eliminate_dirichlet(mass, dof),
-        dof,
-        field_spec.b,
-        meta,
-        mass_floor(mesh, u)[dof >= 0],
-    )
+    return SpinorProblem(scalar.stiffness, scalar.mass, scalar.dof_map, field_spec.b,
+                         meta, scalar.mass_floor)
 
 
 def solve_pauli(problem, k, tol=1e-9, seed=0):

@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -30,6 +32,8 @@ from gaugefem import (
     transports,
     unit_transports,
 )
+
+from gaugefem.assembly import _CellPattern, _barycentric_gradients, _cell_pass
 
 from conftest import perturbed_box_mesh, shuffled_cells
 from oracles import (
@@ -105,6 +109,89 @@ def test_local_mass_matches_quadrature(dim):
     lam = barycentric_values(coords, pts)
     reference = np.einsum("q,qa,qb->ab", w, lam, lam)
     assert np.allclose(local_mass(w.sum(), dim), reference, rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# cell geometry and the shared pattern
+
+
+@pytest.mark.parametrize("dim,n", [(2, 6), (3, 3)])
+def test_closed_form_geometry_matches_lapack(dim, n):
+    mesh = shuffled_cells(perturbed_box_mesh(dim, n, seed=11 + dim), seed=dim)
+    coords = mesh.vertices[mesh.cells]
+    span = (coords[:, 1:, :] - coords[:, :1, :]).transpose(0, 2, 1)
+    inv = np.linalg.inv(span)
+    grads = _barycentric_gradients(coords)
+    scale = np.abs(inv).max(axis=(1, 2))
+    assert np.all(np.abs(grads[:, 1:, :] - inv) <= 1e-14 * scale[:, None, None])
+    assert np.all(np.abs(grads[:, 0, :] + inv.sum(axis=1)) <= 1e-14 * scale[:, None])
+    vols = np.abs(np.linalg.det(span)) / factorial(dim)
+    assert np.all(np.abs(mesh.volumes - vols) <= 1e-14 * vols)
+    assert cell_volumes(mesh) is mesh.volumes
+
+
+def test_closed_form_gradients_reject_a_degenerate_cell():
+    coords = np.array([
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+    ])  # the second cell is flat
+    with pytest.raises(MeshGeometryError):
+        _barycentric_gradients(coords)
+    with pytest.raises(MeshGeometryError):
+        make_mesh(3, coords[1], np.array([[0, 1, 2, 3]]))
+
+
+@pytest.mark.parametrize("dim,lengths,b", [
+    (2, (1.0, 1.7), (0.0, 0.0, 3.0)),
+    (3, (1.0, 1.7, 0.6), (1.0, -2.0, 3.0)),
+])
+def test_orthogonal_kuhn_pairs_are_stored_exact_zeros(dim, lengths, b):
+    # On a box, the hat gradients of the two ends of an edge that steps
+    # along more than one axis are orthogonal in every Kuhn cell around the
+    # edge.  Their stiffness entries must come out as exact zeros, which
+    # the solver drops from the pattern it factors at sigma = 0, and they
+    # must stay stored, so every assembled matrix keeps one pattern.
+    mesh = build_box_mesh(dim, 4, lengths)
+    circ = circulate(GaugeFieldSpec((0.2,) * dim, b), mesh)
+    k = covariant_stiffness(mesh, transports(circ))
+    assert k.to_csr().nnz == mesh.n_vertices + 2 * mesh.n_edges
+    lo, hi = mesh.edges.T
+    step = np.abs(mesh.vertices[hi] - mesh.vertices[lo]) > 1e-12
+    diagonal = np.count_nonzero(step, axis=1) > 1
+    assert diagonal.sum() > 0
+    dense = k.to_dense()
+    assert np.all(dense[lo[diagonal], hi[diagonal]] == 0.0)
+    assert np.all(dense[lo[~diagonal], hi[~diagonal]] != 0.0)
+    reference = p1_stiffness_dense(mesh.vertices, mesh.cells)
+    assert np.abs(reference[lo[diagonal], hi[diagonal]]).max() < 1e-12
+
+    problem = assemble_scalar_problem(mesh, circ)
+    stored = problem.stiffness.to_csr()
+    assert stored.nnz == problem.mass.to_csr().nnz
+    assert np.count_nonzero(stored.data) < stored.nnz
+
+
+def test_cell_pass_symmetrizes_and_rejects_an_imaginary_diagonal():
+    mesh = build_box_mesh(2, 2)
+    pattern = _CellPattern(mesh)
+    rng = np.random.default_rng(40)
+    skew = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    np.fill_diagonal(skew, rng.standard_normal(3))  # real diagonal, not Hermitian
+    stiffness = _cell_pass(
+        mesh, pattern, None, lambda rows, g, v, u, a: np.broadcast_to(skew, a.shape)
+    )[0]
+    reference = np.zeros((mesh.n_vertices,) * 2, dtype=complex)
+    for cell in mesh.cells:
+        reference[np.ix_(cell, cell)] += skew
+    dense = stiffness.to_dense()
+    assert np.allclose(dense, 0.5 * (reference + reference.conj().T), rtol=0, atol=1e-14)
+    assert np.array_equal(dense, dense.conj().T)
+
+    bent = skew.copy()
+    bent[1, 1] += 1e-10j  # beyond DIAG_IMAG_TOL
+    with pytest.raises(ValueError, match="diagonal imaginary part"):
+        _cell_pass(mesh, pattern, None,
+                   lambda rows, g, v, u, a: np.broadcast_to(bent, a.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from gaugefem import (
     ConvergenceError,
@@ -16,6 +17,8 @@ from gaugefem import (
     reconstruct_field,
     solve_hermitian_gevp,
 )
+
+from conftest import perturbed_box_mesh
 
 
 def _pencil_from_dense(h, m):
@@ -244,6 +247,71 @@ def test_iterative_path_with_indefinite_stiffness(case, well, eigsh_shifts):
     dense, arpack = _solve_both_paths(problem, 3)
     assert dense.eigenvalues[0] < 0
     assert len(eigsh_shifts) == 1 and eigsh_shifts[0] < dense.eigenvalues[0]
+    assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+
+
+def test_zero_shift_factors_the_true_nonzero_pattern(monkeypatch, eigsh_shifts):
+    # a field-only box problem has a positive Gershgorin bound, so sigma = 0,
+    # and its stiffness stores the exact zeros of the orthogonal Kuhn pairs;
+    # the factor must see H without them
+    _, problem = _magnetic_problem(**_ACROSS_CUTOFF["3d-n8"])
+    factored = []
+    original = spla.splu
+
+    def recording(a, **kwargs):
+        factored.append(a)
+        return original(a, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    dense, arpack = _solve_both_paths(problem, 3)
+    assert eigsh_shifts == [0.0]
+    h = problem.stiffness.to_csr()
+    assert factored[0].nnz == np.count_nonzero(h.data) < h.nnz
+    assert np.array_equal(factored[0].toarray(), h.toarray())
+    assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    mesh_seed=st.integers(0, 2**16),
+    a0=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    b=st.tuples(*[st.floats(-15.0, 15.0)] * 3),
+    zero_shift=st.booleans(),
+    k=st.integers(1, 4),
+)
+def test_dense_and_arpack_paths_agree(dim, mesh_seed, a0, b, zero_shift, k):
+    # Random uniform fields on perturbed meshes, with the pencil moved so
+    # that the solver places sigma = 0 (H + c I, Gershgorin bound positive)
+    # or sigma < 0 (H - 30 M, negative lowest eigenvalues).
+    mesh = perturbed_box_mesh(dim, 7 if dim == 2 else 4, mesh_seed)
+    b = (0.0, 0.0, b[2]) if dim == 2 else b
+    problem = assemble_scalar_problem(mesh, circulate(GaugeFieldSpec(a0[:dim], b), mesh))
+    h, m = problem.stiffness, problem.mass
+    if zero_shift:
+        row_sums = np.asarray(np.abs(h.to_csr()).sum(axis=1)).ravel()
+        shift = 1.0 + 2.0 * row_sums.max()
+        h = h + shift * HermitianSparse.from_csr(
+            sparse.identity(h.n, format="csr", dtype=complex))
+    else:
+        h = h + (-30.0) * m
+    shifts = []
+    original = spla.eigsh
+
+    def recording(*args, **kwargs):
+        shifts.append(kwargs.get("sigma"))
+        return original(*args, **kwargs)
+
+    spla.eigsh = recording
+    try:
+        dense = solve_hermitian_gevp(h, m, k=k, dense_cutoff=h.n,
+                                     mass_floor=problem.mass_floor)
+        arpack = solve_hermitian_gevp(h, m, k=k, dense_cutoff=0,
+                                      mass_floor=problem.mass_floor)
+    finally:
+        spla.eigsh = original
+    assert (shifts[-1] == 0.0) if zero_shift else (shifts[-1] < 0.0)
+    assert arpack.method_tag == "arpack-shift-invert"
     assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
 

@@ -14,7 +14,7 @@ from gaugefem import (
     transports,
 )
 
-from conftest import shuffled_cells
+from conftest import perturbed_box_mesh, shuffled_cells
 from oracles import edge_lookup, line_circulation
 
 
@@ -75,6 +75,30 @@ def test_circulation_matches_gauss_quadrature(dim, a0, b):
     for (i, j), value in zip(mesh.edges, circ.values):
         ref = line_circulation(spec.evaluate, mesh.vertices[i], mesh.vertices[j])
         assert abs(value - ref) < 1e-13
+
+
+@pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
+def test_circulation_obeys_discrete_stokes(dim, n):
+    # For a uniform B the circulation around every oriented face x -> y ->
+    # z -> x of every cell is the flux B . n area = B . (y - x) x (z - x) / 2
+    # (B_z times the signed area in 2D), to roundoff.
+    rng = np.random.default_rng(50 + dim)
+    mesh = shuffled_cells(perturbed_box_mesh(dim, n, seed=dim), seed=dim)
+    a0 = rng.uniform(-2.0, 2.0, dim)
+    b = rng.uniform(-20.0, 20.0, 3)
+    if dim == 2:
+        b[:2] = 0.0
+    circ = circulate(GaugeFieldSpec(a0, b), mesh)
+    local = circ.local_values(mesh, slice(None))
+    coords = mesh.vertices[mesh.cells]
+    if dim == 2:
+        coords = np.concatenate([coords, np.zeros(coords.shape[:2] + (1,))], axis=2)
+    scale = np.abs(circ.values).max()
+    for x, y, z in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))[: 1 if dim == 2 else 4]:
+        loop = local[:, x, y] + local[:, y, z] + local[:, z, x]
+        normal = 0.5 * np.cross(coords[:, y] - coords[:, x],
+                                coords[:, z] - coords[:, x])
+        assert np.abs(loop - normal @ b).max() <= 1e-14 * scale
 
 
 def test_circulation_antisymmetry():

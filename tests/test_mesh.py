@@ -4,7 +4,6 @@ import pytest
 from gaugefem import (
     MeshGeometryError,
     build_box_mesh,
-    cell_geometry,
     cell_volumes,
     interior_dof_map,
     make_mesh,
@@ -117,15 +116,16 @@ def test_interior_dof_map_is_a_contiguous_bijection():
     assert np.array_equal(interior, np.arange(interior.size))
 
 
-def test_cell_geometry_matches_cell_volumes():
+def test_mesh_volumes_match_cell_volumes():
     mesh = build_box_mesh(3, 1)
     vols = cell_volumes(mesh)
+    assert vols is mesh.volumes
+    assert vols.shape == (mesh.n_cells,)
     for c in range(mesh.n_cells):
-        vol, coords = cell_geometry(mesh, c)
-        assert vol == pytest.approx(1 / 6, rel=1e-14)
-        assert vol == pytest.approx(vols[c], rel=1e-14)
-        assert coords.shape == (4, 3)
-        assert np.array_equal(coords, mesh.vertices[mesh.cells[c]])
+        coords = mesh.vertices[mesh.cells[c]]
+        assert vols[c] == pytest.approx(1 / 6, rel=1e-14)
+        assert vols[c] == pytest.approx(abs(np.linalg.det(coords[1:] - coords[0])) / 6,
+                                        rel=1e-14)
 
 
 def test_make_mesh_rejects_repeated_vertex():
