@@ -12,11 +12,8 @@ from .mesh import (
     MeshGeometryError,
     SimplicialMesh,
     build_box_mesh,
-    cell_volumes,
     interior_dof_map,
     make_mesh,
-    read_mesh_file,
-    write_mesh_file,
 )
 from .gauge import (
     EdgeCirculation,
@@ -65,8 +62,8 @@ from .pauli import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MeshGeometryError", "SimplicialMesh", "build_box_mesh", "cell_volumes",
-    "interior_dof_map", "make_mesh", "read_mesh_file", "write_mesh_file",
+    "MeshGeometryError", "SimplicialMesh", "build_box_mesh", "interior_dof_map",
+    "make_mesh",
     "EdgeCirculation", "GaugeFieldSpec", "GaugeTransform",
     "TransportConsistencyError", "TransportTable", "apply_gauge_to_circulation",
     "apply_gauge_to_state", "circulate", "random_gauge", "transports",

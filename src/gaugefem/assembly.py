@@ -46,9 +46,8 @@ so no quadrature error enters anywhere in this module.
 
 import itertools
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
-from numbers import Real
 
 import numpy as np
 import scipy.sparse as sparse
@@ -94,17 +93,6 @@ def _check_diagonal(diag):
         )
 
 
-def _triplet_sum(n, parts):
-    """CSR sum of (data, rows, cols) triplet parts.
-
-    Unlike a scipy sparse sum, which drops every 0 + 0, this keeps exact
-    zeros, so sums of assembled matrices keep every vertex pair that shares
-    a cell in their pattern.
-    """
-    data, rows, cols = (np.concatenate(p) for p in zip(*parts))
-    return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
 def _principal_selection(full, keep):
     """Stored entries of the CSR matrix ``full`` in the rows and columns
     ``keep`` (ascending): (entry positions, column indices, row pointer) of
@@ -124,9 +112,8 @@ class HermitianSparse:
 
     Construction symmetrizes: the stored entries are (H_xy + conj(H_yx)) / 2,
     so the stored matrix is exactly H = H^dagger.  Diagonal imaginary parts
-    beyond ``DIAG_IMAG_TOL`` raise.  Sums, differences, real multiples and
-    principal submatrices stay exactly Hermitian, so they are not
-    re-symmetrized.
+    beyond ``DIAG_IMAG_TOL`` raise.  Principal submatrices stay exactly
+    Hermitian, so they are not re-symmetrized.
     """
 
     def __init__(self, n, full):
@@ -135,25 +122,15 @@ class HermitianSparse:
         self._full.sum_duplicates()
 
     @classmethod
-    def from_entries(cls, n, rows, cols, vals):
-        """Accumulate duplicate (row, col, value) triplets and symmetrize."""
-        full = sparse.coo_matrix(
-            (np.asarray(vals, dtype=np.complex128), (rows, cols)), shape=(n, n)
-        ).tocsr()
-        return cls.from_csr(full)
-
-    @classmethod
     def from_csr(cls, full):
+        """The Hermitian part (F + F^dagger) / 2 of a square sparse matrix F."""
         n = full.shape[0]
         if full.shape != (n, n):
             raise ValueError("matrix must be square")
         _check_diagonal(full.diagonal())
+        full = sparse.csr_matrix(full, dtype=np.complex128)
         # each entry plus its mirror: the diagonal becomes exactly real
-        coo = sparse.csr_matrix(full, dtype=np.complex128, copy=True).tocoo()
-        herm = _triplet_sum(
-            n, [(coo.data, coo.row, coo.col), (coo.data.conj(), coo.col, coo.row)]
-        )
-        return cls(n, herm * 0.5)
+        return cls(n, (full + full.conj().T) * 0.5)
 
     @property
     def nnz(self):
@@ -174,39 +151,12 @@ class HermitianSparse:
         coo = sparse.triu(self._full, format="csr").tocoo()
         return coo.row, coo.col, coo.data
 
-    def restrict(self, keep):
-        """Principal submatrix on the (ascending) index list ``keep``."""
-        keep = np.asarray(keep, dtype=np.int64)
-        if keep.size and np.any(np.diff(keep) <= 0):
-            raise ValueError("keep indices must be strictly ascending")
-        return self._take(_principal_selection(self._full, keep))
-
     def _take(self, selection):
         """Submatrix from a :func:`_principal_selection` of this pattern."""
         entries, indices, indptr = selection
         n = indptr.size - 1
         data = self._full.data[entries]
         return HermitianSparse(n, sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
-
-    def _combine(self, other, sign):
-        if not isinstance(other, HermitianSparse) or other.n != self.n:
-            return NotImplemented
-        a, b = self._full.tocoo(), other._full.tocoo()
-        parts = [(a.data, a.row, a.col), (sign * b.data, b.row, b.col)]
-        return HermitianSparse(self.n, _triplet_sum(self.n, parts))
-
-    def __add__(self, other):
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, -1.0)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, Real):
-            raise TypeError("only real scalars keep the matrix Hermitian")
-        return HermitianSparse(self.n, self._full * float(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass
@@ -220,8 +170,7 @@ class AssembledProblem:
     stiffness: HermitianSparse
     mass: HermitianSparse
     dof_map: np.ndarray
-    metadata: dict = field(default_factory=dict)
-    mass_floor: np.ndarray = None
+    mass_floor: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -393,29 +342,29 @@ def _potential_samples(mesh, values):
     return values
 
 
-def _cell_pass(mesh, pattern, table, kinetic=None, potential=None, mass=False,
-               floor=False):
-    """Assemble the requested forms in one pass over the cells.
+def _cell_pass(mesh, table, kinetic, potential):
+    """Assemble the stiffness, the mass and the mass floor in one pass over
+    the cells.
 
     Per chunk of ``_CHUNK`` cells: the gradients (only for ``kinetic``), one
     gather of U_T from the TransportTable ``table`` (all ones for ``None``,
     the plain P1 forms) and A_T = I + U_T.  From them come the stiffness
-    blocks ``kinetic(rows, grads, vols, U_T, A_T)`` plus the potential
-    blocks |T| (sum_z V_z int lambda_x lambda_y lambda_z / |T|) U_xy for the
-    vertex samples ``potential``, the mass blocks c |T| A_T, and the floor
-    lambda_min(A_T) of :func:`mass_floor`.
+    blocks ``kinetic(rows, grads, vols, U_T, A_T)`` (none for ``None``) plus
+    the potential blocks |T| (sum_z V_z int lambda_x lambda_y lambda_z / |T|)
+    U_xy for the vertex samples ``potential`` (none for ``None``), the mass
+    blocks c |T| A_T, and the floor lambda_min(A_T) of :func:`mass_floor`.
 
-    Returns (stiffness, mass, floor): HermitianSparse matrices on ``pattern``
-    and the per-vertex floor, each None where not requested.
+    Returns (stiffness, mass, floor): HermitianSparse matrices on the
+    mesh's :class:`_CellPattern` and the per-vertex floor.
     """
+    pattern = _CellPattern(mesh)
     m = mesh.dim + 1
     nnz, nv = pattern.indices.size, mesh.n_vertices
     eye = np.eye(m)
     cubic = None if potential is None else _monomial_table(mesh.dim, 3)
-    stiff = kinetic is not None or cubic is not None
-    k_data = np.zeros(nnz, np.complex128) if stiff else None
-    m_data = np.zeros(nnz, np.complex128) if mass else None
-    f = np.zeros(nv) if floor else None
+    k_data = np.zeros(nnz, np.complex128)
+    m_data = np.zeros(nnz, np.complex128)
+    f = np.zeros(nv)
     for lo in range(0, mesh.n_cells, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         cells, vols = mesh.cells[rows], mesh.volumes[rows]
@@ -425,27 +374,21 @@ def _cell_pass(mesh, pattern, table, kinetic=None, potential=None, mass=False,
         else:
             u = table.local_values(mesh, rows)
         a = eye + u
-        slots = pattern.slots(mesh, rows).ravel() if stiff or mass else None
-        if stiff:
-            block = 0.0
-            if kinetic is not None:
-                grads = _barycentric_gradients(mesh.vertices[cells])
-                block = kinetic(rows, grads, vols, u, a)
-            if cubic is not None:
-                weights = np.einsum("cz,xyz->cxy", potential[cells], cubic)
-                block = block + weights * vols[:, None, None] * u
-            _scatter_add(k_data, slots, block)
-        if mass:
-            _scatter_add(m_data, slots, scaled[:, None, None] * a)
-        if floor:
-            # the plain P1 block I + ones has lambda_min = 1 exactly
-            lam = 1.0 if table is None else _floor_eigenvalue(u, a)
-            f += np.bincount(cells.ravel(), np.repeat(scaled * lam, m), nv)
-    return (
-        pattern.matrix(k_data) if stiff else None,
-        pattern.matrix(m_data) if mass else None,
-        f,
-    )
+        slots = pattern.slots(mesh, rows).ravel()
+        if kinetic is None:
+            block = np.zeros_like(a)
+        else:
+            grads = _barycentric_gradients(mesh.vertices[cells])
+            block = kinetic(rows, grads, vols, u, a)
+        if cubic is not None:
+            weights = np.einsum("cz,xyz->cxy", potential[cells], cubic)
+            block = block + weights * vols[:, None, None] * u
+        _scatter_add(k_data, slots, block)
+        _scatter_add(m_data, slots, scaled[:, None, None] * a)
+        # the plain P1 block I + ones has lambda_min = 1 exactly
+        lam = 1.0 if table is None else _floor_eigenvalue(u, a)
+        f += np.bincount(cells.ravel(), np.repeat(scaled * lam, m), nv)
+    return pattern.matrix(k_data), pattern.matrix(m_data), f
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +401,7 @@ def covariant_mass(mesh, transports):
     Reduces to the classical P1 mass matrix when U = 1 and is Hermitian by
     the reversal symmetry U_yx = conj(U_xy).
     """
-    return _cell_pass(mesh, _CellPattern(mesh), transports, mass=True)[1]
+    return _cell_pass(mesh, transports, None, None)[1]
 
 
 def mass_floor(mesh, transports=None):
@@ -476,7 +419,7 @@ def mass_floor(mesh, transports=None):
     necessary: f_v <= 0 where the cells around v have lambda_min(I + U_T)
     <= 0 (in 2D: flux pi through each of them) or where v is in no cell.
     """
-    return _cell_pass(mesh, _CellPattern(mesh), transports, floor=True)[2]
+    return _cell_pass(mesh, transports, None, None)[2]
 
 
 def local_covariant_stiffness(coords, transports_local):
@@ -515,8 +458,7 @@ def covariant_stiffness(mesh, transports, potential=None, *, with_mass=False):
     """
     if potential is not None:
         potential = _potential_samples(mesh, potential)
-    forms = _cell_pass(mesh, _CellPattern(mesh), transports, _covariant_kinetic,
-                       potential, mass=with_mass, floor=with_mass)
+    forms = _cell_pass(mesh, transports, _covariant_kinetic, potential)
     return forms if with_mass else forms[0]
 
 
@@ -529,7 +471,7 @@ def potential_matrix(mesh, transports, values):
     exactly V times the mass matrix.
     """
     values = _potential_samples(mesh, values)
-    return _cell_pass(mesh, _CellPattern(mesh), transports, potential=values)[0]
+    return _cell_pass(mesh, transports, None, values)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +489,7 @@ def standard_galerkin(mesh, circulation):
     it, which is the behaviour the covariant assembly exists to fix.
     """
     kinetic = _galerkin_kinetic(mesh, circulation)
-    return _cell_pass(mesh, _CellPattern(mesh), None, kinetic, mass=True)[:2]
+    return _cell_pass(mesh, None, kinetic, None)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +513,10 @@ def eliminate_dirichlet(matrix, dof_map):
     keep = _interior(dof_map)
     if matrix.n != nv:
         raise ValueError(f"matrix size {matrix.n} does not match {nv} vertices")
-    return matrix.restrict(keep)
+    return matrix._take(_principal_selection(matrix.to_csr(), keep))
 
 
-def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant",
-                            metadata=None):
+def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant"):
     """Assemble and Dirichlet-reduce the scalar eigenvalue problem.
 
     Parameters
@@ -592,8 +533,8 @@ def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant
         raise ValueError(f"unknown method {method!r}")
     if potential is not None:
         potential = _potential_samples(mesh, potential)
-    has_potential = potential is not None and bool(np.any(potential != 0.0))
-    potential = potential if has_potential else None
+        if not np.any(potential):
+            potential = None
 
     if method == "covariant":
         stiffness, mass, floor = covariant_stiffness(
@@ -601,24 +542,13 @@ def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant
         )
     else:
         stiffness, mass, floor = _cell_pass(
-            mesh, _CellPattern(mesh), None, _galerkin_kinetic(mesh, circulation),
-            potential, mass=True, floor=True,
+            mesh, None, _galerkin_kinetic(mesh, circulation), potential
         )
     dof = interior_dof_map(mesh)
     # stiffness and mass share the pattern, so one selection reduces both
     selection = _principal_selection(stiffness.to_csr(), _interior(dof))
-    info = {
-        "method": method,
-        "dim": mesh.dim,
-        "n_vertices": mesh.n_vertices,
-        "n_cells": mesh.n_cells,
-        "h": mesh.h,
-        "has_potential": has_potential,
-    }
-    if metadata:
-        info.update(metadata)
     return AssembledProblem(
-        stiffness._take(selection), mass._take(selection), dof, info, floor[dof >= 0]
+        stiffness._take(selection), mass._take(selection), dof, floor[dof >= 0]
     )
 
 

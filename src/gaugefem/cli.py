@@ -88,6 +88,8 @@ class RunConfig:
             raise ValueError(f"--a0 needs {self.dim} values")
         if self.k < 1:
             raise ValueError("--k must be at least 1")
+        if self.seed < 0:
+            raise ValueError("--seed must be nonnegative")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("--tol must be finite and positive")
         if not 0.0 <= self.gauge_amplitude < math.inf:
@@ -589,7 +591,7 @@ def main(argv=None):
     except (DefinitenessError, ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"gaugefem: numerical failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"gaugefem: {exc}", file=sys.stderr)
         return 2
     return 0

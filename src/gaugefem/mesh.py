@@ -21,10 +21,7 @@ __all__ = [
     "SimplicialMesh",
     "make_mesh",
     "build_box_mesh",
-    "cell_volumes",
     "interior_dof_map",
-    "write_mesh_file",
-    "read_mesh_file",
 ]
 
 # Absolute tolerance for classifying a vertex as lying on the bounding box.
@@ -163,11 +160,6 @@ def _span_adjugate(coords):
     return det, adj
 
 
-def cell_volumes(mesh):
-    """Volumes of all cells, shape (nc,)."""
-    return mesh.volumes
-
-
 def build_box_mesh(dim, n, lengths=None):
     """Kuhn triangulation of the box [0, L1] x ... x [0, Ld].
 
@@ -224,55 +216,3 @@ def interior_dof_map(mesh):
     interior = np.flatnonzero(~mesh.boundary_vertex)
     dof[interior] = np.arange(interior.size)
     return dof
-
-
-def write_mesh_file(mesh, path):
-    """Write a mesh in the plain-text exchange format.
-
-    Layout: ``dim d`` / ``vertices m`` followed by m coordinate lines /
-    ``cells k`` followed by k lines of 0-based vertex indices.  Coordinates
-    are written with full repr precision so a round trip is exact.
-    """
-    lines = [f"dim {mesh.dim}", f"vertices {mesh.n_vertices}"]
-    for row in mesh.vertices:
-        lines.append(" ".join(repr(float(c)) for c in row))
-    lines.append(f"cells {mesh.n_cells}")
-    for row in mesh.cells:
-        lines.append(" ".join(str(int(i)) for i in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_mesh_file(path):
-    """Read a mesh written by :func:`write_mesh_file` and validate it."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    pos = 0
-
-    def take(expect=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"truncated mesh file {path}")
-        tok = tokens[pos]
-        pos += 1
-        if expect is not None and tok != expect:
-            raise ValueError(f"malformed mesh file {path}: expected {expect!r}, got {tok!r}")
-        return tok
-
-    take("dim")
-    dim = int(take())
-    take("vertices")
-    nv = int(take())
-    vertices = np.empty((nv, dim))
-    for i in range(nv):
-        for j in range(dim):
-            vertices[i, j] = float(take())
-    take("cells")
-    nc = int(take())
-    cells = np.empty((nc, dim + 1), dtype=np.int64)
-    for i in range(nc):
-        for j in range(dim + 1):
-            cells[i, j] = int(take())
-    if pos != len(tokens):
-        raise ValueError(f"trailing data in mesh file {path}")
-    return make_mesh(dim, vertices, cells)

@@ -12,11 +12,11 @@ exactly, for any direction of B.  So the spinor eigenpairs are
 (K, M_U), and only the scalar pencil is assembled and solved.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import HermitianSparse, assemble_scalar_problem
+from .assembly import AssembledProblem, assemble_scalar_problem
 from .eigensolve import SpectrumResult, _flag_multiplets, solve_hermitian_gevp
 from .gauge import circulate
 
@@ -55,17 +55,11 @@ def sigma_dot(b):
 
 
 @dataclass
-class SpinorProblem:
-    """The interior scalar pencil (stiffness K, mass M_U) of a Pauli problem,
-    the uniform field ``b`` whose Zeeman term splits it, and the floor f of
-    :func:`gaugefem.assembly.mass_floor` on the interior DOFs."""
+class SpinorProblem(AssembledProblem):
+    """The interior scalar pencil (stiffness K, mass M_U) of a Pauli problem
+    and the uniform field ``b`` whose Zeeman term splits it."""
 
-    stiffness: HermitianSparse
-    mass: HermitianSparse
-    dof_map: np.ndarray
     b: np.ndarray
-    metadata: dict = field(default_factory=dict)
-    mass_floor: np.ndarray = None
 
     @property
     def n_interior(self):
@@ -88,16 +82,7 @@ def assemble_pauli(mesh, field_spec, potential=None, circulation=None):
     """
     circ = circulate(field_spec, mesh) if circulation is None else circulation
     scalar = assemble_scalar_problem(mesh, circ, potential)
-    meta = {
-        "dim": mesh.dim,
-        "n_vertices": mesh.n_vertices,
-        "h": mesh.h,
-        "a0": field_spec.a0.tolist(),
-        "b": field_spec.b.tolist(),
-        "has_potential": scalar.metadata["has_potential"],
-    }
-    return SpinorProblem(scalar.stiffness, scalar.mass, scalar.dof_map, field_spec.b,
-                         meta, scalar.mass_floor)
+    return SpinorProblem(**vars(scalar), b=field_spec.b)
 
 
 def solve_pauli(problem, k, tol=1e-9, seed=0):

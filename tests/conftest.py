@@ -2,7 +2,12 @@
 
 import numpy as np
 
-from gaugefem import build_box_mesh, make_mesh
+from gaugefem import HermitianSparse, build_box_mesh, make_mesh
+
+
+def shift_pencil(h, s, m):
+    """The pencil matrix H + s M of two HermitianSparse matrices."""
+    return HermitianSparse.from_csr(h.to_csr() + s * m.to_csr())
 
 
 def perturbed_box_mesh(dim, n, seed, scale=0.2):

@@ -38,7 +38,7 @@ from gaugefem import (
 )
 from gaugefem.cli import main
 
-from conftest import perturbed_box_mesh
+from conftest import perturbed_box_mesh, shift_pencil
 from oracles import edge_lookup, p1_mass_dense, p1_stiffness_dense, pauli_pencil_dense
 
 
@@ -269,7 +269,7 @@ def test_criterion_7_structural_invariants(tmp_path):
     )
     s = 3.5
     shifted = solve_hermitian_gevp(
-        problem.stiffness + s * problem.mass, problem.mass, k=3, tol=tol
+        shift_pencil(problem.stiffness, s, problem.mass), problem.mass, k=3, tol=tol
     )
     checks["shift-invariance"] = np.allclose(
         shifted.eigenvalues - result.eigenvalues, s, rtol=0, atol=1e-10

@@ -15,7 +15,6 @@ from gaugefem import (
     apply_gauge_to_circulation,
     assemble_scalar_problem,
     build_box_mesh,
-    cell_volumes,
     circulate,
     covariant_mass,
     covariant_stiffness,
@@ -33,7 +32,7 @@ from gaugefem import (
     unit_transports,
 )
 
-from gaugefem.assembly import _CellPattern, _barycentric_gradients, _cell_pass
+from gaugefem.assembly import _barycentric_gradients, _cell_pass
 
 from conftest import perturbed_box_mesh, shuffled_cells
 from oracles import (
@@ -127,7 +126,6 @@ def test_closed_form_geometry_matches_lapack(dim, n):
     assert np.all(np.abs(grads[:, 0, :] + inv.sum(axis=1)) <= 1e-14 * scale[:, None])
     vols = np.abs(np.linalg.det(span)) / factorial(dim)
     assert np.all(np.abs(mesh.volumes - vols) <= 1e-14 * vols)
-    assert cell_volumes(mesh) is mesh.volumes
 
 
 def test_closed_form_gradients_reject_a_degenerate_cell():
@@ -173,12 +171,11 @@ def test_orthogonal_kuhn_pairs_are_stored_exact_zeros(dim, lengths, b):
 
 def test_cell_pass_symmetrizes_and_rejects_an_imaginary_diagonal():
     mesh = build_box_mesh(2, 2)
-    pattern = _CellPattern(mesh)
     rng = np.random.default_rng(40)
     skew = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     np.fill_diagonal(skew, rng.standard_normal(3))  # real diagonal, not Hermitian
     stiffness = _cell_pass(
-        mesh, pattern, None, lambda rows, g, v, u, a: np.broadcast_to(skew, a.shape)
+        mesh, None, lambda rows, g, v, u, a: np.broadcast_to(skew, a.shape), None
     )[0]
     reference = np.zeros((mesh.n_vertices,) * 2, dtype=complex)
     for cell in mesh.cells:
@@ -190,8 +187,39 @@ def test_cell_pass_symmetrizes_and_rejects_an_imaginary_diagonal():
     bent = skew.copy()
     bent[1, 1] += 1e-10j  # beyond DIAG_IMAG_TOL
     with pytest.raises(ValueError, match="diagonal imaginary part"):
-        _cell_pass(mesh, pattern, None,
-                   lambda rows, g, v, u, a: np.broadcast_to(bent, a.shape))
+        _cell_pass(mesh, None, lambda rows, g, v, u, a: np.broadcast_to(bent, a.shape),
+                   None)
+
+
+def _assert_same_csr(a, b):
+    a, b = a.to_csr(), b.to_csr()
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
+def test_one_pass_equals_the_single_forms(dim, n):
+    mesh = perturbed_box_mesh(dim, n, seed=30 + dim)
+    rng = np.random.default_rng(31)
+    circ = EdgeCirculation(mesh.n_vertices, mesh.edges,
+                           rng.uniform(-np.pi, np.pi, mesh.n_edges))
+    table = transports(circ)
+    # a spherical well of depth -5 and radius 0.3 around the box center
+    well = np.where(np.linalg.norm(mesh.vertices - 0.5, axis=1) <= 0.3, -5.0, 0.0)
+    assert 0 < np.count_nonzero(well) < mesh.n_vertices
+
+    stiffness, mass, floor = covariant_stiffness(mesh, table, well, with_mass=True)
+    _assert_same_csr(stiffness, covariant_stiffness(mesh, table, well))
+    _assert_same_csr(mass, covariant_mass(mesh, table))
+    assert np.array_equal(floor, mass_floor(mesh, table))
+
+    dof = interior_dof_map(mesh)
+    problem = assemble_scalar_problem(mesh, circ, well)
+    _assert_same_csr(problem.stiffness, eliminate_dirichlet(stiffness, dof))
+    _assert_same_csr(problem.mass, eliminate_dirichlet(mass, dof))
+    assert np.array_equal(problem.mass_floor, floor[dof >= 0])
+    assert np.array_equal(problem.dof_map, dof)
 
 
 # ---------------------------------------------------------------------------
@@ -538,37 +566,18 @@ def test_hermitian_sparse_rejects_imaginary_diagonal():
         HermitianSparse.from_csr(sparse.csr_matrix(f))
 
 
-def test_hermitian_sparse_accumulates_duplicates():
-    h = HermitianSparse.from_entries(
-        2, [0, 1, 0, 1], [1, 0, 1, 0], [1.0, 1.0, 1.0 + 0.5j, 1.0 - 0.5j]
-    )
-    assert np.allclose(h.to_dense(), [[0.0, 2.0 + 0.5j], [2.0 - 0.5j, 0.0]], atol=0)
-    assert h.nnz == 1  # upper triangle only
-
-
-def test_hermitian_sparse_algebra():
-    rng = np.random.default_rng(22)
-    f = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    a = HermitianSparse.from_csr(sparse.csr_matrix(f + f.conj().T))
-    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    b = HermitianSparse.from_csr(sparse.csr_matrix(g + g.conj().T))
-
-    assert np.allclose((a + b).to_dense(), a.to_dense() + b.to_dense(), atol=0)
-    assert np.allclose((a - b).to_dense(), a.to_dense() - b.to_dense(), atol=0)
-    assert np.allclose((2.5 * a).to_dense(), 2.5 * a.to_dense(), atol=0)
-    with pytest.raises(TypeError):
-        (1.0 + 1.0j) * a
-
-
 def test_hermitian_sparse_restrict():
+    # eliminate_dirichlet takes the principal submatrix on the interior
+    # vertices, here of a dense random Hermitian matrix
+    mesh = build_box_mesh(2, 3)
+    dof = interior_dof_map(mesh)
     rng = np.random.default_rng(23)
-    f = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    n = mesh.n_vertices
+    f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = HermitianSparse.from_csr(sparse.csr_matrix(f + f.conj().T))
-    keep = np.array([0, 2, 5])
-    sub = h.restrict(keep)
-    assert np.allclose(sub.to_dense(), h.to_dense()[np.ix_(keep, keep)], atol=0)
-    with pytest.raises(ValueError):
-        h.restrict(np.array([2, 0]))
+    keep = np.flatnonzero(dof >= 0)
+    sub = eliminate_dirichlet(h, dof)
+    assert np.array_equal(sub.to_dense(), h.to_dense()[np.ix_(keep, keep)])
 
 
 def test_hermitian_sparse_upper_coo_layout():
@@ -634,22 +643,23 @@ def test_eliminate_dirichlet_rejects_other_sizes():
             eliminate_dirichlet(eye, dof)
 
 
-def test_assemble_scalar_problem_shapes_and_metadata():
+def test_assemble_scalar_problem_shapes():
     mesh = build_box_mesh(2, 4)
     circ = circulate(GaugeFieldSpec([0.0, 0.0], [0.0, 0.0, 1.0]), mesh)
-    problem = assemble_scalar_problem(mesh, circ, metadata={"tag": "t"})
+    problem = assemble_scalar_problem(mesh, circ)
     n_int = int((~mesh.boundary_vertex).sum())
     assert problem.stiffness.n == n_int
     assert problem.mass.n == n_int
-    assert problem.metadata["method"] == "covariant"
-    assert problem.metadata["dim"] == 2
-    assert problem.metadata["has_potential"] is False
-    assert problem.metadata["tag"] == "t"
+    assert problem.mass_floor.shape == (n_int,)
+    assert np.array_equal(problem.dof_map, interior_dof_map(mesh))
+
+    # an all-zero potential is the same as none
+    zero_v = assemble_scalar_problem(mesh, circ, potential=np.zeros(mesh.n_vertices))
+    assert np.array_equal(zero_v.stiffness.to_csr().data, problem.stiffness.to_csr().data)
 
     with_v = assemble_scalar_problem(
         mesh, circ, potential=np.full(mesh.n_vertices, 1.0)
     )
-    assert with_v.metadata["has_potential"] is True
     # V = 1 adds exactly the (interior-reduced) covariant mass matrix
     diff = with_v.stiffness.to_dense() - problem.stiffness.to_dense()
     assert np.allclose(diff, problem.mass.to_dense(), rtol=0, atol=1e-15)
@@ -701,7 +711,7 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     scale = np.abs(m).max()
     # f_v sums lambda_min of the cell blocks around v
     blocks = np.eye(dim + 1) + table.local_values(mesh, slice(None))
-    per_cell = cell_volumes(mesh) * np.linalg.eigvalsh(blocks)[:, 0]
+    per_cell = mesh.volumes * np.linalg.eigvalsh(blocks)[:, 0]
     per_cell /= (dim + 1) * (dim + 2)
     expected = np.zeros(mesh.n_vertices)
     np.add.at(expected, mesh.cells, per_cell[:, None])

@@ -80,11 +80,30 @@ def test_usage_errors_exit_with_code_2(capsys):
         ["convergence", "--n", "4,8"],
         ["convergence", "--n", "4,8,12"],
         ["export-matrices", "--n", "4"],
+        # a negative seed is refused before the solver path is chosen:
+        # 49 DOFs solve dense, 841 run ARPACK
+        ["solve", "--n", "8", "--seed", "-1"],
+        ["solve", "--n", "30", "--seed", "-1"],
+        ["gauge-check", "--n", "4", "--seed", "-1"],
     ]
     for args in bad_args:
         rc, _, err = run_cli(args, capsys)
         assert rc == 2, args
         assert "gaugefem:" in err
+    assert "--seed must be nonnegative" in err
+
+
+@pytest.mark.parametrize("args, target", [
+    (["solve", "--n", "4"], "."),
+    (["solve", "--n", "4"], "no/such/report.json"),
+    (["export-matrices", "--n", "2"], "no/such/p"),
+], ids=["solve-directory", "solve-missing-parent", "export-missing-parent"])
+def test_unwritable_output_exits_with_code_2(args, target, tmp_path, capsys):
+    rc, out, err = run_cli(args + ["--output", str(tmp_path / target)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("gaugefem:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_numerical_failure_exits_with_code_1(capsys):
@@ -473,6 +492,8 @@ def test_runconfig_validation():
         RunConfig("solve", tol=0.0)
     with pytest.raises(ValueError):
         RunConfig("solve", gauge_amplitude=-0.1)
+    with pytest.raises(ValueError, match="--seed must be nonnegative"):
+        RunConfig("solve", seed=-1)
     with pytest.raises(ValueError):
         RunConfig("solve", dim=2, lengths=(1.0, 1.0, 1.0))
     cfg = RunConfig("convergence", levels=(4, 8, 16))

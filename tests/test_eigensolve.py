@@ -18,7 +18,7 @@ from gaugefem import (
     solve_hermitian_gevp,
 )
 
-from conftest import perturbed_box_mesh
+from conftest import perturbed_box_mesh, shift_pencil
 
 
 def _pencil_from_dense(h, m):
@@ -158,7 +158,7 @@ def test_shift_invariance():
     s = 2.75
     base = solve_hermitian_gevp(problem.stiffness, problem.mass, k=3)
     shifted = solve_hermitian_gevp(
-        problem.stiffness + s * problem.mass, problem.mass, k=3
+        shift_pencil(problem.stiffness, s, problem.mass), problem.mass, k=3
     )
     assert np.allclose(shifted.eigenvalues - base.eigenvalues, s, rtol=0, atol=1e-10)
     # eigenvectors agree up to a global phase: unit M-overlap, equal moduli
@@ -243,7 +243,7 @@ def test_iterative_path_with_indefinite_stiffness(case, well, eigsh_shifts):
     # the certificate floor instead of the mass probe
     _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case], potential=well)
     if well is None:
-        problem.stiffness = problem.stiffness + (-50.0) * problem.mass
+        problem.stiffness = shift_pencil(problem.stiffness, -50.0, problem.mass)
     dense, arpack = _solve_both_paths(problem, 3)
     assert dense.eigenvalues[0] < 0
     assert len(eigsh_shifts) == 1 and eigsh_shifts[0] < dense.eigenvalues[0]
@@ -291,10 +291,9 @@ def test_dense_and_arpack_paths_agree(dim, mesh_seed, a0, b, zero_shift, k):
     if zero_shift:
         row_sums = np.asarray(np.abs(h.to_csr()).sum(axis=1)).ravel()
         shift = 1.0 + 2.0 * row_sums.max()
-        h = h + shift * HermitianSparse.from_csr(
-            sparse.identity(h.n, format="csr", dtype=complex))
+        h = HermitianSparse.from_csr(h.to_csr() + shift * sparse.identity(h.n))
     else:
-        h = h + (-30.0) * m
+        h = shift_pencil(h, -30.0, m)
     shifts = []
     original = spla.eigsh
 

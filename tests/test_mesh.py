@@ -4,11 +4,8 @@ import pytest
 from gaugefem import (
     MeshGeometryError,
     build_box_mesh,
-    cell_volumes,
     interior_dof_map,
     make_mesh,
-    read_mesh_file,
-    write_mesh_file,
 )
 
 from conftest import perturbed_box_mesh, shuffled_cells
@@ -57,18 +54,14 @@ def _assert_cell_edges_join_cell_pairs(mesh):
     assert np.array_equal(mesh.edges[mesh.cell_edges], pairs)
 
 
-def test_cell_edges_join_cell_pairs(tmp_path):
+def test_cell_edges_join_cell_pairs():
     for dim in (2, 3):
         _assert_cell_edges_join_cell_pairs(build_box_mesh(dim, 3))
         _assert_cell_edges_join_cell_pairs(perturbed_box_mesh(dim, 3, seed=dim))
-    # cells that list their vertices in random order, through a file
+    # make_mesh on cells that list their vertices in random order
     shuffled = shuffled_cells(build_box_mesh(3, 2), seed=6)
-    path = tmp_path / "shuffled.txt"
-    write_mesh_file(shuffled, path)
-    back = read_mesh_file(path)
-    assert np.array_equal(back.cells, shuffled.cells)
-    assert np.any(back.cells[:, 0] > back.cells[:, 1])
-    _assert_cell_edges_join_cell_pairs(back)
+    assert np.any(shuffled.cells[:, 0] > shuffled.cells[:, 1])
+    _assert_cell_edges_join_cell_pairs(shuffled)
 
 
 def test_edge_ordering_invariants():
@@ -80,10 +73,10 @@ def test_edge_ordering_invariants():
 
 def test_cell_volumes_tile_the_box():
     mesh = build_box_mesh(2, 3)
-    assert np.allclose(cell_volumes(mesh).sum(), 1.0, rtol=1e-12, atol=0)
+    assert np.allclose(mesh.volumes.sum(), 1.0, rtol=1e-12, atol=0)
 
     mesh = build_box_mesh(3, 2, lengths=(1.5, 1.0, 2.0))
-    vols = cell_volumes(mesh)
+    vols = mesh.volumes
     assert np.all(vols > 0)
     assert np.allclose(vols.sum(), 3.0, rtol=1e-12, atol=0)
 
@@ -118,8 +111,7 @@ def test_interior_dof_map_is_a_contiguous_bijection():
 
 def test_mesh_volumes_match_cell_volumes():
     mesh = build_box_mesh(3, 1)
-    vols = cell_volumes(mesh)
-    assert vols is mesh.volumes
+    vols = mesh.volumes
     assert vols.shape == (mesh.n_cells,)
     for c in range(mesh.n_cells):
         coords = mesh.vertices[mesh.cells[c]]
@@ -161,37 +153,3 @@ def test_build_box_mesh_argument_errors():
     with pytest.raises(ValueError):
         build_box_mesh(3, 2, lengths=(1.0, -1.0, 1.0))
 
-
-def test_mesh_file_round_trip(tmp_path):
-    mesh = build_box_mesh(3, 2, lengths=(1.0, 0.75, 1.25))
-    path = tmp_path / "mesh.txt"
-    write_mesh_file(mesh, path)
-    back = read_mesh_file(path)
-    assert back.dim == mesh.dim
-    assert np.array_equal(back.vertices, mesh.vertices)  # repr round trip
-    assert np.array_equal(back.cells, mesh.cells)
-    assert np.array_equal(back.edges, mesh.edges)
-    assert np.array_equal(back.cell_edges, mesh.cell_edges)
-    assert np.array_equal(back.boundary_vertex, mesh.boundary_vertex)
-    assert back.h == mesh.h
-
-
-def test_read_mesh_file_rejects_malformed_input(tmp_path):
-    good = tmp_path / "good.txt"
-    write_mesh_file(build_box_mesh(2, 1), good)
-    text = good.read_text()
-
-    bad_header = tmp_path / "bad_header.txt"
-    bad_header.write_text(text.replace("dim", "dmi", 1))
-    with pytest.raises(ValueError):
-        read_mesh_file(bad_header)
-
-    truncated = tmp_path / "truncated.txt"
-    truncated.write_text(" ".join(text.split()[:-3]))
-    with pytest.raises(ValueError):
-        read_mesh_file(truncated)
-
-    trailing = tmp_path / "trailing.txt"
-    trailing.write_text(text + "7 7 7\n")
-    with pytest.raises(ValueError):
-        read_mesh_file(trailing)
