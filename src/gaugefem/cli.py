@@ -16,15 +16,15 @@ same command line produce byte-identical output.
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +53,17 @@ FORMAT_VERSION = 1
 ORDER_FLOOR = 1e-12
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
-    """Fully resolved run parameters shared by all subcommands."""
+    """Fully resolved run parameters shared by all subcommands.
+
+    The defaults are the command line's.  ``levels`` defaults to (4, 8, 16)
+    for convergence, (8,) otherwise; in 2D a one-value ``b`` is bz alone.
+    """
 
     subcommand: str
     dim: int = 2
-    levels: tuple = (8,)
+    levels: tuple = None
     lengths: tuple = None
     a0: tuple = None
     b: tuple = (0.0, 0.0, 0.0)
@@ -74,14 +78,21 @@ class RunConfig:
     deterministic: bool = False
 
     def __post_init__(self):
-        if self.lengths is None:
-            self.lengths = (1.0,) * self.dim
-        if self.a0 is None:
-            self.a0 = (0.0,) * self.dim
+        if self.levels is None:
+            self.levels = (4, 8, 16) if self.subcommand == "convergence" else (8,)
         self.levels = tuple(int(n) for n in self.levels)
-        self.lengths = tuple(float(x) for x in self.lengths)
-        self.a0 = tuple(float(x) for x in self.a0)
+        if self.subcommand != "convergence":
+            self.n  # raises unless there is exactly one level
         self.b = tuple(float(x) for x in self.b)
+        if self.dim == 2:
+            if len(self.b) == 1:
+                self.b = (0.0, 0.0, self.b[0])
+            if len(self.b) != 3 or self.b[0] != 0.0 or self.b[1] != 0.0:
+                raise ValueError("in 2D pass --b bz (a single out-of-plane component)")
+        elif len(self.b) != 3:
+            raise ValueError("in 3D pass --b bx,by,bz")
+        self.lengths = tuple(float(x) for x in self.lengths or (1.0,) * self.dim)
+        self.a0 = tuple(float(x) for x in self.a0 or (0.0,) * self.dim)
         if len(self.lengths) != self.dim:
             raise ValueError(f"--lengths needs {self.dim} values")
         if len(self.a0) != self.dim:
@@ -97,59 +108,28 @@ class RunConfig:
 
     @property
     def n(self):
+        """The grid size of a single-level run."""
         if len(self.levels) != 1:
-            raise ValueError("this subcommand takes a single --n value")
+            raise ValueError(f"{self.subcommand} takes a single --n value")
         return self.levels[0]
 
     def field_spec(self):
         return GaugeFieldSpec(self.a0, self.b)
 
     def config_echo(self):
-        return {
-            "subcommand": self.subcommand,
-            "dim": self.dim,
-            "n": self.levels[0] if len(self.levels) == 1 else list(self.levels),
-            "lengths": list(self.lengths),
-            "a0": list(self.a0),
-            "b": list(self.b),
-            "potential": self.potential,
-            "method": self.method,
-            "k": self.k,
-            "tol": self.tol,
-            "seed": self.seed,
-            "gauge_amplitude": self.gauge_amplitude,
-            "output": self.output,
-            "format": self.fmt,
-            "deterministic": self.deterministic,
-        }
+        """The fields as reported: ``levels`` as ``n``, ``fmt`` as ``format``."""
+        echo = dataclasses.asdict(self)
+        levels = echo.pop("levels")
+        echo["n"] = levels[0] if len(levels) == 1 else list(levels)
+        echo["format"] = echo.pop("fmt")
+        return echo
 
 
-def _parse_floats(text, what):
+def _parse_list(text, cast, flag):
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        return tuple(cast(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"could not parse {what} value {text!r}") from None
-
-
-def _parse_levels(text):
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"could not parse --n value {text!r}") from None
-
-
-def _parse_b(text, dim):
-    """--b is the single out-of-plane component in 2D, three components in 3D."""
-    vals = _parse_floats(text, "--b")
-    if dim == 2:
-        if len(vals) == 1:
-            return (0.0, 0.0, vals[0])
-        if len(vals) == 3 and vals[0] == 0.0 and vals[1] == 0.0:
-            return vals
-        raise ValueError("in 2D pass --b bz (a single out-of-plane component)")
-    if len(vals) != 3:
-        raise ValueError("in 3D pass --b bx,by,bz")
-    return vals
+        raise ValueError(f"could not parse {flag} value {text!r}") from None
 
 
 def potential_values(expr, mesh):
@@ -196,7 +176,7 @@ def dirichlet_reference(dim, lengths, count):
 
 
 # ---------------------------------------------------------------------------
-# subcommand drivers (pure: RunConfig -> report dict)
+# subcommand drivers: RunConfig -> the report's results block
 
 
 def _timed(cfg, solve, *args, **kwargs):
@@ -239,18 +219,13 @@ def run_solve(cfg):
     mesh, problem = _scalar_problem(cfg, cfg.n)
     result, runtime = _timed_solve(cfg, problem)
     fields = reconstruct_field(result.eigenvectors, mesh, problem.dof_map)
-    report = {
-        "format_version": FORMAT_VERSION,
-        "config": cfg.config_echo(),
-        "results": {
-            **_spectrum_block(result),
-            "n_dofs": problem.stiffness.n,
-            "h": mesh.h,
-            "density": (np.abs(fields) ** 2).tolist(),
-            "runtime_seconds": runtime,
-        },
+    return {
+        **_spectrum_block(result),
+        "n_dofs": problem.stiffness.n,
+        "h": mesh.h,
+        "density": (np.abs(fields) ** 2).tolist(),
+        "runtime_seconds": runtime,
     }
-    return report
 
 
 def run_pauli(cfg):
@@ -261,19 +236,14 @@ def run_pauli(cfg):
     up, down = spin_components(result.eigenvectors, problem.n_interior)
     dens_up = np.abs(reconstruct_field(up, mesh, problem.dof_map)) ** 2
     dens_down = np.abs(reconstruct_field(down, mesh, problem.dof_map)) ** 2
-    report = {
-        "format_version": FORMAT_VERSION,
-        "config": cfg.config_echo(),
-        "results": {
-            **_spectrum_block(result),
-            "n_dofs": 2 * problem.n_interior,
-            "h": mesh.h,
-            "density_up": dens_up.tolist(),
-            "density_down": dens_down.tolist(),
-            "runtime_seconds": runtime,
-        },
+    return {
+        **_spectrum_block(result),
+        "n_dofs": 2 * problem.n_interior,
+        "h": mesh.h,
+        "density_up": dens_up.tolist(),
+        "density_down": dens_down.tolist(),
+        "runtime_seconds": runtime,
     }
-    return report
 
 
 def run_gauge_check(cfg):
@@ -295,22 +265,17 @@ def run_gauge_check(cfg):
     density_drift = (
         float(np.max(np.abs(dens1[simple] - dens0[simple]))) if simple.any() else None
     )
-    report = {
-        "format_version": FORMAT_VERSION,
-        "config": cfg.config_echo(),
-        "results": {
-            "eigenvalues_original": [float(v) for v in e0],
-            "eigenvalues_gauged": [float(v) for v in e1],
-            "relative_drift": [float(d) for d in drift],
-            "max_relative_drift": float(drift.max()),
-            "simple": [bool(s) for s in simple],
-            "max_density_drift_simple": density_drift,
-            "n_dofs": base.stiffness.n,
-            "h": mesh.h,
-            "runtime_seconds": runtime,
-        },
+    return {
+        "eigenvalues_original": [float(v) for v in e0],
+        "eigenvalues_gauged": [float(v) for v in e1],
+        "relative_drift": [float(d) for d in drift],
+        "max_relative_drift": float(drift.max()),
+        "simple": [bool(s) for s in simple],
+        "max_density_drift_simple": density_drift,
+        "n_dofs": base.stiffness.n,
+        "h": mesh.h,
+        "runtime_seconds": runtime,
     }
-    return report
 
 
 def run_convergence(cfg):
@@ -369,17 +334,12 @@ def run_convergence(cfg):
                 vals.append(None)
         orders.append({"levels": [levels[li], levels[li + 1]], "values": vals})
 
-    report = {
-        "format_version": FORMAT_VERSION,
-        "config": cfg.config_echo(),
-        "results": {
-            "levels": per_level,
-            "reference": {"kind": kind, "values": [float(v) for v in reference]},
-            "errors": [[float(x) for x in row] for row in errors],
-            "orders": orders,
-        },
+    return {
+        "levels": per_level,
+        "reference": {"kind": kind, "values": [float(v) for v in reference]},
+        "errors": [[float(x) for x in row] for row in errors],
+        "orders": orders,
     }
-    return report
 
 
 def run_export_matrices(cfg):
@@ -388,23 +348,15 @@ def run_export_matrices(cfg):
     if cfg.fmt != "json":
         raise ValueError("export-matrices writes text matrix files; use --format json")
     _, problem = _scalar_problem(cfg, cfg.n)
-    paths = {
-        "stiffness": f"{cfg.output}_stiffness.txt",
-        "mass": f"{cfg.output}_mass.txt",
+    paths = {name: f"{cfg.output}_{name}.txt" for name in ("stiffness", "mass")}
+    for name, path in paths.items():
+        export_matrix(getattr(problem, name), path)
+    return {
+        "files": paths,
+        "n_dofs": problem.stiffness.n,
+        "stiffness_nnz": problem.stiffness.nnz,
+        "mass_nnz": problem.mass.nnz,
     }
-    export_matrix(problem.stiffness, paths["stiffness"])
-    export_matrix(problem.mass, paths["mass"])
-    report = {
-        "format_version": FORMAT_VERSION,
-        "config": cfg.config_echo(),
-        "results": {
-            "files": paths,
-            "n_dofs": problem.stiffness.n,
-            "stiffness_nnz": problem.stiffness.nnz,
-            "mass_nnz": problem.mass.nnz,
-        },
-    }
-    return report
 
 
 _DISPATCH = {
@@ -500,31 +452,28 @@ def _emit(report, cfg):
 # argument parsing
 
 
-def _add_common(p, *, method=True, amplitude=False):
-    p.add_argument("--dim", type=int, choices=(2, 3), default=2,
+def _add_subcommand(sub, name, summary, *, method=True, amplitude=False):
+    # an option left out stays out of the namespace and takes RunConfig's default
+    p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    p.add_argument("--dim", type=int, choices=(2, 3),
                    help="spatial dimension (default 2)")
-    p.add_argument("--n", default=None,
+    p.add_argument("--n", dest="levels", metavar="N",
                    help="grid subdivisions per axis; comma list for convergence")
-    p.add_argument("--lengths", default=None, help="box side lengths, comma separated")
-    p.add_argument("--a0", default=None, help="constant potential offset, comma separated")
-    p.add_argument("--b", default=None,
-                   help="magnetic field: bz in 2D, bx,by,bz in 3D")
-    p.add_argument("--potential", default="zero",
-                   help="zero | constant:c | well:depth,radius")
+    p.add_argument("--lengths", help="box side lengths, comma separated")
+    p.add_argument("--a0", help="constant potential offset, comma separated")
+    p.add_argument("--b", help="magnetic field: bz in 2D, bx,by,bz in 3D")
+    p.add_argument("--potential", help="zero | constant:c | well:depth,radius")
     if method:
         p.add_argument("--method", choices=("covariant", "baseline"),
-                       default="covariant",
                        help="gauge-invariant assembly or conventional baseline")
-    p.add_argument("--k", type=int, default=1, help="number of eigenvalues (default 1)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="residual tolerance (default 1e-9)")
-    p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
+    p.add_argument("--k", type=int, help="number of eigenvalues (default 1)")
+    p.add_argument("--tol", type=float, help="residual tolerance (default 1e-9)")
+    p.add_argument("--seed", type=int, help="rng seed (default 0)")
     if amplitude:
-        p.add_argument("--gauge-amplitude", type=float, default=math.pi,
-                       dest="gauge_amplitude",
+        p.add_argument("--gauge-amplitude", type=float,
                        help="uniform bound on the random vertex phases (default pi)")
-    p.add_argument("--output", default=None, help="output file (default stdout)")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+    p.add_argument("--output", help="output file (default stdout)")
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"),
                    help="report format (default json)")
     p.add_argument("--deterministic", action="store_true",
                    help="byte-identical reports: wall-clock fields become null")
@@ -539,55 +488,42 @@ def _build_parser():
                     "and Pauli eigenvalue problems on box meshes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    _add_common(sub.add_parser("solve", help="scalar eigenproblem"))
-    _add_common(sub.add_parser("pauli", help="Pauli (spinor) eigenproblem"),
-                method=False)
-    _add_common(sub.add_parser("gauge-check",
-                               help="paired solve under a random gauge transform"),
-                amplitude=True)
-    _add_common(sub.add_parser("convergence", help="refinement study"))
-    _add_common(sub.add_parser("export-matrices",
-                               help="write the assembled pencil as text files"))
+    _add_subcommand(sub, "solve", "scalar eigenproblem")
+    _add_subcommand(sub, "pauli", "Pauli (spinor) eigenproblem", method=False)
+    _add_subcommand(sub, "gauge-check", "paired solve under a random gauge transform",
+                    amplitude=True)
+    _add_subcommand(sub, "convergence", "refinement study")
+    _add_subcommand(sub, "export-matrices", "write the assembled pencil as text files")
     return parser
 
 
-_DEFAULT_LEVELS = {"convergence": (4, 8, 16)}
-
-
 def _config_from_args(args):
-    dim = args.dim
-    if args.n is None:
-        levels = _DEFAULT_LEVELS.get(args.subcommand, (8,))
-    else:
-        levels = _parse_levels(args.n)
-    if args.subcommand != "convergence" and len(levels) != 1:
-        raise ValueError(f"{args.subcommand} takes a single --n value")
-    b = (0.0, 0.0, 0.0) if args.b is None else _parse_b(args.b, dim)
-    return RunConfig(
-        subcommand=args.subcommand,
-        dim=dim,
-        levels=levels,
-        lengths=None if args.lengths is None else _parse_floats(args.lengths, "--lengths"),
-        a0=None if args.a0 is None else _parse_floats(args.a0, "--a0"),
-        b=b,
-        potential=args.potential,
-        method=getattr(args, "method", "covariant"),
-        k=args.k,
-        tol=args.tol,
-        seed=args.seed,
-        gauge_amplitude=getattr(args, "gauge_amplitude", math.pi),
-        output=args.output,
-        fmt=args.fmt,
-        deterministic=args.deterministic,
-    )
+    opts = dict(vars(args))
+    for field, cast, flag in (("levels", int, "--n"), ("b", float, "--b"),
+                              ("lengths", float, "--lengths"), ("a0", float, "--a0")):
+        if field in opts:
+            opts[field] = _parse_list(opts[field], cast, flag)
+    return RunConfig(**opts)
+
+
+def _check_output(cfg):
+    """Refuse an --output no file can be written to, before any work runs."""
+    if cfg.output is None:
+        return
+    if cfg.subcommand != "export-matrices" and os.path.isdir(cfg.output):
+        raise ValueError(f"--output {cfg.output!r} is a directory")
+    if not os.path.isdir(os.path.dirname(cfg.output) or "."):
+        raise ValueError(f"--output {cfg.output!r} is in a missing directory")
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        report = _DISPATCH[cfg.subcommand](cfg)
-        _emit(report, cfg)
+        _check_output(cfg)
+        results = _DISPATCH[cfg.subcommand](cfg)
+        _emit({"format_version": FORMAT_VERSION, "config": cfg.config_echo(),
+               "results": results}, cfg)
     except (DefinitenessError, ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"gaugefem: numerical failure: {exc}", file=sys.stderr)
         return 1

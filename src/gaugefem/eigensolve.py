@@ -214,26 +214,17 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
     sigma = 0.0 if lower.min() > 0.0 else float(np.min(lower / (0.9 * floor))) - 1.0
 
     # H - sigma M is Hermitian positive definite, so diagonal pivots are
-    # stable and a symmetric ordering of the pattern cuts the fill.  At
-    # sigma = 0 that matrix is H on its true nonzero pattern: the exact zeros
-    # H stores (orthogonal Kuhn pairs of a field-only stiffness) are removed,
-    # which gives the ordering a sparser graph.  Otherwise it is H - sigma M,
-    # whose pattern is the stored one.  OPinv reads the factor through a
-    # holder: clearing it frees the factor as soon as eigsh is done, whatever
-    # still holds OPinv.
-    if sigma == 0.0:
-        shifted = h_csr.copy()
-        shifted.eliminate_zeros()
-    else:
-        shifted = h_csr - sigma * m_csr
-    factor = [spla.splu(
-        shifted.tocsc(),
+    # stable and a symmetric ordering of the pattern cuts the fill.  The
+    # sparse difference stores no exact zeros, so at sigma = 0 the ordering
+    # sees H on its true nonzero pattern, without the zeros H stores
+    # (orthogonal Kuhn pairs of a field-only stiffness).
+    lu = spla.splu(
+        (h_csr - sigma * m_csr).tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
-    )]
-    op_inv = spla.LinearOperator((n, n), matvec=lambda x: factor[0].solve(x),
-                                 dtype=np.complex128)
+    )
+    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.complex128)
     op_ref = weakref.ref(op_inv)
     best = None
     try:
@@ -257,8 +248,7 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
                 / np.linalg.norm(vv[:, i])
                 for i in range(vv.shape[1])
             )
-    factor.clear()
-    del op_inv  # from here on only scipy's cycle can keep OPinv alive
+    del lu, op_inv  # from here on only scipy's cycle can keep the factor alive
     # scipy's eigsh leaves its ARPACK state, which holds OPinv and the n x ncv
     # workspace, in a reference cycle, so it would stay alive through the
     # caller's next assembly and solve until a collection found it.  Every

@@ -98,12 +98,47 @@ def test_usage_errors_exit_with_code_2(capsys):
     (["solve", "--n", "4"], "no/such/report.json"),
     (["export-matrices", "--n", "2"], "no/such/p"),
 ], ids=["solve-directory", "solve-missing-parent", "export-missing-parent"])
-def test_unwritable_output_exits_with_code_2(args, target, tmp_path, capsys):
+def test_unwritable_output_exits_with_code_2(args, target, tmp_path, monkeypatch,
+                                            capsys):
+    # the path is refused before any assembly runs
+    def never(*_args, **_kwargs):
+        raise AssertionError("assembly ran before --output was checked")
+
+    monkeypatch.setattr("gaugefem.cli.assemble_scalar_problem", never)
+    monkeypatch.setattr("gaugefem.cli.assemble_pauli", never)
     rc, out, err = run_cli(args + ["--output", str(tmp_path / target)], capsys)
     assert rc == 2
     assert out == ""
     assert err.startswith("gaugefem:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand", [
+    "solve", "pauli", "gauge-check", "convergence", "export-matrices",
+])
+def test_config_echo_of_the_defaults(subcommand, tmp_path, capsys):
+    # each subcommand run with only its required options echoes every default
+    output = str(tmp_path / "pencil") if subcommand == "export-matrices" else None
+    args = [subcommand] + (["--output", output] if output else [])
+    rc, out, _ = run_cli(args, capsys)
+    assert rc == 0
+    assert json.loads(out)["config"] == {
+        "subcommand": subcommand,
+        "dim": 2,
+        "n": [4, 8, 16] if subcommand == "convergence" else 8,
+        "lengths": [1.0, 1.0],
+        "a0": [0.0, 0.0],
+        "b": [0.0, 0.0, 0.0],
+        "potential": "zero",
+        "method": "covariant",
+        "k": 1,
+        "tol": 1e-9,
+        "seed": 0,
+        "gauge_amplitude": math.pi,
+        "output": output,
+        "format": "json",
+        "deterministic": False,
+    }
 
 
 def test_numerical_failure_exits_with_code_1(capsys):
@@ -496,6 +531,13 @@ def test_runconfig_validation():
         RunConfig("solve", seed=-1)
     with pytest.raises(ValueError):
         RunConfig("solve", dim=2, lengths=(1.0, 1.0, 1.0))
-    cfg = RunConfig("convergence", levels=(4, 8, 16))
+    with pytest.raises(ValueError, match="in 3D pass --b bx,by,bz"):
+        RunConfig("solve", dim=3, b=(1.0,))
+    with pytest.raises(ValueError, match="solve takes a single --n value"):
+        RunConfig("solve", levels=(4, 8))
+    assert RunConfig("solve", b=(1.0,)).b == (0.0, 0.0, 1.0)
+    assert RunConfig("solve").levels == (8,)
+    cfg = RunConfig("convergence")
+    assert cfg.levels == (4, 8, 16)
     with pytest.raises(ValueError):
         cfg.n
