@@ -26,13 +26,13 @@ is what makes the discrete spectra exactly gauge invariant.
 Every form comes out of one pass over the cells (:func:`_cell_pass`).  Per
 chunk of cells it computes the closed-form barycentric gradients, gathers
 U_T once and forms A_T, and from them the stiffness (plus potential) block,
-the mass block c |T| A_T and the mass floor lambda_min(A_T).  The blocks are
-summed by ``np.bincount`` straight into the data of one CSR pattern per mesh
-(:class:`_CellPattern`): the diagonal and both directions of every edge,
-which is every vertex pair that shares a cell.  Entries that vanish exactly,
-such as the stiffness of an orthogonal Kuhn pair, stay stored, so every
-assembled matrix has that same pattern and one selection eliminates the
-Dirichlet rows and columns of all of them.
+the mass block c |T| A_T and the mass floor lambda_min(A_T).  Every matrix
+is Hermitian, so ``np.bincount`` sums each block's diagonal and upper pairs
+x < y (mesh cells list their vertices in ascending order) into one slot per
+vertex and one per edge.  One CSR pattern per mesh (:class:`_CellPattern`),
+the diagonal and both directions of every edge, gathers the slots, the lower
+triangle as exact conjugates.  Entries that vanish exactly, such as the
+stiffness of an orthogonal Kuhn pair, stay stored in that shared pattern.
 
 A conventional (non-invariant) P1 discretization of |grad u + i A u|^2 with
 A interpolated from the same edge circulations is provided as a baseline;
@@ -93,27 +93,14 @@ def _check_diagonal(diag):
         )
 
 
-def _principal_selection(full, keep):
-    """Stored entries of the CSR matrix ``full`` in the rows and columns
-    ``keep`` (ascending): (entry positions, column indices, row pointer) of
-    the principal submatrix, stored zeros included."""
-    index = np.full(full.shape[0], -1, dtype=np.int64)
-    index[keep] = np.arange(keep.size)
-    rows = np.repeat(index, np.diff(full.indptr))
-    cols = index[full.indices]
-    entries = np.flatnonzero((rows >= 0) & (cols >= 0))
-    indptr = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[entries], minlength=keep.size), out=indptr[1:])
-    return entries, cols[entries], indptr
-
-
 class HermitianSparse:
     """Sparse Hermitian matrix stored as its full CSR matrix.
 
-    Construction symmetrizes: the stored entries are (H_xy + conj(H_yx)) / 2,
-    so the stored matrix is exactly H = H^dagger.  Diagonal imaginary parts
-    beyond ``DIAG_IMAG_TOL`` raise.  Principal submatrices stay exactly
-    Hermitian, so they are not re-symmetrized.
+    The stored matrix is exactly H = H^dagger: the cell pass stores its lower
+    triangle as the exact conjugate of the upper, and :meth:`from_csr`
+    stores (H_xy + conj(H_yx)) / 2.  Diagonal imaginary parts beyond
+    ``DIAG_IMAG_TOL`` raise.  Principal submatrices stay exactly Hermitian,
+    so they are not re-symmetrized.
     """
 
     def __init__(self, n, full):
@@ -150,13 +137,6 @@ class HermitianSparse:
         """Upper triangle as (rows, cols, values) in row-major order."""
         coo = sparse.triu(self._full, format="csr").tocoo()
         return coo.row, coo.col, coo.data
-
-    def _take(self, selection):
-        """Submatrix from a :func:`_principal_selection` of this pattern."""
-        entries, indices, indptr = selection
-        n = indptr.size - 1
-        data = self._full.data[entries]
-        return HermitianSparse(n, sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
 
 
 @dataclass
@@ -228,10 +208,10 @@ class _CellPattern:
     """The CSR pattern every assembled matrix of a mesh shares.
 
     Row x holds x itself and both directions of every edge at x, which are
-    exactly the vertices sharing a cell with x.  ``diag``, ``up`` and ``down``
-    are the data positions of (v, v), (lo, hi) and (hi, lo) for each vertex v
-    and edge (lo, hi); ``mirror`` maps the position of (x, y) to that of
-    (y, x).
+    exactly the vertices sharing a cell with x.  The cell pass sums one slot
+    per vertex v (slot v) and per edge e = (lo, hi) (slot nv + e);
+    ``source`` is the slot of each stored entry and ``lower`` marks the
+    (hi, lo) entries, which read their slot conjugated.
     """
 
     def __init__(self, mesh):
@@ -241,49 +221,33 @@ class _CellPattern:
         rows = np.concatenate([verts, lo, hi])
         cols = np.concatenate([verts, hi, lo])
         order = np.argsort(rows * nv + cols)
-        position = np.empty_like(order)
-        position[order] = np.arange(order.size)
-        partner = np.concatenate([verts, np.arange(nv + ne, nv + 2 * ne),
-                                  np.arange(nv, nv + ne)])
+        edge_slots = np.arange(nv, nv + ne)
         self.n = nv
+        self.source = np.concatenate([verts, edge_slots, edge_slots])[order]
+        self.lower = order >= nv + ne
         self.indices = cols[order]
         self.indptr = np.zeros(nv + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=nv), out=self.indptr[1:])
-        self.diag = position[:nv]
-        self.up = position[nv:nv + ne]
-        self.down = position[nv + ne:]
-        self.mirror = position[partner[order]]
 
-    def slots(self, mesh, rows):
-        """Data positions of the (nc, m, m) blocks of ``mesh.cells[rows]``."""
-        cells = mesh.cells[rows]
-        m = cells.shape[1]
-        a, b = np.triu_indices(m, 1)
-        edges = mesh.cell_edges[rows]
-        ascending = cells[:, a] < cells[:, b]
-        up, down = self.up[edges], self.down[edges]
-        out = np.empty(cells.shape + (m,), dtype=np.int64)
-        out[:, a, b] = np.where(ascending, up, down)
-        out[:, b, a] = np.where(ascending, down, up)
-        out[:, np.arange(m), np.arange(m)] = self.diag[cells]
-        return out
-
-    def matrix(self, data):
-        """The HermitianSparse (H + H^dagger) / 2 of summed cell entries ``data``."""
-        _check_diagonal(data[self.diag])
-        data = 0.5 * (data + data[self.mirror].conj())
+    def matrix(self, acc):
+        """The HermitianSparse matrix of the summed slots ``acc``."""
+        diag = acc[:self.n]
+        _check_diagonal(diag)
+        diag.imag = 0.0
+        data = acc[self.source]
+        np.conjugate(data, out=data, where=self.lower)
         return HermitianSparse(
             self.n, sparse.csr_matrix((data, self.indices, self.indptr),
                                       shape=(self.n, self.n))
         )
 
 
-def _scatter_add(out, slots, block):
-    """out[slots] += block for complex ``out``, duplicates summed."""
+def _scatter_add(out, slots, values):
+    """out[slots] += values for complex ``out``, duplicates summed."""
     n = out.size
-    out.real += np.bincount(slots, block.real.ravel(), n)
-    if np.iscomplexobj(block):
-        out.imag += np.bincount(slots, block.imag.ravel(), n)
+    out.real += np.bincount(slots, values.real.ravel(), n)
+    if np.iscomplexobj(values):
+        out.imag += np.bincount(slots, values.imag.ravel(), n)
 
 
 def _covariant_kinetic(rows, grads, vols, u, a):
@@ -354,16 +318,18 @@ def _cell_pass(mesh, table, kinetic, potential):
     U_xy for the vertex samples ``potential`` (none for ``None``), the mass
     blocks c |T| A_T, and the floor lambda_min(A_T) of :func:`mass_floor`.
 
-    Returns (stiffness, mass, floor): HermitianSparse matrices on the
-    mesh's :class:`_CellPattern` and the per-vertex floor.
+    Each block adds its diagonal and its upper pairs into the vertex and
+    edge slots of :class:`_CellPattern`.  Returns (stiffness, mass, floor):
+    HermitianSparse matrices on the mesh's pattern and the per-vertex floor.
     """
-    pattern = _CellPattern(mesh)
     m = mesh.dim + 1
-    nnz, nv = pattern.indices.size, mesh.n_vertices
+    nv = mesh.n_vertices
+    # the diagonal, then the upper pairs in ``mesh.cell_edges`` order
+    iu, ju = np.hstack([np.diag_indices(m), np.triu_indices(m, 1)])
     eye = np.eye(m)
     cubic = None if potential is None else _monomial_table(mesh.dim, 3)
-    k_data = np.zeros(nnz, np.complex128)
-    m_data = np.zeros(nnz, np.complex128)
+    k_acc = np.zeros(nv + mesh.n_edges, np.complex128)
+    m_acc = np.zeros(nv + mesh.n_edges, np.complex128)
     f = np.zeros(nv)
     for lo in range(0, mesh.n_cells, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
@@ -374,7 +340,7 @@ def _cell_pass(mesh, table, kinetic, potential):
         else:
             u = table.local_values(mesh, rows)
         a = eye + u
-        slots = pattern.slots(mesh, rows).ravel()
+        slots = np.concatenate([cells, nv + mesh.cell_edges[rows]], axis=1).ravel()
         if kinetic is None:
             block = np.zeros_like(a)
         else:
@@ -383,12 +349,13 @@ def _cell_pass(mesh, table, kinetic, potential):
         if cubic is not None:
             weights = np.einsum("cz,xyz->cxy", potential[cells], cubic)
             block = block + weights * vols[:, None, None] * u
-        _scatter_add(k_data, slots, block)
-        _scatter_add(m_data, slots, scaled[:, None, None] * a)
+        _scatter_add(k_acc, slots, block[:, iu, ju])
+        _scatter_add(m_acc, slots, scaled[:, None] * a[:, iu, ju])
         # the plain P1 block I + ones has lambda_min = 1 exactly
         lam = 1.0 if table is None else _floor_eigenvalue(u, a)
         f += np.bincount(cells.ravel(), np.repeat(scaled * lam, m), nv)
-    return pattern.matrix(k_data), pattern.matrix(m_data), f
+    pattern = _CellPattern(mesh)
+    return pattern.matrix(k_acc), pattern.matrix(m_acc), f
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +480,7 @@ def eliminate_dirichlet(matrix, dof_map):
     keep = _interior(dof_map)
     if matrix.n != nv:
         raise ValueError(f"matrix size {matrix.n} does not match {nv} vertices")
-    return matrix._take(_principal_selection(matrix.to_csr(), keep))
+    return HermitianSparse(keep.size, matrix.to_csr()[keep][:, keep])
 
 
 def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant"):
@@ -545,10 +512,9 @@ def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant
             mesh, None, _galerkin_kinetic(mesh, circulation), potential
         )
     dof = interior_dof_map(mesh)
-    # stiffness and mass share the pattern, so one selection reduces both
-    selection = _principal_selection(stiffness.to_csr(), _interior(dof))
     return AssembledProblem(
-        stiffness._take(selection), mass._take(selection), dof, floor[dof >= 0]
+        eliminate_dirichlet(stiffness, dof), eliminate_dirichlet(mass, dof), dof,
+        floor[dof >= 0],
     )
 
 

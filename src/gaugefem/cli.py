@@ -510,6 +510,8 @@ def _check_output(cfg):
     """Refuse an --output no file can be written to, before any work runs."""
     if cfg.output is None:
         return
+    if not cfg.output:
+        raise ValueError("--output must not be empty")
     if cfg.subcommand != "export-matrices" and os.path.isdir(cfg.output):
         raise ValueError(f"--output {cfg.output!r} is a directory")
     if not os.path.isdir(os.path.dirname(cfg.output) or "."):

@@ -90,10 +90,11 @@ class GaugeFieldSpec:
 class _EdgeTable:
     """Shared machinery: values attached to canonically oriented edges.
 
-    Cells read their edge values through the mesh's cell -> edge incidence;
-    a pair whose cell vertex order runs high -> low reads the stored value
-    through the subclass's orientation rule ``_reverse``, and a vertex reads
-    ``_diagonal`` against itself.
+    Cells read their edge values through the mesh's cell -> edge incidence.
+    Mesh cells list their vertices in ascending order, so a pair x < y of a
+    cell reads the stored value, y -> x reads it through the subclass's
+    orientation rule ``_reverse``, and a vertex reads ``_diagonal`` against
+    itself.
     """
 
     def __init__(self, n_vertices, edges, values):
@@ -131,12 +132,10 @@ class _EdgeTable:
             raise TransportConsistencyError(
                 f"{type(self).__name__} does not match the mesh edge set"
             )
-        cells = mesh.cells[rows]
         m = mesh.dim + 1
         a, b = np.triu_indices(m, 1)
         val = self.values[mesh.cell_edges[rows]]
-        val = np.where(cells[:, a] > cells[:, b], self._reverse(val), val)
-        out = np.full((cells.shape[0], m, m), self._diagonal, dtype=val.dtype)
+        out = np.full((val.shape[0], m, m), self._diagonal, dtype=val.dtype)
         out[:, a, b] = val
         out[:, b, a] = self._reverse(val)
         return out

@@ -43,13 +43,16 @@ class SimplicialMesh:
     vertices : (nv, dim) float ndarray
         Vertex coordinates.
     cells : (nc, dim+1) int ndarray
-        Triangles or tetrahedra as vertex index tuples.
+        Triangles or tetrahedra as vertex index tuples, each row in
+        ascending vertex order.
     edges : (ne, 2) int ndarray
         Every 1-subsimplex exactly once, stored lower index first and
         sorted lexicographically.
     cell_edges : (nc, m(m-1)/2) int ndarray
         Row of ``edges`` joining each vertex pair (a, b), a < b, of each cell
-        (m = dim+1 vertices), pairs in ``np.triu_indices(m, 1)`` order.
+        (m = dim+1 vertices), pairs in ``np.triu_indices(m, 1)`` order; the
+        cell rows ascend, so every pair runs along its edge lower index
+        first.
     boundary_vertex : (nv,) bool ndarray
         True where the vertex lies on the bounding box of the mesh.
     h : float
@@ -83,10 +86,11 @@ class SimplicialMesh:
 def make_mesh(dim, vertices, cells):
     """Build a validated mesh from raw vertex and cell arrays.
 
-    Edges, boundary flags, h and cell volumes are derived.  Cells must
-    reference distinct, in-range vertices and span strictly positive volume;
-    the boundary is the bounding box of the vertex cloud (coordinates
-    compared with absolute tolerance ``BOUNDARY_TOL``).
+    Edges, boundary flags, h and cell volumes are derived, and each cell is
+    stored with its vertices in ascending order.  Cells must reference
+    distinct, in-range vertices and span strictly positive volume; the
+    boundary is the bounding box of the vertex cloud (coordinates compared
+    with absolute tolerance ``BOUNDARY_TOL``).
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -101,9 +105,9 @@ def make_mesh(dim, vertices, cells):
     nv = vertices.shape[0]
     if cells.size and (cells.min() < 0 or cells.max() >= nv):
         raise ValueError("cell vertex index out of range")
-    # distinct vertices within each cell
-    sorted_cells = np.sort(cells, axis=1)
-    if cells.size and np.any(sorted_cells[:, 1:] == sorted_cells[:, :-1]):
+    # ascending rows, which must hold distinct vertices
+    cells = np.sort(cells, axis=1)
+    if cells.size and np.any(cells[:, 1:] == cells[:, :-1]):
         raise MeshGeometryError("cell with repeated vertex index")
     if cells.shape[0] == 0:
         raise ValueError("mesh needs at least one cell")
@@ -116,11 +120,11 @@ def make_mesh(dim, vertices, cells):
             f"cell {worst} is degenerate (volume {vols[worst]:.3e})"
         )
 
-    # Key each vertex pair as lo * nv + hi: the sorted unique keys are the
-    # lexicographically sorted edges, and the inverse is the incidence.
+    # Key each vertex pair a < b of a cell as a * nv + b: the sorted unique
+    # keys are the lexicographically sorted edges, and the inverse is the
+    # incidence.
     a, b = np.triu_indices(dim + 1, 1)
-    ends = cells[:, a], cells[:, b]
-    keys = np.minimum(*ends) * nv + np.maximum(*ends)
+    keys = cells[:, a] * nv + cells[:, b]
     keys, cell_edges = np.unique(keys, return_inverse=True)
     edges = np.stack([keys // nv, keys % nv], axis=1)
     cell_edges = cell_edges.reshape(cells.shape[0], a.size)

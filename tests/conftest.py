@@ -27,8 +27,17 @@ def perturbed_box_mesh(dim, n, seed, scale=0.2):
     return make_mesh(dim, vertices, base.cells)
 
 
+def random_vertex_order(cells, seed):
+    """``cells`` with each row's vertices listed in random order, so that
+    the rows traverse about half of their edges high -> low."""
+    return np.random.default_rng(seed).permuted(cells, axis=1)
+
+
 def shuffled_cells(mesh, seed):
-    """The same mesh with each cell's vertices listed in random order, so
-    that cells traverse about half of their edges high -> low."""
-    cells = np.random.default_rng(seed).permuted(mesh.cells, axis=1)
-    return make_mesh(mesh.dim, mesh.vertices, cells)
+    """``make_mesh`` on the cells of ``mesh`` listed in random vertex order.
+
+    make_mesh stores every cell in ascending vertex order, so the result
+    should equal ``mesh``; code that takes coordinates in any vertex order
+    gets them from :func:`random_vertex_order` directly.
+    """
+    return make_mesh(mesh.dim, mesh.vertices, random_vertex_order(mesh.cells, seed))

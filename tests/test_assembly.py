@@ -34,7 +34,7 @@ from gaugefem import (
 
 from gaugefem.assembly import _barycentric_gradients, _cell_pass
 
-from conftest import perturbed_box_mesh, shuffled_cells
+from conftest import perturbed_box_mesh, random_vertex_order, shuffled_cells
 from oracles import (
     covariant_mass_dense,
     covariant_stiffness_dense,
@@ -116,8 +116,9 @@ def test_local_mass_matches_quadrature(dim):
 
 @pytest.mark.parametrize("dim,n", [(2, 6), (3, 3)])
 def test_closed_form_geometry_matches_lapack(dim, n):
-    mesh = shuffled_cells(perturbed_box_mesh(dim, n, seed=11 + dim), seed=dim)
-    coords = mesh.vertices[mesh.cells]
+    # the closed forms take the cell vertices in any order
+    mesh = perturbed_box_mesh(dim, n, seed=11 + dim)
+    coords = mesh.vertices[random_vertex_order(mesh.cells, seed=dim)]
     span = (coords[:, 1:, :] - coords[:, :1, :]).transpose(0, 2, 1)
     inv = np.linalg.inv(span)
     grads = _barycentric_gradients(coords)
@@ -169,19 +170,24 @@ def test_orthogonal_kuhn_pairs_are_stored_exact_zeros(dim, lengths, b):
     assert np.count_nonzero(stored.data) < stored.nnz
 
 
-def test_cell_pass_symmetrizes_and_rejects_an_imaginary_diagonal():
+def test_cell_pass_sums_the_upper_half_and_rejects_an_imaginary_diagonal():
+    # the stored matrix is the cell sum's real diagonal and upper triangle,
+    # with the lower triangle its exact conjugate
     mesh = build_box_mesh(2, 2)
     rng = np.random.default_rng(40)
     skew = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     np.fill_diagonal(skew, rng.standard_normal(3))  # real diagonal, not Hermitian
+    skew[1, 1] += 1e-15j  # within DIAG_IMAG_TOL summed over the cells, dropped
     stiffness = _cell_pass(
         mesh, None, lambda rows, g, v, u, a: np.broadcast_to(skew, a.shape), None
     )[0]
     reference = np.zeros((mesh.n_vertices,) * 2, dtype=complex)
     for cell in mesh.cells:
         reference[np.ix_(cell, cell)] += skew
+    upper = np.triu(reference, 1)
+    expected = upper + upper.conj().T + np.diag(reference.diagonal().real)
     dense = stiffness.to_dense()
-    assert np.allclose(dense, 0.5 * (reference + reference.conj().T), rtol=0, atol=1e-14)
+    assert np.allclose(dense, expected, rtol=0, atol=1e-14)
     assert np.array_equal(dense, dense.conj().T)
 
     bent = skew.copy()
@@ -189,6 +195,23 @@ def test_cell_pass_symmetrizes_and_rejects_an_imaginary_diagonal():
     with pytest.raises(ValueError, match="diagonal imaginary part"):
         _cell_pass(mesh, None, lambda rows, g, v, u, a: np.broadcast_to(bent, a.shape),
                    None)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
+def test_assembly_is_bit_identical_for_cells_in_any_vertex_order(dim, n):
+    mesh = perturbed_box_mesh(dim, n, seed=60 + dim)
+    rng = np.random.default_rng(60 + dim)
+    circ = EdgeCirculation(
+        mesh.n_vertices, mesh.edges, rng.uniform(-np.pi, np.pi, mesh.n_edges)
+    )
+    potential = rng.uniform(-5.0, 5.0, mesh.n_vertices)
+    forms = [
+        covariant_stiffness(m, transports(circ), potential, with_mass=True)
+        for m in (mesh, shuffled_cells(mesh, seed=dim))
+    ]
+    for a, b in zip(forms[0][:2], forms[1][:2]):
+        _assert_same_csr(a, b)
+    assert np.array_equal(forms[0][2], forms[1][2])
 
 
 def _assert_same_csr(a, b):
@@ -271,7 +294,7 @@ def test_covariant_mass_positive_definite(dim, n):
 
 @pytest.mark.parametrize("dim,n", [(2, 2), (3, 1)])
 def test_covariant_mass_matches_quadrature_in_any_cell_order(dim, n):
-    mesh = shuffled_cells(perturbed_box_mesh(dim, n, seed=dim), seed=3)
+    mesh = perturbed_box_mesh(dim, n, seed=dim)
     rng = np.random.default_rng(dim)
     circ = EdgeCirculation(
         mesh.n_vertices, mesh.edges, rng.uniform(-1.0, 1.0, mesh.n_edges)
@@ -279,7 +302,8 @@ def test_covariant_mass_matches_quadrature_in_any_cell_order(dim, n):
     table = transports(circ)
     dense = covariant_mass(mesh, table).to_dense()
     reference = covariant_mass_dense(
-        mesh.vertices, mesh.cells, edge_lookup(table, np.conj, 1.0)
+        mesh.vertices, random_vertex_order(mesh.cells, seed=3),
+        edge_lookup(table, np.conj, 1.0)
     )
     assert np.allclose(dense, reference, rtol=0, atol=1e-14)
 
@@ -350,9 +374,9 @@ def test_global_stiffness_zero_field_is_p1():
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
 def test_stiffness_matches_dual_basis_form(dim, n):
-    # arbitrary (non-flat) edge phases on a perturbed mesh whose cells list
-    # their vertices in random order
-    mesh = shuffled_cells(perturbed_box_mesh(dim, n, seed=5 + dim), seed=dim)
+    # arbitrary (non-flat) edge phases on a perturbed mesh; the local forms
+    # and the oracle take each cell's vertices in random order
+    mesh = perturbed_box_mesh(dim, n, seed=5 + dim)
     rng = np.random.default_rng(30 + dim)
     circ = EdgeCirculation(
         mesh.n_vertices, mesh.edges, rng.uniform(-np.pi, np.pi, mesh.n_edges)
@@ -360,15 +384,16 @@ def test_stiffness_matches_dual_basis_form(dim, n):
     table = transports(circ)
     transport_of = edge_lookup(table, np.conj, 1.0)
 
-    local = table.local_values(mesh, slice(None))
-    for cell, u_loc in zip(mesh.cells, local):
+    cells = random_vertex_order(mesh.cells, seed=dim)
+    for cell in cells:
         coords = mesh.vertices[cell]
+        u_loc = np.array([[transport_of(i, j) for j in cell] for i in cell])
         k = local_covariant_stiffness(coords, u_loc)
         reference = local_covariant_stiffness_dual(coords, u_loc)
         assert np.abs(k - reference).max() <= 1e-13 * np.abs(reference).max()
 
     dense = covariant_stiffness(mesh, table).to_dense()
-    reference = covariant_stiffness_dense(mesh.vertices, mesh.cells, transport_of)
+    reference = covariant_stiffness_dense(mesh.vertices, cells, transport_of)
     assert np.abs(dense - reference).max() <= 1e-13 * np.abs(reference).max()
 
 

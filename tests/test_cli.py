@@ -97,7 +97,10 @@ def test_usage_errors_exit_with_code_2(capsys):
     (["solve", "--n", "4"], "."),
     (["solve", "--n", "4"], "no/such/report.json"),
     (["export-matrices", "--n", "2"], "no/such/p"),
-], ids=["solve-directory", "solve-missing-parent", "export-missing-parent"])
+    (["solve", "--n", "4"], ""),
+    (["export-matrices", "--n", "2"], ""),
+], ids=["solve-directory", "solve-missing-parent", "export-missing-parent",
+        "solve-empty", "export-empty"])
 def test_unwritable_output_exits_with_code_2(args, target, tmp_path, monkeypatch,
                                             capsys):
     # the path is refused before any assembly runs
@@ -106,7 +109,8 @@ def test_unwritable_output_exits_with_code_2(args, target, tmp_path, monkeypatch
 
     monkeypatch.setattr("gaugefem.cli.assemble_scalar_problem", never)
     monkeypatch.setattr("gaugefem.cli.assemble_pauli", never)
-    rc, out, err = run_cli(args + ["--output", str(tmp_path / target)], capsys)
+    output = str(tmp_path / target) if target else ""
+    rc, out, err = run_cli(args + ["--output", output], capsys)
     assert rc == 2
     assert out == ""
     assert err.startswith("gaugefem:") and err.count("\n") == 1

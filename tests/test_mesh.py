@@ -58,10 +58,15 @@ def test_cell_edges_join_cell_pairs():
     for dim in (2, 3):
         _assert_cell_edges_join_cell_pairs(build_box_mesh(dim, 3))
         _assert_cell_edges_join_cell_pairs(perturbed_box_mesh(dim, 3, seed=dim))
-    # make_mesh on cells that list their vertices in random order
-    shuffled = shuffled_cells(build_box_mesh(3, 2), seed=6)
-    assert np.any(shuffled.cells[:, 0] > shuffled.cells[:, 1])
-    _assert_cell_edges_join_cell_pairs(shuffled)
+    # make_mesh on cells that list their vertices in random order stores
+    # them ascending, and derives the same mesh
+    for dim in (2, 3):
+        mesh = build_box_mesh(dim, 2)
+        shuffled = shuffled_cells(mesh, seed=6)
+        assert np.all(np.diff(shuffled.cells, axis=1) > 0)
+        for name in ("cells", "edges", "cell_edges", "volumes"):
+            assert np.array_equal(getattr(shuffled, name), getattr(mesh, name)), name
+        _assert_cell_edges_join_cell_pairs(shuffled)
 
 
 def test_edge_ordering_invariants():
