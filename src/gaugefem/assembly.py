@@ -79,6 +79,17 @@ DIAG_IMAG_TOL = 1e-13
 # Cells per vectorized assembly batch; bounds the cell kernels' scratch arrays.
 _CHUNK = 4096
 
+# The faces (0, x, y) through a cell's first vertex as index arrays (x, y),
+# keyed by the cell's vertex count.
+_FACES = {
+    m: tuple(np.array(p) for p in zip(*itertools.combinations(range(1, m), 2)))
+    for m in (3, 4)
+}
+
+# 3D cells whose Weyl floor 1 - delta_T is below this take the exact
+# lambda_min(I + U_T) from ``eigvalsh`` instead (:func:`_floor_eigenvalue`).
+_WEYL_FLOOR_MIN = 0.5
+
 
 class EmptyProblemError(ValueError):
     """The problem has no degrees of freedom (e.g. no interior vertices)."""
@@ -145,12 +156,21 @@ class AssembledProblem:
 
     ``mass_floor`` holds, per interior DOF, the floor f of :func:`mass_floor`
     with ``mass`` - diag(f) PSD; min f > 0 proves ``mass`` positive definite.
+
+    ``spectrum_floor`` is a proven lower bound s on the smallest eigenvalue
+    of the pencil: s = v_min - max_v d_v / f_v over the interior vertices,
+    with v_min = min(0, min V) and d the potential deficit of the cell pass
+    (H - v_min M >= -diag(d)).  Then H - s M >= diag((v_min - s) f - d) >= 0.
+    It is -inf when the certificate fails: some cell at an interior vertex
+    has a negative floor lambda_min(I + U_T), or min f <= 0.  With U = 1
+    (the baseline, or a zero field) d = 0 and s = v_min.
     """
 
     stiffness: HermitianSparse
     mass: HermitianSparse
     dof_map: np.ndarray
     mass_floor: np.ndarray
+    spectrum_floor: float
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +300,45 @@ def _galerkin_kinetic(mesh, circulation):
     return kinetic
 
 
-def _floor_eigenvalue(u, a):
-    """Lower bound on lambda_min(A_T) per cell, A_T = I + U_T: exact in 2D,
-    ``eigvalsh`` in 3D, less a roundoff margin."""
+def _face_holonomies(u):
+    """Face holonomies through each cell's first vertex, and delta_T.
+
+    h_xy = U_0x U_xy U_y0 for 1 <= x < y, shape (nc, d(d-1)/2): one face in
+    2D, three in 3D.  Conjugating U_T by diag(U_0x) (the tree gauge at
+    vertex 0) gives J + E_T, with J all ones and E_T holding h_xy - 1 at
+    (x, y) and its conjugate at (y, x).  Returns (h, delta_T) with
+    delta_T = ||E_T||_F = sqrt(2 sum |h - 1|^2), which is gauge invariant
+    and 0 exactly when the transports are flat.
+    """
+    x, y = _FACES[u.shape[1]]
+    h = u[:, 0, x] * u[:, x, y] * u[:, y, 0]
+    return h, np.sqrt(2.0 * np.sum(np.abs(h - 1.0) ** 2, axis=1))
+
+
+def _floor_eigenvalue(a, holonomy, delta):
+    """Lower bound on lambda_min(A_T) per cell, A_T = I + U_T, less a
+    roundoff margin.
+
+    2D: the exact closed form in the cell holonomy.  3D: A_T is unitarily
+    similar to I + J + E_T (:func:`_face_holonomies`) and I + J has
+    lambda_min = 1, so Weyl's inequality gives lambda_min(A_T) >= 1 - delta_T;
+    only cells where that falls below ``_WEYL_FLOOR_MIN`` run ``eigvalsh``,
+    so strong fields keep the exact floor.
+    """
     m = a.shape[1]
     if m == 3:
         # A_T has the eigenvalues 2 + 2 cos((phi + 2 pi j) / 3), j = 0, 1, 2,
         # for the cell holonomy phi in [-pi, pi]; the smallest is
         # 2 + 2 cos((2 pi + |phi|) / 3)
-        phi = np.abs(np.angle(u[:, 0, 1] * u[:, 1, 2] * u[:, 2, 0]))
+        phi = np.abs(np.angle(holonomy[:, 0]))
         lam = 2.0 + 2.0 * np.cos((2.0 * np.pi + phi) / 3.0)
     else:
-        lam = np.linalg.eigvalsh(a)[:, 0]
-    # both err by a small multiple of m eps ||A_T||_2, and the norm is at
-    # most m + 1
+        lam = 1.0 - delta
+        low = np.flatnonzero(lam < _WEYL_FLOOR_MIN)
+        if low.size:
+            lam[low] = np.linalg.eigvalsh(a[low])[:, 0]
+    # all three err by a small multiple of m eps ||A_T||_2, and the norm is
+    # at most m + 1
     return lam - 8 * m * (m + 1) * np.finfo(float).eps
 
 
@@ -307,8 +352,8 @@ def _potential_samples(mesh, values):
 
 
 def _cell_pass(mesh, table, kinetic, potential):
-    """Assemble the stiffness, the mass and the mass floor in one pass over
-    the cells.
+    """Assemble the stiffness, the mass, the mass floor and the potential
+    deficit in one pass over the cells.
 
     Per chunk of ``_CHUNK`` cells: the gradients (only for ``kinetic``), one
     gather of U_T from the TransportTable ``table`` (all ones for ``None``,
@@ -318,19 +363,36 @@ def _cell_pass(mesh, table, kinetic, potential):
     U_xy for the vertex samples ``potential`` (none for ``None``), the mass
     blocks c |T| A_T, and the floor lambda_min(A_T) of :func:`mass_floor`.
 
+    The face holonomies of :func:`_face_holonomies` give delta_T once per
+    cell, for the 3D floor and for the deficit d.  With v_min = min(0, min V)
+    and w_z = V_z - v_min >= 0, a cell's potential block minus v_min times
+    its mass block is W_T o U_T, W_T = |T| sum_z w_z int lambda_x lambda_y
+    lambda_z / |T| PSD.  Schur's bound on the Hadamard product of a PSD
+    matrix gives W_T o U_T >= -delta_T max_x (W_T)_xx I, so d_v sums
+    delta_T max_x (W_T)_xx over the cells at v.  Both kinetic forms are PSD
+    on a cell with lambda_min(A_T) >= 0 (the covariant one is the Hadamard
+    product of the gradient Gram matrix and U_T A_T U_T), so
+    H - v_min M >= -diag(d); a cell whose floor is negative sets d = +inf
+    on its vertices.
+
     Each block adds its diagonal and its upper pairs into the vertex and
-    edge slots of :class:`_CellPattern`.  Returns (stiffness, mass, floor):
-    HermitianSparse matrices on the mesh's pattern and the per-vertex floor.
+    edge slots of :class:`_CellPattern`.  Returns (stiffness, mass, floor,
+    deficit): HermitianSparse matrices on the mesh's pattern and the
+    per-vertex floor and deficit.
     """
     m = mesh.dim + 1
     nv = mesh.n_vertices
     # the diagonal, then the upper pairs in ``mesh.cell_edges`` order
     iu, ju = np.hstack([np.diag_indices(m), np.triu_indices(m, 1)])
     eye = np.eye(m)
-    cubic = None if potential is None else _monomial_table(mesh.dim, 3)
+    if potential is not None:
+        cubic = _monomial_table(mesh.dim, 3)
+        cubic_diag = cubic[np.arange(m), np.arange(m)]  # [x, z]: (x, x, z)
+        v_min = min(0.0, potential.min())
     k_acc = np.zeros(nv + mesh.n_edges, np.complex128)
     m_acc = np.zeros(nv + mesh.n_edges, np.complex128)
     f = np.zeros(nv)
+    deficit = np.zeros(nv)
     for lo in range(0, mesh.n_cells, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         cells, vols = mesh.cells[rows], mesh.volumes[rows]
@@ -341,21 +403,32 @@ def _cell_pass(mesh, table, kinetic, potential):
             u = table.local_values(mesh, rows)
         a = eye + u
         slots = np.concatenate([cells, nv + mesh.cell_edges[rows]], axis=1).ravel()
+        if table is None:
+            # the plain P1 block I + ones has lambda_min = 1 exactly
+            lam, delta = np.ones(cells.shape[0]), 0.0
+        else:
+            holonomy, delta = _face_holonomies(u)
+            lam = _floor_eigenvalue(a, holonomy, delta)
         if kinetic is None:
             block = np.zeros_like(a)
         else:
             grads = _barycentric_gradients(mesh.vertices[cells])
             block = kinetic(rows, grads, vols, u, a)
-        if cubic is not None:
-            weights = np.einsum("cz,xyz->cxy", potential[cells], cubic)
+        drop = 0.0
+        if potential is not None:
+            samples = potential[cells]
+            weights = np.einsum("cz,xyz->cxy", samples, cubic)
             block = block + weights * vols[:, None, None] * u
+            # max_x (W_T)_xx / |T|, reduced over the leading axis (fast)
+            top = (cubic_diag @ (samples - v_min).T).max(axis=0)
+            drop = delta * vols * top
         _scatter_add(k_acc, slots, block[:, iu, ju])
         _scatter_add(m_acc, slots, scaled[:, None] * a[:, iu, ju])
-        # the plain P1 block I + ones has lambda_min = 1 exactly
-        lam = 1.0 if table is None else _floor_eigenvalue(u, a)
         f += np.bincount(cells.ravel(), np.repeat(scaled * lam, m), nv)
+        drop = np.where(lam < 0.0, np.inf, drop)
+        deficit += np.bincount(cells.ravel(), np.repeat(drop, m), nv)
     pattern = _CellPattern(mesh)
-    return pattern.matrix(k_acc), pattern.matrix(m_acc), f
+    return pattern.matrix(k_acc), pattern.matrix(m_acc), f, deficit
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +449,15 @@ def mass_floor(mesh, transports=None):
 
     M is a sum of cell blocks B_T = vol_T (I + U_T) / ((d+1)(d+2)), with U_T
     the transports between the cell's vertices (all ones for the plain P1
-    mass, ``transports=None``).  Each block dominates lambda_min(B_T) times
-    the identity on its cell's vertices, so summing gives M >= diag(f) with
-    f_v the sum of lambda_min(B_T) over the cells around v, whatever their
-    signs.  So min f > 0 proves M positive definite with lambda_min(M) >=
+    mass, ``transports=None``).  Each block dominates l_T vol_T / ((d+1)(d+2))
+    times the identity on its cell's vertices for any l_T <= lambda_min(I +
+    U_T), so summing gives M >= diag(f) with f_v the sum of those bounds
+    over the cells around v, whatever their signs.  In 2D l_T is
+    lambda_min(I + U_T) in closed form.  In 3D it is Weyl's 1 - delta_T from
+    the face holonomies (:func:`_face_holonomies`), or ``eigvalsh`` on the
+    cells where that falls below 0.5; so f is at most the per-cell
+    ``eigvalsh`` sum, and equal to it where every cell around v falls back.
+    So min f > 0 proves M positive definite with lambda_min(M) >=
     min f, and the Dirichlet-reduced mass, a principal submatrix, is bounded
     by f on the kept vertices.  A gauge change conjugates each U_T by a
     diagonal unitary, so f is gauge invariant.  The bound is sufficient, not
@@ -420,8 +498,9 @@ def covariant_stiffness(mesh, transports, potential=None, *, with_mass=False):
 
     With vertex samples ``potential`` the matrix includes the potential term
     of :func:`potential_matrix`.  With ``with_mass`` the same pass over the
-    cells also gives the covariant mass and the floor of :func:`mass_floor`,
-    and the result is the triple (stiffness, mass, floor).
+    cells also gives the covariant mass, the floor of :func:`mass_floor` and
+    the potential deficit of ``_cell_pass``, and the result is the tuple
+    (stiffness, mass, floor, deficit).
     """
     if potential is not None:
         potential = _potential_samples(mesh, potential)
@@ -504,18 +583,21 @@ def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant
             potential = None
 
     if method == "covariant":
-        stiffness, mass, floor = covariant_stiffness(
+        stiffness, mass, floor, deficit = covariant_stiffness(
             mesh, make_transports(circulation), potential, with_mass=True
         )
     else:
-        stiffness, mass, floor = _cell_pass(
+        stiffness, mass, floor, deficit = _cell_pass(
             mesh, None, _galerkin_kinetic(mesh, circulation), potential
         )
     dof = interior_dof_map(mesh)
-    return AssembledProblem(
-        eliminate_dirichlet(stiffness, dof), eliminate_dirichlet(mass, dof), dof,
-        floor[dof >= 0],
+    stiffness, mass = eliminate_dirichlet(stiffness, dof), eliminate_dirichlet(mass, dof)
+    floor, deficit = floor[dof >= 0], deficit[dof >= 0]
+    v_min = 0.0 if potential is None else min(0.0, potential.min())
+    spectrum_floor = (
+        v_min - float(np.max(deficit / floor)) if floor.min() > 0.0 else -np.inf
     )
+    return AssembledProblem(stiffness, mass, dof, floor, spectrum_floor)
 
 
 def export_matrix(matrix, path):

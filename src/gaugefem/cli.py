@@ -190,6 +190,7 @@ def _timed_solve(cfg, problem):
     return _timed(
         cfg, solve_hermitian_gevp, problem.stiffness, problem.mass, cfg.k,
         tol=cfg.tol, seed=cfg.seed, mass_floor=problem.mass_floor,
+        spectrum_floor=problem.spectrum_floor,
     )
 
 

@@ -2,7 +2,8 @@
 
 Small problems go through dense LAPACK (scipy.linalg.eigh on the pencil);
 larger ones use ARPACK shift-invert with a deterministic start vector and an
-explicit symmetric-mode LU factor of H - sigma M.  All returned eigenvectors
+explicit symmetric-mode LU factor of H - sigma M, with sigma placed by
+proven lower bounds on the spectrum.  All returned eigenvectors
 are M-normalized and phase-fixed so repeated runs are reproducible and
 gauge-paired solves can be compared pointwise.
 """
@@ -136,8 +137,14 @@ def _gershgorin_lower(h_csr):
 
 
 def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
-                         maxiter=None, mass_floor=None):
+                         maxiter=None, mass_floor=None, spectrum_floor=-np.inf):
     """Smallest k eigenpairs of H u = E M u with H Hermitian, M HPD.
+
+    The ARPACK path factors H - sigma M once, at a shift proven to lie below
+    the spectrum (see ``spectrum_floor``), and uses the factor only through
+    ``solve``.  It never reads the factor's ``L`` or ``U`` attributes (for
+    example to count pivot signs): SuperLU builds them as copies of both
+    factors, cached for the factor's lifetime.
 
     Parameters
     ----------
@@ -162,6 +169,13 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
         positive definite and uses f in place of a Lanczos probe of M; when
         it is absent or min f <= 0 (the certificate is sufficient, not
         necessary) the probe runs.
+    spectrum_floor : float, optional
+        A proven lower bound s on the smallest eigenvalue of the pencil,
+        such as ``AssembledProblem.spectrum_floor``; -inf (the default)
+        means none.  It only places the ARPACK shift: sigma = 0 when the
+        Gershgorin bound proves H positive definite, and otherwise
+        sigma = max(min_i g_i / (0.9 f_i), s) - 1 with g the Gershgorin
+        rows of H and f the mass floor, so H - sigma M >= diag(f).
     """
     if H.n != M.n:
         raise ValueError("H and M sizes differ")
@@ -209,9 +223,15 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
     # Any sigma strictly below the smallest pencil eigenvalue keeps H - sigma M
     # positive definite and makes the smallest eigenvalues the ARPACK 'LM'
     # targets.  For sigma <= 0, x^H (H - sigma M) x >= sum_i (g_i - sigma f_i)
-    # |x_i|^2, so any sigma below min g_i / f_i will do.
+    # |x_i|^2, so any sigma below min g_i / f_i will do.  That bound sits far
+    # below the spectrum under a deep well, where the caller's certified
+    # floor is the tighter one; a shift nearer the spectrum needs fewer
+    # ARPACK iterations.
     lower = _gershgorin_lower(h_csr)
-    sigma = 0.0 if lower.min() > 0.0 else float(np.min(lower / (0.9 * floor))) - 1.0
+    if lower.min() > 0.0:
+        sigma = 0.0
+    else:
+        sigma = max(float(np.min(lower / (0.9 * floor))), spectrum_floor) - 1.0
 
     # H - sigma M is Hermitian positive definite, so diagonal pivots are
     # stable and a symmetric ordering of the pattern cuts the fill.  The

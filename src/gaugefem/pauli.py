@@ -96,7 +96,8 @@ def solve_pauli(problem, k, tol=1e-9, seed=0):
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= 2 * n:
         raise ValueError(f"k must be in [1, {2 * n}], got {k!r}")
     scalar = solve_hermitian_gevp(problem.stiffness, problem.mass, min(k, n), tol=tol,
-                                  seed=seed, mass_floor=problem.mass_floor)
+                                  seed=seed, mass_floor=problem.mass_floor,
+                                  spectrum_floor=problem.spectrum_floor)
 
     # Columns chi_-, chi_+ of -(sigma . B), eigenvalues -|B|, +|B|.
     if np.any(problem.b != 0.0):

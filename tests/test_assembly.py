@@ -2,8 +2,9 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaugefem import (
     EdgeCirculation,
@@ -232,7 +233,8 @@ def test_one_pass_equals_the_single_forms(dim, n):
     well = np.where(np.linalg.norm(mesh.vertices - 0.5, axis=1) <= 0.3, -5.0, 0.0)
     assert 0 < np.count_nonzero(well) < mesh.n_vertices
 
-    stiffness, mass, floor = covariant_stiffness(mesh, table, well, with_mass=True)
+    stiffness, mass, floor, deficit = covariant_stiffness(mesh, table, well,
+                                                          with_mass=True)
     _assert_same_csr(stiffness, covariant_stiffness(mesh, table, well))
     _assert_same_csr(mass, covariant_mass(mesh, table))
     assert np.array_equal(floor, mass_floor(mesh, table))
@@ -243,6 +245,9 @@ def test_one_pass_equals_the_single_forms(dim, n):
     _assert_same_csr(problem.mass, eliminate_dirichlet(mass, dof))
     assert np.array_equal(problem.mass_floor, floor[dof >= 0])
     assert np.array_equal(problem.dof_map, dof)
+    f, d = floor[dof >= 0], deficit[dof >= 0]
+    s = -5.0 - np.max(d / f) if f.min() > 0.0 else -np.inf
+    assert problem.spectrum_floor == s
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +731,10 @@ def test_export_matrix_round_trip(tmp_path):
     b=st.tuples(*[st.floats(-90.0, 90.0)] * 3),
     gauge_seed=st.integers(0, 2**16),
 )
+# 3D fields that leave every cell, some cells and no cell on the Weyl floor
+@example(dim=3, n=3, mesh_seed=5, b=(0.3, 0.2, 1.0), gauge_seed=6)
+@example(dim=3, n=3, mesh_seed=7, b=(1.5, -1.0, 4.0), gauge_seed=8)
+@example(dim=3, n=2, mesh_seed=9, b=(60.0, -40.0, 90.0), gauge_seed=10)
 def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     mesh = perturbed_box_mesh(dim, n, mesh_seed)
     b = (0.0, 0.0, b[2]) if dim == 2 else b
@@ -734,13 +743,27 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     floor = mass_floor(mesh, table)
     m = covariant_mass(mesh, table).to_dense()
     scale = np.abs(m).max()
-    # f_v sums lambda_min of the cell blocks around v
-    blocks = np.eye(dim + 1) + table.local_values(mesh, slice(None))
-    per_cell = mesh.volumes * np.linalg.eigvalsh(blocks)[:, 0]
-    per_cell /= (dim + 1) * (dim + 2)
-    expected = np.zeros(mesh.n_vertices)
-    np.add.at(expected, mesh.cells, per_cell[:, None])
-    assert np.allclose(floor, expected, rtol=0, atol=1e-13 * scale)
+
+    def cell_sum(per_cell):
+        out = np.zeros(mesh.n_vertices)
+        np.add.at(out, mesh.cells, (mesh.volumes * per_cell)[:, None])
+        return out / ((dim + 1) * (dim + 2))
+
+    # f_v sums a lower bound on lambda_min(I + U_T) over the cells around v:
+    # the exact value in 2D; in 3D Weyl's 1 - delta_T, and the exact value
+    # on the cells where that falls below 0.5
+    u = table.local_values(mesh, slice(None))
+    exact = np.linalg.eigvalsh(np.eye(dim + 1) + u)[:, 0]
+    expected = exact
+    if dim == 3:
+        # delta_T = ||U_T - J||_F in the tree gauge at the first vertex,
+        # where the entries are U_0x U_xy U_y0
+        tree = u[:, 0, :, None] * u * u[:, None, :, 0]
+        weyl = 1.0 - np.linalg.norm(tree - 1.0, axis=(1, 2))
+        assert np.all(weyl <= exact + 1e-13)
+        expected = np.where(weyl < 0.5, exact, weyl)
+    assert np.allclose(floor, cell_sum(expected), rtol=0, atol=1e-13 * scale)
+    assert np.all(floor <= cell_sum(exact) + 1e-13 * scale)
     # M - diag(f) is PSD, whatever the sign of f
     assert np.linalg.eigvalsh(m - np.diag(floor))[0] >= -1e-13 * scale
 
@@ -759,3 +782,73 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     assert plain.min() > 0.0
     assert np.allclose(mass_floor(mesh, unit_transports(mesh)), plain,
                        rtol=1e-13, atol=0)
+
+
+def _lowest_eigenvalue(problem):
+    h, m = problem.stiffness.to_dense(), problem.mass.to_dense()
+    return scipy.linalg.eigh(h, m, eigvals_only=True, subset_by_index=[0, 0])[0]
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(2, 4),
+    mesh_seed=st.integers(0, 2**16),
+    b=st.tuples(*[st.floats(-60.0, 60.0)] * 3),
+    depth=st.floats(1.0, 200.0),
+    bias=st.floats(-1.0, 1.0),
+    gauge_seed=st.integers(0, 2**16),
+)
+# weak and medium fields under a deep random-sign potential, and a field
+# strong enough that the certificate fails
+@example(dim=2, n=4, mesh_seed=1, b=(0.0, 0.0, 0.5), depth=200.0, bias=-0.5,
+         gauge_seed=2)
+@example(dim=3, n=3, mesh_seed=3, b=(1.5, -1.0, 4.0), depth=150.0, bias=0.0,
+         gauge_seed=4)
+@example(dim=3, n=2, mesh_seed=5, b=(60.0, -40.0, 50.0), depth=80.0, bias=0.2,
+         gauge_seed=6)
+def test_spectrum_floor_bounds_the_lowest_eigenvalue(dim, n, mesh_seed, b, depth,
+                                                    bias, gauge_seed):
+    mesh = perturbed_box_mesh(dim, 2 * n if dim == 2 else n, mesh_seed)
+    b = (0.0, 0.0, b[2]) if dim == 2 else b
+    rng = np.random.default_rng(mesh_seed)
+    potential = depth * (rng.uniform(-1.0, 1.0, mesh.n_vertices) + bias)
+    v_min = min(0.0, potential.min())
+    circ = circulate(GaugeFieldSpec((0.3,) * dim, b), mesh)
+    problem = assemble_scalar_problem(mesh, circ, potential)
+    s = problem.spectrum_floor
+    assert s <= v_min
+    if np.isfinite(s):
+        assert problem.mass_floor.min() > 0.0
+        assert s <= _lowest_eigenvalue(problem)
+
+    # gauge invariant, to roundoff on the scale of the potential
+    gauged = apply_gauge_to_circulation(circ, random_gauge(mesh, np.pi, gauge_seed))
+    moved = assemble_scalar_problem(mesh, gauged, potential).spectrum_floor
+    if np.isfinite(s):
+        assert abs(moved - s) <= 1e-12 * max(abs(s), np.abs(potential).max())
+    else:
+        assert moved == -np.inf
+
+    # U = 1 exactly: no deficit, s = v_min
+    flat = GaugeFieldSpec((0.0,) * dim, (0.0, 0.0, 0.0))
+    zero_field = assemble_scalar_problem(mesh, circulate(flat, mesh), potential)
+    assert zero_field.spectrum_floor == v_min
+    assert v_min <= _lowest_eigenvalue(zero_field)
+
+
+def test_spectrum_floor_is_minus_infinity_without_a_certificate():
+    # flux pi through every triangle of the 2D box: lambda_min(I + U_T) = 0,
+    # and the certificate rounds below it; in 3D, B = 100 on the n=4 cube
+    # leaves no vertex with a positive mass floor
+    rng = np.random.default_rng(70)
+    for dim, n, b in ((2, 6, (0.0, 0.0, 2.0 * np.pi * 36)), (3, 4, (0.0, 0.0, 100.0))):
+        mesh = build_box_mesh(dim, n)
+        potential = rng.uniform(-50.0, 50.0, mesh.n_vertices)
+        circ = circulate(GaugeFieldSpec((0.0,) * dim, b), mesh)
+        assert assemble_scalar_problem(mesh, circ, potential).spectrum_floor == -np.inf
+        assert assemble_scalar_problem(mesh, circ).spectrum_floor == -np.inf
+    # the baseline on the last (3D) problem: its kinetic form is PSD on every
+    # cell and its mass plain P1, so s = v_min where the covariant one fails
+    baseline = assemble_scalar_problem(mesh, circ, potential, method="baseline")
+    assert baseline.spectrum_floor == min(0.0, potential.min())

@@ -250,6 +250,32 @@ def test_iterative_path_with_indefinite_stiffness(case, well, eigsh_shifts):
     assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("case", ["2d-n20", "3d-n8"])
+def test_spectrum_floor_places_the_shift_under_a_deep_well(case, eigsh_shifts):
+    # under a well of depth -400 the Gershgorin shift lies far below the
+    # spectrum; the assembly's certified floor s gives sigma = s - 1, and
+    # without it the solver keeps the Gershgorin shift
+    _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case], potential=-400.0)
+    h, m, f = problem.stiffness, problem.mass, problem.mass_floor
+    s = problem.spectrum_floor
+    dense = solve_hermitian_gevp(h, m, k=3, dense_cutoff=h.n)
+    certified = solve_hermitian_gevp(h, m, k=3, dense_cutoff=0, mass_floor=f,
+                                     spectrum_floor=s)
+    plain = solve_hermitian_gevp(h, m, k=3, dense_cutoff=0, mass_floor=f)
+
+    hd = h.to_dense()
+    diag = hd.diagonal().real
+    gershgorin = diag - (np.abs(hd).sum(axis=1) - np.abs(diag))
+    assert gershgorin.min() < 0.0
+    gershgorin_shift = np.min(gershgorin / (0.9 * f)) - 1.0
+    assert gershgorin_shift < s - 1.0 and s <= dense.eigenvalues[0] < 0.0
+    assert eigsh_shifts[0] == s - 1.0
+    assert eigsh_shifts[1] == pytest.approx(gershgorin_shift, rel=1e-12)
+    for result in (certified, plain):
+        assert result.method_tag == "arpack-shift-invert"
+        assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+
+
 def test_zero_shift_factors_the_true_nonzero_pattern(monkeypatch, eigsh_shifts):
     # a field-only box problem has a positive Gershgorin bound, so sigma = 0,
     # and its stiffness stores the exact zeros of the orthogonal Kuhn pairs;
