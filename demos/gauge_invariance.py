@@ -30,7 +30,9 @@ SEED = 3
 def spectrum(mesh, circulation, method, k=N_MODES):
     """Lowest-k eigenvalues of one discretization of the magnetic pencil."""
     problem = assemble_scalar_problem(mesh, circulation, method=method)
-    return solve_hermitian_gevp(problem.stiffness, problem.mass, k=k).eigenvalues
+    return solve_hermitian_gevp(problem.stiffness, problem.mass, k=k,
+                                mass_floor=problem.mass_floor,
+                                spectrum_floor=problem.spectrum_floor).eigenvalues
 
 
 def drift_table(mesh, circulation, gauge):

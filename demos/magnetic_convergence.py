@@ -26,7 +26,10 @@ def ground_state_sequence(levels, b3=FIELD_STRENGTH):
         mesh = build_box_mesh(2, n)
         field = GaugeFieldSpec(a0=(0.0, 0.0), b=(0.0, 0.0, b3))
         problem = assemble_scalar_problem(mesh, circulate(field, mesh))
-        values.append(solve_hermitian_gevp(problem.stiffness, problem.mass, k=1).eigenvalues[0])
+        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=1,
+                                      mass_floor=problem.mass_floor,
+                                      spectrum_floor=problem.spectrum_floor)
+        values.append(result.eigenvalues[0])
     return np.asarray(values)
 
 

@@ -37,9 +37,6 @@ from .assembly import (
     covariant_stiffness,
     eliminate_dirichlet,
     export_matrix,
-    local_covariant_stiffness,
-    local_mass,
-    mass_floor,
     potential_matrix,
     standard_galerkin,
 )
@@ -68,10 +65,9 @@ __all__ = [
     "TransportConsistencyError", "TransportTable", "apply_gauge_to_circulation",
     "apply_gauge_to_state", "circulate", "random_gauge", "transports",
     "unit_transports",
-    "AssembledProblem", "EmptyProblemError", "HermitianSparse",
-    "assemble_scalar_problem", "covariant_mass", "covariant_stiffness",
-    "eliminate_dirichlet", "export_matrix", "local_covariant_stiffness",
-    "local_mass", "mass_floor", "potential_matrix", "standard_galerkin",
+    "AssembledProblem", "EmptyProblemError", "HermitianSparse", "assemble_scalar_problem",
+    "covariant_mass", "covariant_stiffness", "eliminate_dirichlet", "export_matrix",
+    "potential_matrix", "standard_galerkin",
     "ConvergenceError", "DefinitenessError", "SpectrumResult",
     "reconstruct_field", "solve_hermitian_gevp",
     "PAULI_MATRICES", "SpinorProblem", "assemble_pauli", "sigma_dot",

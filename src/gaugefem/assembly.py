@@ -52,18 +52,15 @@ from math import factorial
 import numpy as np
 import scipy.sparse as sparse
 
-from .gauge import transports as make_transports
-from .mesh import MeshGeometryError, _span_adjugate, interior_dof_map
+from .gauge import transports as make_transports, unit_transports
+from .mesh import CELL_PAIRS, MeshGeometryError, _span_adjugate, interior_dof_map
 
 __all__ = [
     "DIAG_IMAG_TOL",
     "EmptyProblemError",
     "HermitianSparse",
     "AssembledProblem",
-    "local_mass",
     "covariant_mass",
-    "mass_floor",
-    "local_covariant_stiffness",
     "covariant_stiffness",
     "potential_matrix",
     "standard_galerkin",
@@ -78,13 +75,6 @@ DIAG_IMAG_TOL = 1e-13
 
 # Cells per vectorized assembly batch; bounds the cell kernels' scratch arrays.
 _CHUNK = 4096
-
-# The faces (0, x, y) through a cell's first vertex as index arrays (x, y),
-# keyed by the cell's vertex count.
-_FACES = {
-    m: tuple(np.array(p) for p in zip(*itertools.combinations(range(1, m), 2)))
-    for m in (3, 4)
-}
 
 # 3D cells whose Weyl floor 1 - delta_T is below this take the exact
 # lambda_min(I + U_T) from ``eigvalsh`` instead (:func:`_floor_eigenvalue`).
@@ -154,8 +144,8 @@ class HermitianSparse:
 class AssembledProblem:
     """Interior-eliminated stiffness/mass pair ready for the eigensolver.
 
-    ``mass_floor`` holds, per interior DOF, the floor f of :func:`mass_floor`
-    with ``mass`` - diag(f) PSD; min f > 0 proves ``mass`` positive definite.
+    ``mass_floor`` holds, per interior DOF, the cell pass's floor f with
+    ``mass`` - diag(f) PSD; min f > 0 proves ``mass`` positive definite.
 
     ``spectrum_floor`` is a proven lower bound s on the smallest eigenvalue
     of the pencil: s = v_min - max_v d_v / f_v over the interior vertices,
@@ -177,14 +167,6 @@ class AssembledProblem:
 # barycentric integral tables
 
 
-def _pair_factor(dim):
-    """int_T lambda_x lambda_y / |T| = (1 + delta_xy) / ((d+1)(d+2))."""
-    m = dim + 1
-    c = np.full((m, m), 1.0)
-    np.fill_diagonal(c, 2.0)
-    return c / ((dim + 1) * (dim + 2))
-
-
 def _monomial_table(dim, arity):
     """int_T lambda_{i1} ... lambda_{i_arity} / |T| for all index tuples."""
     m = dim + 1
@@ -195,13 +177,6 @@ def _monomial_table(dim, arity):
             mult *= factorial(idx.count(v))
         out[idx] = factorial(dim) * mult / factorial(dim + arity)
     return out
-
-
-def local_mass(volume, dim):
-    """P1 mass matrix of one cell: volume * (1 + delta_xy) / ((d+1)(d+2))."""
-    if volume <= 0:
-        raise MeshGeometryError(f"cell volume must be positive, got {volume}")
-    return volume * _pair_factor(dim)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +257,7 @@ def _covariant_kinetic(rows, grads, vols, u, a):
 
 def _galerkin_kinetic(mesh, circulation):
     """Stiffness blocks of the conventional P1 baseline (:func:`standard_galerkin`)."""
-    pair = _pair_factor(mesh.dim)
+    pair = _monomial_table(mesh.dim, 2)
     quartic = _monomial_table(mesh.dim, 4)
 
     def kinetic(rows, grads, vols, u, a):
@@ -310,7 +285,8 @@ def _face_holonomies(u):
     delta_T = ||E_T||_F = sqrt(2 sum |h - 1|^2), which is gauge invariant
     and 0 exactly when the transports are flat.
     """
-    x, y = _FACES[u.shape[1]]
+    m = u.shape[1]
+    x, y = (p[m - 1:] for p in CELL_PAIRS[m])  # skip the m - 1 pairs (0, y)
     h = u[:, 0, x] * u[:, x, y] * u[:, y, 0]
     return h, np.sqrt(2.0 * np.sum(np.abs(h - 1.0) ** 2, axis=1))
 
@@ -356,12 +332,19 @@ def _cell_pass(mesh, table, kinetic, potential):
     deficit in one pass over the cells.
 
     Per chunk of ``_CHUNK`` cells: the gradients (only for ``kinetic``), one
-    gather of U_T from the TransportTable ``table`` (all ones for ``None``,
-    the plain P1 forms) and A_T = I + U_T.  From them come the stiffness
+    gather of U_T from the TransportTable ``table`` (``unit_transports(mesh)``
+    for the plain P1 forms) and A_T = I + U_T.  From them come the stiffness
     blocks ``kinetic(rows, grads, vols, U_T, A_T)`` (none for ``None``) plus
     the potential blocks |T| (sum_z V_z int lambda_x lambda_y lambda_z / |T|)
     U_xy for the vertex samples ``potential`` (none for ``None``), the mass
-    blocks c |T| A_T, and the floor lambda_min(A_T) of :func:`mass_floor`.
+    blocks c |T| A_T, and the per-vertex mass floor f.
+
+    Each mass block dominates c |T| l_T I on its cell for any l_T <=
+    lambda_min(A_T) (:func:`_floor_eigenvalue`), so M >= diag(f) with f_v the
+    sum of those bounds over the cells at v: min f > 0 proves M and every
+    principal submatrix positive definite.  f is gauge invariant (a gauge
+    change conjugates U_T by a diagonal unitary) and sufficient, not
+    necessary: f_v <= 0 where the cells at v have lambda_min(A_T) <= 0.
 
     The face holonomies of :func:`_face_holonomies` give delta_T once per
     cell, for the 3D floor and for the deficit d.  With v_min = min(0, min V)
@@ -383,7 +366,7 @@ def _cell_pass(mesh, table, kinetic, potential):
     m = mesh.dim + 1
     nv = mesh.n_vertices
     # the diagonal, then the upper pairs in ``mesh.cell_edges`` order
-    iu, ju = np.hstack([np.diag_indices(m), np.triu_indices(m, 1)])
+    iu, ju = np.hstack([np.diag_indices(m), CELL_PAIRS[m]])
     eye = np.eye(m)
     if potential is not None:
         cubic = _monomial_table(mesh.dim, 3)
@@ -397,18 +380,11 @@ def _cell_pass(mesh, table, kinetic, potential):
         rows = slice(lo, lo + _CHUNK)
         cells, vols = mesh.cells[rows], mesh.volumes[rows]
         scaled = vols / (m * (m + 1))  # c |T|
-        if table is None:
-            u = np.ones((cells.shape[0], m, m))
-        else:
-            u = table.local_values(mesh, rows)
+        u = table.local_values(mesh, rows)
         a = eye + u
         slots = np.concatenate([cells, nv + mesh.cell_edges[rows]], axis=1).ravel()
-        if table is None:
-            # the plain P1 block I + ones has lambda_min = 1 exactly
-            lam, delta = np.ones(cells.shape[0]), 0.0
-        else:
-            holonomy, delta = _face_holonomies(u)
-            lam = _floor_eigenvalue(a, holonomy, delta)
+        holonomy, delta = _face_holonomies(u)
+        lam = _floor_eigenvalue(a, holonomy, delta)
         if kinetic is None:
             block = np.zeros_like(a)
         else:
@@ -444,62 +420,13 @@ def covariant_mass(mesh, transports):
     return _cell_pass(mesh, transports, None, None)[1]
 
 
-def mass_floor(mesh, transports=None):
-    """Per-vertex floor f of the (covariant) mass matrix: M - diag(f) is PSD.
-
-    M is a sum of cell blocks B_T = vol_T (I + U_T) / ((d+1)(d+2)), with U_T
-    the transports between the cell's vertices (all ones for the plain P1
-    mass, ``transports=None``).  Each block dominates l_T vol_T / ((d+1)(d+2))
-    times the identity on its cell's vertices for any l_T <= lambda_min(I +
-    U_T), so summing gives M >= diag(f) with f_v the sum of those bounds
-    over the cells around v, whatever their signs.  In 2D l_T is
-    lambda_min(I + U_T) in closed form.  In 3D it is Weyl's 1 - delta_T from
-    the face holonomies (:func:`_face_holonomies`), or ``eigvalsh`` on the
-    cells where that falls below 0.5; so f is at most the per-cell
-    ``eigvalsh`` sum, and equal to it where every cell around v falls back.
-    So min f > 0 proves M positive definite with lambda_min(M) >=
-    min f, and the Dirichlet-reduced mass, a principal submatrix, is bounded
-    by f on the kept vertices.  A gauge change conjugates each U_T by a
-    diagonal unitary, so f is gauge invariant.  The bound is sufficient, not
-    necessary: f_v <= 0 where the cells around v have lambda_min(I + U_T)
-    <= 0 (in 2D: flux pi through each of them) or where v is in no cell.
-    """
-    return _cell_pass(mesh, transports, None, None)[2]
-
-
-def local_covariant_stiffness(coords, transports_local):
-    """Covariant stiffness matrix of a single cell.
-
-    Parameters
-    ----------
-    coords : (d+1, d) array
-        Cell vertex coordinates.
-    transports_local : (d+1, d+1) complex array
-        Transports between the cell's vertices: Hermitian (U_yx =
-        conj(U_xy)) with ones on the diagonal, which the Hadamard form of
-        the stiffness relies on.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    m, d = coords.shape
-    if m != d + 1:
-        raise ValueError("coords must be (d+1, d)")
-    u_loc = np.asarray(transports_local, dtype=np.complex128)
-    if u_loc.shape != (m, m):
-        raise ValueError("transports_local must be (d+1, d+1)")
-    if not (np.allclose(u_loc, u_loc.conj().T) and np.allclose(np.diag(u_loc), 1.0)):
-        raise ValueError("transports_local must be Hermitian with a unit diagonal")
-    grads = _barycentric_gradients(coords[None])
-    vol = abs(_span_adjugate(coords[None])[0]) / factorial(d)
-    return _covariant_kinetic(None, grads, vol, u_loc[None], np.eye(m) + u_loc[None])[0]
-
-
 def covariant_stiffness(mesh, transports, potential=None, *, with_mass=False):
     """Assembled covariant stiffness matrix on all vertices.
 
     With vertex samples ``potential`` the matrix includes the potential term
     of :func:`potential_matrix`.  With ``with_mass`` the same pass over the
-    cells also gives the covariant mass, the floor of :func:`mass_floor` and
-    the potential deficit of ``_cell_pass``, and the result is the tuple
+    cells also gives the covariant mass, the mass floor f (M - diag(f) PSD)
+    and the potential deficit of ``_cell_pass``, and the result is the tuple
     (stiffness, mass, floor, deficit).
     """
     if potential is not None:
@@ -535,7 +462,7 @@ def standard_galerkin(mesh, circulation):
     it, which is the behaviour the covariant assembly exists to fix.
     """
     kinetic = _galerkin_kinetic(mesh, circulation)
-    return _cell_pass(mesh, None, kinetic, None)[:2]
+    return _cell_pass(mesh, unit_transports(mesh), kinetic, None)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +515,7 @@ def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant
         )
     else:
         stiffness, mass, floor, deficit = _cell_pass(
-            mesh, None, _galerkin_kinetic(mesh, circulation), potential
+            mesh, unit_transports(mesh), _galerkin_kinetic(mesh, circulation), potential
         )
     dof = interior_dof_map(mesh)
     stiffness, mass = eliminate_dirichlet(stiffness, dof), eliminate_dirichlet(mass, dof)

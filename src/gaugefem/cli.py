@@ -219,7 +219,7 @@ def _spectrum_block(result):
 def run_solve(cfg):
     mesh, problem = _scalar_problem(cfg, cfg.n)
     result, runtime = _timed_solve(cfg, problem)
-    fields = reconstruct_field(result.eigenvectors, mesh, problem.dof_map)
+    fields = reconstruct_field(result.eigenvectors, problem.dof_map)
     return {
         **_spectrum_block(result),
         "n_dofs": problem.stiffness.n,
@@ -235,8 +235,8 @@ def run_pauli(cfg):
     result, runtime = _timed(cfg, solve_pauli, problem, cfg.k, tol=cfg.tol,
                              seed=cfg.seed)
     up, down = spin_components(result.eigenvectors, problem.n_interior)
-    dens_up = np.abs(reconstruct_field(up, mesh, problem.dof_map)) ** 2
-    dens_down = np.abs(reconstruct_field(down, mesh, problem.dof_map)) ** 2
+    dens_up = np.abs(reconstruct_field(up, problem.dof_map)) ** 2
+    dens_down = np.abs(reconstruct_field(down, problem.dof_map)) ** 2
     return {
         **_spectrum_block(result),
         "n_dofs": 2 * problem.n_interior,
@@ -260,8 +260,8 @@ def run_gauge_check(cfg):
 
     e0, e1 = res0.eigenvalues, res1.eigenvalues
     drift = np.abs(e1 - e0) / np.maximum(np.abs(e0), np.finfo(float).tiny)
-    dens0 = np.abs(reconstruct_field(res0.eigenvectors, mesh, base.dof_map)) ** 2
-    dens1 = np.abs(reconstruct_field(res1.eigenvectors, mesh, twin.dof_map)) ** 2
+    dens0 = np.abs(reconstruct_field(res0.eigenvectors, base.dof_map)) ** 2
+    dens1 = np.abs(reconstruct_field(res1.eigenvectors, twin.dof_map)) ** 2
     simple = ~(res0.multiplet | res1.multiplet)
     density_drift = (
         float(np.max(np.abs(dens1[simple] - dens0[simple]))) if simple.any() else None

@@ -105,23 +105,25 @@ def _flag_multiplets(vals):
     return flags
 
 
+def _fix_phases(vecs):
+    """Rotate each row's largest-modulus entry to be real and positive, in place."""
+    top = vecs[np.arange(vecs.shape[0]), np.argmax(np.abs(vecs), axis=1)]
+    # np.hypot rounds like scalar abs(); a SIMD complex np.abs may not
+    vecs *= np.conj(top / np.hypot(top.real, top.imag))[:, None]
+    return vecs
+
+
 def _postprocess(vals, vecs, h_csr, m_csr, tol, tag):
     order = np.argsort(vals, kind="stable")
     vals = np.asarray(vals[order], dtype=np.float64)
     vecs = np.ascontiguousarray(vecs[:, order].T, dtype=np.complex128)  # (k, n)
 
-    residuals = np.empty(vals.size)
-    for i in range(vals.size):
-        v = vecs[i]
-        norm = np.sqrt(np.real(np.vdot(v, m_csr @ v)))
-        if norm == 0.0:
-            raise ConvergenceError(np.inf, "eigensolver returned a zero vector")
-        v = v / norm
-        j = int(np.argmax(np.abs(v)))
-        phase = v[j] / abs(v[j])
-        v = v * np.conj(phase)
-        vecs[i] = v
-        residuals[i] = np.linalg.norm(h_csr @ v - vals[i] * (m_csr @ v)) / np.linalg.norm(v)
+    norms = np.array([np.sqrt(np.real(np.vdot(v, m_csr @ v))) for v in vecs])
+    if np.any(norms == 0.0):
+        raise ConvergenceError(np.inf, "eigensolver returned a zero vector")
+    vecs = _fix_phases(vecs / norms[:, None])
+    residuals = np.array([np.linalg.norm(h_csr @ v - e * (m_csr @ v)) / np.linalg.norm(v)
+                          for e, v in zip(vals, vecs)])
 
     worst = residuals.max() if residuals.size else 0.0
     if worst > tol:
@@ -286,20 +288,19 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
     return _postprocess(vals, vecs, h_csr, m_csr, tol, "arpack-shift-invert")
 
 
-def reconstruct_field(coefficients, mesh, dof_map):
+def reconstruct_field(coefficients, dof_map):
     """Scatter interior coefficient vectors to per-vertex fields.
 
     Accepts a single (n_int,) vector or a stack (..., n_int); boundary
     vertices get exact zeros (the Dirichlet condition).
     """
     coefficients = np.asarray(coefficients, dtype=np.complex128)
-    dof_map = np.asarray(dof_map)
-    interior = np.flatnonzero(dof_map >= 0)
+    interior = np.flatnonzero(np.asarray(dof_map) >= 0)
     if coefficients.shape[-1] != interior.size:
         raise ValueError(
             f"expected {interior.size} interior coefficients, "
             f"got {coefficients.shape[-1]}"
         )
-    out = np.zeros(coefficients.shape[:-1] + (dof_map.shape[0],), dtype=np.complex128)
+    out = np.zeros(coefficients.shape[:-1] + (len(dof_map),), dtype=np.complex128)
     out[..., interior] = coefficients
     return out

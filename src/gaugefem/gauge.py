@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import CELL_PAIRS
+
 __all__ = [
     "UNIT_MODULUS_TOL",
     "TransportConsistencyError",
@@ -133,7 +135,7 @@ class _EdgeTable:
                 f"{type(self).__name__} does not match the mesh edge set"
             )
         m = mesh.dim + 1
-        a, b = np.triu_indices(m, 1)
+        a, b = CELL_PAIRS[m]
         val = self.values[mesh.cell_edges[rows]]
         out = np.full((val.shape[0], m, m), self._diagonal, dtype=val.dtype)
         out[:, a, b] = val

@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "BOUNDARY_TOL",
+    "CELL_PAIRS",
     "MeshGeometryError",
     "SimplicialMesh",
     "make_mesh",
@@ -26,6 +27,9 @@ __all__ = [
 
 # Absolute tolerance for classifying a vertex as lying on the bounding box.
 BOUNDARY_TOL = 1e-12
+
+# A cell's vertex pairs x < y, ``np.triu_indices(m, 1)``, by vertex count m.
+CELL_PAIRS = {m: np.triu_indices(m, 1) for m in (3, 4)}
 
 
 class MeshGeometryError(ValueError):
@@ -50,7 +54,7 @@ class SimplicialMesh:
         sorted lexicographically.
     cell_edges : (nc, m(m-1)/2) int ndarray
         Row of ``edges`` joining each vertex pair (a, b), a < b, of each cell
-        (m = dim+1 vertices), pairs in ``np.triu_indices(m, 1)`` order; the
+        (m = dim+1 vertices), pairs in ``CELL_PAIRS[m]`` order; the
         cell rows ascend, so every pair runs along its edge lower index
         first.
     boundary_vertex : (nv,) bool ndarray
@@ -123,7 +127,7 @@ def make_mesh(dim, vertices, cells):
     # Key each vertex pair a < b of a cell as a * nv + b: the sorted unique
     # keys are the lexicographically sorted edges, and the inverse is the
     # incidence.
-    a, b = np.triu_indices(dim + 1, 1)
+    a, b = CELL_PAIRS[dim + 1]
     keys = cells[:, a] * nv + cells[:, b]
     keys, cell_edges = np.unique(keys, return_inverse=True)
     edges = np.stack([keys // nv, keys % nv], axis=1)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import AssembledProblem, assemble_scalar_problem
-from .eigensolve import SpectrumResult, _flag_multiplets, solve_hermitian_gevp
+from .eigensolve import (SpectrumResult, _fix_phases, _flag_multiplets,
+                         solve_hermitian_gevp)
 from .gauge import circulate
 
 # Unused here, but perfbench/tracing.py wraps these names as attributes of
@@ -111,10 +112,7 @@ def solve_pauli(problem, k, tol=1e-9, seed=0):
     branch, index = np.divmod(order, m)
 
     u = scalar.eigenvectors[index]
-    vecs = np.concatenate([chi[0, branch][:, None] * u, chi[1, branch][:, None] * u],
-                          axis=1)
-    top = vecs[np.arange(k), np.argmax(np.abs(vecs), axis=1)]
-    vecs *= np.conj(top / np.abs(top))[:, None]
+    vecs = _fix_phases(np.hstack([c[:, None] * u for c in chi[:, branch]]))
 
     energies = energies[order]
     return SpectrumResult(energies, vecs, scalar.residuals[index],

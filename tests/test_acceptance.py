@@ -61,8 +61,8 @@ def _paired_gauge_solve(dim, n, method, k=5, seed=101):
 
     drift = np.max(np.abs(r1.eigenvalues - r0.eigenvalues) / np.abs(r0.eigenvalues))
     simple = ~(r0.multiplet | r1.multiplet)
-    f0 = np.abs(reconstruct_field(r0.eigenvectors, mesh, original.dof_map))
-    f1 = np.abs(reconstruct_field(r1.eigenvectors, mesh, twin.dof_map))
+    f0 = np.abs(reconstruct_field(r0.eigenvectors, original.dof_map))
+    f1 = np.abs(reconstruct_field(r1.eigenvectors, twin.dof_map))
     density_drift = np.max(np.abs(f1[simple] - f0[simple])) if simple.any() else 0.0
     return drift, density_drift
 

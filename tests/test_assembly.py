@@ -13,6 +13,7 @@ from gaugefem import (
     HermitianSparse,
     MeshGeometryError,
     TransportConsistencyError,
+    TransportTable,
     apply_gauge_to_circulation,
     assemble_scalar_problem,
     build_box_mesh,
@@ -22,10 +23,7 @@ from gaugefem import (
     eliminate_dirichlet,
     export_matrix,
     interior_dof_map,
-    local_covariant_stiffness,
-    local_mass,
     make_mesh,
-    mass_floor,
     potential_matrix,
     random_gauge,
     standard_galerkin,
@@ -51,11 +49,14 @@ from oracles import (
 )
 
 
-def _reference_tet():
-    vertices = np.array(
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    )
-    return make_mesh(3, vertices, np.array([[0, 1, 2, 3]]))
+def _one_cell_mesh(coords):
+    """The mesh of one cell, its vertices in the order of ``coords``."""
+    coords = np.asarray(coords, dtype=np.float64)
+    return make_mesh(coords.shape[1], coords, np.arange(coords.shape[0])[None])
+
+
+def _reference_cell(dim):
+    return _one_cell_mesh(np.vstack([np.zeros(dim), np.eye(dim)]))
 
 
 def _random_cell(dim, seed):
@@ -63,52 +64,49 @@ def _random_cell(dim, seed):
     coords = rng.uniform(-1.0, 1.0, (dim + 1, dim))
     while abs(np.linalg.det(coords[1:] - coords[0])) < 1e-2:
         coords = rng.uniform(-1.0, 1.0, (dim + 1, dim))
-    return coords
+    return _one_cell_mesh(coords)
 
 
-def _random_local_transports(m, seed):
+def _random_local_transports(mesh, seed):
+    """Random unit transports on the edges of a one-cell mesh."""
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(-np.pi, np.pi, (m, m))
-    u = np.exp(1j * np.triu(theta, k=1))
-    return np.triu(u, k=1) + np.triu(u, k=1).conj().T + np.eye(m)
+    theta = rng.uniform(-np.pi, np.pi, mesh.n_edges)
+    return TransportTable(mesh.n_vertices, mesh.edges, np.exp(1j * theta))
 
 
 # ---------------------------------------------------------------------------
-# local mass
+# one cell's mass
 
 
 def test_local_mass_closed_form_values():
-    m3 = local_mass(1 / 6, 3)
+    mesh = _reference_cell(3)
+    m3 = covariant_mass(mesh, unit_transports(mesh)).to_dense()
     assert np.allclose(np.diag(m3), 1 / 60, rtol=1e-15)
     off = m3[~np.eye(4, dtype=bool)]
     assert np.allclose(off, 1 / 120, rtol=1e-15)
 
-    m2 = local_mass(0.5, 2)
+    mesh = _reference_cell(2)
+    m2 = covariant_mass(mesh, unit_transports(mesh)).to_dense()
     assert np.allclose(np.diag(m2), 1 / 12, rtol=1e-15)
     assert np.allclose(m2[0, 1], 1 / 24, rtol=1e-15)
 
 
 def test_local_mass_row_sums():
-    for dim, vol in ((2, 0.37), (3, 0.11)):
-        m = local_mass(vol, dim)
-        assert np.allclose(m.sum(axis=1), vol / (dim + 1), rtol=1e-14)
-        assert np.allclose(m, m.T, atol=0)
-
-
-def test_local_mass_rejects_nonpositive_volume():
-    with pytest.raises(MeshGeometryError):
-        local_mass(0.0, 3)
-    with pytest.raises(MeshGeometryError):
-        local_mass(-1.0, 2)
+    for dim in (2, 3):
+        mesh = _random_cell(dim, seed=40 + dim)
+        m = covariant_mass(mesh, unit_transports(mesh)).to_dense()
+        assert np.allclose(m.sum(axis=1), mesh.volumes[0] / (dim + 1), rtol=1e-14)
+        assert np.array_equal(m, m.T)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_local_mass_matches_quadrature(dim):
-    coords = _random_cell(dim, seed=dim)
-    pts, w = simplex_quadrature(coords)
-    lam = barycentric_values(coords, pts)
+    mesh = _random_cell(dim, seed=dim)
+    pts, w = simplex_quadrature(mesh.vertices)
+    lam = barycentric_values(mesh.vertices, pts)
     reference = np.einsum("q,qa,qb->ab", w, lam, lam)
-    assert np.allclose(local_mass(w.sum(), dim), reference, rtol=1e-13)
+    m = covariant_mass(mesh, unit_transports(mesh)).to_dense()
+    assert np.allclose(m, reference, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +177,9 @@ def test_cell_pass_sums_the_upper_half_and_rejects_an_imaginary_diagonal():
     skew = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     np.fill_diagonal(skew, rng.standard_normal(3))  # real diagonal, not Hermitian
     skew[1, 1] += 1e-15j  # within DIAG_IMAG_TOL summed over the cells, dropped
+    table = unit_transports(mesh)
     stiffness = _cell_pass(
-        mesh, None, lambda rows, g, v, u, a: np.broadcast_to(skew, a.shape), None
+        mesh, table, lambda rows, g, v, u, a: np.broadcast_to(skew, a.shape), None
     )[0]
     reference = np.zeros((mesh.n_vertices,) * 2, dtype=complex)
     for cell in mesh.cells:
@@ -194,7 +193,7 @@ def test_cell_pass_sums_the_upper_half_and_rejects_an_imaginary_diagonal():
     bent = skew.copy()
     bent[1, 1] += 1e-10j  # beyond DIAG_IMAG_TOL
     with pytest.raises(ValueError, match="diagonal imaginary part"):
-        _cell_pass(mesh, None, lambda rows, g, v, u, a: np.broadcast_to(bent, a.shape),
+        _cell_pass(mesh, table, lambda rows, g, v, u, a: np.broadcast_to(bent, a.shape),
                    None)
 
 
@@ -237,7 +236,8 @@ def test_one_pass_equals_the_single_forms(dim, n):
                                                           with_mass=True)
     _assert_same_csr(stiffness, covariant_stiffness(mesh, table, well))
     _assert_same_csr(mass, covariant_mass(mesh, table))
-    assert np.array_equal(floor, mass_floor(mesh, table))
+    # the floor does not depend on the potential
+    assert np.array_equal(floor, covariant_stiffness(mesh, table, with_mass=True)[2])
 
     dof = interior_dof_map(mesh)
     problem = assemble_scalar_problem(mesh, circ, well)
@@ -266,7 +266,7 @@ def test_covariant_mass_reduces_to_p1_mass(dim, n):
 def test_covariant_mass_single_edge_phase():
     # one reference tetrahedron, transport exp(i pi) on the edge (0, 1):
     # <e0, e1>_U = (1/120) * exp(i pi) = -1/120
-    mesh = _reference_tet()
+    mesh = _reference_cell(3)
     values = np.zeros(mesh.n_edges)
     values[np.all(mesh.edges == (0, 1), axis=1)] = np.pi
     circ = EdgeCirculation(mesh.n_vertices, mesh.edges, values)
@@ -328,44 +328,23 @@ def test_assembly_rejects_foreign_transport_table():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_local_stiffness_zero_field_is_p1(dim):
-    coords = _random_cell(dim, seed=10 + dim)
-    k = local_covariant_stiffness(coords, np.ones((dim + 1, dim + 1)))
-    assert np.allclose(k, p1_local_stiffness(coords), rtol=0, atol=1e-13)
+    mesh = _random_cell(dim, seed=10 + dim)
+    k = covariant_stiffness(mesh, unit_transports(mesh)).to_dense()
+    assert np.allclose(k, p1_local_stiffness(mesh.vertices), rtol=0, atol=1e-13)
     assert np.allclose(k @ np.ones(dim + 1), 0.0, atol=1e-13)
 
 
 def test_local_stiffness_reference_tet_entry():
-    mesh = _reference_tet()
-    k = local_covariant_stiffness(mesh.vertices, np.ones((4, 4)))
+    mesh = _reference_cell(3)
+    k = covariant_stiffness(mesh, unit_transports(mesh)).to_dense()
     assert k[0, 0] == pytest.approx(0.5, rel=1e-14)  # |T| |grad lam_0|^2
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_local_stiffness_hermitian(dim):
-    coords = _random_cell(dim, seed=20 + dim)
-    k = local_covariant_stiffness(coords, _random_local_transports(dim + 1, 4))
+    mesh = _random_cell(dim, seed=20 + dim)
+    k = covariant_stiffness(mesh, _random_local_transports(mesh, 4)).to_dense()
     assert np.max(np.abs(k - k.conj().T)) < 1e-13
-
-
-def test_local_stiffness_degenerate_cell():
-    coords = np.array(
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
-    )  # coplanar
-    with pytest.raises(MeshGeometryError):
-        local_covariant_stiffness(coords, np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        local_covariant_stiffness(coords[:3], np.ones((3, 3)))
-
-
-def test_local_stiffness_rejects_non_hermitian_transports():
-    coords = _random_cell(2, seed=7)
-    u = _random_local_transports(3, 8)
-    bent = u.copy()
-    bent[0, 1] *= np.exp(0.3j)  # U_10 no longer conj(U_01)
-    with pytest.raises(ValueError):
-        local_covariant_stiffness(coords, bent)
-    with pytest.raises(ValueError):
-        local_covariant_stiffness(coords, 2.0 * u)  # diagonal not one
 
 
 def test_global_stiffness_zero_field_is_p1():
@@ -391,10 +370,12 @@ def test_stiffness_matches_dual_basis_form(dim, n):
 
     cells = random_vertex_order(mesh.cells, seed=dim)
     for cell in cells:
-        coords = mesh.vertices[cell]
+        one = _one_cell_mesh(mesh.vertices[cell])
         u_loc = np.array([[transport_of(i, j) for j in cell] for i in cell])
-        k = local_covariant_stiffness(coords, u_loc)
-        reference = local_covariant_stiffness_dual(coords, u_loc)
+        lo, hi = one.edges.T
+        k = covariant_stiffness(one, TransportTable(one.n_vertices, one.edges,
+                                                    u_loc[lo, hi])).to_dense()
+        reference = local_covariant_stiffness_dual(one.vertices, u_loc)
         assert np.abs(k - reference).max() <= 1e-13 * np.abs(reference).max()
 
     dense = covariant_stiffness(mesh, table).to_dense()
@@ -470,7 +451,7 @@ def test_potential_zero_is_zero_matrix():
 
 def test_potential_reference_tet_cubic_integral():
     # V = lam_0 makes entry (0,0) = int lam_0^3 = (1/6) 3! 3! / 6! = 1/120
-    mesh = _reference_tet()
+    mesh = _reference_cell(3)
     values = np.array([1.0, 0.0, 0.0, 0.0])
     dense = potential_matrix(mesh, unit_transports(mesh), values).to_dense()
     assert dense[0, 0] == pytest.approx(1 / 120, rel=1e-14)
@@ -559,7 +540,7 @@ def test_covariant_standard_difference_is_first_order(dim):
     mesh = (
         build_box_mesh(2, 1)
         if dim == 2
-        else _reference_tet()
+        else _reference_cell(3)
     )
     rng = np.random.default_rng(6)
     pattern = rng.uniform(-1.0, 1.0, mesh.n_edges)
@@ -740,7 +721,7 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     b = (0.0, 0.0, b[2]) if dim == 2 else b
     circ = circulate(GaugeFieldSpec((0.3,) * dim, b), mesh)
     table = transports(circ)
-    floor = mass_floor(mesh, table)
+    floor = covariant_stiffness(mesh, table, with_mass=True)[2]
     m = covariant_mass(mesh, table).to_dense()
     scale = np.abs(m).max()
 
@@ -774,14 +755,13 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
             assert np.linalg.eigvalsh(mass)[0] >= f.min() * (1.0 - 1e-12)
 
     gauged = apply_gauge_to_circulation(circ, random_gauge(mesh, np.pi, gauge_seed))
-    moved = mass_floor(mesh, transports(gauged))
+    moved = covariant_stiffness(mesh, transports(gauged), with_mass=True)[2]
     assert np.allclose(moved, floor, rtol=0, atol=1e-13 * scale)
 
     # the plain P1 mass: every cell block has lambda_min = vol / ((d+1)(d+2))
-    plain = mass_floor(mesh)
+    plain = covariant_stiffness(mesh, unit_transports(mesh), with_mass=True)[2]
     assert plain.min() > 0.0
-    assert np.allclose(mass_floor(mesh, unit_transports(mesh)), plain,
-                       rtol=1e-13, atol=0)
+    assert np.allclose(plain, cell_sum(np.ones(mesh.n_cells)), rtol=1e-13, atol=0)
 
 
 def _lowest_eigenvalue(problem):

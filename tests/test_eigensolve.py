@@ -368,7 +368,7 @@ def test_uncertified_mass_falls_back_to_the_probe(eigsh_shifts):
 def test_reconstruct_field():
     mesh, problem = _magnetic_problem(dim=2, n=4, bz=1.0)
     result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=2)
-    fields = reconstruct_field(result.eigenvectors, mesh, problem.dof_map)
+    fields = reconstruct_field(result.eigenvectors, problem.dof_map)
     assert fields.shape == (2, mesh.n_vertices)
     assert np.all(fields[:, mesh.boundary_vertex] == 0.0)
     interior = problem.dof_map >= 0
@@ -379,10 +379,10 @@ def test_reconstruct_field():
     )
 
     n_int = int(interior.sum())
-    zero = reconstruct_field(np.zeros(n_int), mesh, problem.dof_map)
+    zero = reconstruct_field(np.zeros(n_int), problem.dof_map)
     assert np.all(zero == 0.0)
     with pytest.raises(ValueError):
-        reconstruct_field(np.zeros(n_int - 1), mesh, problem.dof_map)
+        reconstruct_field(np.zeros(n_int - 1), problem.dof_map)
 
 
 def test_arpack_path_leaves_no_cyclic_garbage():

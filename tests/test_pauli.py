@@ -265,8 +265,8 @@ def test_spin_components_and_density_split():
     stacked = np.concatenate([up, down], axis=1)
     assert np.array_equal(stacked, result.eigenvectors)
 
-    dens_up = np.abs(reconstruct_field(up, mesh, problem.dof_map)) ** 2
-    dens_down = np.abs(reconstruct_field(down, mesh, problem.dof_map)) ** 2
+    dens_up = np.abs(reconstruct_field(up, problem.dof_map)) ** 2
+    dens_down = np.abs(reconstruct_field(down, problem.dof_map)) ** 2
     total = dens_up.sum(axis=1) + dens_down.sum(axis=1)
     assert np.allclose(
         total, np.sum(np.abs(result.eigenvectors) ** 2, axis=1), rtol=1e-14
