@@ -32,9 +32,7 @@ def refine(dim, levels, k=N_MODES):
         mesh = build_box_mesh(dim, n)
         field = GaugeFieldSpec(a0=np.zeros(dim), b=(0.0, 0.0, 0.0))
         problem = assemble_scalar_problem(mesh, circulate(field, mesh))
-        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=k,
-                                      mass_floor=problem.mass_floor,
-                                      spectrum_floor=problem.spectrum_floor)
+        result = solve_hermitian_gevp(problem, k=k)
         h.append(mesh.h)
         values.append(result.eigenvalues)
     return np.asarray(h), np.asarray(values)

@@ -44,7 +44,7 @@ if __name__ == "__main__":
     full = scipy.linalg.eigh(h, m, eigvals_only=True, subset_by_index=[0, N_MODES - 1])
 
     print(f"unit cube, {GRID}^3 grid, B = {FIELD}, |B| = {np.linalg.norm(FIELD):.6f}")
-    print(f"spinor pencil: {h.shape[0]} DOFs; scalar solve: {problem.n_interior} DOFs")
+    print(f"spinor pencil: {h.shape[0]} DOFs; scalar solve: {problem.n} DOFs")
     print("  mode   scalar -/+ |B|    full spinor      |difference|")
     for i, (r, f) in enumerate(zip(reduced, full)):
         print(f"  {i:4d}   {r:14.6f}   {f:14.6f}   {abs(r - f):12.3e}")

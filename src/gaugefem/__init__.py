@@ -12,7 +12,6 @@ from .mesh import (
     MeshGeometryError,
     SimplicialMesh,
     build_box_mesh,
-    interior_dof_map,
     make_mesh,
 )
 from .gauge import (
@@ -59,8 +58,7 @@ from .pauli import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MeshGeometryError", "SimplicialMesh", "build_box_mesh", "interior_dof_map",
-    "make_mesh",
+    "MeshGeometryError", "SimplicialMesh", "build_box_mesh", "make_mesh",
     "EdgeCirculation", "GaugeFieldSpec", "GaugeTransform",
     "TransportConsistencyError", "TransportTable", "apply_gauge_to_circulation",
     "apply_gauge_to_state", "circulate", "random_gauge", "transports",

@@ -53,7 +53,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .gauge import transports as make_transports, unit_transports
-from .mesh import CELL_PAIRS, MeshGeometryError, _span_adjugate, interior_dof_map
+from .mesh import CELL_PAIRS, MeshGeometryError, _span_adjugate
 
 __all__ = [
     "DIAG_IMAG_TOL",
@@ -144,6 +144,9 @@ class HermitianSparse:
 class AssembledProblem:
     """Interior-eliminated stiffness/mass pair ready for the eigensolver.
 
+    ``interior`` is the vertex mask ``~mesh.boundary_vertex``; the n DOFs
+    are its interior vertices in ascending order.
+
     ``mass_floor`` holds, per interior DOF, the cell pass's floor f with
     ``mass`` - diag(f) PSD; min f > 0 proves ``mass`` positive definite.
 
@@ -154,13 +157,21 @@ class AssembledProblem:
     It is -inf when the certificate fails: some cell at an interior vertex
     has a negative floor lambda_min(I + U_T), or min f <= 0.  With U = 1
     (the baseline, or a zero field) d = 0 and s = v_min.
+
+    A pencil without certificates has ``mass_floor`` None and
+    ``spectrum_floor`` -inf.
     """
 
     stiffness: HermitianSparse
     mass: HermitianSparse
-    dof_map: np.ndarray
+    interior: np.ndarray
     mass_floor: np.ndarray
     spectrum_floor: float
+
+    @property
+    def n(self):
+        """The interior DOF count."""
+        return self.stiffness.n
 
 
 # ---------------------------------------------------------------------------
@@ -469,21 +480,16 @@ def standard_galerkin(mesh, circulation):
 # boundary conditions and problem assembly
 
 
-def _interior(dof_map):
-    keep = np.flatnonzero(np.asarray(dof_map) >= 0)
-    if keep.size == 0:
-        raise EmptyProblemError("no interior vertices: nothing to solve for")
-    return keep
-
-
-def eliminate_dirichlet(matrix, dof_map):
+def eliminate_dirichlet(matrix, interior):
     """Drop boundary rows/columns (homogeneous Dirichlet condition).
 
-    ``dof_map`` is the vertex -> interior-index array from
-    :func:`gaugefem.mesh.interior_dof_map`; ``matrix`` has one row per vertex.
+    ``interior`` is the vertex mask ``~mesh.boundary_vertex``; ``matrix`` has
+    one row per vertex.
     """
-    nv = np.asarray(dof_map).shape[0]
-    keep = _interior(dof_map)
+    nv = len(interior)
+    keep = np.flatnonzero(interior)
+    if keep.size == 0:
+        raise EmptyProblemError("no interior vertices: nothing to solve for")
     if matrix.n != nv:
         raise ValueError(f"matrix size {matrix.n} does not match {nv} vertices")
     return HermitianSparse(keep.size, matrix.to_csr()[keep][:, keep])
@@ -517,14 +523,15 @@ def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant
         stiffness, mass, floor, deficit = _cell_pass(
             mesh, unit_transports(mesh), _galerkin_kinetic(mesh, circulation), potential
         )
-    dof = interior_dof_map(mesh)
-    stiffness, mass = eliminate_dirichlet(stiffness, dof), eliminate_dirichlet(mass, dof)
-    floor, deficit = floor[dof >= 0], deficit[dof >= 0]
+    interior = ~mesh.boundary_vertex
+    stiffness = eliminate_dirichlet(stiffness, interior)
+    mass = eliminate_dirichlet(mass, interior)
+    floor, deficit = floor[interior], deficit[interior]
     v_min = 0.0 if potential is None else min(0.0, potential.min())
     spectrum_floor = (
         v_min - float(np.max(deficit / floor)) if floor.min() > 0.0 else -np.inf
     )
-    return AssembledProblem(stiffness, mass, dof, floor, spectrum_floor)
+    return AssembledProblem(stiffness, mass, interior, floor, spectrum_floor)
 
 
 def export_matrix(matrix, path):

@@ -187,11 +187,7 @@ def _timed(cfg, solve, *args, **kwargs):
 
 
 def _timed_solve(cfg, problem):
-    return _timed(
-        cfg, solve_hermitian_gevp, problem.stiffness, problem.mass, cfg.k,
-        tol=cfg.tol, seed=cfg.seed, mass_floor=problem.mass_floor,
-        spectrum_floor=problem.spectrum_floor,
-    )
+    return _timed(cfg, solve_hermitian_gevp, problem, cfg.k, tol=cfg.tol, seed=cfg.seed)
 
 
 def _setup(cfg, n):
@@ -219,10 +215,10 @@ def _spectrum_block(result):
 def run_solve(cfg):
     mesh, problem = _scalar_problem(cfg, cfg.n)
     result, runtime = _timed_solve(cfg, problem)
-    fields = reconstruct_field(result.eigenvectors, problem.dof_map)
+    fields = reconstruct_field(result.eigenvectors, problem.interior)
     return {
         **_spectrum_block(result),
-        "n_dofs": problem.stiffness.n,
+        "n_dofs": problem.n,
         "h": mesh.h,
         "density": (np.abs(fields) ** 2).tolist(),
         "runtime_seconds": runtime,
@@ -234,12 +230,12 @@ def run_pauli(cfg):
     problem = assemble_pauli(mesh, cfg.field_spec(), pot)
     result, runtime = _timed(cfg, solve_pauli, problem, cfg.k, tol=cfg.tol,
                              seed=cfg.seed)
-    up, down = spin_components(result.eigenvectors, problem.n_interior)
-    dens_up = np.abs(reconstruct_field(up, problem.dof_map)) ** 2
-    dens_down = np.abs(reconstruct_field(down, problem.dof_map)) ** 2
+    up, down = spin_components(result.eigenvectors, problem.n)
+    dens_up = np.abs(reconstruct_field(up, problem.interior)) ** 2
+    dens_down = np.abs(reconstruct_field(down, problem.interior)) ** 2
     return {
         **_spectrum_block(result),
-        "n_dofs": 2 * problem.n_interior,
+        "n_dofs": 2 * problem.n,
         "h": mesh.h,
         "density_up": dens_up.tolist(),
         "density_down": dens_down.tolist(),
@@ -260,8 +256,8 @@ def run_gauge_check(cfg):
 
     e0, e1 = res0.eigenvalues, res1.eigenvalues
     drift = np.abs(e1 - e0) / np.maximum(np.abs(e0), np.finfo(float).tiny)
-    dens0 = np.abs(reconstruct_field(res0.eigenvectors, base.dof_map)) ** 2
-    dens1 = np.abs(reconstruct_field(res1.eigenvectors, twin.dof_map)) ** 2
+    dens0 = np.abs(reconstruct_field(res0.eigenvectors, base.interior)) ** 2
+    dens1 = np.abs(reconstruct_field(res1.eigenvectors, twin.interior)) ** 2
     simple = ~(res0.multiplet | res1.multiplet)
     density_drift = (
         float(np.max(np.abs(dens1[simple] - dens0[simple]))) if simple.any() else None
@@ -273,7 +269,7 @@ def run_gauge_check(cfg):
         "max_relative_drift": float(drift.max()),
         "simple": [bool(s) for s in simple],
         "max_density_drift_simple": density_drift,
-        "n_dofs": base.stiffness.n,
+        "n_dofs": base.n,
         "h": mesh.h,
         "runtime_seconds": runtime,
     }
@@ -299,7 +295,7 @@ def run_convergence(cfg):
             {
                 "n": n,
                 "h": mesh.h,
-                "n_dofs": problem.stiffness.n,
+                "n_dofs": problem.n,
                 "eigenvalues": [float(v) for v in result.eigenvalues],
                 "runtime_seconds": runtime,
             }
@@ -354,7 +350,7 @@ def run_export_matrices(cfg):
         export_matrix(getattr(problem, name), path)
     return {
         "files": paths,
-        "n_dofs": problem.stiffness.n,
+        "n_dofs": problem.n,
         "stiffness_nnz": problem.stiffness.nnz,
         "mass_nnz": problem.mass.nnz,
     }

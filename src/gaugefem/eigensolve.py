@@ -1,9 +1,10 @@
 """Generalized Hermitian eigensolvers and spectrum post-processing.
 
-Small problems go through dense LAPACK (scipy.linalg.eigh on the pencil);
-larger ones use ARPACK shift-invert with a deterministic start vector and an
-explicit symmetric-mode LU factor of H - sigma M, with sigma placed by
-proven lower bounds on the spectrum.  All returned eigenvectors
+The solver takes one assembled problem: the interior pencil (H, M) and the
+two floors assembly proves about it.  Small problems go through dense LAPACK
+(scipy.linalg.eigh on the pencil); larger ones use ARPACK shift-invert with a
+deterministic start vector and an explicit symmetric-mode LU factor of
+H - sigma M, with sigma placed by those floors.  All returned eigenvectors
 are M-normalized and phase-fixed so repeated runs are reproducible and
 gauge-paired solves can be compared pointwise.
 """
@@ -138,47 +139,39 @@ def _gershgorin_lower(h_csr):
     return diag.real - radii
 
 
-def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
-                         maxiter=None, mass_floor=None, spectrum_floor=-np.inf):
+def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     """Smallest k eigenpairs of H u = E M u with H Hermitian, M HPD.
 
-    The ARPACK path factors H - sigma M once, at a shift proven to lie below
-    the spectrum (see ``spectrum_floor``), and uses the factor only through
-    ``solve``.  It never reads the factor's ``L`` or ``U`` attributes (for
-    example to count pivot signs): SuperLU builds them as copies of both
-    factors, cached for the factor's lifetime.
+    Problems with at most ``DENSE_CUTOFF`` DOFs, and requests with
+    k >= n - 1, which ARPACK cannot do, use dense LAPACK.  The ARPACK path
+    factors H - sigma M once, at a shift proven to lie below the spectrum,
+    and uses the factor only through ``solve``.  It never reads the factor's
+    ``L`` or ``U`` attributes (for example to count pivot signs): SuperLU
+    builds them as copies of both factors, cached for the factor's lifetime.
 
     Parameters
     ----------
-    H, M : HermitianSparse
-        Same size n; M must be positive definite (checked, raises
-        :class:`DefinitenessError` naming the smallest detected pivot).
+    problem : AssembledProblem
+        The pencil H = ``stiffness``, M = ``mass`` (HermitianSparse, same
+        size n) and its two certificates.  M must be positive definite
+        (checked, raises :class:`DefinitenessError` naming the smallest
+        detected pivot).  ``mass_floor`` is a proven (n,) floor f with
+        M - diag(f) positive semidefinite; when min f > 0 the ARPACK path
+        takes M as positive definite, and when it is None or min f <= 0 (the
+        certificate is sufficient, not necessary) a Lanczos probe of M runs.
+        ``spectrum_floor`` is a proven lower bound s on the smallest
+        eigenvalue, -inf for none.  It only places the ARPACK shift:
+        sigma = 0 when the Gershgorin bound proves H positive definite, and
+        otherwise sigma = max(min_i g_i / (0.9 f_i), s) - 1 with g the
+        Gershgorin rows of H, so H - sigma M >= diag(f).
     k : int
         Number of eigenpairs, 1 <= k <= n.
     tol : float
         Acceptance threshold for the relative residuals; finite and positive.
     seed : int
         Seeds the ARPACK start vector; fixed seed gives bit-reproducible runs.
-    dense_cutoff : int
-        Problems with n <= dense_cutoff use dense LAPACK, larger ones ARPACK
-        shift-invert.  k >= n - 1, which ARPACK cannot do, is always dense.
-    maxiter : int, optional
-        ARPACK iteration cap.
-    mass_floor : float or (n,) array, optional
-        A proven floor f with M - diag(f) positive semidefinite, such as the
-        per-cell certificate ``AssembledProblem.mass_floor``; a scalar means
-        f times the identity.  When min f > 0 the ARPACK path takes M as
-        positive definite and uses f in place of a Lanczos probe of M; when
-        it is absent or min f <= 0 (the certificate is sufficient, not
-        necessary) the probe runs.
-    spectrum_floor : float, optional
-        A proven lower bound s on the smallest eigenvalue of the pencil,
-        such as ``AssembledProblem.spectrum_floor``; -inf (the default)
-        means none.  It only places the ARPACK shift: sigma = 0 when the
-        Gershgorin bound proves H positive definite, and otherwise
-        sigma = max(min_i g_i / (0.9 f_i), s) - 1 with g the Gershgorin
-        rows of H and f the mass floor, so H - sigma M >= diag(f).
     """
+    H, M = problem.stiffness, problem.mass
     if H.n != M.n:
         raise ValueError("H and M sizes differ")
     n = H.n
@@ -192,7 +185,7 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
     h_csr = H.to_csr()
     m_csr = M.to_csr()
 
-    if n <= dense_cutoff or k >= n - 1:
+    if n <= DENSE_CUTOFF or k >= n - 1:
         md = m_csr.toarray()
         try:
             # eigh factors M itself and fails on the first nonpositive pivot
@@ -207,9 +200,8 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    if mass_floor is not None and np.min(mass_floor) > 0.0:
-        floor = np.broadcast_to(np.asarray(mass_floor, dtype=np.float64), (n,))
-    else:
+    floor = problem.mass_floor
+    if floor is None or floor.min() <= 0.0:
         # No certificate: a positive-definiteness probe of M.
         try:
             floor = spla.eigsh(
@@ -226,29 +218,34 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
     # positive definite and makes the smallest eigenvalues the ARPACK 'LM'
     # targets.  For sigma <= 0, x^H (H - sigma M) x >= sum_i (g_i - sigma f_i)
     # |x_i|^2, so any sigma below min g_i / f_i will do.  That bound sits far
-    # below the spectrum under a deep well, where the caller's certified
+    # below the spectrum under a deep well, where the problem's certified
     # floor is the tighter one; a shift nearer the spectrum needs fewer
     # ARPACK iterations.
     lower = _gershgorin_lower(h_csr)
     if lower.min() > 0.0:
         sigma = 0.0
     else:
-        sigma = max(float(np.min(lower / (0.9 * floor))), spectrum_floor) - 1.0
+        sigma = max(float(np.min(lower / (0.9 * floor))), problem.spectrum_floor) - 1.0
 
     # H - sigma M is Hermitian positive definite, so diagonal pivots are
     # stable and a symmetric ordering of the pattern cuts the fill.  The
     # sparse difference stores no exact zeros, so at sigma = 0 the ordering
     # sees H on its true nonzero pattern, without the zeros H stores
     # (orthogonal Kuhn pairs of a field-only stiffness).
-    lu = spla.splu(
-        (h_csr - sigma * m_csr).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    try:
+        lu = spla.splu(
+            (h_csr - sigma * m_csr).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # an exactly singular pivot, e.g. after overflow
+        raise ConvergenceError(
+            np.inf, f"shift-invert factorization failed: {exc}"
+        ) from None
     op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.complex128)
     op_ref = weakref.ref(op_inv)
-    best = None
+    failure = None
     try:
         vals, vecs = spla.eigsh(
             h_csr,
@@ -258,7 +255,6 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
             which="LM",
             tol=tol * 1e-2,
             v0=v0,
-            maxiter=maxiter,
             OPinv=op_inv,
         )
     except ArpackNoConvergence as exc:
@@ -270,6 +266,9 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
                 / np.linalg.norm(vv[:, i])
                 for i in range(vv.shape[1])
             )
+        failure = (best, None)
+    except spla.ArpackError as exc:  # e.g. -9, a start vector the operator zeroed
+        failure = (np.inf, f"shift-invert ARPACK failed: {exc}")
     del lu, op_inv  # from here on only scipy's cycle can keep the factor alive
     # scipy's eigsh leaves its ARPACK state, which holds OPinv and the n x ncv
     # workspace, in a reference cycle, so it would stay alive through the
@@ -283,24 +282,27 @@ def solve_hermitian_gevp(H, M, k, tol=1e-9, seed=0, dense_cutoff=DENSE_CUTOFF,
     gc.collect(1)
     if op_ref() is not None:
         gc.collect()
-    if best is not None:
-        raise ConvergenceError(best)
+    if failure is not None:
+        # built here: an error held in a local would sit in a cycle with this
+        # frame through its own traceback
+        raise ConvergenceError(*failure)
     return _postprocess(vals, vecs, h_csr, m_csr, tol, "arpack-shift-invert")
 
 
-def reconstruct_field(coefficients, dof_map):
+def reconstruct_field(coefficients, interior):
     """Scatter interior coefficient vectors to per-vertex fields.
 
-    Accepts a single (n_int,) vector or a stack (..., n_int); boundary
-    vertices get exact zeros (the Dirichlet condition).
+    ``interior`` is the vertex mask ``AssembledProblem.interior``; the
+    coefficients follow its interior vertices in ascending order.  Accepts a
+    single (n,) vector or a stack (..., n); boundary vertices get exact zeros
+    (the Dirichlet condition).
     """
     coefficients = np.asarray(coefficients, dtype=np.complex128)
-    interior = np.flatnonzero(np.asarray(dof_map) >= 0)
-    if coefficients.shape[-1] != interior.size:
+    n = np.count_nonzero(interior)
+    if coefficients.shape[-1] != n:
         raise ValueError(
-            f"expected {interior.size} interior coefficients, "
-            f"got {coefficients.shape[-1]}"
+            f"expected {n} interior coefficients, got {coefficients.shape[-1]}"
         )
-    out = np.zeros(coefficients.shape[:-1] + (len(dof_map),), dtype=np.complex128)
+    out = np.zeros(coefficients.shape[:-1] + (len(interior),), dtype=np.complex128)
     out[..., interior] = coefficients
     return out

@@ -22,7 +22,6 @@ __all__ = [
     "SimplicialMesh",
     "make_mesh",
     "build_box_mesh",
-    "interior_dof_map",
 ]
 
 # Absolute tolerance for classifying a vertex as lying on the bounding box.
@@ -213,14 +212,3 @@ def build_box_mesh(dim, n, lengths=None):
 
     return make_mesh(dim, vertices, cells)
 
-
-def interior_dof_map(mesh):
-    """Contiguous numbering of the interior (non-boundary) vertices.
-
-    Returns an int array of length n_vertices: entry v is the interior index
-    of vertex v in ascending vertex order, or -1 if v is on the boundary.
-    """
-    dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    interior = np.flatnonzero(~mesh.boundary_vertex)
-    dof[interior] = np.arange(interior.size)
-    return dof

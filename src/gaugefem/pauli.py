@@ -62,10 +62,6 @@ class SpinorProblem(AssembledProblem):
 
     b: np.ndarray
 
-    @property
-    def n_interior(self):
-        return self.stiffness.n
-
 
 def assemble_pauli(mesh, field_spec, potential=None, circulation=None):
     """Assemble the Pauli eigenvalue problem for a uniform-field potential.
@@ -93,12 +89,10 @@ def solve_pauli(problem, k, tol=1e-9, seed=0):
     largest-modulus entry real and positive; their residuals equal the
     scalar ones exactly.  Exact ties list the lower branch first.
     """
-    n = problem.n_interior
+    n = problem.n
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= 2 * n:
         raise ValueError(f"k must be in [1, {2 * n}], got {k!r}")
-    scalar = solve_hermitian_gevp(problem.stiffness, problem.mass, min(k, n), tol=tol,
-                                  seed=seed, mass_floor=problem.mass_floor,
-                                  spectrum_floor=problem.spectrum_floor)
+    scalar = solve_hermitian_gevp(problem, min(k, n), tol=tol, seed=seed)
 
     # Columns chi_-, chi_+ of -(sigma . B), eigenvalues -|B|, +|B|.
     if np.any(problem.b != 0.0):
@@ -119,9 +113,9 @@ def solve_pauli(problem, k, tol=1e-9, seed=0):
                           _flag_multiplets(energies), scalar.method_tag)
 
 
-def spin_components(vec, n_interior):
-    """Split a spinor coefficient vector into (up, down) halves."""
+def spin_components(vec, n):
+    """Split a spinor coefficient vector (2n entries) into (up, down) halves."""
     vec = np.asarray(vec)
-    if vec.shape[-1] != 2 * n_interior:
+    if vec.shape[-1] != 2 * n:
         raise ValueError("vector length does not match spinor block layout")
-    return vec[..., :n_interior], vec[..., n_interior:]
+    return vec[..., :n], vec[..., n:]

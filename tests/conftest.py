@@ -1,13 +1,18 @@
 """Shared test helpers (the directory is also put on sys.path for oracles)."""
 
+import dataclasses
+
 import numpy as np
 
 from gaugefem import HermitianSparse, build_box_mesh, make_mesh
 
 
-def shift_pencil(h, s, m):
-    """The pencil matrix H + s M of two HermitianSparse matrices."""
-    return HermitianSparse.from_csr(h.to_csr() + s * m.to_csr())
+def shift_problem(problem, s):
+    """The problem of the pencil (H + s M, M): its spectrum, and so its
+    spectrum floor, moved by s."""
+    h, m = problem.stiffness.to_csr(), problem.mass.to_csr()
+    return dataclasses.replace(problem, stiffness=HermitianSparse.from_csr(h + s * m),
+                               spectrum_floor=problem.spectrum_floor + s)
 
 
 def perturbed_box_mesh(dim, n, seed, scale=0.2):

@@ -38,7 +38,7 @@ from gaugefem import (
 )
 from gaugefem.cli import main
 
-from conftest import perturbed_box_mesh, shift_pencil
+from conftest import perturbed_box_mesh, shift_problem
 from oracles import edge_lookup, p1_mass_dense, p1_stiffness_dense, pauli_pencil_dense
 
 
@@ -56,13 +56,13 @@ def _paired_gauge_solve(dim, n, method, k=5, seed=101):
 
     original = assemble_scalar_problem(mesh, circ, method=method)
     twin = assemble_scalar_problem(mesh, gauged, method=method)
-    r0 = solve_hermitian_gevp(original.stiffness, original.mass, k)
-    r1 = solve_hermitian_gevp(twin.stiffness, twin.mass, k)
+    r0 = solve_hermitian_gevp(original, k)
+    r1 = solve_hermitian_gevp(twin, k)
 
     drift = np.max(np.abs(r1.eigenvalues - r0.eigenvalues) / np.abs(r0.eigenvalues))
     simple = ~(r0.multiplet | r1.multiplet)
-    f0 = np.abs(reconstruct_field(r0.eigenvectors, original.dof_map))
-    f1 = np.abs(reconstruct_field(r1.eigenvectors, twin.dof_map))
+    f0 = np.abs(reconstruct_field(r0.eigenvectors, original.interior))
+    f1 = np.abs(reconstruct_field(r1.eigenvectors, twin.interior))
     density_drift = np.max(np.abs(f1[simple] - f0[simple])) if simple.any() else 0.0
     return drift, density_drift
 
@@ -120,7 +120,7 @@ def _lowest_eigenvalues(dim, levels, bz):
         mesh = build_box_mesh(dim, n)
         spec = GaugeFieldSpec((0.0,) * dim, (0.0, 0.0, bz))
         problem = assemble_scalar_problem(mesh, circulate(spec, mesh))
-        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=1)
+        result = solve_hermitian_gevp(problem, k=1)
         out.append(result.eigenvalues[0])
     return np.asarray(out)
 
@@ -176,7 +176,7 @@ def test_criterion_6_pauli_zeeman_decoupling():
     pauli = solve_pauli(assemble_pauli(mesh, spec), k=6)
 
     scalar_problem = assemble_scalar_problem(mesh, circulate(spec, mesh))
-    scalar = solve_hermitian_gevp(scalar_problem.stiffness, scalar_problem.mass, k=8)
+    scalar = solve_hermitian_gevp(scalar_problem, k=8)
     union = np.sort(
         np.concatenate([scalar.eigenvalues - 1.0, scalar.eigenvalues + 1.0])
     )[:6]
@@ -261,16 +261,14 @@ def test_criterion_7_structural_invariants(tmp_path):
     # eigensolver consistency: Rayleigh quotients and shift invariance
     problem = assemble_scalar_problem(mesh, circ)
     tol = 1e-9
-    result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=3, tol=tol)
+    result = solve_hermitian_gevp(problem, k=3, tol=tol)
     h_csr = problem.stiffness.to_csr()
     checks["rayleigh"] = all(
         abs(np.vdot(v, h_csr @ v) - e) < 10 * tol
         for e, v in zip(result.eigenvalues, result.eigenvectors)
     )
     s = 3.5
-    shifted = solve_hermitian_gevp(
-        shift_pencil(problem.stiffness, s, problem.mass), problem.mass, k=3, tol=tol
-    )
+    shifted = solve_hermitian_gevp(shift_problem(problem, s), k=3, tol=tol)
     checks["shift-invariance"] = np.allclose(
         shifted.eigenvalues - result.eigenvalues, s, rtol=0, atol=1e-10
     )

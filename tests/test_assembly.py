@@ -22,7 +22,6 @@ from gaugefem import (
     covariant_stiffness,
     eliminate_dirichlet,
     export_matrix,
-    interior_dof_map,
     make_mesh,
     potential_matrix,
     random_gauge,
@@ -31,7 +30,8 @@ from gaugefem import (
     unit_transports,
 )
 
-from gaugefem.assembly import _barycentric_gradients, _cell_pass
+from gaugefem.assembly import (_barycentric_gradients, _cell_pass, _covariant_kinetic,
+                               _galerkin_kinetic)
 
 from conftest import perturbed_box_mesh, random_vertex_order, shuffled_cells
 from oracles import (
@@ -65,13 +65,6 @@ def _random_cell(dim, seed):
     while abs(np.linalg.det(coords[1:] - coords[0])) < 1e-2:
         coords = rng.uniform(-1.0, 1.0, (dim + 1, dim))
     return _one_cell_mesh(coords)
-
-
-def _random_local_transports(mesh, seed):
-    """Random unit transports on the edges of a one-cell mesh."""
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(-np.pi, np.pi, mesh.n_edges)
-    return TransportTable(mesh.n_vertices, mesh.edges, np.exp(1j * theta))
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +232,13 @@ def test_one_pass_equals_the_single_forms(dim, n):
     # the floor does not depend on the potential
     assert np.array_equal(floor, covariant_stiffness(mesh, table, with_mass=True)[2])
 
-    dof = interior_dof_map(mesh)
+    interior = ~mesh.boundary_vertex
     problem = assemble_scalar_problem(mesh, circ, well)
-    _assert_same_csr(problem.stiffness, eliminate_dirichlet(stiffness, dof))
-    _assert_same_csr(problem.mass, eliminate_dirichlet(mass, dof))
-    assert np.array_equal(problem.mass_floor, floor[dof >= 0])
-    assert np.array_equal(problem.dof_map, dof)
-    f, d = floor[dof >= 0], deficit[dof >= 0]
+    _assert_same_csr(problem.stiffness, eliminate_dirichlet(stiffness, interior))
+    _assert_same_csr(problem.mass, eliminate_dirichlet(mass, interior))
+    assert np.array_equal(problem.mass_floor, floor[interior])
+    assert np.array_equal(problem.interior, interior)
+    f, d = floor[interior], deficit[interior]
     s = -5.0 - np.max(d / f) if f.min() > 0.0 else -np.inf
     assert problem.spectrum_floor == s
 
@@ -342,9 +335,26 @@ def test_local_stiffness_reference_tet_entry():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_local_stiffness_hermitian(dim):
-    mesh = _random_cell(dim, seed=20 + dim)
-    k = covariant_stiffness(mesh, _random_local_transports(mesh, 4)).to_dense()
-    assert np.max(np.abs(k - k.conj().T)) < 1e-13
+    # the cell pass stores only each block's upper triangle and mirrors it,
+    # so the assembled matrix is Hermitian whatever the kernels return; the
+    # kernel blocks themselves must be
+    mesh = perturbed_box_mesh(dim, 2, seed=20 + dim)
+    rng = np.random.default_rng(4)
+    theta = rng.uniform(-np.pi, np.pi, mesh.n_edges)
+    rows = slice(0, mesh.n_cells)
+    grads = _barycentric_gradients(mesh.vertices[mesh.cells])
+    kernels = {
+        "covariant": (_covariant_kinetic,
+                      TransportTable(mesh.n_vertices, mesh.edges, np.exp(1j * theta))),
+        "baseline": (_galerkin_kinetic(mesh, EdgeCirculation(mesh.n_vertices, mesh.edges,
+                                                             theta)),
+                     unit_transports(mesh)),
+    }
+    for name, (kinetic, table) in kernels.items():
+        u = table.local_values(mesh, rows)
+        block = kinetic(rows, grads, mesh.volumes, u, np.eye(dim + 1) + u)
+        skew = np.abs(block - block.conj().transpose(0, 2, 1)).max()
+        assert skew <= 1e-14 * np.abs(block).max(), name
 
 
 def test_global_stiffness_zero_field_is_p1():
@@ -581,13 +591,12 @@ def test_hermitian_sparse_restrict():
     # eliminate_dirichlet takes the principal submatrix on the interior
     # vertices, here of a dense random Hermitian matrix
     mesh = build_box_mesh(2, 3)
-    dof = interior_dof_map(mesh)
     rng = np.random.default_rng(23)
     n = mesh.n_vertices
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = HermitianSparse.from_csr(sparse.csr_matrix(f + f.conj().T))
-    keep = np.flatnonzero(dof >= 0)
-    sub = eliminate_dirichlet(h, dof)
+    keep = np.flatnonzero(~mesh.boundary_vertex)
+    sub = eliminate_dirichlet(h, ~mesh.boundary_vertex)
     assert np.array_equal(sub.to_dense(), h.to_dense()[np.ix_(keep, keep)])
 
 
@@ -610,7 +619,7 @@ def test_eliminate_dirichlet_single_interior_vertex():
     mesh = build_box_mesh(3, 2)  # 27 vertices, 1 interior
     n = mesh.n_vertices
     eye = HermitianSparse.from_csr(sparse.identity(n, format="csr", dtype=complex))
-    reduced = eliminate_dirichlet(eye, interior_dof_map(mesh))
+    reduced = eliminate_dirichlet(eye, ~mesh.boundary_vertex)
     assert reduced.n == 1
     assert np.allclose(reduced.to_dense(), [[1.0]], atol=0)
 
@@ -621,21 +630,20 @@ def test_eliminate_dirichlet_no_interior():
         sparse.identity(mesh.n_vertices, format="csr", dtype=complex)
     )
     with pytest.raises(EmptyProblemError):
-        eliminate_dirichlet(eye, interior_dof_map(mesh))
+        eliminate_dirichlet(eye, ~mesh.boundary_vertex)
 
 
 def test_eliminate_dirichlet_preserves_interior_quadratic_form():
     mesh = build_box_mesh(2, 3)
     circ = circulate(GaugeFieldSpec([0.0, 0.0], [0.0, 0.0, 1.0]), mesh)
     k = covariant_stiffness(mesh, transports(circ))
-    dof = interior_dof_map(mesh)
-    reduced = eliminate_dirichlet(k, dof)
-    assert reduced.n == int((dof >= 0).sum())
+    reduced = eliminate_dirichlet(k, ~mesh.boundary_vertex)
+    assert reduced.n == int((~mesh.boundary_vertex).sum())
     dense = reduced.to_dense()
     assert np.array_equal(dense, dense.conj().T)
 
     rng = np.random.default_rng(4)
-    interior = np.flatnonzero(dof >= 0)
+    interior = np.flatnonzero(~mesh.boundary_vertex)
     u = np.zeros(mesh.n_vertices, dtype=np.complex128)
     u[interior] = rng.standard_normal(interior.size) + 1j * rng.standard_normal(
         interior.size
@@ -647,11 +655,10 @@ def test_eliminate_dirichlet_preserves_interior_quadratic_form():
 
 def test_eliminate_dirichlet_rejects_other_sizes():
     mesh = build_box_mesh(2, 2)
-    dof = interior_dof_map(mesh)
     for size in (2 * mesh.n_vertices, 3 * mesh.n_vertices):
         eye = HermitianSparse.from_csr(sparse.identity(size, format="csr", dtype=complex))
         with pytest.raises(ValueError):
-            eliminate_dirichlet(eye, dof)
+            eliminate_dirichlet(eye, ~mesh.boundary_vertex)
 
 
 def test_assemble_scalar_problem_shapes():
@@ -659,10 +666,10 @@ def test_assemble_scalar_problem_shapes():
     circ = circulate(GaugeFieldSpec([0.0, 0.0], [0.0, 0.0, 1.0]), mesh)
     problem = assemble_scalar_problem(mesh, circ)
     n_int = int((~mesh.boundary_vertex).sum())
-    assert problem.stiffness.n == n_int
+    assert problem.n == problem.stiffness.n == n_int
     assert problem.mass.n == n_int
     assert problem.mass_floor.shape == (n_int,)
-    assert np.array_equal(problem.dof_map, interior_dof_map(mesh))
+    assert np.array_equal(problem.interior, ~mesh.boundary_vertex)
 
     # an all-zero potential is the same as none
     zero_v = assemble_scalar_problem(mesh, circ, potential=np.zeros(mesh.n_vertices))

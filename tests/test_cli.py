@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from gaugefem import build_box_mesh, interior_dof_map
+from gaugefem import build_box_mesh
 from gaugefem.cli import (
     RunConfig,
     _build_parser,
@@ -182,6 +182,21 @@ def test_arpack_stall_exits_with_code_1(monkeypatch, capsys):
     assert out == ""
     assert "numerical failure" in err
     assert "eigensolver did not converge" in err
+
+
+@pytest.mark.parametrize("potential, cause", [
+    ("well:-1e300,0.3", "shift-invert factorization failed"),
+    ("constant:1e200", "shift-invert ARPACK failed"),
+], ids=["singular-factor", "arpack-error"])
+def test_huge_potential_on_the_arpack_path_exits_with_code_1(potential, cause, capsys):
+    # 361 DOFs: SuperLU meets an exactly singular pivot under the first, and
+    # ARPACK stops with error -9 under the second
+    rc, out, err = run_cli(
+        ["solve", "--dim", "2", "--n", "20", "--potential", potential, "--k", "1"], capsys
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"gaugefem: numerical failure: {cause}")
 
 
 def test_k_of_all_but_one_dof_solves(capsys):
@@ -369,13 +384,14 @@ def test_export_pattern_keeps_every_cell_pair(tmp_path, capsys):
     assert rc == 0
     res = json.loads(out)["results"]
     mesh = build_box_mesh(2, 8)
-    dof = interior_dof_map(mesh)
+    interior = ~mesh.boundary_vertex
+    dof = np.cumsum(interior) - 1  # the DOF index of each interior vertex
     pairs = {
         (min(dof[x], dof[y]), max(dof[x], dof[y]))
         for cell in mesh.cells
         for x in cell
         for y in cell
-        if dof[x] >= 0 and dof[y] >= 0
+        if interior[x] and interior[y]
     }
     for name in ("stiffness", "mass"):
         lines = (tmp_path / f"well_{name}.txt").read_text().strip().split("\n")

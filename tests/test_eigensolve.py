@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -6,7 +7,9 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import gaugefem.eigensolve as eigensolve
 from gaugefem import (
+    AssembledProblem,
     ConvergenceError,
     DefinitenessError,
     GaugeFieldSpec,
@@ -18,24 +21,64 @@ from gaugefem import (
     solve_hermitian_gevp,
 )
 
-from conftest import perturbed_box_mesh, shift_pencil
+from conftest import perturbed_box_mesh, shift_problem
+
+
+def _pencil(h, m, mass_floor=None):
+    """The problem of two HermitianSparse matrices, without a spectrum floor
+    and, unless ``mass_floor`` is given, without a mass floor."""
+    return AssembledProblem(h, m, np.ones(h.n, dtype=bool), mass_floor, -np.inf)
 
 
 def _pencil_from_dense(h, m):
-    return (
+    """The problem of two dense matrices, without certificates."""
+    return _pencil(
         HermitianSparse.from_csr(sparse.csr_matrix(np.asarray(h, dtype=complex))),
         HermitianSparse.from_csr(sparse.csr_matrix(np.asarray(m, dtype=complex))),
     )
 
 
-def _magnetic_problem(dim=2, n=8, bz=1.0, b=None, potential=None):
+def _clustered_problem():
+    """A diagonal pencil above the dense cutoff whose 2100 eigenvalues lie
+    within 1e-6, with its mass floor (M = I), so no probe runs before the
+    shift-invert solve."""
+    n = 2100
+    diag = 1.0 + 1e-6 * np.arange(n) / n
+    h = HermitianSparse.from_csr(sparse.diags(diag, format="csr", dtype=complex))
+    m = HermitianSparse.from_csr(sparse.identity(n, format="csr", dtype=complex))
+    return _pencil(h, m, mass_floor=np.ones(n))
+
+
+def _solve(problem, k, path, **kwargs):
+    """solve_hermitian_gevp with DENSE_CUTOFF set so that a problem of this
+    size takes the "dense" or the "arpack" path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigensolve, "DENSE_CUTOFF", problem.n if path == "dense" else 0)
+        return solve_hermitian_gevp(problem, k, **kwargs)
+
+
+@pytest.fixture
+def arpack_path(monkeypatch):
+    """Every problem above one DOF takes the ARPACK path."""
+    monkeypatch.setattr(eigensolve, "DENSE_CUTOFF", 0)
+
+
+@pytest.fixture
+def one_arpack_iteration(monkeypatch):
+    """The real eigsh, capped at one iteration: a stall on demand."""
+    original = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh",
+                        lambda *args, **kwargs: original(*args, **kwargs, maxiter=1))
+
+
+def _magnetic_problem(dim=2, n=8, bz=1.0, b=None, potential=None, radius=0.3):
     mesh = build_box_mesh(dim, n)
     b = (0.0, 0.0, bz) if b is None else b
     circ = circulate(GaugeFieldSpec((0.0,) * dim, b), mesh)
     if potential is not None:
         center = np.full(dim, 0.5)
         potential = np.where(
-            np.linalg.norm(mesh.vertices - center, axis=1) <= 0.3, potential, 0.0
+            np.linalg.norm(mesh.vertices - center, axis=1) <= radius, potential, 0.0
         )
     return mesh, assemble_scalar_problem(mesh, circ, potential)
 
@@ -56,10 +99,9 @@ def eigsh_shifts(monkeypatch):
 
 
 def _solve_both_paths(problem, k):
-    """Dense and ARPACK solves of one problem, the latter with its floor."""
-    h, m, floor = problem.stiffness, problem.mass, problem.mass_floor
-    dense = solve_hermitian_gevp(h, m, k=k, dense_cutoff=h.n, mass_floor=floor)
-    arpack = solve_hermitian_gevp(h, m, k=k, dense_cutoff=0, mass_floor=floor)
+    """Dense and ARPACK solves of one problem."""
+    dense = _solve(problem, k, "dense")
+    arpack = _solve(problem, k, "arpack")
     assert dense.method_tag == "dense-eigh"
     assert arpack.method_tag == "arpack-shift-invert"
     return dense, arpack
@@ -75,15 +117,15 @@ _ACROSS_CUTOFF = {
 
 
 def test_diagonal_pencil():
-    h, m = _pencil_from_dense(np.diag([1.0, 2.0, 3.0]), np.eye(3))
-    result = solve_hermitian_gevp(h, m, k=2)
+    pencil = _pencil_from_dense(np.diag([1.0, 2.0, 3.0]), np.eye(3))
+    result = solve_hermitian_gevp(pencil, k=2)
     assert np.allclose(result.eigenvalues, [1.0, 2.0], rtol=1e-12)
     assert result.method_tag == "dense-eigh"
 
 
 def test_two_by_two_analytic():
-    h, m = _pencil_from_dense([[2.0, -1.0], [-1.0, 2.0]], np.eye(2))
-    result = solve_hermitian_gevp(h, m, k=2)
+    pencil = _pencil_from_dense([[2.0, -1.0], [-1.0, 2.0]], np.eye(2))
+    result = solve_hermitian_gevp(pencil, k=2)
     assert np.allclose(result.eigenvalues, [1.0, 3.0], rtol=1e-12)
 
 
@@ -91,32 +133,30 @@ def test_pencil_identity():
     rng = np.random.default_rng(1)
     f = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     hpd = f @ f.conj().T + 6 * np.eye(6)
-    h, m = _pencil_from_dense(hpd, hpd)
-    result = solve_hermitian_gevp(h, m, k=1)
+    result = solve_hermitian_gevp(_pencil_from_dense(hpd, hpd), k=1)
     assert result.eigenvalues[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_argument_validation():
-    h, m = _pencil_from_dense(np.eye(3), np.eye(3))
+    pencil = _pencil_from_dense(np.eye(3), np.eye(3))
     with pytest.raises(ValueError):
-        solve_hermitian_gevp(h, m, k=0)
+        solve_hermitian_gevp(pencil, k=0)
     with pytest.raises(ValueError):
-        solve_hermitian_gevp(h, m, k=4)
+        solve_hermitian_gevp(pencil, k=4)
     with pytest.raises(ValueError):
-        solve_hermitian_gevp(h, m, k=1, tol=-1.0)
+        solve_hermitian_gevp(pencil, k=1, tol=-1.0)
     for tol in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            solve_hermitian_gevp(h, m, k=1, tol=tol)
-    h2, m2 = _pencil_from_dense(np.eye(3), np.eye(2))
+            solve_hermitian_gevp(pencil, k=1, tol=tol)
     with pytest.raises(ValueError):
-        solve_hermitian_gevp(h2, m2, k=1)
+        solve_hermitian_gevp(_pencil_from_dense(np.eye(3), np.eye(2)), k=1)
 
 
 def test_dirichlet_cube_lowest_eigenvalue():
     # regression-pinned discrete value; the continuum limit 3 pi^2 is a
     # strict lower bound for this conforming discretization
     mesh, problem = _magnetic_problem(dim=3, n=4, bz=0.0)
-    result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=1)
+    result = solve_hermitian_gevp(problem, k=1)
     assert result.eigenvalues[0] == pytest.approx(37.49921045975135, rel=1e-10)
     assert result.eigenvalues[0] > 3 * np.pi**2
     assert result.residuals[0] < 1e-9
@@ -127,7 +167,7 @@ def test_monotone_refinement_toward_continuum():
     values = []
     for n in (2, 4, 8, 16):
         _, problem = _magnetic_problem(dim=2, n=n, bz=0.0)
-        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=1)
+        result = solve_hermitian_gevp(problem, k=1)
         values.append(result.eigenvalues[0])
     assert all(v > exact2d for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -136,7 +176,7 @@ def test_monotone_refinement_toward_continuum():
     values = []
     for n in (2, 4, 8):
         _, problem = _magnetic_problem(dim=3, n=n, bz=0.0)
-        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=1)
+        result = solve_hermitian_gevp(problem, k=1)
         values.append(result.eigenvalues[0])
     assert all(v > exact3d for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -145,7 +185,7 @@ def test_monotone_refinement_toward_continuum():
 def test_rayleigh_quotient_consistency():
     tol = 1e-9
     _, problem = _magnetic_problem(dim=2, n=8, bz=1.0)
-    result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=3, tol=tol)
+    result = solve_hermitian_gevp(problem, k=3, tol=tol)
     h = problem.stiffness.to_csr()
     m = problem.mass.to_csr()
     for e, v in zip(result.eigenvalues, result.eigenvectors):
@@ -156,10 +196,8 @@ def test_rayleigh_quotient_consistency():
 def test_shift_invariance():
     _, problem = _magnetic_problem(dim=2, n=8, bz=1.0)
     s = 2.75
-    base = solve_hermitian_gevp(problem.stiffness, problem.mass, k=3)
-    shifted = solve_hermitian_gevp(
-        shift_pencil(problem.stiffness, s, problem.mass), problem.mass, k=3
-    )
+    base = solve_hermitian_gevp(problem, k=3)
+    shifted = solve_hermitian_gevp(shift_problem(problem, s), k=3)
     assert np.allclose(shifted.eigenvalues - base.eigenvalues, s, rtol=0, atol=1e-10)
     # eigenvectors agree up to a global phase: unit M-overlap, equal moduli
     m = problem.mass.to_csr()
@@ -169,15 +207,15 @@ def test_shift_invariance():
 
 
 def test_multiplet_flagging():
-    h, m = _pencil_from_dense(np.diag([1.0, 1.0 + 1e-14, 2.0]), np.eye(3))
-    result = solve_hermitian_gevp(h, m, k=3)
+    pencil = _pencil_from_dense(np.diag([1.0, 1.0 + 1e-14, 2.0]), np.eye(3))
+    result = solve_hermitian_gevp(pencil, k=3)
     assert list(result.multiplet) == [True, True, False]
 
 
 def test_phase_fix_and_determinism():
     _, problem = _magnetic_problem(dim=2, n=6, bz=1.0)
-    a = solve_hermitian_gevp(problem.stiffness, problem.mass, k=3, seed=42)
-    b = solve_hermitian_gevp(problem.stiffness, problem.mass, k=3, seed=42)
+    a = solve_hermitian_gevp(problem, k=3, seed=42)
+    b = solve_hermitian_gevp(problem, k=3, seed=42)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
     for v in a.eigenvectors:
@@ -187,9 +225,9 @@ def test_phase_fix_and_determinism():
 
 
 def test_definiteness_error_dense():
-    h, m = _pencil_from_dense(np.eye(3), np.diag([1.0, -0.5, 1.0]))
+    pencil = _pencil_from_dense(np.eye(3), np.diag([1.0, -0.5, 1.0]))
     with pytest.raises(DefinitenessError) as info:
-        solve_hermitian_gevp(h, m, k=1)
+        solve_hermitian_gevp(pencil, k=1)
     assert info.value.pivot == pytest.approx(-0.5, rel=1e-14)
 
 
@@ -200,24 +238,20 @@ def test_definiteness_error_sparse():
     h = HermitianSparse.from_csr(sparse.identity(n, format="csr", dtype=complex))
     m = HermitianSparse.from_csr(sparse.diags(diag, format="csr", dtype=complex))
     with pytest.raises(DefinitenessError):
-        solve_hermitian_gevp(h, m, k=2)
+        solve_hermitian_gevp(_pencil(h, m), k=2)
 
 
 def test_convergence_error_unreachable_tolerance():
-    h, m = _pencil_from_dense([[2.0, -1.0], [-1.0, 2.0]], np.eye(2))
+    pencil = _pencil_from_dense([[2.0, -1.0], [-1.0, 2.0]], np.eye(2))
     with pytest.raises(ConvergenceError) as info:
-        solve_hermitian_gevp(h, m, k=1, tol=1e-300)
+        solve_hermitian_gevp(pencil, k=1, tol=1e-300)
     assert info.value.best_residual > 0
 
 
-def test_convergence_error_iteration_cap():
+def test_convergence_error_iteration_cap(one_arpack_iteration):
     # clustered spectrum: one restart cannot separate the Ritz values
-    n = 2100
-    diag = 1.0 + 1e-6 * np.arange(n) / n
-    h = HermitianSparse.from_csr(sparse.diags(diag, format="csr", dtype=complex))
-    m = HermitianSparse.from_csr(sparse.identity(n, format="csr", dtype=complex))
     with pytest.raises(ConvergenceError):
-        solve_hermitian_gevp(h, m, k=6, maxiter=1)
+        solve_hermitian_gevp(_clustered_problem(), k=6)
 
 
 @pytest.mark.parametrize("case, k", [
@@ -240,10 +274,10 @@ def test_iterative_path_matches_dense(case, k, eigsh_shifts):
 def test_iterative_path_with_indefinite_stiffness(case, well, eigsh_shifts):
     # a downward shift of the pencil or a deep well makes the lowest
     # eigenvalues negative and exercises the nonzero shift, here placed by
-    # the certificate floor instead of the mass probe
+    # the certificates instead of the mass probe
     _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case], potential=well)
     if well is None:
-        problem.stiffness = shift_pencil(problem.stiffness, -50.0, problem.mass)
+        problem = shift_problem(problem, -50.0)
     dense, arpack = _solve_both_paths(problem, 3)
     assert dense.eigenvalues[0] < 0
     assert len(eigsh_shifts) == 1 and eigsh_shifts[0] < dense.eigenvalues[0]
@@ -256,14 +290,12 @@ def test_spectrum_floor_places_the_shift_under_a_deep_well(case, eigsh_shifts):
     # spectrum; the assembly's certified floor s gives sigma = s - 1, and
     # without it the solver keeps the Gershgorin shift
     _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case], potential=-400.0)
-    h, m, f = problem.stiffness, problem.mass, problem.mass_floor
-    s = problem.spectrum_floor
-    dense = solve_hermitian_gevp(h, m, k=3, dense_cutoff=h.n)
-    certified = solve_hermitian_gevp(h, m, k=3, dense_cutoff=0, mass_floor=f,
-                                     spectrum_floor=s)
-    plain = solve_hermitian_gevp(h, m, k=3, dense_cutoff=0, mass_floor=f)
+    f, s = problem.mass_floor, problem.spectrum_floor
+    dense = _solve(problem, 3, "dense")
+    certified = _solve(problem, 3, "arpack")
+    plain = _solve(dataclasses.replace(problem, spectrum_floor=-np.inf), 3, "arpack")
 
-    hd = h.to_dense()
+    hd = problem.stiffness.to_dense()
     diag = hd.diagonal().real
     gershgorin = diag - (np.abs(hd).sum(axis=1) - np.abs(diag))
     assert gershgorin.min() < 0.0
@@ -313,13 +345,15 @@ def test_dense_and_arpack_paths_agree(dim, mesh_seed, a0, b, zero_shift, k):
     mesh = perturbed_box_mesh(dim, 7 if dim == 2 else 4, mesh_seed)
     b = (0.0, 0.0, b[2]) if dim == 2 else b
     problem = assemble_scalar_problem(mesh, circulate(GaugeFieldSpec(a0[:dim], b), mesh))
-    h, m = problem.stiffness, problem.mass
     if zero_shift:
-        row_sums = np.asarray(np.abs(h.to_csr()).sum(axis=1)).ravel()
+        h = problem.stiffness.to_csr()
+        row_sums = np.asarray(np.abs(h).sum(axis=1)).ravel()
         shift = 1.0 + 2.0 * row_sums.max()
-        h = HermitianSparse.from_csr(h.to_csr() + shift * sparse.identity(h.n))
+        # H + c I >= H, so the spectrum floor still holds
+        problem = dataclasses.replace(problem, stiffness=HermitianSparse.from_csr(
+            h + shift * sparse.identity(problem.n)))
     else:
-        h = shift_pencil(h, -30.0, m)
+        problem = shift_problem(problem, -30.0)
     shifts = []
     original = spla.eigsh
 
@@ -329,10 +363,8 @@ def test_dense_and_arpack_paths_agree(dim, mesh_seed, a0, b, zero_shift, k):
 
     spla.eigsh = recording
     try:
-        dense = solve_hermitian_gevp(h, m, k=k, dense_cutoff=h.n,
-                                     mass_floor=problem.mass_floor)
-        arpack = solve_hermitian_gevp(h, m, k=k, dense_cutoff=0,
-                                      mass_floor=problem.mass_floor)
+        dense = _solve(problem, k, "dense")
+        arpack = _solve(problem, k, "arpack")
     finally:
         spla.eigsh = original
     assert (shifts[-1] == 0.0) if zero_shift else (shifts[-1] < 0.0)
@@ -344,11 +376,10 @@ def test_k_near_n_takes_the_dense_path():
     # ARPACK cannot return k >= n - 1 pairs; such requests go dense whatever
     # the cutoff instead of failing inside scipy
     _, problem = _magnetic_problem(dim=2, n=8, bz=1.0)
-    n = problem.stiffness.n
-    reference = solve_hermitian_gevp(problem.stiffness, problem.mass, k=n)
+    n = problem.n
+    reference = solve_hermitian_gevp(problem, k=n)
     for k in (n - 1, n):
-        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=k,
-                                      dense_cutoff=0, mass_floor=problem.mass_floor)
+        result = _solve(problem, k, "arpack")
         assert result.method_tag == "dense-eigh"
         assert np.allclose(result.eigenvalues, reference.eigenvalues[:k],
                            rtol=1e-12, atol=0)
@@ -367,11 +398,11 @@ def test_uncertified_mass_falls_back_to_the_probe(eigsh_shifts):
 
 def test_reconstruct_field():
     mesh, problem = _magnetic_problem(dim=2, n=4, bz=1.0)
-    result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=2)
-    fields = reconstruct_field(result.eigenvectors, problem.dof_map)
+    result = solve_hermitian_gevp(problem, k=2)
+    fields = reconstruct_field(result.eigenvectors, problem.interior)
     assert fields.shape == (2, mesh.n_vertices)
     assert np.all(fields[:, mesh.boundary_vertex] == 0.0)
-    interior = problem.dof_map >= 0
+    interior = problem.interior
     assert np.array_equal(fields[:, interior], result.eigenvectors)
     # squared density sums only over the interior
     assert np.sum(np.abs(fields) ** 2) == pytest.approx(
@@ -379,13 +410,13 @@ def test_reconstruct_field():
     )
 
     n_int = int(interior.sum())
-    zero = reconstruct_field(np.zeros(n_int), problem.dof_map)
+    zero = reconstruct_field(np.zeros(n_int), problem.interior)
     assert np.all(zero == 0.0)
     with pytest.raises(ValueError):
-        reconstruct_field(np.zeros(n_int - 1), problem.dof_map)
+        reconstruct_field(np.zeros(n_int - 1), problem.interior)
 
 
-def test_arpack_path_leaves_no_cyclic_garbage():
+def test_arpack_path_leaves_no_cyclic_garbage(arpack_path):
     # scipy's eigsh holds the shift-invert LU factor in a reference
     # cycle; the solver frees it before returning instead of leaving it to a
     # later collection, where it would raise the peak memory of the next solve
@@ -393,8 +424,7 @@ def test_arpack_path_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=2,
-                                      dense_cutoff=0)
+        result = solve_hermitian_gevp(problem, k=2)
         leftover = gc.collect()
     finally:
         gc.enable()
@@ -402,24 +432,39 @@ def test_arpack_path_leaves_no_cyclic_garbage():
     assert leftover == 0
 
 
-def test_arpack_stall_leaves_no_cyclic_garbage():
+def test_arpack_stall_leaves_no_cyclic_garbage(one_arpack_iteration):
     # the ConvergenceError path frees scipy's ARPACK cycle as well
-    n = 2100
-    diag = 1.0 + 1e-6 * np.arange(n) / n
-    h = HermitianSparse.from_csr(sparse.diags(diag, format="csr", dtype=complex))
-    m = HermitianSparse.from_csr(sparse.identity(n, format="csr", dtype=complex))
+    problem = _clustered_problem()
     gc.collect()
     gc.disable()
     try:
         with pytest.raises(ConvergenceError):
-            solve_hermitian_gevp(h, m, k=6, maxiter=1)
+            solve_hermitian_gevp(problem, k=6)
         leftover = gc.collect()
     finally:
         gc.enable()
     assert leftover == 0
 
 
-def test_arpack_cleanup_is_a_young_generation_pass():
+@pytest.mark.parametrize("depth, radius", [(-1e300, 0.3), (1e200, 1.0)],
+                         ids=["singular-factor", "arpack-error"])
+def test_failed_shift_invert_raises_and_leaves_no_cyclic_garbage(depth, radius):
+    # a potential near the float range: SuperLU meets an exactly singular
+    # pivot under the deep well, and ARPACK stops with error -9 under the
+    # constant; both surface as ConvergenceError after the cleanup
+    _, problem = _magnetic_problem(dim=2, n=20, bz=0.0, potential=depth, radius=radius)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(ConvergenceError, match="shift-invert"):
+            solve_hermitian_gevp(problem, k=1)
+        leftover = gc.collect()
+    finally:
+        gc.enable()
+    assert leftover == 0
+
+
+def test_arpack_cleanup_is_a_young_generation_pass(arpack_path):
     _, problem = _magnetic_problem(2, 8, bz=1.0)
     generations = []
 
@@ -431,24 +476,23 @@ def test_arpack_cleanup_is_a_young_generation_pass():
     gc.disable()
     gc.callbacks.append(record)
     try:
-        solve_hermitian_gevp(problem.stiffness, problem.mass, k=2, dense_cutoff=0)
+        solve_hermitian_gevp(problem, k=2)
     finally:
         gc.callbacks.remove(record)
         gc.enable()
     assert generations == [1]
 
 
-def test_successive_arpack_solves_leave_nothing_to_collect():
+def test_successive_arpack_solves_leave_nothing_to_collect(arpack_path):
     _, problem = _magnetic_problem(2, 8, bz=1.0)
     gc.collect()
     for k in (1, 2, 3, 2, 1):
-        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=k,
-                                      dense_cutoff=0)
+        result = solve_hermitian_gevp(problem, k=k)
         assert result.method_tag == "arpack-shift-invert"
     assert gc.collect() == 0
 
 
-def test_arpack_cycle_promoted_during_the_solve_is_freed():
+def test_arpack_cycle_promoted_during_the_solve_is_freed(arpack_path):
     # with these thresholds the automatic collections during eigsh move its
     # cycle to the oldest generation, out of reach of a young-generation pass
     _, problem = _magnetic_problem(2, 8, bz=1.0)
@@ -456,8 +500,7 @@ def test_arpack_cycle_promoted_during_the_solve_is_freed():
     thresholds = gc.get_threshold()
     gc.set_threshold(1, 1, 10**9)
     try:
-        result = solve_hermitian_gevp(problem.stiffness, problem.mass, k=2,
-                                      dense_cutoff=0)
+        result = solve_hermitian_gevp(problem, k=2)
         leftover = gc.collect()
     finally:
         gc.set_threshold(*thresholds)

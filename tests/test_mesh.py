@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from gaugefem import (
+    GaugeFieldSpec,
     MeshGeometryError,
+    assemble_scalar_problem,
     build_box_mesh,
-    interior_dof_map,
+    circulate,
     make_mesh,
+    reconstruct_field,
 )
 
 from conftest import perturbed_box_mesh, shuffled_cells
@@ -105,13 +108,19 @@ def test_boundary_classification():
     assert np.allclose(mesh.vertices[center], 0.5)
 
 
-def test_interior_dof_map_is_a_contiguous_bijection():
-    mesh = build_box_mesh(2, 4)
-    dof = interior_dof_map(mesh)
-    assert dof.shape == (mesh.n_vertices,)
-    assert np.all(dof[mesh.boundary_vertex] == -1)
-    interior = dof[~mesh.boundary_vertex]
-    assert np.array_equal(interior, np.arange(interior.size))
+def test_interior_mask_is_the_non_boundary_vertices():
+    for dim, n in ((2, 4), (3, 3)):
+        mesh = build_box_mesh(dim, n)
+        spec = GaugeFieldSpec((0.0,) * dim, (0.0, 0.0, 1.0))
+        problem = assemble_scalar_problem(mesh, circulate(spec, mesh))
+        assert problem.interior.dtype == bool
+        assert np.array_equal(problem.interior, ~mesh.boundary_vertex)
+        assert problem.n == np.count_nonzero(problem.interior) == (n - 1) ** dim
+        # DOF i is the i-th interior vertex in ascending vertex order
+        dofs = np.arange(1.0, problem.n + 1)
+        field = reconstruct_field(dofs, problem.interior)
+        assert np.array_equal(np.flatnonzero(field), np.flatnonzero(problem.interior))
+        assert np.array_equal(field[problem.interior], dofs)
 
 
 def test_mesh_volumes_match_cell_volumes():

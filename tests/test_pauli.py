@@ -29,7 +29,7 @@ from oracles import pauli_pencil_dense, spin_block, zeeman_matrix
 
 def _scalar_eigenvalues(mesh, spec, k, potential=None):
     problem = assemble_scalar_problem(mesh, circulate(spec, mesh), potential)
-    return solve_hermitian_gevp(problem.stiffness, problem.mass, k).eigenvalues
+    return solve_hermitian_gevp(problem, k).eigenvalues
 
 
 def test_pauli_matrix_algebra():
@@ -106,7 +106,7 @@ def test_spin_degeneracy_without_magnetic_field():
     assert np.allclose(result.eigenvalues, expected, rtol=1e-11)
     assert np.all(result.multiplet)
     # exact ties list the lower branch, spin up at B = 0, first
-    up, down = spin_components(result.eigenvectors, problem.n_interior)
+    up, down = spin_components(result.eigenvectors, problem.n)
     assert np.all(down[0::2] == 0.0) and np.all(up[1::2] == 0.0)
 
 
@@ -178,16 +178,16 @@ def test_potential_enters_both_spin_blocks():
     assert np.allclose(spinor.mass.to_dense(), scalar.mass.to_dense(), rtol=0, atol=1e-15)
     assert np.array_equal(spinor.mass_floor, scalar.mass_floor)
 
-    n = scalar.stiffness.n
+    n = scalar.n
     pauli = solve_pauli(spinor, k=2 * n)
-    plain = solve_hermitian_gevp(scalar.stiffness, scalar.mass, k=n)
+    plain = solve_hermitian_gevp(scalar, k=n)
     assert np.allclose(pauli.eigenvalues, np.repeat(plain.eigenvalues, 2),
                        rtol=1e-12, atol=0)
 
 
 def test_solve_pauli_k_range():
     problem = assemble_pauli(build_box_mesh(2, 3), GaugeFieldSpec([0.0, 0.0], [0.0, 0.0, 0.5]))
-    n = problem.n_interior
+    n = problem.n
     for k in (0, 2 * n + 1, 1.0):
         with pytest.raises(ValueError):
             solve_pauli(problem, k)
@@ -228,7 +228,7 @@ def test_pauli_reduction_matches_spinor_pencil(dim, n, mesh_seed, b, a0, gauge_s
             mesh.n_vertices)
 
     problem = assemble_pauli(mesh, spec, potential=potential, circulation=circ)
-    two_n = 2 * problem.n_interior
+    two_n = 2 * problem.n
     k = 1 + int(k_frac * (two_n - 1))
     tol = 1e-9
     result = solve_pauli(problem, k, tol=tol)
@@ -260,17 +260,17 @@ def test_spin_components_and_density_split():
     problem = assemble_pauli(mesh, spec)
     result = solve_pauli(problem, k=2)
 
-    up, down = spin_components(result.eigenvectors, problem.n_interior)
-    assert up.shape == down.shape == (2, problem.n_interior)
+    up, down = spin_components(result.eigenvectors, problem.n)
+    assert up.shape == down.shape == (2, problem.n)
     stacked = np.concatenate([up, down], axis=1)
     assert np.array_equal(stacked, result.eigenvectors)
 
-    dens_up = np.abs(reconstruct_field(up, problem.dof_map)) ** 2
-    dens_down = np.abs(reconstruct_field(down, problem.dof_map)) ** 2
+    dens_up = np.abs(reconstruct_field(up, problem.interior)) ** 2
+    dens_down = np.abs(reconstruct_field(down, problem.interior)) ** 2
     total = dens_up.sum(axis=1) + dens_down.sum(axis=1)
     assert np.allclose(
         total, np.sum(np.abs(result.eigenvectors) ** 2, axis=1), rtol=1e-14
     )
 
     with pytest.raises(ValueError):
-        spin_components(result.eigenvectors[:, :-1], problem.n_interior)
+        spin_components(result.eigenvectors[:, :-1], problem.n)
