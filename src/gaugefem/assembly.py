@@ -299,7 +299,9 @@ def _face_holonomies(u):
     m = u.shape[1]
     x, y = (p[m - 1:] for p in CELL_PAIRS[m])  # skip the m - 1 pairs (0, y)
     h = u[:, 0, x] * u[:, x, y] * u[:, y, 0]
-    return h, np.sqrt(2.0 * np.sum(np.abs(h - 1.0) ** 2, axis=1))
+    # |h - 1|^2 from its parts: a SIMD complex np.abs may round differently
+    # from scalar abs(), and delta_T reaches the shift through the floors
+    return h, np.sqrt(2.0 * np.sum((h.real - 1.0) ** 2 + h.imag ** 2, axis=1))
 
 
 def _floor_eigenvalue(a, holonomy, delta):

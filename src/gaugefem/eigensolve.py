@@ -4,9 +4,9 @@ The solver takes one assembled problem: the interior pencil (H, M) and the
 two floors assembly proves about it.  Small problems go through dense LAPACK
 (scipy.linalg.eigh on the pencil); larger ones use ARPACK shift-invert with a
 deterministic start vector and an explicit symmetric-mode LU factor of
-H - sigma M, with sigma placed by those floors.  All returned eigenvectors
-are M-normalized and phase-fixed so repeated runs are reproducible and
-gauge-paired solves can be compared pointwise.
+H - sigma M, with sigma placed by those floors, and a Rayleigh-Ritz finish.
+All returned eigenvectors are M-orthonormal and phase-fixed so repeated runs
+are reproducible and gauge-paired solves can be compared pointwise.
 """
 
 import gc
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -30,18 +31,19 @@ __all__ = [
 ]
 
 # Problems at or below this many DOFs are solved densely.  Measured
-# crossover, dense vs ARPACK with the mass floor and the explicit factor
-# (best of 5, one core, one BLAS thread, k = 4, uniform B, Xeon VM):
+# crossover, dense vs ARPACK (best of 15, interleaved, one core, one BLAS
+# thread, uniform B, Xeon VM), in ms at k = 2 / k = 6:
 #
-#   2D scalar  ~170   n=14 (169 DOFs): 7.1 vs 7.4 ms; n=16 (225): 14 vs 8 ms;
-#                     n=20 (361): 44 vs 9 ms; n=24 (529): 117 vs 13 ms
-#   3D scalar  ~200   n=6 (125 DOFs): 3.6 vs 8.3 ms; n=7 (216): 11 vs 10 ms;
-#                     n=8 (343): 34 vs 12 ms
+#   2D scalar  121-144  n=12 (121 DOFs): 3.0 vs 3.5 / 3.9 vs 4.3;
+#                       n=13 (144): 5.6 vs 3.6 / 5.9 vs 4.6;
+#                       n=14 (169): 7.9 vs 3.8 / 8.4 vs 4.9
+#   3D scalar  125-216  n=6 (125 DOFs): 3.1 vs 4.7 / 3.6 vs 5.4;
+#                       n=7 (216): 13.0 vs 6.3 / 13.1 vs 7.0
 #
-# A Pauli job runs one such scalar solve, so the same crossover holds.  The
-# constant predates these numbers: it was set when each ARPACK solve also
-# paid a full garbage collection, and lowering it is open.
-DENSE_CUTOFF = 300
+# The box meshes' (n - 1)^d unknowns skip from 125 to 144, so a cutoff
+# between them sends every measured size to its faster path.  A Pauli job
+# runs one such scalar solve, so the same crossover holds.
+DENSE_CUTOFF = 140
 
 # Neighbouring eigenvalues closer than this (relative) are flagged as a
 # multiplet; their eigenvectors are only defined up to mixing.
@@ -114,28 +116,34 @@ def _fix_phases(vecs):
     return vecs
 
 
-def _postprocess(vals, vecs, h_csr, m_csr, tol, tag):
-    order = np.argsort(vals, kind="stable")
-    vals = np.asarray(vals[order], dtype=np.float64)
-    vecs = np.ascontiguousarray(vecs[:, order].T, dtype=np.complex128)  # (k, n)
+def _residual_norms(vals, vecs, hx, mx):
+    """||H v - E M v||_2 / ||v||_2 for each column v of vecs, from the
+    products hx = H vecs and mx = M vecs.  BLAS nrm2 scales as it sums, so a
+    norm that fits in a float does not overflow on the way."""
+    r = hx - mx * vals
+    return np.array([scipy.linalg.norm(r[:, i], check_finite=False)
+                     / scipy.linalg.norm(vecs[:, i], check_finite=False)
+                     for i in range(vecs.shape[1])])
 
-    norms = np.array([np.sqrt(np.real(np.vdot(v, m_csr @ v))) for v in vecs])
-    if np.any(norms == 0.0):
-        raise ConvergenceError(np.inf, "eigensolver returned a zero vector")
-    vecs = _fix_phases(vecs / norms[:, None])
-    residuals = np.array([np.linalg.norm(h_csr @ v - e * (m_csr @ v)) / np.linalg.norm(v)
-                          for e, v in zip(vals, vecs)])
 
-    worst = residuals.max() if residuals.size else 0.0
-    if worst > tol:
+def _postprocess(vals, vecs, hx, mx, tol, tag):
+    """Check and package ascending eigenvalues and their M-orthonormal
+    eigenvectors (the columns of vecs), given hx = H vecs and mx = M vecs."""
+    residuals = _residual_norms(vals, vecs, hx, mx)
+    worst = residuals.max()
+    if not worst <= tol:  # a NaN residual fails too
         raise ConvergenceError(worst)
+    vecs = _fix_phases(np.ascontiguousarray(vecs.T))  # (k, n)
     return SpectrumResult(vals, vecs, residuals, _flag_multiplets(vals), tag)
 
 
 def _gershgorin_lower(h_csr):
     """Per-row g with x^H H x >= sum_i g_i |x_i|^2: diagonal minus row radius."""
-    diag = h_csr.diagonal()
-    radii = np.asarray(np.abs(h_csr).sum(axis=1)).ravel() - np.abs(diag)
+    # np.hypot rounds like scalar abs(); a SIMD complex np.abs may not
+    data, diag = h_csr.data, h_csr.diagonal()
+    moduli = sparse.csr_matrix((np.hypot(data.real, data.imag), h_csr.indices,
+                                h_csr.indptr), shape=h_csr.shape)
+    radii = np.asarray(moduli.sum(axis=1)).ravel() - np.hypot(diag.real, diag.imag)
     return diag.real - radii
 
 
@@ -148,6 +156,12 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     and uses the factor only through ``solve``.  It never reads the factor's
     ``L`` or ``U`` attributes (for example to count pivot signs): SuperLU
     builds them as copies of both factors, cached for the factor's lifetime.
+    ARPACK runs in shift-invert mode with the Euclidean inner product on
+    (H - sigma M)^-1 M, whose eigenvalues are 1 / (E - sigma): one solve and
+    one M-product per step.  A Rayleigh-Ritz step of the pencil on its k
+    Ritz vectors then gives real eigenvalues and M-orthonormal eigenvectors,
+    also in exactly degenerate clusters; if those vectors are not
+    M-independent it raises :class:`ConvergenceError`.
 
     Parameters
     ----------
@@ -195,7 +209,7 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
             if pivot > 0.0:
                 raise
             raise DefinitenessError(pivot) from None
-        return _postprocess(vals, vecs, h_csr, m_csr, tol, "dense-eigh")
+        return _postprocess(vals, vecs, h_csr @ vecs, m_csr @ vecs, tol, "dense-eigh")
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -243,42 +257,38 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
         raise ConvergenceError(
             np.inf, f"shift-invert factorization failed: {exc}"
         ) from None
-    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.complex128)
+    # ARPACK's shift-invert mode in the Euclidean inner product (no M given):
+    # one application of (H - sigma M)^-1 M per step.  eigs reads only the
+    # size and dtype of its matrix argument here.
+    op_inv = spla.LinearOperator(
+        (n, n), matvec=lambda x: lu.solve(m_csr @ x), dtype=np.complex128
+    )
     op_ref = weakref.ref(op_inv)
     failure = None
     try:
-        vals, vecs = spla.eigsh(
-            h_csr,
-            k=k,
-            M=m_csr,
-            sigma=sigma,
-            which="LM",
-            tol=tol * 1e-2,
-            v0=v0,
-            OPinv=op_inv,
-        )
+        ritz = spla.eigs(
+            h_csr, k=k, sigma=sigma, OPinv=op_inv, which="LM", tol=tol * 1e-2, v0=v0
+        )[1]
     except ArpackNoConvergence as exc:
         best = np.inf
         if len(exc.eigenvalues):
             vv = exc.eigenvectors
-            best = min(
-                np.linalg.norm(h_csr @ vv[:, i] - exc.eigenvalues[i] * (m_csr @ vv[:, i]))
-                / np.linalg.norm(vv[:, i])
-                for i in range(vv.shape[1])
-            )
+            best = _residual_norms(exc.eigenvalues, vv, h_csr @ vv, m_csr @ vv).min()
         failure = (best, None)
     except spla.ArpackError as exc:  # e.g. -9, a start vector the operator zeroed
         failure = (np.inf, f"shift-invert ARPACK failed: {exc}")
-    del lu, op_inv  # from here on only scipy's cycle can keep the factor alive
-    # scipy's eigsh leaves its ARPACK state, which holds OPinv and the n x ncv
-    # workspace, in a reference cycle, so it would stay alive through the
-    # caller's next assembly and solve until a collection found it.  Every
-    # object of that cycle was made during this solve, so it is normally
-    # still in generation 0 or 1, and a young-generation pass (well under
-    # 1 ms) frees it without the full collection's walk over every live
-    # object (9-17 ms).  An automatic generation-1 collection during eigsh
-    # can promote the cycle to the oldest generation; the full pass, run only
-    # when OPinv outlived the young one, catches that.
+    del lu, op_inv  # from here on only a reference cycle can keep the factor alive
+    # A reference cycle around the ARPACK state, which holds OPinv and the
+    # n x ncv workspace, would keep the factor alive through the caller's next
+    # assembly and solve until a collection found it.  (scipy's generalized
+    # eigsh made one; eigs in this mode makes none in scipy 1.17, but nothing
+    # in its interface promises that.)  Every object of such a cycle is made
+    # during this solve, so it is normally still in generation 0 or 1, and a
+    # young-generation pass (well under 1 ms) frees it without the full
+    # collection's walk over every live object (9-17 ms).  An automatic
+    # generation-1 collection during eigs can promote the cycle to the oldest
+    # generation; the full pass, run only when OPinv outlived the young one,
+    # catches that.
     gc.collect(1)
     if op_ref() is not None:
         gc.collect()
@@ -286,7 +296,16 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
         # built here: an error held in a local would sit in a cycle with this
         # frame through its own traceback
         raise ConvergenceError(*failure)
-    return _postprocess(vals, vecs, h_csr, m_csr, tol, "arpack-shift-invert")
+    # Rayleigh-Ritz of the pencil in span(ritz)
+    hx, mx = h_csr @ ritz, m_csr @ ritz
+    ritz_h = ritz.conj().T
+    try:
+        vals, y = scipy.linalg.eigh(ritz_h @ hx, ritz_h @ mx, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(
+            np.inf, "ARPACK Ritz vectors are not M-independent"
+        ) from None
+    return _postprocess(vals, ritz @ y, hx @ y, mx @ y, tol, "arpack-shift-invert")
 
 
 def reconstruct_field(coefficients, interior):

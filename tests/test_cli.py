@@ -176,7 +176,7 @@ def test_arpack_stall_exits_with_code_1(monkeypatch, capsys):
         raise spla.ArpackNoConvergence("ARPACK stalled", np.empty(0),
                                        np.empty((args[0].shape[0], 0)))
 
-    monkeypatch.setattr(spla, "eigsh", stalled)
+    monkeypatch.setattr(spla, "eigs", stalled)
     rc, out, err = run_cli(["solve", "--dim", "2", "--n", "20", "--b", "1"], capsys)
     assert rc == 1
     assert out == ""
@@ -186,17 +186,31 @@ def test_arpack_stall_exits_with_code_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize("potential, cause", [
     ("well:-1e300,0.3", "shift-invert factorization failed"),
-    ("constant:1e200", "shift-invert ARPACK failed"),
+    ("constant:1e200", "eigensolver did not converge"),
 ], ids=["singular-factor", "arpack-error"])
 def test_huge_potential_on_the_arpack_path_exits_with_code_1(potential, cause, capsys):
-    # 361 DOFs: SuperLU meets an exactly singular pivot under the first, and
-    # ARPACK stops with error -9 under the second
+    # 361 DOFs: SuperLU meets an exactly singular pivot under the first; under
+    # the second ARPACK converges, but at E ~ 1e200 the relative residuals
+    # (about 1e181) fail the tolerance
     rc, out, err = run_cli(
         ["solve", "--dim", "2", "--n", "20", "--potential", potential, "--k", "1"], capsys
     )
     assert rc == 1
     assert out == ""
     assert err.startswith(f"gaugefem: numerical failure: {cause}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_potential_on_the_dense_path_exits_with_code_1(capsys):
+    # 49 DOFs, dense path: the residual norms, near 1e200, must not overflow
+    # on the way, where a RuntimeWarning would end in a traceback
+    rc, out, err = run_cli(
+        ["solve", "--dim", "2", "--n", "8", "--potential", "constant:1e200", "--k", "1"],
+        capsys,
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("gaugefem: numerical failure: eigensolver did not converge")
 
 
 def test_k_of_all_but_one_dof_solves(capsys):

@@ -65,9 +65,9 @@ def arpack_path(monkeypatch):
 
 @pytest.fixture
 def one_arpack_iteration(monkeypatch):
-    """The real eigsh, capped at one iteration: a stall on demand."""
-    original = spla.eigsh
-    monkeypatch.setattr(spla, "eigsh",
+    """The real shift-invert eigs, capped at one iteration: a stall on demand."""
+    original = spla.eigs
+    monkeypatch.setattr(spla, "eigs",
                         lambda *args, **kwargs: original(*args, **kwargs, maxiter=1))
 
 
@@ -84,17 +84,19 @@ def _magnetic_problem(dim=2, n=8, bz=1.0, b=None, potential=None, radius=0.3):
 
 
 @pytest.fixture
-def eigsh_shifts(monkeypatch):
-    """The sigma of every scipy eigsh call the solver makes (None: the
-    Lanczos mass probe)."""
+def arpack_shifts(monkeypatch):
+    """The sigma of every ARPACK call the solver makes, in order: the eigsh
+    Lanczos mass probe records None, the shift-invert eigs its sigma."""
     shifts = []
-    original = spla.eigsh
 
-    def recording(*args, **kwargs):
-        shifts.append(kwargs.get("sigma"))
-        return original(*args, **kwargs)
+    def recorder(original):
+        def recording(*args, **kwargs):
+            shifts.append(kwargs.get("sigma"))
+            return original(*args, **kwargs)
+        return recording
 
-    monkeypatch.setattr(spla, "eigsh", recording)
+    for name in ("eigsh", "eigs"):
+        monkeypatch.setattr(spla, name, recorder(getattr(spla, name)))
     return shifts
 
 
@@ -113,6 +115,8 @@ _ACROSS_CUTOFF = {
     "2d-n28": dict(dim=2, n=28, b=(0.0, 0.0, 7.0)),
     "3d-n8": dict(dim=3, n=8, b=(2.0, -1.0, 5.0)),
     "unit-square-zero-field": dict(dim=2, n=20, b=(0.0, 0.0, 0.0)),
+    # exactly degenerate pairs at 65.0073 and 103.391 (cube symmetries)
+    "unit-cube-zero-field": dict(dim=3, n=8, b=(0.0, 0.0, 0.0)),
 }
 
 
@@ -256,22 +260,28 @@ def test_convergence_error_iteration_cap(one_arpack_iteration):
 
 @pytest.mark.parametrize("case, k", [
     ("2d-n20", 3), ("2d-n28", 4), ("3d-n8", 4), ("unit-square-zero-field", 6),
-], ids=["2d-n20", "2d-n28", "3d-n8", "unit-square-zero-field"])
-def test_iterative_path_matches_dense(case, k, eigsh_shifts):
+    ("unit-cube-zero-field", 6),
+], ids=["2d-n20", "2d-n28", "3d-n8", "unit-square-zero-field", "unit-cube-zero-field"])
+def test_iterative_path_matches_dense(case, k, arpack_shifts):
     _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case])
     assert problem.mass_floor.min() > 0.0
     dense, arpack = _solve_both_paths(problem, k)
-    # the certificate replaces the Lanczos mass probe: one eigsh call only
-    assert len(eigsh_shifts) == 1 and eigsh_shifts[0] is not None
+    # the certificate replaces the Lanczos mass probe: one ARPACK call only
+    assert len(arpack_shifts) == 1 and arpack_shifts[0] is not None
     assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
     assert np.all(arpack.residuals < 1e-9)
+    assert np.array_equal(arpack.multiplet, dense.multiplet)
+    # M-orthonormal, inside a degenerate cluster too
+    x = arpack.eigenvectors.T
+    gram = x.conj().T @ (problem.mass.to_csr() @ x)
+    assert np.abs(gram - np.eye(k)).max() < 1e-10
 
 
 @pytest.mark.parametrize("case, well", [
     ("2d-n20", None), ("2d-n28", None), ("3d-n8", None),
     ("2d-n20", -400.0), ("3d-n8", -400.0),
 ], ids=["2d-n20-shift", "2d-n28-shift", "3d-n8-shift", "2d-n20-well", "3d-n8-well"])
-def test_iterative_path_with_indefinite_stiffness(case, well, eigsh_shifts):
+def test_iterative_path_with_indefinite_stiffness(case, well, arpack_shifts):
     # a downward shift of the pencil or a deep well makes the lowest
     # eigenvalues negative and exercises the nonzero shift, here placed by
     # the certificates instead of the mass probe
@@ -280,12 +290,12 @@ def test_iterative_path_with_indefinite_stiffness(case, well, eigsh_shifts):
         problem = shift_problem(problem, -50.0)
     dense, arpack = _solve_both_paths(problem, 3)
     assert dense.eigenvalues[0] < 0
-    assert len(eigsh_shifts) == 1 and eigsh_shifts[0] < dense.eigenvalues[0]
+    assert len(arpack_shifts) == 1 and arpack_shifts[0] < dense.eigenvalues[0]
     assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("case", ["2d-n20", "3d-n8"])
-def test_spectrum_floor_places_the_shift_under_a_deep_well(case, eigsh_shifts):
+def test_spectrum_floor_places_the_shift_under_a_deep_well(case, arpack_shifts):
     # under a well of depth -400 the Gershgorin shift lies far below the
     # spectrum; the assembly's certified floor s gives sigma = s - 1, and
     # without it the solver keeps the Gershgorin shift
@@ -301,14 +311,14 @@ def test_spectrum_floor_places_the_shift_under_a_deep_well(case, eigsh_shifts):
     assert gershgorin.min() < 0.0
     gershgorin_shift = np.min(gershgorin / (0.9 * f)) - 1.0
     assert gershgorin_shift < s - 1.0 and s <= dense.eigenvalues[0] < 0.0
-    assert eigsh_shifts[0] == s - 1.0
-    assert eigsh_shifts[1] == pytest.approx(gershgorin_shift, rel=1e-12)
+    assert arpack_shifts[0] == s - 1.0
+    assert arpack_shifts[1] == pytest.approx(gershgorin_shift, rel=1e-12)
     for result in (certified, plain):
         assert result.method_tag == "arpack-shift-invert"
         assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
 
-def test_zero_shift_factors_the_true_nonzero_pattern(monkeypatch, eigsh_shifts):
+def test_zero_shift_factors_the_true_nonzero_pattern(monkeypatch, arpack_shifts):
     # a field-only box problem has a positive Gershgorin bound, so sigma = 0,
     # and its stiffness stores the exact zeros of the orthogonal Kuhn pairs;
     # the factor must see H without them
@@ -322,7 +332,7 @@ def test_zero_shift_factors_the_true_nonzero_pattern(monkeypatch, eigsh_shifts):
 
     monkeypatch.setattr(spla, "splu", recording)
     dense, arpack = _solve_both_paths(problem, 3)
-    assert eigsh_shifts == [0.0]
+    assert arpack_shifts == [0.0]
     h = problem.stiffness.to_csr()
     assert factored[0].nnz == np.count_nonzero(h.data) < h.nnz
     assert np.array_equal(factored[0].toarray(), h.toarray())
@@ -355,18 +365,18 @@ def test_dense_and_arpack_paths_agree(dim, mesh_seed, a0, b, zero_shift, k):
     else:
         problem = shift_problem(problem, -30.0)
     shifts = []
-    original = spla.eigsh
+    original = spla.eigs
 
     def recording(*args, **kwargs):
         shifts.append(kwargs.get("sigma"))
         return original(*args, **kwargs)
 
-    spla.eigsh = recording
+    spla.eigs = recording
     try:
         dense = _solve(problem, k, "dense")
         arpack = _solve(problem, k, "arpack")
     finally:
-        spla.eigsh = original
+        spla.eigs = original
     assert (shifts[-1] == 0.0) if zero_shift else (shifts[-1] < 0.0)
     assert arpack.method_tag == "arpack-shift-invert"
     assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
@@ -385,14 +395,14 @@ def test_k_near_n_takes_the_dense_path():
                            rtol=1e-12, atol=0)
 
 
-def test_uncertified_mass_falls_back_to_the_probe(eigsh_shifts):
+def test_uncertified_mass_falls_back_to_the_probe(arpack_shifts):
     # B = 100 on the 3D n=4 cube gives cells with lambda_min(I + U_T) < 0 and
     # no positive vertex floor, yet the global mass is positive definite
     _, problem = _magnetic_problem(dim=3, n=4, bz=100.0)
     assert problem.mass_floor.max() <= 0.0
     np.linalg.cholesky(problem.mass.to_dense())
     dense, arpack = _solve_both_paths(problem, 3)
-    assert eigsh_shifts[0] is None  # the Lanczos probe ran
+    assert arpack_shifts[0] is None  # the Lanczos probe ran
     assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
 
@@ -417,9 +427,10 @@ def test_reconstruct_field():
 
 
 def test_arpack_path_leaves_no_cyclic_garbage(arpack_path):
-    # scipy's eigsh holds the shift-invert LU factor in a reference
-    # cycle; the solver frees it before returning instead of leaving it to a
-    # later collection, where it would raise the peak memory of the next solve
+    # a reference cycle around scipy's ARPACK state would hold the
+    # shift-invert LU factor; the solver frees any before returning instead
+    # of leaving it to a later collection, where it would raise the peak
+    # memory of the next solve
     _, problem = _magnetic_problem(2, 8, bz=1.0)
     gc.collect()
     gc.disable()
@@ -446,17 +457,20 @@ def test_arpack_stall_leaves_no_cyclic_garbage(one_arpack_iteration):
     assert leftover == 0
 
 
-@pytest.mark.parametrize("depth, radius", [(-1e300, 0.3), (1e200, 1.0)],
-                         ids=["singular-factor", "arpack-error"])
-def test_failed_shift_invert_raises_and_leaves_no_cyclic_garbage(depth, radius):
+@pytest.mark.parametrize("depth, radius, cause", [
+    (-1e300, 0.3, "shift-invert factorization failed"),
+    (1e200, 1.0, "eigensolver did not converge"),
+], ids=["singular-factor", "arpack-error"])
+def test_failed_shift_invert_raises_and_leaves_no_cyclic_garbage(depth, radius, cause):
     # a potential near the float range: SuperLU meets an exactly singular
-    # pivot under the deep well, and ARPACK stops with error -9 under the
-    # constant; both surface as ConvergenceError after the cleanup
+    # pivot under the deep well, and under the constant ARPACK converges to
+    # pairs whose relative residuals (about 1e181 at E ~ 1e200) fail the
+    # tolerance; both surface as ConvergenceError after the cleanup
     _, problem = _magnetic_problem(dim=2, n=20, bz=0.0, potential=depth, radius=radius)
     gc.collect()
     gc.disable()
     try:
-        with pytest.raises(ConvergenceError, match="shift-invert"):
+        with pytest.raises(ConvergenceError, match=cause):
             solve_hermitian_gevp(problem, k=1)
         leftover = gc.collect()
     finally:
@@ -493,8 +507,8 @@ def test_successive_arpack_solves_leave_nothing_to_collect(arpack_path):
 
 
 def test_arpack_cycle_promoted_during_the_solve_is_freed(arpack_path):
-    # with these thresholds the automatic collections during eigsh move its
-    # cycle to the oldest generation, out of reach of a young-generation pass
+    # with these thresholds the automatic collections during eigs would move
+    # a cycle to the oldest generation, out of reach of a young-generation pass
     _, problem = _magnetic_problem(2, 8, bz=1.0)
     gc.collect()
     thresholds = gc.get_threshold()
