@@ -203,6 +203,12 @@ def _scalar_problem(cfg, n):
     return mesh, assemble_scalar_problem(mesh, circ, pot, method=cfg.method)
 
 
+def _density(coefficients, interior):
+    """Per-vertex |u|^2 as re^2 + im^2; a SIMD complex np.abs may round otherwise."""
+    f = reconstruct_field(coefficients, interior)
+    return f.real**2 + f.imag**2
+
+
 def _spectrum_block(result):
     return {
         "eigenvalues": [float(v) for v in result.eigenvalues],
@@ -215,12 +221,11 @@ def _spectrum_block(result):
 def run_solve(cfg):
     mesh, problem = _scalar_problem(cfg, cfg.n)
     result, runtime = _timed_solve(cfg, problem)
-    fields = reconstruct_field(result.eigenvectors, problem.interior)
     return {
         **_spectrum_block(result),
         "n_dofs": problem.n,
         "h": mesh.h,
-        "density": (np.abs(fields) ** 2).tolist(),
+        "density": _density(result.eigenvectors, problem.interior).tolist(),
         "runtime_seconds": runtime,
     }
 
@@ -231,14 +236,12 @@ def run_pauli(cfg):
     result, runtime = _timed(cfg, solve_pauli, problem, cfg.k, tol=cfg.tol,
                              seed=cfg.seed)
     up, down = spin_components(result.eigenvectors, problem.n)
-    dens_up = np.abs(reconstruct_field(up, problem.interior)) ** 2
-    dens_down = np.abs(reconstruct_field(down, problem.interior)) ** 2
     return {
         **_spectrum_block(result),
         "n_dofs": 2 * problem.n,
         "h": mesh.h,
-        "density_up": dens_up.tolist(),
-        "density_down": dens_down.tolist(),
+        "density_up": _density(up, problem.interior).tolist(),
+        "density_down": _density(down, problem.interior).tolist(),
         "runtime_seconds": runtime,
     }
 
@@ -256,8 +259,8 @@ def run_gauge_check(cfg):
 
     e0, e1 = res0.eigenvalues, res1.eigenvalues
     drift = np.abs(e1 - e0) / np.maximum(np.abs(e0), np.finfo(float).tiny)
-    dens0 = np.abs(reconstruct_field(res0.eigenvectors, base.interior)) ** 2
-    dens1 = np.abs(reconstruct_field(res1.eigenvectors, twin.interior)) ** 2
+    dens0 = _density(res0.eigenvectors, base.interior)
+    dens1 = _density(res1.eigenvectors, twin.interior)
     simple = ~(res0.multiplet | res1.multiplet)
     density_drift = (
         float(np.max(np.abs(dens1[simple] - dens0[simple]))) if simple.any() else None

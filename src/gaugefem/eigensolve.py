@@ -9,9 +9,6 @@ All returned eigenvectors are M-orthonormal and phase-fixed so repeated runs
 are reproducible and gauge-paired solves can be compared pointwise.
 """
 
-import gc
-import weakref
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +59,7 @@ class DefinitenessError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """The iterative eigensolver did not reach the requested tolerance."""
+    """The eigensolver failed or did not reach the requested tolerance."""
 
     def __init__(self, best_residual, message=None):
         self.best_residual = float(best_residual)
@@ -110,8 +107,8 @@ def _flag_multiplets(vals):
 
 def _fix_phases(vecs):
     """Rotate each row's largest-modulus entry to be real and positive, in place."""
-    top = vecs[np.arange(vecs.shape[0]), np.argmax(np.abs(vecs), axis=1)]
-    # np.hypot rounds like scalar abs(); a SIMD complex np.abs may not
+    # re^2 + im^2 and np.hypot round like scalar code; a SIMD complex np.abs may not
+    top = vecs[np.arange(len(vecs)), np.argmax(vecs.real**2 + vecs.imag**2, axis=1)]
     vecs *= np.conj(top / np.hypot(top.real, top.imag))[:, None]
     return vecs
 
@@ -160,18 +157,16 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     (H - sigma M)^-1 M, whose eigenvalues are 1 / (E - sigma): one solve and
     one M-product per step.  A Rayleigh-Ritz step of the pencil on its k
     Ritz vectors then gives real eigenvalues and M-orthonormal eigenvectors,
-    also in exactly degenerate clusters; if those vectors are not
-    M-independent it raises :class:`ConvergenceError`.
+    also in exactly degenerate clusters.
 
     Parameters
     ----------
     problem : AssembledProblem
         The pencil H = ``stiffness``, M = ``mass`` (HermitianSparse, same
         size n) and its two certificates.  M must be positive definite
-        (checked, raises :class:`DefinitenessError` naming the smallest
-        detected pivot).  ``mass_floor`` is a proven (n,) floor f with
-        M - diag(f) positive semidefinite; when min f > 0 the ARPACK path
-        takes M as positive definite, and when it is None or min f <= 0 (the
+        (checked).  ``mass_floor`` is a proven (n,) floor f with M - diag(f)
+        positive semidefinite; when min f > 0 the ARPACK path takes M as
+        positive definite, and when it is None or min f <= 0 (the
         certificate is sufficient, not necessary) a Lanczos probe of M runs.
         ``spectrum_floor`` is a proven lower bound s on the smallest
         eigenvalue, -inf for none.  It only places the ARPACK shift:
@@ -184,6 +179,15 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
         Acceptance threshold for the relative residuals; finite and positive.
     seed : int
         Seeds the ARPACK start vector; fixed seed gives bit-reproducible runs.
+
+    Raises
+    ------
+    DefinitenessError
+        M is not positive definite; ``pivot`` is the smallest detected pivot.
+    ConvergenceError
+        The mass probe stalled, the shift-invert factor met a singular pivot,
+        ARPACK failed or stalled, the Ritz vectors are not M-independent, or
+        a relative residual exceeds ``tol``; the message says which.
     """
     H, M = problem.stiffness, problem.mass
     if H.n != M.n:
@@ -257,14 +261,10 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
         raise ConvergenceError(
             np.inf, f"shift-invert factorization failed: {exc}"
         ) from None
-    # ARPACK's shift-invert mode in the Euclidean inner product (no M given):
-    # one application of (H - sigma M)^-1 M per step.  eigs reads only the
-    # size and dtype of its matrix argument here.
+    # no M given: eigs reads only the size and dtype of its matrix argument
     op_inv = spla.LinearOperator(
         (n, n), matvec=lambda x: lu.solve(m_csr @ x), dtype=np.complex128
     )
-    op_ref = weakref.ref(op_inv)
-    failure = None
     try:
         ritz = spla.eigs(
             h_csr, k=k, sigma=sigma, OPinv=op_inv, which="LM", tol=tol * 1e-2, v0=v0
@@ -274,28 +274,9 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
         if len(exc.eigenvalues):
             vv = exc.eigenvectors
             best = _residual_norms(exc.eigenvalues, vv, h_csr @ vv, m_csr @ vv).min()
-        failure = (best, None)
+        raise ConvergenceError(best) from None
     except spla.ArpackError as exc:  # e.g. -9, a start vector the operator zeroed
-        failure = (np.inf, f"shift-invert ARPACK failed: {exc}")
-    del lu, op_inv  # from here on only a reference cycle can keep the factor alive
-    # A reference cycle around the ARPACK state, which holds OPinv and the
-    # n x ncv workspace, would keep the factor alive through the caller's next
-    # assembly and solve until a collection found it.  (scipy's generalized
-    # eigsh made one; eigs in this mode makes none in scipy 1.17, but nothing
-    # in its interface promises that.)  Every object of such a cycle is made
-    # during this solve, so it is normally still in generation 0 or 1, and a
-    # young-generation pass (well under 1 ms) frees it without the full
-    # collection's walk over every live object (9-17 ms).  An automatic
-    # generation-1 collection during eigs can promote the cycle to the oldest
-    # generation; the full pass, run only when OPinv outlived the young one,
-    # catches that.
-    gc.collect(1)
-    if op_ref() is not None:
-        gc.collect()
-    if failure is not None:
-        # built here: an error held in a local would sit in a cycle with this
-        # frame through its own traceback
-        raise ConvergenceError(*failure)
+        raise ConvergenceError(np.inf, f"shift-invert ARPACK failed: {exc}") from None
     # Rayleigh-Ritz of the pencil in span(ritz)
     hx, mx = h_csr @ ritz, m_csr @ ritz
     ritz_h = ritz.conj().T

@@ -8,12 +8,13 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from gaugefem import build_box_mesh
+from gaugefem import build_box_mesh, reconstruct_field, solve_hermitian_gevp
 from gaugefem.cli import (
     RunConfig,
     _build_parser,
     _config_from_args,
     _render,
+    _scalar_problem,
     dirichlet_reference,
     main,
     potential_values,
@@ -46,6 +47,21 @@ def test_solve_report_regression(capsys):
     assert res["runtime_seconds"] is None
     assert len(res["density"]) == 3
     assert len(res["density"][0]) == 81  # one value per vertex
+
+
+def test_solve_density_is_re2_plus_im2_bit_for_bit(capsys):
+    # a SIMD complex np.abs can round differently on different CPUs, which
+    # would make report bytes machine-dependent; re^2 + im^2 does not
+    rc, out, _ = run_cli(
+        ["solve", "--dim", "2", "--n", "20", "--b", "1", "--k", "3", "--deterministic"],
+        capsys,
+    )
+    assert rc == 0
+    cfg = RunConfig("solve", levels=(20,), b=(1.0,), k=3)
+    _, problem = _scalar_problem(cfg, cfg.n)
+    result = solve_hermitian_gevp(problem, cfg.k, tol=cfg.tol, seed=cfg.seed)
+    f = reconstruct_field(result.eigenvectors, problem.interior)
+    assert json.loads(out)["results"]["density"] == (f.real**2 + f.imag**2).tolist()
 
 
 def test_solve_cube_reference(capsys):
@@ -184,10 +200,22 @@ def test_arpack_stall_exits_with_code_1(monkeypatch, capsys):
     assert "eigensolver did not converge" in err
 
 
+def test_arpack_error_exits_with_code_1(monkeypatch, capsys):
+    # 361 DOFs, ARPACK path; error -9 is a start vector the operator zeroed
+    def failing(*args, **kwargs):
+        raise spla.ArpackError(-9)
+
+    monkeypatch.setattr(spla, "eigs", failing)
+    rc, out, err = run_cli(["solve", "--dim", "2", "--n", "20", "--b", "1"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("gaugefem: numerical failure: shift-invert ARPACK failed")
+
+
 @pytest.mark.parametrize("potential, cause", [
     ("well:-1e300,0.3", "shift-invert factorization failed"),
     ("constant:1e200", "eigensolver did not converge"),
-], ids=["singular-factor", "arpack-error"])
+], ids=["singular-factor", "residual-overflow"])
 def test_huge_potential_on_the_arpack_path_exits_with_code_1(potential, cause, capsys):
     # 361 DOFs: SuperLU meets an exactly singular pivot under the first; under
     # the second ARPACK converges, but at E ~ 1e200 the relative residuals

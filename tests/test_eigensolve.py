@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -426,97 +427,99 @@ def test_reconstruct_field():
         reconstruct_field(np.zeros(n_int - 1), problem.interior)
 
 
-def test_arpack_path_leaves_no_cyclic_garbage(arpack_path):
-    # a reference cycle around scipy's ARPACK state would hold the
-    # shift-invert LU factor; the solver frees any before returning instead
-    # of leaving it to a later collection, where it would raise the peak
-    # memory of the next solve
-    _, problem = _magnetic_problem(2, 8, bz=1.0)
-    gc.collect()
-    gc.disable()
-    try:
-        result = solve_hermitian_gevp(problem, k=2)
-        leftover = gc.collect()
-    finally:
-        gc.enable()
-    assert result.method_tag == "arpack-shift-invert"
-    assert leftover == 0
+@pytest.fixture
+def arpack_error(monkeypatch):
+    """The shift-invert eigs stops with ARPACK error -9."""
+    def failing(*args, **kwargs):
+        raise spla.ArpackError(-9)
+
+    monkeypatch.setattr(spla, "eigs", failing)
 
 
-def test_arpack_stall_leaves_no_cyclic_garbage(one_arpack_iteration):
-    # the ConvergenceError path frees scipy's ARPACK cycle as well
-    problem = _clustered_problem()
-    gc.collect()
-    gc.disable()
-    try:
-        with pytest.raises(ConvergenceError):
-            solve_hermitian_gevp(problem, k=6)
-        leftover = gc.collect()
-    finally:
-        gc.enable()
-    assert leftover == 0
+@pytest.fixture
+def probe_stall(monkeypatch):
+    """The Lanczos mass probe stalls with no converged pair."""
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK stalled", np.empty(0),
+                                       np.empty((args[0].shape[0], 0)))
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
 
 
-@pytest.mark.parametrize("depth, radius, cause", [
-    (-1e300, 0.3, "shift-invert factorization failed"),
-    (1e200, 1.0, "eigensolver did not converge"),
-], ids=["singular-factor", "arpack-error"])
-def test_failed_shift_invert_raises_and_leaves_no_cyclic_garbage(depth, radius, cause):
+@pytest.fixture
+def dependent_ritz_vectors(monkeypatch):
+    """The shift-invert eigs returns k copies of one vector, so X^H M X is
+    singular."""
+    def copies(a, k, **kwargs):
+        return np.ones(k, dtype=complex), np.ones((a.shape[0], k), dtype=complex)
+
+    monkeypatch.setattr(spla, "eigs", copies)
+
+
+def _small_problem():
+    return _magnetic_problem(2, 8, bz=1.0)[1]
+
+
+def _huge_potential_problem(depth, radius):
+    return _magnetic_problem(dim=2, n=20, bz=0.0, potential=depth, radius=radius)[1]
+
+
+# route: fixtures, the problem, the k of each solve, and None for a converged
+# ARPACK result or the start of the ConvergenceError's message
+_ARPACK_ROUTES = {
+    "converged": (["arpack_path"], _small_problem, (2,), None),
+    "successive": (["arpack_path"], _small_problem, (1, 2, 3, 2, 1), None),
+    # a clustered spectrum: one restart cannot separate the Ritz values
+    "stall": (["one_arpack_iteration"], _clustered_problem, (6,),
+              "eigensolver did not converge"),
     # a potential near the float range: SuperLU meets an exactly singular
     # pivot under the deep well, and under the constant ARPACK converges to
     # pairs whose relative residuals (about 1e181 at E ~ 1e200) fail the
-    # tolerance; both surface as ConvergenceError after the cleanup
-    _, problem = _magnetic_problem(dim=2, n=20, bz=0.0, potential=depth, radius=radius)
+    # tolerance
+    "singular-factor": ([], lambda: _huge_potential_problem(-1e300, 0.3), (1,),
+                        "shift-invert factorization failed"),
+    "residual-overflow": ([], lambda: _huge_potential_problem(1e200, 1.0), (1,),
+                          "eigensolver did not converge"),
+    "arpack-error": (["arpack_path", "arpack_error"], _small_problem, (2,),
+                     "shift-invert ARPACK failed: ARPACK error -9: Unknown error"),
+    "probe-stall": (["arpack_path", "probe_stall"],
+                    lambda: dataclasses.replace(_small_problem(), mass_floor=None), (2,),
+                    "mass definiteness probe stalled: ARPACK error -1: ARPACK stalled"),
+    "ritz-failure": (["arpack_path", "dependent_ritz_vectors"], _small_problem, (2,),
+                     "ARPACK Ritz vectors are not M-independent"),
+}
+
+
+def _cyclic_garbage(run):
+    """What a full collection frees after run() with automatic collection off:
+    0 when run() left no reference cycle."""
     gc.collect()
     gc.disable()
     try:
-        with pytest.raises(ConvergenceError, match=cause):
-            solve_hermitian_gevp(problem, k=1)
-        leftover = gc.collect()
+        run()
+        return gc.collect()
     finally:
         gc.enable()
-    assert leftover == 0
 
 
-def test_arpack_cleanup_is_a_young_generation_pass(arpack_path):
-    _, problem = _magnetic_problem(2, 8, bz=1.0)
-    generations = []
+@pytest.mark.parametrize("route", list(_ARPACK_ROUTES))
+def test_arpack_path_leaves_no_cyclic_garbage(route, request):
+    # a reference cycle through the ARPACK state, or through an error and the
+    # solver's frame, would hold the shift-invert LU factor until a later
+    # collection and raise the peak memory of the next solve; every exit of
+    # the ARPACK path must free it by reference counting alone
+    fixtures, make_problem, ks, cause = _ARPACK_ROUTES[route]
+    for name in fixtures:
+        request.getfixturevalue(name)
+    problem = make_problem()
 
-    def record(phase, info):
-        if phase == "start":
-            generations.append(info["generation"])
+    def run():
+        for k in ks:
+            if cause is None:
+                result = solve_hermitian_gevp(problem, k=k)
+                assert result.method_tag == "arpack-shift-invert"
+            else:
+                with pytest.raises(ConvergenceError, match=f"^{re.escape(cause)}"):
+                    solve_hermitian_gevp(problem, k=k)
 
-    gc.collect()
-    gc.disable()
-    gc.callbacks.append(record)
-    try:
-        solve_hermitian_gevp(problem, k=2)
-    finally:
-        gc.callbacks.remove(record)
-        gc.enable()
-    assert generations == [1]
-
-
-def test_successive_arpack_solves_leave_nothing_to_collect(arpack_path):
-    _, problem = _magnetic_problem(2, 8, bz=1.0)
-    gc.collect()
-    for k in (1, 2, 3, 2, 1):
-        result = solve_hermitian_gevp(problem, k=k)
-        assert result.method_tag == "arpack-shift-invert"
-    assert gc.collect() == 0
-
-
-def test_arpack_cycle_promoted_during_the_solve_is_freed(arpack_path):
-    # with these thresholds the automatic collections during eigs would move
-    # a cycle to the oldest generation, out of reach of a young-generation pass
-    _, problem = _magnetic_problem(2, 8, bz=1.0)
-    gc.collect()
-    thresholds = gc.get_threshold()
-    gc.set_threshold(1, 1, 10**9)
-    try:
-        result = solve_hermitian_gevp(problem, k=2)
-        leftover = gc.collect()
-    finally:
-        gc.set_threshold(*thresholds)
-    assert result.method_tag == "arpack-shift-invert"
-    assert leftover == 0
+    assert _cyclic_garbage(run) == 0
