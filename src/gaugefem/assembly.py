@@ -23,16 +23,20 @@ c |T| U_T^2 A_T.  Substituting U_xy -> exp(i a_x) U_xy exp(-i a_y) and
 u -> exp(i a) u conjugates both matrices by the diagonal phase matrix, which
 is what makes the discrete spectra exactly gauge invariant.
 
-Every form comes out of one pass over the cells (:func:`_cell_pass`).  Per
-chunk of cells it computes the closed-form barycentric gradients, gathers
-U_T once and forms A_T, and from them the stiffness (plus potential) block,
-the mass block c |T| A_T and the mass floor lambda_min(A_T).  Every matrix
-is Hermitian, so ``np.bincount`` sums each block's diagonal and upper pairs
-x < y (mesh cells list their vertices in ascending order) into one slot per
-vertex and one per edge.  One CSR pattern per mesh (:class:`_CellPattern`),
-the diagonal and both directions of every edge, gathers the slots, the lower
-triangle as exact conjugates.  Entries that vanish exactly, such as the
-stiffness of an orthogonal Kuhn pair, stay stored in that shared pattern.
+Every form comes out of one pass over the cells (:func:`_cell_pass`).  Every
+cell block is Hermitian, so the pass keeps only its diagonal and upper pairs
+x < y (mesh cells list their vertices in ascending order), each as one
+column over a chunk of cells.  Per chunk it reads one contiguous transport
+column per vertex pair from the edge table and the barycentric gradients
+that ``make_mesh`` computed once, and from them forms the columns of the
+stiffness (plus potential) block, with U_T^2 A_T as explicit sums over the
+unit diagonal and the upper pairs, of the mass block c |T| A_T and of the
+mass floor lambda_min(A_T).  ``np.bincount`` sums the columns into one slot
+per vertex and one per edge.  One CSR pattern per mesh
+(:class:`_CellPattern`), the diagonal and both directions of every edge,
+gathers the slots, the lower triangle as exact conjugates.  Entries that
+vanish exactly, such as the stiffness of an orthogonal Kuhn pair, stay
+stored in that shared pattern.
 
 A conventional (non-invariant) P1 discretization of |grad u + i A u|^2 with
 A interpolated from the same edge circulations is provided as a baseline;
@@ -53,7 +57,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .gauge import transports as make_transports, unit_transports
-from .mesh import CELL_PAIRS, MeshGeometryError, _span_adjugate
+from .mesh import CELL_PAIRS
 
 __all__ = [
     "DIAG_IMAG_TOL",
@@ -194,20 +198,40 @@ def _monomial_table(dim, arity):
 # the cell pass
 
 
-def _barycentric_gradients(coords):
-    """Gradients of the barycentric coordinates, shape (nc, m, d).
+class _CellEntries:
+    """Index tables of the per-entry columns of cells with m vertices.
 
-    grad lambda_k for k >= 1 is row k-1 of the span adjugate over the span
-    determinant (:func:`gaugefem.mesh._span_adjugate`); grad lambda_0 closes
-    the partition of unity.
+    The cell pass keeps each Hermitian m x m cell block as its columns q
+    over the cells, one row per entry (``rows[e]``, ``cols[e]``): the
+    diagonal, then the pairs x < y in ``CELL_PAIRS[m]`` order, which is the
+    order of ``mesh.cell_edges``.  Entry (x, y) of the block, in either
+    triangle, is row ``full[x, y]`` of [q; conj(q[m:])].  The transports
+    are U = I + N with N off the diagonal, so N_xy is row ``full[x, y] - m``
+    of [u; conj(u)] for the pair columns u.  ``square`` lists, per entry,
+    the row pairs whose products sum to (N^2)_xy = sum_z N_xz N_zy (z not x
+    or y), and ``times_n`` those of (N Q)_xy = sum_z N_xz Q_zy (z != x).
     """
-    det, adj = _span_adjugate(coords)
-    if np.any(det == 0.0):
-        raise MeshGeometryError("degenerate cell: singular coordinate span")
-    grads = np.empty(coords.shape)
-    grads[:, 1:, :] = adj / det[:, None, None]
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return grads
+
+    def __init__(self, m):
+        a, b = CELL_PAIRS[m]
+        npairs = a.size
+        self.m = m
+        self.rows, self.cols = np.hstack([np.diag_indices(m), CELL_PAIRS[m]])
+        full = np.empty((m, m), dtype=np.int64)
+        full[self.rows, self.cols] = np.arange(m + npairs)
+        full[b, a] = m + npairs + np.arange(npairs)
+        off = full - m
+        entries = list(zip(self.rows.tolist(), self.cols.tolist()))
+        self.square = [[(off[x, z], off[z, y]) for z in range(m) if z not in (x, y)]
+                       for x, y in entries]
+        self.times_n = [[(off[x, z], full[z, y]) for z in range(m) if z != x]
+                        for x, y in entries]
+        cubic = _monomial_table(m - 1, 3)
+        self.cubic = cubic[self.rows, self.cols]  # [e, z]: (x_e, y_e, z)
+        self.cubic_diag = cubic[np.arange(m), np.arange(m)]  # [x, z]: (x, x, z)
+
+
+_CELL_ENTRIES = {m: _CellEntries(m) for m in CELL_PAIRS}
 
 
 class _CellPattern:
@@ -249,29 +273,62 @@ class _CellPattern:
 
 
 def _scatter_add(out, slots, values):
-    """out[slots] += values for complex ``out``, duplicates summed."""
-    n = out.size
-    out.real += np.bincount(slots, values.real.ravel(), n)
-    if np.iscomplexobj(values):
-        out.imag += np.bincount(slots, values.imag.ravel(), n)
+    """out[slots] += values for complex ``out`` and ``values``, duplicates summed."""
+    out.real += np.bincount(slots, values.real.ravel(), out.size)
+    out.imag += np.bincount(slots, values.imag.ravel(), out.size)
 
 
-def _covariant_kinetic(rows, grads, vols, u, a):
-    """Covariant stiffness blocks c |T| (grad lambda_y . grad lambda_t) o U^2 A."""
-    m = grads.shape[1]
-    geo = grads @ grads.transpose(0, 2, 1)
-    geo *= (vols / (m * (m + 1)))[:, None, None]
-    block = u @ u @ a
-    block *= geo
+def _sum_products(left, right, terms):
+    """Row e: the sum of left[i] * right[j] over the pairs (i, j) in terms[e]."""
+    out = np.empty((len(terms), left.shape[1]), np.complex128)
+    for row, pairs in zip(out, terms):
+        (i, j), *rest = pairs
+        np.multiply(left[i], right[j], out=row)
+        for i, j in rest:
+            row += left[i] * right[j]
+    return out
+
+
+def _transport_factor(u, entries):
+    """Columns of U_T^2 A_T = U^2 (I + U) from the upper transport columns u.
+
+    With U = I + N, U^2 (I + U) = 2 I + N Q with Q = 5 I + 4 N + N^2.  N,
+    N^2, Q and N Q are Hermitian polynomials in N, so each is kept as its
+    upper columns, whose entries are sums over the vertices z of N_xz N_zy
+    and N_xz Q_zy, the lower entries read as conjugates
+    (:class:`_CellEntries`).
+    """
+    m = entries.m
+    n = np.concatenate([u, u.conj()])
+    q = _sum_products(n, n, entries.square)
+    q[:m] += 5.0
+    q[m:] += 4.0 * u
+    out = _sum_products(n, np.concatenate([q, q[m:].conj()]), entries.times_n)
+    out[:m] += 2.0
+    return out
+
+
+def _covariant_kinetic(rows, grads, vols, u):
+    """Upper columns of the covariant stiffness blocks
+    c |T| (grad lambda_y . grad lambda_t) o U^2 A."""
+    entries = _CELL_ENTRIES[grads.shape[1]]
+    gram = grads[0, entries.rows] * grads[0, entries.cols]
+    for axis in grads[1:]:
+        gram += axis[entries.rows] * axis[entries.cols]
+    gram *= vols / (entries.m * (entries.m + 1))
+    block = _transport_factor(u, entries)
+    block *= gram
     return block
 
 
 def _galerkin_kinetic(mesh, circulation):
-    """Stiffness blocks of the conventional P1 baseline (:func:`standard_galerkin`)."""
+    """Stiffness columns of the conventional P1 baseline (:func:`standard_galerkin`)."""
     pair = _monomial_table(mesh.dim, 2)
     quartic = _monomial_table(mesh.dim, 4)
+    entries = _CELL_ENTRIES[mesh.dim + 1]
 
-    def kinetic(rows, grads, vols, u, a):
+    def kinetic(rows, grads, vols, u):
+        grads = grads.T  # (nc, m, d)
         v = vols[:, None, None]
         a_loc = circulation.local_values(mesh, rows)
         w = np.einsum("cmb,cbi->cmi", a_loc, grads)
@@ -281,51 +338,56 @@ def _galerkin_kinetic(mesh, circulation):
         local += 1j * np.einsum("cxm,cym->cxy", gw, pm)
         local -= 1j * np.einsum("cym,cxm->cxy", gw, pm)
         local += np.einsum("cmi,cli,xyml->cxy", w, w, quartic) * v
-        return local
+        return local[:, entries.rows, entries.cols].T
 
     return kinetic
 
 
-def _face_holonomies(u):
+def _face_holonomies(u, m):
     """Face holonomies through each cell's first vertex, and delta_T.
 
-    h_xy = U_0x U_xy U_y0 for 1 <= x < y, shape (nc, d(d-1)/2): one face in
+    From the upper transport columns u of cells with m vertices
+    (``CELL_PAIRS[m]`` order, the pairs (0, y) first):
+    h_xy = U_0x U_xy U_y0 for 1 <= x < y, shape (d(d-1)/2, nc): one face in
     2D, three in 3D.  Conjugating U_T by diag(U_0x) (the tree gauge at
     vertex 0) gives J + E_T, with J all ones and E_T holding h_xy - 1 at
     (x, y) and its conjugate at (y, x).  Returns (h, delta_T) with
     delta_T = ||E_T||_F = sqrt(2 sum |h - 1|^2), which is gauge invariant
     and 0 exactly when the transports are flat.
     """
-    m = u.shape[1]
     x, y = (p[m - 1:] for p in CELL_PAIRS[m])  # skip the m - 1 pairs (0, y)
-    h = u[:, 0, x] * u[:, x, y] * u[:, y, 0]
+    h = u[x - 1] * u[m - 1:] * u[y - 1].conj()
     # |h - 1|^2 from its parts: a SIMD complex np.abs may round differently
     # from scalar abs(), and delta_T reaches the shift through the floors
-    return h, np.sqrt(2.0 * np.sum((h.real - 1.0) ** 2 + h.imag ** 2, axis=1))
+    return h, np.sqrt(2.0 * np.sum((h.real - 1.0) ** 2 + h.imag ** 2, axis=0))
 
 
-def _floor_eigenvalue(a, holonomy, delta):
+def _floor_eigenvalue(u, holonomy, delta, m):
     """Lower bound on lambda_min(A_T) per cell, A_T = I + U_T, less a
     roundoff margin.
 
     2D: the exact closed form in the cell holonomy.  3D: A_T is unitarily
     similar to I + J + E_T (:func:`_face_holonomies`) and I + J has
     lambda_min = 1, so Weyl's inequality gives lambda_min(A_T) >= 1 - delta_T;
-    only cells where that falls below ``_WEYL_FLOOR_MIN`` run ``eigvalsh``,
-    so strong fields keep the exact floor.
+    only cells where that falls below ``_WEYL_FLOOR_MIN`` form their m x m
+    block A_T from the columns u and run ``eigvalsh``, so strong fields keep
+    the exact floor.
     """
-    m = a.shape[1]
     if m == 3:
         # A_T has the eigenvalues 2 + 2 cos((phi + 2 pi j) / 3), j = 0, 1, 2,
         # for the cell holonomy phi in [-pi, pi]; the smallest is
         # 2 + 2 cos((2 pi + |phi|) / 3)
-        phi = np.abs(np.angle(holonomy[:, 0]))
+        phi = np.abs(np.angle(holonomy[0]))
         lam = 2.0 + 2.0 * np.cos((2.0 * np.pi + phi) / 3.0)
     else:
         lam = 1.0 - delta
         low = np.flatnonzero(lam < _WEYL_FLOOR_MIN)
         if low.size:
-            lam[low] = np.linalg.eigvalsh(a[low])[:, 0]
+            a, b = CELL_PAIRS[m]
+            block = np.full((low.size, m, m), 2.0, dtype=np.complex128)
+            block[:, a, b] = u[:, low].T
+            block[:, b, a] = u[:, low].T.conj()
+            lam[low] = np.linalg.eigvalsh(block)[:, 0]
     # all three err by a small multiple of m eps ||A_T||_2, and the norm is
     # at most m + 1
     return lam - 8 * m * (m + 1) * np.finfo(float).eps
@@ -344,13 +406,17 @@ def _cell_pass(mesh, table, kinetic, potential):
     """Assemble the stiffness, the mass, the mass floor and the potential
     deficit in one pass over the cells.
 
-    Per chunk of ``_CHUNK`` cells: the gradients (only for ``kinetic``), one
-    gather of U_T from the TransportTable ``table`` (``unit_transports(mesh)``
-    for the plain P1 forms) and A_T = I + U_T.  From them come the stiffness
-    blocks ``kinetic(rows, grads, vols, U_T, A_T)`` (none for ``None``) plus
-    the potential blocks |T| (sum_z V_z int lambda_x lambda_y lambda_z / |T|)
-    U_xy for the vertex samples ``potential`` (none for ``None``), the mass
-    blocks c |T| A_T, and the per-vertex mass floor f.
+    Every cell block is Hermitian, so the pass keeps only its diagonal and
+    upper pairs, as per-entry columns over a chunk of ``_CHUNK`` cells
+    (:class:`_CellEntries`).  Per chunk it reads the upper transport columns
+    u = ``table.values[mesh.cell_edges[rows].T]`` from the TransportTable
+    ``table`` (``unit_transports(mesh)`` for the plain P1 forms), one
+    contiguous column per pair, and the gradient columns
+    ``mesh.gradients[:, :, rows]``.  From them come the stiffness columns
+    ``kinetic(rows, grads, vols, u)`` (none for ``None``) plus the potential
+    columns |T| (sum_z V_z int lambda_x lambda_y lambda_z / |T|) U_xy for
+    the vertex samples ``potential`` (none for ``None``), the mass columns
+    c |T| A_T with A_T = I + U_T, and the per-vertex mass floor f.
 
     Each mass block dominates c |T| l_T I on its cell for any l_T <=
     lambda_min(A_T) (:func:`_floor_eigenvalue`), so M >= diag(f) with f_v the
@@ -371,19 +437,16 @@ def _cell_pass(mesh, table, kinetic, potential):
     H - v_min M >= -diag(d); a cell whose floor is negative sets d = +inf
     on its vertices.
 
-    Each block adds its diagonal and its upper pairs into the vertex and
-    edge slots of :class:`_CellPattern`.  Returns (stiffness, mass, floor,
-    deficit): HermitianSparse matrices on the mesh's pattern and the
-    per-vertex floor and deficit.
+    ``np.bincount`` adds each column into the vertex and edge slots of
+    :class:`_CellPattern`.  Returns (stiffness, mass, floor, deficit):
+    HermitianSparse matrices on the mesh's pattern and the per-vertex floor
+    and deficit.
     """
+    table.check_mesh(mesh)
     m = mesh.dim + 1
     nv = mesh.n_vertices
-    # the diagonal, then the upper pairs in ``mesh.cell_edges`` order
-    iu, ju = np.hstack([np.diag_indices(m), CELL_PAIRS[m]])
-    eye = np.eye(m)
+    entries = _CELL_ENTRIES[m]
     if potential is not None:
-        cubic = _monomial_table(mesh.dim, 3)
-        cubic_diag = cubic[np.arange(m), np.arange(m)]  # [x, z]: (x, x, z)
         v_min = min(0.0, potential.min())
     k_acc = np.zeros(nv + mesh.n_edges, np.complex128)
     m_acc = np.zeros(nv + mesh.n_edges, np.complex128)
@@ -392,27 +455,29 @@ def _cell_pass(mesh, table, kinetic, potential):
     for lo in range(0, mesh.n_cells, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         cells, vols = mesh.cells[rows], mesh.volumes[rows]
+        pairs = mesh.cell_edges[rows].T
         scaled = vols / (m * (m + 1))  # c |T|
-        u = table.local_values(mesh, rows)
-        a = eye + u
-        slots = np.concatenate([cells, nv + mesh.cell_edges[rows]], axis=1).ravel()
-        holonomy, delta = _face_holonomies(u)
-        lam = _floor_eigenvalue(a, holonomy, delta)
+        u = table.values[pairs]
+        slots = np.concatenate([cells.T, nv + pairs]).ravel()
+        holonomy, delta = _face_holonomies(u, m)
+        lam = _floor_eigenvalue(u, holonomy, delta, m)
         if kinetic is None:
-            block = np.zeros_like(a)
+            block = np.zeros((entries.rows.size, cells.shape[0]), np.complex128)
         else:
-            grads = _barycentric_gradients(mesh.vertices[cells])
-            block = kinetic(rows, grads, vols, u, a)
+            block = kinetic(rows, mesh.gradients[:, :, rows], vols, u)
         drop = 0.0
         if potential is not None:
-            samples = potential[cells]
-            weights = np.einsum("cz,xyz->cxy", samples, cubic)
-            block = block + weights * vols[:, None, None] * u
+            samples = potential[cells.T]
+            weights = entries.cubic @ samples
+            weights *= vols
+            block[:m] += weights[:m]
+            block[m:] += weights[m:] * u
             # max_x (W_T)_xx / |T|, reduced over the leading axis (fast)
-            top = (cubic_diag @ (samples - v_min).T).max(axis=0)
+            top = (entries.cubic_diag @ (samples - v_min)).max(axis=0)
             drop = delta * vols * top
-        _scatter_add(k_acc, slots, block[:, iu, ju])
-        _scatter_add(m_acc, slots, scaled[:, None] * a[:, iu, ju])
+        _scatter_add(k_acc, slots, block)
+        diagonal = np.broadcast_to(2.0 * scaled, (m, scaled.size))
+        _scatter_add(m_acc, slots, np.concatenate([diagonal, scaled * u]))
         f += np.bincount(cells.ravel(), np.repeat(scaled * lam, m), nv)
         drop = np.where(lam < 0.0, np.inf, drop)
         deficit += np.bincount(cells.ravel(), np.repeat(drop, m), nv)

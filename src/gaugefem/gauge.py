@@ -121,6 +121,16 @@ class _EdgeTable:
     def n_edges(self):
         return self.edges.shape[0]
 
+    def check_mesh(self, mesh):
+        """Raise TransportConsistencyError unless the table is on the mesh's
+        edge set, so that ``values[mesh.cell_edges]`` are the cells' values."""
+        if self.n_vertices != mesh.n_vertices or not np.array_equal(
+            self.edges, mesh.edges
+        ):
+            raise TransportConsistencyError(
+                f"{type(self).__name__} does not match the mesh edge set"
+            )
+
     def local_values(self, mesh, rows):
         """(nc, m, m) array of the values along x -> y between the vertices
         of each cell of ``mesh.cells[rows]`` (``rows`` a slice).
@@ -128,12 +138,7 @@ class _EdgeTable:
         Raises TransportConsistencyError if the table is not on the mesh's
         edge set.
         """
-        if self.n_vertices != mesh.n_vertices or not np.array_equal(
-            self.edges, mesh.edges
-        ):
-            raise TransportConsistencyError(
-                f"{type(self).__name__} does not match the mesh edge set"
-            )
+        self.check_mesh(mesh)
         m = mesh.dim + 1
         a, b = CELL_PAIRS[m]
         val = self.values[mesh.cell_edges[rows]]

@@ -62,6 +62,9 @@ class SimplicialMesh:
         Length of the longest edge.
     volumes : (nc,) float ndarray
         Cell volumes, all strictly positive.
+    gradients : (dim, dim+1, nc) float ndarray
+        Barycentric gradients, one column per axis and cell vertex:
+        ``gradients[i, k]`` is d lambda_k / d x_i on every cell.
     """
 
     dim: int
@@ -72,6 +75,7 @@ class SimplicialMesh:
     boundary_vertex: np.ndarray
     h: float
     volumes: np.ndarray
+    gradients: np.ndarray
 
     @property
     def n_vertices(self):
@@ -89,11 +93,11 @@ class SimplicialMesh:
 def make_mesh(dim, vertices, cells):
     """Build a validated mesh from raw vertex and cell arrays.
 
-    Edges, boundary flags, h and cell volumes are derived, and each cell is
-    stored with its vertices in ascending order.  Cells must reference
-    distinct, in-range vertices and span strictly positive volume; the
-    boundary is the bounding box of the vertex cloud (coordinates compared
-    with absolute tolerance ``BOUNDARY_TOL``).
+    Edges, boundary flags, h, cell volumes and barycentric gradients are
+    derived, and each cell is stored with its vertices in ascending order.
+    Cells must reference distinct, in-range vertices and span strictly
+    positive volume; the boundary is the bounding box of the vertex cloud
+    (coordinates compared with absolute tolerance ``BOUNDARY_TOL``).
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -115,13 +119,16 @@ def make_mesh(dim, vertices, cells):
     if cells.shape[0] == 0:
         raise ValueError("mesh needs at least one cell")
 
-    det, _ = _span_adjugate(vertices[cells])
+    det, adj = _span_adjugate(vertices.T[:, cells.T])
     vols = np.abs(det) / factorial(dim)
     if np.any(vols <= 0.0):
         worst = int(np.argmin(vols))
         raise MeshGeometryError(
             f"cell {worst} is degenerate (volume {vols[worst]:.3e})"
         )
+    grads = np.empty((dim, dim + 1, cells.shape[0]))
+    grads[:, 1:] = adj / det
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)  # the partition of unity
 
     # Key each vertex pair a < b of a cell as a * nv + b: the sorted unique
     # keys are the lexicographically sorted edges, and the inverse is the
@@ -141,29 +148,32 @@ def make_mesh(dim, vertices, cells):
     )
     boundary = on_face.any(axis=1)
 
-    return SimplicialMesh(dim, vertices, cells, edges, cell_edges, boundary, h, vols)
+    return SimplicialMesh(dim, vertices, cells, edges, cell_edges, boundary, h, vols,
+                          grads)
 
 
 def _span_adjugate(coords):
     """Signed determinant and adjugate of each cell's edge span, in closed form.
 
-    ``coords`` is (nc, d+1, d).  With e_k = p_k - p_0 the span S has the e_k
-    as columns; row k-1 of the returned (nc, d, d) adjugate is det(S) times
-    row k-1 of S^-1, which is det(S) grad lambda_k.  In 3D those rows are the
-    cross products e2 x e3, e3 x e1, e1 x e2 and det(S) = e1 . (e2 x e3); in
-    2D they are (e2y, -e2x), (-e1y, e1x).  Products with a zero coordinate
-    stay exact, so gradients that are orthogonal in exact arithmetic (the
-    axis-aligned Kuhn cells) have an exactly zero dot product.
+    ``coords`` holds per-axis coordinate columns, shape (d, d+1, nc):
+    ``coords[i, k]`` is axis i of vertex k of every cell.  With
+    e_k = p_k - p_0 the span S has the e_k as columns; row k-1 of S^-1 is
+    grad lambda_k, and the returned (d, d, nc) adjugate holds det(S) times it
+    at ``[:, k-1]``.  In 3D those rows are the cross products e2 x e3,
+    e3 x e1, e1 x e2 and det(S) = e1 . (e2 x e3); in 2D they are
+    (e2y, -e2x), (-e1y, e1x).  Products with a zero coordinate stay exact,
+    so gradients that are orthogonal in exact arithmetic (the axis-aligned
+    Kuhn cells) have an exactly zero dot product.
     """
-    e = coords[:, 1:, :] - coords[:, :1, :]
-    if coords.shape[2] == 3:
-        adj = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])
-        det = np.einsum("ci,ci->c", e[:, 0], adj[:, 0])
+    e = coords[:, 1:] - coords[:, :1]  # e[i, k-1]: axis i of e_k
+    if coords.shape[0] == 3:
+        # a x b for the pairs (e2, e3), (e3, e1), (e1, e2), axis by axis
+        a, b = e[:, [1, 2, 0]], e[:, [2, 0, 1]]
+        adj = a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+        det = (e[0, 0] * adj[0, 0] + e[2, 0] * adj[2, 0]) + e[1, 0] * adj[1, 0]
     else:
-        adj = np.empty_like(e)
-        adj[:, 0, 0], adj[:, 0, 1] = e[:, 1, 1], -e[:, 1, 0]
-        adj[:, 1, 0], adj[:, 1, 1] = -e[:, 0, 1], e[:, 0, 0]
-        det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+        adj = np.array([[e[1, 1], -e[1, 0]], [-e[0, 1], e[0, 0]]])
+        det = e[0, 0] * e[1, 1] - e[1, 0] * e[0, 1]
     return det, adj
 
 

@@ -30,8 +30,8 @@ from gaugefem import (
     unit_transports,
 )
 
-from gaugefem.assembly import (_barycentric_gradients, _cell_pass, _covariant_kinetic,
-                               _galerkin_kinetic)
+from gaugefem.assembly import (_CELL_ENTRIES, _cell_pass, _covariant_kinetic,
+                               _galerkin_kinetic, _monomial_table)
 
 from conftest import perturbed_box_mesh, random_vertex_order, shuffled_cells
 from oracles import (
@@ -108,12 +108,12 @@ def test_local_mass_matches_quadrature(dim):
 
 @pytest.mark.parametrize("dim,n", [(2, 6), (3, 3)])
 def test_closed_form_geometry_matches_lapack(dim, n):
-    # the closed forms take the cell vertices in any order
     mesh = perturbed_box_mesh(dim, n, seed=11 + dim)
-    coords = mesh.vertices[random_vertex_order(mesh.cells, seed=dim)]
+    coords = mesh.vertices[mesh.cells]
     span = (coords[:, 1:, :] - coords[:, :1, :]).transpose(0, 2, 1)
     inv = np.linalg.inv(span)
-    grads = _barycentric_gradients(coords)
+    assert mesh.gradients.shape == (dim, dim + 1, mesh.n_cells)
+    grads = mesh.gradients.transpose(2, 1, 0)  # (nc, m, d), as the rows of inv
     scale = np.abs(inv).max(axis=(1, 2))
     assert np.all(np.abs(grads[:, 1:, :] - inv) <= 1e-14 * scale[:, None, None])
     assert np.all(np.abs(grads[:, 0, :] + inv.sum(axis=1)) <= 1e-14 * scale[:, None])
@@ -122,14 +122,13 @@ def test_closed_form_geometry_matches_lapack(dim, n):
 
 
 def test_closed_form_gradients_reject_a_degenerate_cell():
-    coords = np.array([
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
-    ])  # the second cell is flat
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    make_mesh(3, vertices, np.array([[0, 1, 2, 3]]))
     with pytest.raises(MeshGeometryError):
-        _barycentric_gradients(coords)
+        make_mesh(3, vertices, np.array([[0, 1, 2, 3], [0, 1, 2, 4]]))  # flat
     with pytest.raises(MeshGeometryError):
-        make_mesh(3, coords[1], np.array([[0, 1, 2, 3]]))
+        make_mesh(3, vertices[[0, 1, 2, 4]], np.array([[0, 1, 2, 3]]))
 
 
 @pytest.mark.parametrize("dim,lengths,b", [
@@ -162,6 +161,14 @@ def test_orthogonal_kuhn_pairs_are_stored_exact_zeros(dim, lengths, b):
     assert np.count_nonzero(stored.data) < stored.nnz
 
 
+def _constant_kernel(block):
+    """A kinetic kernel that gives every cell the diagonal and upper pairs
+    of ``block``."""
+    entries = _CELL_ENTRIES[block.shape[0]]
+    column = block[entries.rows, entries.cols][:, None]
+    return lambda rows, grads, vols, u: np.broadcast_to(column, (column.size, vols.size))
+
+
 def test_cell_pass_sums_the_upper_half_and_rejects_an_imaginary_diagonal():
     # the stored matrix is the cell sum's real diagonal and upper triangle,
     # with the lower triangle its exact conjugate
@@ -171,9 +178,7 @@ def test_cell_pass_sums_the_upper_half_and_rejects_an_imaginary_diagonal():
     np.fill_diagonal(skew, rng.standard_normal(3))  # real diagonal, not Hermitian
     skew[1, 1] += 1e-15j  # within DIAG_IMAG_TOL summed over the cells, dropped
     table = unit_transports(mesh)
-    stiffness = _cell_pass(
-        mesh, table, lambda rows, g, v, u, a: np.broadcast_to(skew, a.shape), None
-    )[0]
+    stiffness = _cell_pass(mesh, table, _constant_kernel(skew), None)[0]
     reference = np.zeros((mesh.n_vertices,) * 2, dtype=complex)
     for cell in mesh.cells:
         reference[np.ix_(cell, cell)] += skew
@@ -186,8 +191,7 @@ def test_cell_pass_sums_the_upper_half_and_rejects_an_imaginary_diagonal():
     bent = skew.copy()
     bent[1, 1] += 1e-10j  # beyond DIAG_IMAG_TOL
     with pytest.raises(ValueError, match="diagonal imaginary part"):
-        _cell_pass(mesh, table, lambda rows, g, v, u, a: np.broadcast_to(bent, a.shape),
-                   None)
+        _cell_pass(mesh, table, _constant_kernel(bent), None)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
@@ -333,28 +337,121 @@ def test_local_stiffness_reference_tet_entry():
     assert k[0, 0] == pytest.approx(0.5, rel=1e-14)  # |T| |grad lam_0|^2
 
 
+def _upper_columns(blocks):
+    """The diagonal and upper pairs of (nc, m, m) blocks, one row per entry."""
+    entries = _CELL_ENTRIES[blocks.shape[1]]
+    return blocks[:, entries.rows, entries.cols].T
+
+
+def _lower_conjugate_columns(blocks):
+    """The conjugated diagonal and lower pairs of (nc, m, m) blocks, in the
+    entry order of :func:`_upper_columns`."""
+    return _upper_columns(blocks.conj().transpose(0, 2, 1))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_local_stiffness_hermitian(dim):
-    # the cell pass stores only each block's upper triangle and mirrors it,
-    # so the assembled matrix is Hermitian whatever the kernels return; the
-    # kernel blocks themselves must be
+    # the cell pass stores only the kernels' diagonal and upper pairs and
+    # mirrors them, so the assembled matrix is Hermitian whatever the kernels
+    # return; the columns must be the upper half of Hermitian blocks, which
+    # is the conjugated lower half of an independent block of the same form
     mesh = perturbed_box_mesh(dim, 2, seed=20 + dim)
     rng = np.random.default_rng(4)
     theta = rng.uniform(-np.pi, np.pi, mesh.n_edges)
     rows = slice(0, mesh.n_cells)
-    grads = _barycentric_gradients(mesh.vertices[mesh.cells])
-    kernels = {
-        "covariant": (_covariant_kinetic,
-                      TransportTable(mesh.n_vertices, mesh.edges, np.exp(1j * theta))),
-        "baseline": (_galerkin_kinetic(mesh, EdgeCirculation(mesh.n_vertices, mesh.edges,
-                                                             theta)),
-                     unit_transports(mesh)),
-    }
-    for name, (kinetic, table) in kernels.items():
-        u = table.local_values(mesh, rows)
-        block = kinetic(rows, grads, mesh.volumes, u, np.eye(dim + 1) + u)
-        skew = np.abs(block - block.conj().transpose(0, 2, 1)).max()
-        assert skew <= 1e-14 * np.abs(block).max(), name
+    table = TransportTable(mesh.n_vertices, mesh.edges, np.exp(1j * theta))
+    u = table.local_values(mesh, rows)
+    columns = _covariant_kinetic(rows, mesh.gradients, mesh.volumes,
+                                 table.values[mesh.cell_edges.T])
+    reference = _lower_conjugate_columns(_covariant_blocks(mesh, u))
+    assert np.abs(columns - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    circ = EdgeCirculation(mesh.n_vertices, mesh.edges, theta)
+    flat = unit_transports(mesh).values[mesh.cell_edges.T]
+    columns = _galerkin_kinetic(mesh, circ)(rows, mesh.gradients, mesh.volumes, flat)
+    circulation_of = edge_lookup(circ, np.negative, 0.0)
+    blocks = np.array([
+        magnetic_galerkin_dense(mesh.vertices, [cell], circulation_of)[np.ix_(cell, cell)]
+        for cell in mesh.cells
+    ])
+    reference = _lower_conjugate_columns(blocks)
+    assert np.abs(columns - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def _covariant_blocks(mesh, u, potential=None):
+    """The covariant stiffness blocks in their m x m form, the oracle of the
+    column kernels: (grad lambda_y . grad lambda_t) c |T| o U^2 (I + U),
+    plus the potential blocks |T| (sum_z V_z int lambda_x lambda_y
+    lambda_z / |T|) U_xy.  ``u`` holds the (nc, m, m) transport blocks."""
+    m = mesh.dim + 1
+    grads = mesh.gradients.transpose(2, 1, 0)
+    geo = grads @ grads.transpose(0, 2, 1)
+    geo *= (mesh.volumes / (m * (m + 1)))[:, None, None]
+    blocks = u @ u @ (np.eye(m) + u) * geo
+    if potential is not None:
+        cubic = _monomial_table(mesh.dim, 3)
+        weights = np.einsum("cz,xyz->cxy", potential[mesh.cells], cubic)
+        blocks += weights * mesh.volumes[:, None, None] * u
+    return blocks
+
+
+def _cell_sum(mesh, blocks):
+    """The dense matrix summed from (nc, m, m) cell blocks."""
+    out = np.zeros((mesh.n_vertices,) * 2, dtype=complex)
+    m = mesh.dim + 1
+    np.add.at(out, (np.repeat(mesh.cells, m, axis=1), np.tile(mesh.cells, m)),
+              blocks.reshape(mesh.n_cells, m * m))
+    return out
+
+
+@pytest.mark.parametrize("dim,n", [(2, 6), (3, 3)])
+def test_cell_columns_match_the_block_forms(dim, n):
+    # uniform random phases: in 3D many cells fall below the Weyl floor and
+    # take the eigvalsh path, which forms their m x m blocks from the columns
+    mesh = perturbed_box_mesh(dim, n, seed=70 + dim)
+    rng = np.random.default_rng(70 + dim)
+    m = dim + 1
+    table = transports(EdgeCirculation(mesh.n_vertices, mesh.edges,
+                                       rng.uniform(-np.pi, np.pi, mesh.n_edges)))
+    potential = rng.uniform(-5.0, 5.0, mesh.n_vertices)
+    u = table.local_values(mesh, slice(None))
+    a = np.eye(m) + u
+
+    columns = _covariant_kinetic(slice(None), mesh.gradients, mesh.volumes,
+                                 table.values[mesh.cell_edges.T])
+    reference = _upper_columns(_covariant_blocks(mesh, u))
+    assert np.abs(columns - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    stiffness, mass, floor, deficit = covariant_stiffness(mesh, table, potential,
+                                                          with_mass=True)
+    scaled = mesh.volumes / (m * (m + 1))
+    for got, blocks in ((stiffness, _covariant_blocks(mesh, u, potential)),
+                        (mass, scaled[:, None, None] * a)):
+        reference = _cell_sum(mesh, blocks)
+        assert np.abs(got.to_dense() - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    # the floor and deficit of the block forms, cell by cell: the face
+    # holonomies through vertex 0, Weyl's 1 - delta_T in 3D with eigvalsh
+    # below 0.5, the closed form in the one holonomy in 2D
+    x, y = (p[m - 1:] for p in np.triu_indices(m, 1))
+    h = u[:, 0, x] * u[:, x, y] * u[:, y, 0]
+    delta = np.sqrt(2.0 * np.sum((h.real - 1.0) ** 2 + h.imag ** 2, axis=1))
+    if dim == 2:
+        lam = 2.0 + 2.0 * np.cos((2.0 * np.pi + np.abs(np.angle(h[:, 0]))) / 3.0)
+    else:
+        lam = 1.0 - delta
+        low = np.flatnonzero(lam < 0.5)
+        assert low.size > 0
+        lam[low] = np.linalg.eigvalsh(a[low])[:, 0]
+    lam -= 8 * m * (m + 1) * np.finfo(float).eps
+    cubic = _monomial_table(dim, 3)
+    v_min = min(0.0, potential.min())
+    top = (cubic[np.arange(m), np.arange(m)] @ (potential[mesh.cells] - v_min).T).max(axis=0)
+    drop = np.where(lam < 0.0, np.inf, delta * mesh.volumes * top)
+    cells = mesh.cells.ravel()
+    assert np.array_equal(floor, np.bincount(cells, np.repeat(scaled * lam, m),
+                                             mesh.n_vertices))
+    assert np.array_equal(deficit, np.bincount(cells, np.repeat(drop, m), mesh.n_vertices))
 
 
 def test_global_stiffness_zero_field_is_p1():
