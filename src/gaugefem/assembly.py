@@ -32,8 +32,8 @@ that ``make_mesh`` computed once, and from them forms the columns of the
 stiffness (plus potential) block, with U_T^2 A_T as explicit sums over the
 unit diagonal and the upper pairs, of the mass block c |T| A_T and of the
 mass floor lambda_min(A_T).  ``np.bincount`` sums the columns into one slot
-per vertex and one per edge.  One CSR pattern per mesh
-(:class:`_CellPattern`), the diagonal and both directions of every edge,
+per vertex and one per edge.  One CSR pattern per mesh (``mesh.pattern``,
+built once by ``make_mesh``), the diagonal and both directions of every edge,
 gathers the slots, the lower triangle as exact conjugates.  Entries that
 vanish exactly, such as the stiffness of an orthogonal Kuhn pair, stay
 stored in that shared pattern.
@@ -234,42 +234,18 @@ class _CellEntries:
 _CELL_ENTRIES = {m: _CellEntries(m) for m in CELL_PAIRS}
 
 
-class _CellPattern:
-    """The CSR pattern every assembled matrix of a mesh shares.
-
-    Row x holds x itself and both directions of every edge at x, which are
-    exactly the vertices sharing a cell with x.  The cell pass sums one slot
-    per vertex v (slot v) and per edge e = (lo, hi) (slot nv + e);
-    ``source`` is the slot of each stored entry and ``lower`` marks the
-    (hi, lo) entries, which read their slot conjugated.
-    """
-
-    def __init__(self, mesh):
-        nv, ne = mesh.n_vertices, mesh.n_edges
-        lo, hi = mesh.edges.T
-        verts = np.arange(nv)
-        rows = np.concatenate([verts, lo, hi])
-        cols = np.concatenate([verts, hi, lo])
-        order = np.argsort(rows * nv + cols)
-        edge_slots = np.arange(nv, nv + ne)
-        self.n = nv
-        self.source = np.concatenate([verts, edge_slots, edge_slots])[order]
-        self.lower = order >= nv + ne
-        self.indices = cols[order]
-        self.indptr = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=nv), out=self.indptr[1:])
-
-    def matrix(self, acc):
-        """The HermitianSparse matrix of the summed slots ``acc``."""
-        diag = acc[:self.n]
-        _check_diagonal(diag)
-        diag.imag = 0.0
-        data = acc[self.source]
-        np.conjugate(data, out=data, where=self.lower)
-        return HermitianSparse(
-            self.n, sparse.csr_matrix((data, self.indices, self.indptr),
-                                      shape=(self.n, self.n))
-        )
+def _pattern_matrix(pattern, acc):
+    """The HermitianSparse matrix of the summed slots ``acc`` on the mesh's
+    :class:`~gaugefem.mesh.MatrixPattern` ``pattern``."""
+    n = pattern.indptr.size - 1
+    diag = acc[:n]
+    _check_diagonal(diag)
+    diag.imag = 0.0
+    data = acc[pattern.source]
+    np.conjugate(data, out=data, where=pattern.lower)
+    return HermitianSparse(
+        n, sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+    )
 
 
 def _scatter_add(out, slots, values):
@@ -438,7 +414,7 @@ def _cell_pass(mesh, table, kinetic, potential):
     on its vertices.
 
     ``np.bincount`` adds each column into the vertex and edge slots of
-    :class:`_CellPattern`.  Returns (stiffness, mass, floor, deficit):
+    ``mesh.pattern``.  Returns (stiffness, mass, floor, deficit):
     HermitianSparse matrices on the mesh's pattern and the per-vertex floor
     and deficit.
     """
@@ -481,8 +457,8 @@ def _cell_pass(mesh, table, kinetic, potential):
         f += np.bincount(cells.ravel(), np.repeat(scaled * lam, m), nv)
         drop = np.where(lam < 0.0, np.inf, drop)
         deficit += np.bincount(cells.ravel(), np.repeat(drop, m), nv)
-    pattern = _CellPattern(mesh)
-    return pattern.matrix(k_acc), pattern.matrix(m_acc), f, deficit
+    return (_pattern_matrix(mesh.pattern, k_acc), _pattern_matrix(mesh.pattern, m_acc),
+            f, deficit)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 The solver takes one assembled problem: the interior pencil (H, M) and the
 two floors assembly proves about it.  Small problems go through dense LAPACK
 (scipy.linalg.eigh on the pencil); larger ones use ARPACK shift-invert with a
-deterministic start vector and an explicit symmetric-mode LU factor of
-H - sigma M, with sigma placed by those floors, and a Rayleigh-Ritz finish.
+deterministic start vector and one factor of H - sigma M, with sigma placed
+by those floors, and a Rayleigh-Ritz finish.  The factor is LAPACK's band
+Cholesky where H - sigma M is a narrow band (the box meshes number their
+vertices row-major) and a symmetric-mode SuperLU factor where it is not.
 All returned eigenvectors are M-orthonormal and phase-fixed so repeated runs
 are reproducible and gauge-paired solves can be compared pointwise.
 """
@@ -18,6 +20,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackNoConvergence
 
 __all__ = [
+    "BAND_CUTOFF",
     "DENSE_CUTOFF",
     "MULTIPLET_GAP",
     "DefinitenessError",
@@ -27,20 +30,42 @@ __all__ = [
     "reconstruct_field",
 ]
 
-# Problems at or below this many DOFs are solved densely.  Measured
-# crossover, dense vs ARPACK (best of 15, interleaved, one core, one BLAS
+# Problems at or below this many DOFs are solved densely.  Measured, dense
+# vs ARPACK on the band factor (best of 15, interleaved, one core, one BLAS
 # thread, uniform B, Xeon VM), in ms at k = 2 / k = 6:
 #
-#   2D scalar  121-144  n=12 (121 DOFs): 3.0 vs 3.5 / 3.9 vs 4.3;
-#                       n=13 (144): 5.6 vs 3.6 / 5.9 vs 4.6;
-#                       n=14 (169): 7.9 vs 3.8 / 8.4 vs 4.9
-#   3D scalar  125-216  n=6 (125 DOFs): 3.1 vs 4.7 / 3.6 vs 5.4;
-#                       n=7 (216): 13.0 vs 6.3 / 13.1 vs 7.0
+#   2D scalar  100-121  n=11 (100 DOFs): 2.5 vs 3.4 / 2.8 vs 4.5;
+#                       n=12 (121): 3.0 vs 2.4 / 3.9 vs 3.7;
+#                       n=13 (144): 6.3 vs 3.7 / 6.9 vs 4.7
+#   3D scalar  125-216  n=6 (125 DOFs): 4.1 vs 5.3 / 4.3 vs 5.7;
+#                       n=7 (216): 15.5 vs 6.1 / 17.1 vs 7.4
 #
-# The box meshes' (n - 1)^d unknowns skip from 125 to 144, so a cutoff
-# between them sends every measured size to its faster path.  A Pauli job
-# runs one such scalar solve, so the same crossover holds.
+# No cutoff sends every size to its faster path: 2D n=12 is faster on
+# ARPACK, 3D n=6, with more unknowns, dense.  Whole CLI jobs differ less
+# (median of 25, ARPACK over dense: 2D n=12 0.84x at k = 3 and 0.96x at
+# k = 6 with a well, 3D n=6 1.00x and 1.07x), so the cutoff stays between
+# 125 and 144.  A Pauli job runs one such scalar solve, so the same
+# crossover holds.
 DENSE_CUTOFF = 140
+
+# The ARPACK path factors H - sigma M as a band Cholesky when its band array
+# holds at most this many entries, n (kd + 1) with kd the half-bandwidth, and
+# with SuperLU above.  Measured, the factor plus 36 solves at the solver's
+# shift (median of 15, interleaved, one core, one BLAS thread, B = 3 in 2D
+# and (0.3, 0.2, 1) in 3D, Xeon VM), in ms, SuperLU vs band:
+#
+#   2D  with a well:  n=16 (4k entries) 3.7 vs 1.5;  n=44 (83k) 28 vs 15
+#       sigma = 0:    n=56 (169k) 37 vs 30;  n=68 (305k) 58 vs 49;
+#                     n=72 (363k) 64 vs 60;  n=76 (428k) 69 vs 71;
+#                     n=80 (499k) 84 vs 88;  n=96 (866k) 130 vs 210
+#   3D  sigma = 0:    n=13 (251k) 42 vs 32;  n=14 (373k) 56 vs 50
+#       with a well:  n=14 (404k) 115 vs 57;  n=15 (582k) 170 vs 79
+#
+# At sigma = 0 the two stay within about 10 % of each other from 300k to
+# 430k entries (best-of-run times favour SuperLU there), and the band array
+# holds up to twice the SuperLU factor's entries (3D n=14: 373k vs 208k),
+# so the cutoff sits at the low end of that range.
+BAND_CUTOFF = 330_000
 
 # Neighbouring eigenvalues closer than this (relative) are flagged as a
 # multiplet; their eigenvectors are only defined up to mixing.
@@ -144,20 +169,66 @@ def _gershgorin_lower(h_csr):
     return diag.real - radii
 
 
+def _shift_invert_solver(a):
+    """x -> A^-1 x for the Hermitian positive definite CSR matrix A.
+
+    A narrow band, n (kd + 1) <= ``BAND_CUTOFF`` with kd the largest
+    col - row over A's stored entries, takes LAPACK's band Cholesky
+    (``zpbtrf``/``zpbtrs``); a wider one takes a symmetric-mode SuperLU
+    factor.  A is the sparse difference H - sigma M, which stores no exact
+    zeros, so at sigma = 0 both see H on its true nonzero pattern, without
+    the zeros H stores (orthogonal Kuhn pairs of a field-only stiffness).
+    The returned function holds only the factor.
+    """
+    n = a.shape[0]
+    offset = a.indices - np.repeat(np.arange(n), np.diff(a.indptr))
+    kd = int(offset.max(initial=0))
+    if n * (kd + 1) <= BAND_CUTOFF:
+        # LAPACK upper band storage: A[i, j], i <= j, at ab[kd + i - j, j]
+        upper = offset >= 0
+        ab = np.zeros((kd + 1, n), np.complex128, order="F")
+        ab[kd - offset[upper], a.indices[upper]] = a.data[upper]
+        chol, info = scipy.linalg.lapack.zpbtrf(ab, lower=0, overwrite_ab=1)
+        if info > 0:  # e.g. after overflow
+            raise ConvergenceError(
+                np.inf, f"shift-invert factorization failed: pivot {info} "
+                "is not positive"
+            )
+        return lambda x: scipy.linalg.lapack.zpbtrs(chol, x, overwrite_b=1)[0]
+    # Diagonal pivots are stable on a positive definite matrix, and a
+    # symmetric ordering of the pattern cuts the fill.  The solver uses the
+    # factor only through ``solve``; it never reads its ``L`` or ``U``
+    # attributes (for example to count pivot signs): SuperLU builds them as
+    # copies of both factors, cached for the factor's lifetime.
+    try:
+        lu = spla.splu(
+            a.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # an exactly singular pivot, e.g. after overflow
+        raise ConvergenceError(
+            np.inf, f"shift-invert factorization failed: {exc}"
+        ) from None
+    return lu.solve
+
+
 def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     """Smallest k eigenpairs of H u = E M u with H Hermitian, M HPD.
 
     Problems with at most ``DENSE_CUTOFF`` DOFs, and requests with
     k >= n - 1, which ARPACK cannot do, use dense LAPACK.  The ARPACK path
     factors H - sigma M once, at a shift proven to lie below the spectrum,
-    and uses the factor only through ``solve``.  It never reads the factor's
-    ``L`` or ``U`` attributes (for example to count pivot signs): SuperLU
-    builds them as copies of both factors, cached for the factor's lifetime.
-    ARPACK runs in shift-invert mode with the Euclidean inner product on
-    (H - sigma M)^-1 M, whose eigenvalues are 1 / (E - sigma): one solve and
-    one M-product per step.  A Rayleigh-Ritz step of the pencil on its k
-    Ritz vectors then gives real eigenvalues and M-orthonormal eigenvectors,
-    also in exactly degenerate clusters.
+    so the matrix is Hermitian positive definite: as a band Cholesky when
+    its band array holds at most ``BAND_CUTOFF`` entries, which the
+    row-major numbering of the box meshes gives on the small and mid-size
+    grids, and with SuperLU otherwise.  ARPACK runs in shift-invert mode
+    with the Euclidean inner product on (H - sigma M)^-1 M, whose eigenvalues
+    are 1 / (E - sigma): one solve and one M-product per step.  A
+    Rayleigh-Ritz step of the pencil on its k Ritz vectors then gives real
+    eigenvalues and M-orthonormal eigenvectors, also in exactly degenerate
+    clusters.
 
     Parameters
     ----------
@@ -185,7 +256,8 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     DefinitenessError
         M is not positive definite; ``pivot`` is the smallest detected pivot.
     ConvergenceError
-        The mass probe stalled, the shift-invert factor met a singular pivot,
+        The mass probe stalled, the shift-invert factor met a pivot that is
+        not positive (band) or an exactly singular one (SuperLU),
         ARPACK failed or stalled, the Ritz vectors are not M-independent, or
         a relative residual exceeds ``tol``; the message says which.
     """
@@ -245,25 +317,10 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     else:
         sigma = max(float(np.min(lower / (0.9 * floor))), problem.spectrum_floor) - 1.0
 
-    # H - sigma M is Hermitian positive definite, so diagonal pivots are
-    # stable and a symmetric ordering of the pattern cuts the fill.  The
-    # sparse difference stores no exact zeros, so at sigma = 0 the ordering
-    # sees H on its true nonzero pattern, without the zeros H stores
-    # (orthogonal Kuhn pairs of a field-only stiffness).
-    try:
-        lu = spla.splu(
-            (h_csr - sigma * m_csr).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # an exactly singular pivot, e.g. after overflow
-        raise ConvergenceError(
-            np.inf, f"shift-invert factorization failed: {exc}"
-        ) from None
+    solve = _shift_invert_solver(h_csr - sigma * m_csr)
     # no M given: eigs reads only the size and dtype of its matrix argument
     op_inv = spla.LinearOperator(
-        (n, n), matvec=lambda x: lu.solve(m_csr @ x), dtype=np.complex128
+        (n, n), matvec=lambda x: solve(m_csr @ x), dtype=np.complex128
     )
     try:
         ritz = spla.eigs(

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "BOUNDARY_TOL",
     "CELL_PAIRS",
+    "MatrixPattern",
     "MeshGeometryError",
     "SimplicialMesh",
     "make_mesh",
@@ -33,6 +34,23 @@ CELL_PAIRS = {m: np.triu_indices(m, 1) for m in (3, 4)}
 
 class MeshGeometryError(ValueError):
     """Raised when a cell is degenerate (zero or negative volume)."""
+
+
+@dataclass
+class MatrixPattern:
+    """The CSR pattern every assembled matrix of a mesh shares.
+
+    Row x holds x itself and both directions of every edge at x, which are
+    exactly the vertices sharing a cell with x.  Assembly sums one slot per
+    vertex v (slot v) and per edge e = (lo, hi) (slot nv + e); ``source`` is
+    the slot of each stored entry and ``lower`` marks the (hi, lo) entries,
+    which read their slot conjugated.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    source: np.ndarray
+    lower: np.ndarray
 
 
 @dataclass
@@ -65,6 +83,8 @@ class SimplicialMesh:
     gradients : (dim, dim+1, nc) float ndarray
         Barycentric gradients, one column per axis and cell vertex:
         ``gradients[i, k]`` is d lambda_k / d x_i on every cell.
+    pattern : MatrixPattern
+        The sparsity pattern of the assembled matrices.
     """
 
     dim: int
@@ -76,6 +96,7 @@ class SimplicialMesh:
     h: float
     volumes: np.ndarray
     gradients: np.ndarray
+    pattern: MatrixPattern
 
     @property
     def n_vertices(self):
@@ -93,8 +114,9 @@ class SimplicialMesh:
 def make_mesh(dim, vertices, cells):
     """Build a validated mesh from raw vertex and cell arrays.
 
-    Edges, boundary flags, h, cell volumes and barycentric gradients are
-    derived, and each cell is stored with its vertices in ascending order.
+    Edges, boundary flags, h, cell volumes, barycentric gradients and the
+    matrix pattern are derived, and each cell is stored with its vertices in
+    ascending order.
     Cells must reference distinct, in-range vertices and span strictly
     positive volume; the boundary is the bounding box of the vertex cloud
     (coordinates compared with absolute tolerance ``BOUNDARY_TOL``).
@@ -149,7 +171,23 @@ def make_mesh(dim, vertices, cells):
     boundary = on_face.any(axis=1)
 
     return SimplicialMesh(dim, vertices, cells, edges, cell_edges, boundary, h, vols,
-                          grads)
+                          grads, _matrix_pattern(nv, edges))
+
+
+def _matrix_pattern(nv, edges):
+    """The :class:`MatrixPattern` of nv vertices and the sorted ``edges``."""
+    ne = edges.shape[0]
+    lo, hi = edges.T
+    verts = np.arange(nv)
+    rows = np.concatenate([verts, lo, hi])
+    cols = np.concatenate([verts, hi, lo])
+    order = np.argsort(rows * nv + cols)
+    edge_slots = np.arange(nv, nv + ne)
+    indptr = np.zeros(nv + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
+    return MatrixPattern(indptr, cols[order],
+                         np.concatenate([verts, edge_slots, edge_slots])[order],
+                         order >= nv + ne)
 
 
 def _span_adjugate(coords):

@@ -212,16 +212,18 @@ def test_arpack_error_exits_with_code_1(monkeypatch, capsys):
     assert err.startswith("gaugefem: numerical failure: shift-invert ARPACK failed")
 
 
-@pytest.mark.parametrize("potential, cause", [
-    ("well:-1e300,0.3", "shift-invert factorization failed"),
-    ("constant:1e200", "eigensolver did not converge"),
-], ids=["singular-factor", "residual-overflow"])
-def test_huge_potential_on_the_arpack_path_exits_with_code_1(potential, cause, capsys):
-    # 361 DOFs: SuperLU meets an exactly singular pivot under the first; under
-    # the second ARPACK converges, but at E ~ 1e200 the relative residuals
-    # (about 1e181) fail the tolerance
+@pytest.mark.parametrize("n, potential, cause", [
+    ("20", "well:-1e300,0.3", "shift-invert factorization failed: pivot"),
+    ("80", "well:-1e300,0.3", "shift-invert factorization failed: Factor is exactly"),
+    ("20", "constant:1e200", "eigensolver did not converge"),
+], ids=["singular-factor", "singular-factor-superlu", "residual-overflow"])
+def test_huge_potential_on_the_arpack_path_exits_with_code_1(n, potential, cause, capsys):
+    # 361 DOFs factor as a band, 6,241 with SuperLU: under the deep well the
+    # band Cholesky meets a pivot that is not positive and SuperLU an exactly
+    # singular one; under the constant ARPACK converges, but at E ~ 1e200 the
+    # relative residuals (about 1e181) fail the tolerance
     rc, out, err = run_cli(
-        ["solve", "--dim", "2", "--n", "20", "--potential", potential, "--k", "1"], capsys
+        ["solve", "--dim", "2", "--n", n, "--potential", potential, "--k", "1"], capsys
     )
     assert rc == 1
     assert out == ""

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from gaugefem import (
     build_box_mesh,
     circulate,
     HermitianSparse,
+    make_mesh,
     reconstruct_field,
     solve_hermitian_gevp,
 )
@@ -52,9 +54,15 @@ def _clustered_problem():
 
 def _solve(problem, k, path, **kwargs):
     """solve_hermitian_gevp with DENSE_CUTOFF set so that a problem of this
-    size takes the "dense" or the "arpack" path."""
+    size takes the "dense" or the ARPACK path, and on the ARPACK path with
+    BAND_CUTOFF set so that its shift-invert factor is the "band" Cholesky or
+    "superlu" ("arpack" leaves the factor to BAND_CUTOFF)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eigensolve, "DENSE_CUTOFF", problem.n if path == "dense" else 0)
+        if path in ("band", "superlu"):
+            # n (kd + 1) <= n^2 for any half-bandwidth kd < n
+            patch.setattr(eigensolve, "BAND_CUTOFF",
+                          problem.n ** 2 if path == "band" else 0)
         return solve_hermitian_gevp(problem, k, **kwargs)
 
 
@@ -85,6 +93,12 @@ def _magnetic_problem(dim=2, n=8, bz=1.0, b=None, potential=None, radius=0.3):
 
 
 @pytest.fixture
+def superlu_factor(monkeypatch):
+    """Every ARPACK solve factors its shift with SuperLU."""
+    monkeypatch.setattr(eigensolve, "BAND_CUTOFF", 0)
+
+
+@pytest.fixture
 def arpack_shifts(monkeypatch):
     """The sigma of every ARPACK call the solver makes, in order: the eigsh
     Lanczos mass probe records None, the shift-invert eigs its sigma."""
@@ -101,12 +115,13 @@ def arpack_shifts(monkeypatch):
     return shifts
 
 
-def _solve_both_paths(problem, k):
-    """Dense and ARPACK solves of one problem."""
+def _solve_every_path(problem, k):
+    """The dense solve of a problem and its ARPACK solves on the band and on
+    the SuperLU factor."""
     dense = _solve(problem, k, "dense")
-    arpack = _solve(problem, k, "arpack")
+    arpack = [_solve(problem, k, factor) for factor in ("band", "superlu")]
     assert dense.method_tag == "dense-eigh"
-    assert arpack.method_tag == "arpack-shift-invert"
+    assert all(result.method_tag == "arpack-shift-invert" for result in arpack)
     return dense, arpack
 
 
@@ -266,16 +281,18 @@ def test_convergence_error_iteration_cap(one_arpack_iteration):
 def test_iterative_path_matches_dense(case, k, arpack_shifts):
     _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case])
     assert problem.mass_floor.min() > 0.0
-    dense, arpack = _solve_both_paths(problem, k)
-    # the certificate replaces the Lanczos mass probe: one ARPACK call only
-    assert len(arpack_shifts) == 1 and arpack_shifts[0] is not None
-    assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
-    assert np.all(arpack.residuals < 1e-9)
-    assert np.array_equal(arpack.multiplet, dense.multiplet)
-    # M-orthonormal, inside a degenerate cluster too
-    x = arpack.eigenvectors.T
-    gram = x.conj().T @ (problem.mass.to_csr() @ x)
-    assert np.abs(gram - np.eye(k)).max() < 1e-10
+    dense, arpack = _solve_every_path(problem, k)
+    # the certificate replaces the Lanczos mass probe: one ARPACK call per
+    # solve only
+    assert len(arpack_shifts) == 2 and None not in arpack_shifts
+    for result in arpack:
+        assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+        assert np.all(result.residuals < 1e-9)
+        assert np.array_equal(result.multiplet, dense.multiplet)
+        # M-orthonormal, inside a degenerate cluster too
+        x = result.eigenvectors.T
+        gram = x.conj().T @ (problem.mass.to_csr() @ x)
+        assert np.abs(gram - np.eye(k)).max() < 1e-10
 
 
 @pytest.mark.parametrize("case, well", [
@@ -289,10 +306,11 @@ def test_iterative_path_with_indefinite_stiffness(case, well, arpack_shifts):
     _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case], potential=well)
     if well is None:
         problem = shift_problem(problem, -50.0)
-    dense, arpack = _solve_both_paths(problem, 3)
+    dense, arpack = _solve_every_path(problem, 3)
     assert dense.eigenvalues[0] < 0
-    assert len(arpack_shifts) == 1 and arpack_shifts[0] < dense.eigenvalues[0]
-    assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+    assert len(arpack_shifts) == 2 and max(arpack_shifts) < dense.eigenvalues[0]
+    for result in arpack:
+        assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("case", ["2d-n20", "3d-n8"])
@@ -303,8 +321,10 @@ def test_spectrum_floor_places_the_shift_under_a_deep_well(case, arpack_shifts):
     _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case], potential=-400.0)
     f, s = problem.mass_floor, problem.spectrum_floor
     dense = _solve(problem, 3, "dense")
-    certified = _solve(problem, 3, "arpack")
-    plain = _solve(dataclasses.replace(problem, spectrum_floor=-np.inf), 3, "arpack")
+    plain = dataclasses.replace(problem, spectrum_floor=-np.inf)
+    # certified and plain, on the band and then on the SuperLU factor
+    results = [_solve(p, 3, factor) for factor in ("band", "superlu")
+               for p in (problem, plain)]
 
     hd = problem.stiffness.to_dense()
     diag = hd.diagonal().real
@@ -312,9 +332,10 @@ def test_spectrum_floor_places_the_shift_under_a_deep_well(case, arpack_shifts):
     assert gershgorin.min() < 0.0
     gershgorin_shift = np.min(gershgorin / (0.9 * f)) - 1.0
     assert gershgorin_shift < s - 1.0 and s <= dense.eigenvalues[0] < 0.0
-    assert arpack_shifts[0] == s - 1.0
+    assert arpack_shifts[0] == arpack_shifts[2] == s - 1.0
+    assert arpack_shifts[1] == arpack_shifts[3]
     assert arpack_shifts[1] == pytest.approx(gershgorin_shift, rel=1e-12)
-    for result in (certified, plain):
+    for result in results:
         assert result.method_tag == "arpack-shift-invert"
         assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
@@ -332,12 +353,42 @@ def test_zero_shift_factors_the_true_nonzero_pattern(monkeypatch, arpack_shifts)
         return original(a, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording)
-    dense, arpack = _solve_both_paths(problem, 3)
+    dense, arpack = _solve(problem, 3, "dense"), _solve(problem, 3, "superlu")
     assert arpack_shifts == [0.0]
     h = problem.stiffness.to_csr()
     assert factored[0].nnz == np.count_nonzero(h.data) < h.nnz
     assert np.array_equal(factored[0].toarray(), h.toarray())
     assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+
+
+def test_a_scattered_vertex_numbering_takes_superlu(monkeypatch):
+    # the box numbering is row-major, so H - sigma M is a narrow band; the
+    # same mesh with randomly renumbered vertices has a band as wide as the
+    # matrix, above BAND_CUTOFF, and factors with SuperLU to the same spectrum
+    box = build_box_mesh(2, 28)
+    perm = np.random.default_rng(5).permutation(box.n_vertices)
+    rank = np.argsort(perm)  # new index of each old vertex
+    scattered = make_mesh(2, box.vertices[perm], rank[box.cells])
+    factors = []
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            factors.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, recording)
+
+    record(spla, "splu")
+    record(scipy.linalg.lapack, "zpbtrf")
+    results = []
+    for mesh in (box, scattered):
+        circ = circulate(GaugeFieldSpec((0.2, 0.1), (0.0, 0.0, 7.0)), mesh)
+        problem = assemble_scalar_problem(mesh, circ)
+        results.append(solve_hermitian_gevp(problem, 4))
+        assert results[-1].method_tag == "arpack-shift-invert"
+    assert factors == ["zpbtrf", "splu"]
+    assert np.allclose(results[1].eigenvalues, results[0].eigenvalues, rtol=1e-10, atol=0)
 
 
 @settings(max_examples=8, deadline=None)
@@ -402,9 +453,10 @@ def test_uncertified_mass_falls_back_to_the_probe(arpack_shifts):
     _, problem = _magnetic_problem(dim=3, n=4, bz=100.0)
     assert problem.mass_floor.max() <= 0.0
     np.linalg.cholesky(problem.mass.to_dense())
-    dense, arpack = _solve_both_paths(problem, 3)
+    dense, arpack = _solve_every_path(problem, 3)
     assert arpack_shifts[0] is None  # the Lanczos probe ran
-    assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+    for result in arpack:
+        assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
 
 def test_reconstruct_field():
@@ -472,12 +524,15 @@ _ARPACK_ROUTES = {
     # a clustered spectrum: one restart cannot separate the Ritz values
     "stall": (["one_arpack_iteration"], _clustered_problem, (6,),
               "eigensolver did not converge"),
-    # a potential near the float range: SuperLU meets an exactly singular
-    # pivot under the deep well, and under the constant ARPACK converges to
-    # pairs whose relative residuals (about 1e181 at E ~ 1e200) fail the
-    # tolerance
+    # a potential near the float range: the band Cholesky meets a pivot that
+    # is not positive, and SuperLU an exactly singular one, under the deep
+    # well; under the constant ARPACK converges to pairs whose relative
+    # residuals (about 1e181 at E ~ 1e200) fail the tolerance
     "singular-factor": ([], lambda: _huge_potential_problem(-1e300, 0.3), (1,),
-                        "shift-invert factorization failed"),
+                        "shift-invert factorization failed: pivot"),
+    "singular-factor-superlu": (["superlu_factor"],
+                                lambda: _huge_potential_problem(-1e300, 0.3), (1,),
+                                "shift-invert factorization failed: Factor is exactly"),
     "residual-overflow": ([], lambda: _huge_potential_problem(1e200, 1.0), (1,),
                           "eigensolver did not converge"),
     "arpack-error": (["arpack_path", "arpack_error"], _small_problem, (2,),
