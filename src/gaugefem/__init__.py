@@ -17,11 +17,9 @@ from .mesh import (
 from .gauge import (
     EdgeCirculation,
     GaugeFieldSpec,
-    GaugeTransform,
     TransportConsistencyError,
     TransportTable,
     apply_gauge_to_circulation,
-    apply_gauge_to_state,
     circulate,
     random_gauge,
     transports,
@@ -59,10 +57,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MeshGeometryError", "SimplicialMesh", "build_box_mesh", "make_mesh",
-    "EdgeCirculation", "GaugeFieldSpec", "GaugeTransform",
-    "TransportConsistencyError", "TransportTable", "apply_gauge_to_circulation",
-    "apply_gauge_to_state", "circulate", "random_gauge", "transports",
-    "unit_transports",
+    "EdgeCirculation", "GaugeFieldSpec", "TransportConsistencyError",
+    "TransportTable", "apply_gauge_to_circulation", "circulate", "random_gauge",
+    "transports", "unit_transports",
     "AssembledProblem", "EmptyProblemError", "HermitianSparse", "assemble_scalar_problem",
     "covariant_mass", "covariant_stiffness", "eliminate_dirichlet", "export_matrix",
     "potential_matrix", "standard_galerkin",

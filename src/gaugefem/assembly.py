@@ -89,7 +89,7 @@ class EmptyProblemError(ValueError):
     """The problem has no degrees of freedom (e.g. no interior vertices)."""
 
 
-def _check_diagonal(diag):
+def _check_real_diag(diag):
     diag_imag = np.abs(diag.imag)
     if diag_imag.size and diag_imag.max() > DIAG_IMAG_TOL:
         raise ValueError(
@@ -119,7 +119,7 @@ class HermitianSparse:
         n = full.shape[0]
         if full.shape != (n, n):
             raise ValueError("matrix must be square")
-        _check_diagonal(full.diagonal())
+        _check_real_diag(full.diagonal())
         full = sparse.csr_matrix(full, dtype=np.complex128)
         # each entry plus its mirror: the diagonal becomes exactly real
         return cls(n, (full + full.conj().T) * 0.5)
@@ -239,7 +239,7 @@ def _pattern_matrix(pattern, acc):
     :class:`~gaugefem.mesh.MatrixPattern` ``pattern``."""
     n = pattern.indptr.size - 1
     diag = acc[:n]
-    _check_diagonal(diag)
+    _check_real_diag(diag)
     diag.imag = 0.0
     data = acc[pattern.source]
     np.conjugate(data, out=data, where=pattern.lower)
@@ -302,11 +302,14 @@ def _galerkin_kinetic(mesh, circulation):
     pair = _monomial_table(mesh.dim, 2)
     quartic = _monomial_table(mesh.dim, 4)
     entries = _CELL_ENTRIES[mesh.dim + 1]
+    x, y = CELL_PAIRS[entries.m]
 
     def kinetic(rows, grads, vols, u):
         grads = grads.T  # (nc, m, d)
         v = vols[:, None, None]
-        a_loc = circulation.local_values(mesh, rows)
+        a = circulation.local_values(mesh, rows).T  # A_xy, x < y
+        a_loc = np.zeros((a.shape[0], entries.m, entries.m))
+        a_loc[:, x, y], a_loc[:, y, x] = a, -a
         w = np.einsum("cmb,cbi->cmi", a_loc, grads)
         gw = np.einsum("cxi,cmi->cxm", grads, w)
         pm = pair[None] * v  # int lambda_y lambda_m

@@ -6,7 +6,7 @@ the degrees of freedom of the lowest-order edge (Whitney 1-form) space.  The
 corresponding parallel transports U_ij = exp(i A_ij) are the unitary link
 variables the covariant assembly consumes.
 
-A discrete gauge transform is a vertex field alpha; it shifts circulations by
+A discrete gauge is a vertex phase array alpha; it shifts circulations by
 finite differences, A'_ij = A_ij - (alpha_j - alpha_i), and rotates states by
 u_j -> exp(i alpha_j) u_j.  Everything downstream is built so that this pair
 of substitutions conjugates the assembled matrices exactly.
@@ -16,20 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CELL_PAIRS
-
 __all__ = [
     "UNIT_MODULUS_TOL",
     "TransportConsistencyError",
     "GaugeFieldSpec",
     "EdgeCirculation",
     "TransportTable",
-    "GaugeTransform",
     "circulate",
     "transports",
     "unit_transports",
     "apply_gauge_to_circulation",
-    "apply_gauge_to_state",
     "random_gauge",
 ]
 
@@ -90,91 +86,58 @@ class GaugeFieldSpec:
 
 
 class _EdgeTable:
-    """Shared machinery: values attached to canonically oriented edges.
+    """One value per row of ``mesh.edges``, on the mesh it was built for.
 
-    Cells read their edge values through the mesh's cell -> edge incidence.
-    Mesh cells list their vertices in ascending order, so a pair x < y of a
-    cell reads the stored value, y -> x reads it through the subclass's
-    orientation rule ``_reverse``, and a vertex reads ``_diagonal`` against
-    itself.
+    The pair x < y of a cell runs along its edge lower index first (mesh
+    cells ascend), so the cell reads the stored values as they are.
     """
 
-    def __init__(self, n_vertices, edges, values):
-        edges = np.ascontiguousarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must have shape (ne, 2)")
-        if edges.size and (edges.min() < 0 or edges.max() >= n_vertices):
-            raise ValueError("edge vertex index out of range")
-        if np.any(edges[:, 0] >= edges[:, 1]):
-            raise ValueError("edges must be stored lower index first")
-        values = np.asarray(values)
-        if values.shape != (edges.shape[0],):
-            raise ValueError("one value per edge required")
-        keys = edges[:, 0] * n_vertices + edges[:, 1]
-        if np.any(np.diff(keys) <= 0):
-            raise ValueError("edges must be sorted lexicographically and unique")
-        self.n_vertices = int(n_vertices)
-        self.edges = edges
+    def __init__(self, mesh, values):
+        if values.shape != (mesh.n_edges,):
+            raise ValueError("one value per mesh edge required")
+        self.mesh = mesh
         self.values = values
 
     @property
     def n_edges(self):
-        return self.edges.shape[0]
+        return self.values.shape[0]
 
     def check_mesh(self, mesh):
         """Raise TransportConsistencyError unless the table is on the mesh's
         edge set, so that ``values[mesh.cell_edges]`` are the cells' values."""
-        if self.n_vertices != mesh.n_vertices or not np.array_equal(
-            self.edges, mesh.edges
-        ):
+        if mesh is not self.mesh and not np.array_equal(mesh.edges, self.mesh.edges):
             raise TransportConsistencyError(
                 f"{type(self).__name__} does not match the mesh edge set"
             )
 
     def local_values(self, mesh, rows):
-        """(nc, m, m) array of the values along x -> y between the vertices
-        of each cell of ``mesh.cells[rows]`` (``rows`` a slice).
+        """Upper columns: row p holds the values along x -> y for pair p of
+        ``gaugefem.mesh.CELL_PAIRS[m]`` in each cell of ``mesh.cells[rows]``.
 
         Raises TransportConsistencyError if the table is not on the mesh's
         edge set.
         """
         self.check_mesh(mesh)
-        m = mesh.dim + 1
-        a, b = CELL_PAIRS[m]
-        val = self.values[mesh.cell_edges[rows]]
-        out = np.full((val.shape[0], m, m), self._diagonal, dtype=val.dtype)
-        out[:, a, b] = val
-        out[:, b, a] = self._reverse(val)
-        return out
+        return self.values[mesh.cell_edges[rows].T]
 
 
 class EdgeCirculation(_EdgeTable):
-    """Real circulations A_ij on canonical edges (i < j), antisymmetric.
+    """Real circulations A_ij on the mesh edges (i < j); A_ji = -A_ij."""
 
-    A_ji = -A_ij; A_ii = 0.
-    """
-
-    _reverse = np.negative
-    _diagonal = 0.0
-
-    def __init__(self, n_vertices, edges, values):
+    def __init__(self, mesh, values):
         values = np.asarray(values, dtype=np.float64)
         if not np.all(np.isfinite(values)):
             raise ValueError("circulations must be finite")
-        super().__init__(n_vertices, edges, values)
+        super().__init__(mesh, values)
 
 
 class TransportTable(_EdgeTable):
-    """Unit-modulus parallel transports U_ij on canonical edges (i < j).
-
-    U_ji = conj(U_ij) and U_ii = 1.  Moduli are checked against 1 with
-    tolerance ``UNIT_MODULUS_TOL`` at construction.
+    """Unit-modulus parallel transports U_ij on the mesh edges (i < j);
+    U_ji = conj(U_ij).  Moduli are checked against 1 with tolerance
+    ``UNIT_MODULUS_TOL`` at construction.
     """
 
-    _reverse = np.conj
-    _diagonal = 1.0
-
-    def __init__(self, n_vertices, edges, values):
+    def __init__(self, mesh, values):
         values = np.asarray(values, dtype=np.complex128)
         if not np.all(np.isfinite(values)):
             raise ValueError("transports must be finite")
@@ -183,21 +146,7 @@ class TransportTable(_EdgeTable):
             raise ValueError(
                 f"transport modulus drifts from 1 by {drift.max():.3e}"
             )
-        super().__init__(n_vertices, edges, values)
-
-
-@dataclass
-class GaugeTransform:
-    """Vertex phase field alpha defining the discrete gauge map."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if self.alpha.ndim != 1:
-            raise ValueError("alpha must be a flat per-vertex array")
-        if not np.all(np.isfinite(self.alpha)):
-            raise ValueError("alpha must be finite")
+        super().__init__(mesh, values)
 
 
 def circulate(spec, mesh):
@@ -214,45 +163,30 @@ def circulate(spec, mesh):
     vj = mesh.vertices[mesh.edges[:, 1]]
     mid = 0.5 * (vi + vj)
     values = np.einsum("ed,ed->e", spec.evaluate(mid), vj - vi)
-    return EdgeCirculation(mesh.n_vertices, mesh.edges, values)
+    return EdgeCirculation(mesh, values)
 
 
 def transports(circulation):
     """Parallel transports U_ij = exp(i A_ij) of a circulation table."""
-    return TransportTable(
-        circulation.n_vertices,
-        circulation.edges,
-        np.exp(1j * circulation.values),
-    )
+    return TransportTable(circulation.mesh, np.exp(1j * circulation.values))
 
 
 def unit_transports(mesh):
     """The trivial table U = 1 on every edge (zero potential)."""
-    return TransportTable(
-        mesh.n_vertices, mesh.edges, np.ones(mesh.n_edges, dtype=np.complex128)
-    )
+    return TransportTable(mesh, np.ones(mesh.n_edges, dtype=np.complex128))
 
 
-def apply_gauge_to_circulation(circulation, gauge):
-    """Gauge-shifted circulations A'_ij = A_ij - (alpha_j - alpha_i)."""
-    alpha = gauge.alpha
-    if alpha.shape != (circulation.n_vertices,):
-        raise ValueError("gauge transform and circulation sizes differ")
-    i = circulation.edges[:, 0]
-    j = circulation.edges[:, 1]
-    return EdgeCirculation(
-        circulation.n_vertices,
-        circulation.edges,
-        circulation.values - (alpha[j] - alpha[i]),
-    )
-
-
-def apply_gauge_to_state(u, gauge):
-    """Pointwise rotation u_x -> exp(i alpha_x) u_x of a vertex state."""
-    u = np.asarray(u)
-    if u.shape[-1] != gauge.alpha.shape[0]:
-        raise ValueError("state and gauge transform sizes differ")
-    return np.exp(1j * gauge.alpha) * u
+def apply_gauge_to_circulation(circulation, alpha):
+    """Gauge-shifted circulations A'_ij = A_ij - (alpha_j - alpha_i) for the
+    vertex phases ``alpha``."""
+    mesh = circulation.mesh
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (mesh.n_vertices,):
+        raise ValueError("gauge needs one phase per vertex")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("gauge phases must be finite")
+    i, j = mesh.edges.T
+    return EdgeCirculation(mesh, circulation.values - (alpha[j] - alpha[i]))
 
 
 def random_gauge(mesh, amplitude, seed):
@@ -260,4 +194,4 @@ def random_gauge(mesh, amplitude, seed):
     if not 0.0 <= amplitude < np.inf:
         raise ValueError("amplitude must be finite and nonnegative")
     rng = np.random.default_rng(seed)
-    return GaugeTransform(rng.uniform(-amplitude, amplitude, mesh.n_vertices))
+    return rng.uniform(-amplitude, amplitude, mesh.n_vertices)

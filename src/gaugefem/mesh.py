@@ -239,8 +239,8 @@ def build_box_mesh(dim, n, lengths=None):
     lengths = np.asarray(lengths, dtype=np.float64)
     if lengths.shape != (dim,):
         raise ValueError(f"lengths must have {dim} entries")
-    if not np.all(lengths > 0.0):
-        raise ValueError("box side lengths must be positive")
+    if not np.all(np.isfinite(lengths) & (lengths > 0.0)):
+        raise ValueError("box side lengths must be finite and positive")
 
     axes = [np.linspace(0.0, L, n + 1) for L in lengths]
     grid = np.meshgrid(*axes, indexing="ij")

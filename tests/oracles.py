@@ -304,13 +304,13 @@ def structured_box_cells(dim, n):
 def edge_lookup(table, reverse, diagonal):
     """Directed-edge value function (i, j) -> value from a plain dict.
 
-    ``table`` holds one value per canonical edge (``table.edges`` lower index
-    first, ``table.values``); the reversed edge j -> i gives
+    ``table`` holds one value per edge of its mesh (``table.mesh.edges``
+    lower index first, ``table.values``); the reversed edge j -> i gives
     ``reverse(value)`` and i -> i gives ``diagonal``.  A pair that is not an
     edge raises KeyError.  Use ``reverse=np.conj, diagonal=1.0`` for
     transports and ``reverse=np.negative, diagonal=0.0`` for circulations.
     """
-    values = {(int(i), int(j)): v for (i, j), v in zip(table.edges, table.values)}
+    values = {(int(i), int(j)): v for (i, j), v in zip(table.mesh.edges, table.values)}
 
     def value(i, j):
         i, j = int(i), int(j)
@@ -321,6 +321,22 @@ def edge_lookup(table, reverse, diagonal):
         return reverse(values[(j, i)])
 
     return value
+
+
+def cell_blocks(table, reverse, diagonal):
+    """(nc, m, m) values between the vertices of each cell of the table's
+    mesh, in the cell's vertex order, through :func:`edge_lookup`."""
+    value = edge_lookup(table, reverse, diagonal)
+    return np.array([[[value(i, j) for j in cell] for i in cell]
+                     for cell in table.mesh.cells])
+
+
+def apply_gauge_to_state(u, alpha):
+    """Pointwise rotation u_x -> exp(i alpha_x) u_x of a vertex state."""
+    u = np.asarray(u)
+    if u.shape[-1] != alpha.shape[0]:
+        raise ValueError("state and gauge sizes differ")
+    return np.exp(1j * alpha) * u
 
 
 def spin_block(spin_matrix, scalar_matrix):

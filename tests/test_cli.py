@@ -93,6 +93,7 @@ def test_usage_errors_exit_with_code_2(capsys):
         ["solve", "--potential", "cubic:1"],
         ["solve", "--n", "4,8"],
         ["solve", "--k", "0"],
+        ["solve", "--dim", "2", "--n", "4", "--lengths", "inf,1"],
         ["convergence", "--n", "4,8"],
         ["convergence", "--n", "4,8,12"],
         ["export-matrices", "--n", "4"],

@@ -166,4 +166,7 @@ def test_build_box_mesh_argument_errors():
         build_box_mesh(2, 2, lengths=(1.0,))
     with pytest.raises(ValueError):
         build_box_mesh(3, 2, lengths=(1.0, -1.0, 1.0))
+    # refused before the grid is spaced, so no RuntimeWarning comes first
+    with pytest.raises(ValueError, match="finite and positive"):
+        build_box_mesh(2, 4, lengths=(np.inf, 1.0))
 
