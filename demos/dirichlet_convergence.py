@@ -31,7 +31,7 @@ def refine(dim, levels, k=N_MODES):
     for n in levels:
         mesh = build_box_mesh(dim, n)
         field = GaugeFieldSpec(a0=np.zeros(dim), b=(0.0, 0.0, 0.0))
-        problem = assemble_scalar_problem(mesh, circulate(field, mesh))
+        problem = assemble_scalar_problem(circulate(field, mesh))
         result = solve_hermitian_gevp(problem, k=k)
         h.append(mesh.h)
         values.append(result.eigenvalues)

@@ -25,7 +25,7 @@ def ground_state_sequence(levels, b3=FIELD_STRENGTH):
     for n in levels:
         mesh = build_box_mesh(2, n)
         field = GaugeFieldSpec(a0=(0.0, 0.0), b=(0.0, 0.0, b3))
-        problem = assemble_scalar_problem(mesh, circulate(field, mesh))
+        problem = assemble_scalar_problem(circulate(field, mesh))
         result = solve_hermitian_gevp(problem, k=1)
         values.append(result.eigenvalues[0])
     return np.asarray(values)

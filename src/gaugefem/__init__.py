@@ -17,7 +17,6 @@ from .mesh import (
 from .gauge import (
     EdgeCirculation,
     GaugeFieldSpec,
-    TransportConsistencyError,
     TransportTable,
     apply_gauge_to_circulation,
     circulate,
@@ -57,9 +56,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MeshGeometryError", "SimplicialMesh", "build_box_mesh", "make_mesh",
-    "EdgeCirculation", "GaugeFieldSpec", "TransportConsistencyError",
-    "TransportTable", "apply_gauge_to_circulation", "circulate", "random_gauge",
-    "transports", "unit_transports",
+    "EdgeCirculation", "GaugeFieldSpec", "TransportTable",
+    "apply_gauge_to_circulation", "circulate", "random_gauge", "transports",
+    "unit_transports",
     "AssembledProblem", "EmptyProblemError", "HermitianSparse", "assemble_scalar_problem",
     "covariant_mass", "covariant_stiffness", "eliminate_dirichlet", "export_matrix",
     "potential_matrix", "standard_galerkin",

@@ -23,8 +23,10 @@ c |T| U_T^2 A_T.  Substituting U_xy -> exp(i a_x) U_xy exp(-i a_y) and
 u -> exp(i a) u conjugates both matrices by the diagonal phase matrix, which
 is what makes the discrete spectra exactly gauge invariant.
 
-Every form comes out of one pass over the cells (:func:`_cell_pass`).  Every
-cell block is Hermitian, so the pass keeps only its diagonal and upper pairs
+Every form comes out of one pass over the cells (:func:`_cell_pass`) of the
+mesh its edge table was built on: each entry takes the table alone and reads
+``table.mesh``, so no call can pair a table with another mesh.  Every cell
+block is Hermitian, so the pass keeps only its diagonal and upper pairs
 x < y (mesh cells list their vertices in ascending order), each as one
 column over a chunk of cells.  Per chunk it reads one contiguous transport
 column per vertex pair from the edge table and the barycentric gradients
@@ -108,8 +110,8 @@ class HermitianSparse:
     so they are not re-symmetrized.
     """
 
-    def __init__(self, n, full):
-        self.n = int(n)
+    def __init__(self, full):
+        # upper_coo's row-major order needs sorted, summed indices
         self._full = full.tocsr()
         self._full.sum_duplicates()
 
@@ -122,7 +124,11 @@ class HermitianSparse:
         _check_real_diag(full.diagonal())
         full = sparse.csr_matrix(full, dtype=np.complex128)
         # each entry plus its mirror: the diagonal becomes exactly real
-        return cls(n, (full + full.conj().T) * 0.5)
+        return cls((full + full.conj().T) * 0.5)
+
+    @property
+    def n(self):
+        return self._full.shape[0]
 
     @property
     def nnz(self):
@@ -244,7 +250,7 @@ def _pattern_matrix(pattern, acc):
     data = acc[pattern.source]
     np.conjugate(data, out=data, where=pattern.lower)
     return HermitianSparse(
-        n, sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+        sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
     )
 
 
@@ -297,17 +303,17 @@ def _covariant_kinetic(rows, grads, vols, u):
     return block
 
 
-def _galerkin_kinetic(mesh, circulation):
+def _galerkin_kinetic(circulation):
     """Stiffness columns of the conventional P1 baseline (:func:`standard_galerkin`)."""
-    pair = _monomial_table(mesh.dim, 2)
-    quartic = _monomial_table(mesh.dim, 4)
-    entries = _CELL_ENTRIES[mesh.dim + 1]
+    entries = _CELL_ENTRIES[circulation.mesh.dim + 1]
+    pair = _monomial_table(entries.m - 1, 2)
+    quartic = _monomial_table(entries.m - 1, 4)
     x, y = CELL_PAIRS[entries.m]
 
     def kinetic(rows, grads, vols, u):
         grads = grads.T  # (nc, m, d)
         v = vols[:, None, None]
-        a = circulation.local_values(mesh, rows).T  # A_xy, x < y
+        a = circulation.local_values(rows).T  # A_xy, x < y
         a_loc = np.zeros((a.shape[0], entries.m, entries.m))
         a_loc[:, x, y], a_loc[:, y, x] = a, -a
         w = np.einsum("cmb,cbi->cmi", a_loc, grads)
@@ -381,9 +387,9 @@ def _potential_samples(mesh, values):
     return values
 
 
-def _cell_pass(mesh, table, kinetic, potential):
+def _cell_pass(table, kinetic, potential):
     """Assemble the stiffness, the mass, the mass floor and the potential
-    deficit in one pass over the cells.
+    deficit in one pass over the cells of ``mesh = table.mesh``.
 
     Every cell block is Hermitian, so the pass keeps only its diagonal and
     upper pairs, as per-entry columns over a chunk of ``_CHUNK`` cells
@@ -421,7 +427,7 @@ def _cell_pass(mesh, table, kinetic, potential):
     HermitianSparse matrices on the mesh's pattern and the per-vertex floor
     and deficit.
     """
-    table.check_mesh(mesh)
+    mesh = table.mesh
     m = mesh.dim + 1
     nv = mesh.n_vertices
     entries = _CELL_ENTRIES[m]
@@ -468,17 +474,17 @@ def _cell_pass(mesh, table, kinetic, potential):
 # covariant forms: single-form entries into the cell pass
 
 
-def covariant_mass(mesh, transports):
+def covariant_mass(transports):
     """Transport-weighted mass matrix, entries M_xy U_xy.
 
     Reduces to the classical P1 mass matrix when U = 1 and is Hermitian by
     the reversal symmetry U_yx = conj(U_xy).
     """
-    return _cell_pass(mesh, transports, None, None)[1]
+    return _cell_pass(transports, None, None)[1]
 
 
-def covariant_stiffness(mesh, transports, potential=None, *, with_mass=False):
-    """Assembled covariant stiffness matrix on all vertices.
+def covariant_stiffness(transports, potential=None, *, with_mass=False):
+    """Assembled covariant stiffness matrix on all vertices of the table's mesh.
 
     With vertex samples ``potential`` the matrix includes the potential term
     of :func:`potential_matrix`.  With ``with_mass`` the same pass over the
@@ -487,12 +493,12 @@ def covariant_stiffness(mesh, transports, potential=None, *, with_mass=False):
     (stiffness, mass, floor, deficit).
     """
     if potential is not None:
-        potential = _potential_samples(mesh, potential)
-    forms = _cell_pass(mesh, transports, _covariant_kinetic, potential)
+        potential = _potential_samples(transports.mesh, potential)
+    forms = _cell_pass(transports, _covariant_kinetic, potential)
     return forms if with_mass else forms[0]
 
 
-def potential_matrix(mesh, transports, values):
+def potential_matrix(transports, values):
     """Transport-weighted scalar potential term.
 
     The potential is the P1 interpolant of its vertex samples ``values``;
@@ -500,15 +506,15 @@ def potential_matrix(mesh, transports, values):
     cubic integrals evaluated exactly.  For constant V and U = 1 this is
     exactly V times the mass matrix.
     """
-    values = _potential_samples(mesh, values)
-    return _cell_pass(mesh, transports, None, values)[0]
+    values = _potential_samples(transports.mesh, values)
+    return _cell_pass(transports, None, values)[0]
 
 
 # ---------------------------------------------------------------------------
 # conventional baseline
 
 
-def standard_galerkin(mesh, circulation):
+def standard_galerkin(circulation):
     """Conventional P1 pair (stiffness, mass) for |grad u + i A u|^2.
 
     A is the Whitney 1-form interpolant of the edge circulations, which on a
@@ -518,8 +524,8 @@ def standard_galerkin(mesh, circulation):
     consistent but NOT gauge invariant: discrete gauge maps do not conjugate
     it, which is the behaviour the covariant assembly exists to fix.
     """
-    kinetic = _galerkin_kinetic(mesh, circulation)
-    return _cell_pass(mesh, unit_transports(mesh), kinetic, None)[:2]
+    kinetic = _galerkin_kinetic(circulation)
+    return _cell_pass(unit_transports(circulation.mesh), kinetic, None)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +544,15 @@ def eliminate_dirichlet(matrix, interior):
         raise EmptyProblemError("no interior vertices: nothing to solve for")
     if matrix.n != nv:
         raise ValueError(f"matrix size {matrix.n} does not match {nv} vertices")
-    return HermitianSparse(keep.size, matrix.to_csr()[keep][:, keep])
+    return HermitianSparse(matrix.to_csr()[keep][:, keep])
 
 
-def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant"):
-    """Assemble and Dirichlet-reduce the scalar eigenvalue problem.
+def assemble_scalar_problem(circulation, potential=None, method="covariant"):
+    """Assemble and Dirichlet-reduce the scalar eigenvalue problem on the
+    mesh ``circulation.mesh``.
 
     Parameters
     ----------
-    mesh : SimplicialMesh
     circulation : EdgeCirculation
         Gauge data; use ``circulate(spec, mesh)`` for uniform fields.
     potential : (nv,) array, optional
@@ -556,6 +562,7 @@ def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant
     """
     if method not in ("covariant", "baseline"):
         raise ValueError(f"unknown method {method!r}")
+    mesh = circulation.mesh
     if potential is not None:
         potential = _potential_samples(mesh, potential)
         if not np.any(potential):
@@ -563,11 +570,11 @@ def assemble_scalar_problem(mesh, circulation, potential=None, method="covariant
 
     if method == "covariant":
         stiffness, mass, floor, deficit = covariant_stiffness(
-            mesh, make_transports(circulation), potential, with_mass=True
+            make_transports(circulation), potential, with_mass=True
         )
     else:
         stiffness, mass, floor, deficit = _cell_pass(
-            mesh, unit_transports(mesh), _galerkin_kinetic(mesh, circulation), potential
+            unit_transports(mesh), _galerkin_kinetic(circulation), potential
         )
     interior = ~mesh.boundary_vertex
     stiffness = eliminate_dirichlet(stiffness, interior)

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "UNIT_MODULUS_TOL",
-    "TransportConsistencyError",
     "GaugeFieldSpec",
     "EdgeCirculation",
     "TransportTable",
@@ -30,10 +29,6 @@ __all__ = [
 ]
 
 UNIT_MODULUS_TOL = 1e-14
-
-
-class TransportConsistencyError(ValueError):
-    """An edge table does not cover the edges a computation needs."""
 
 
 @dataclass
@@ -102,23 +97,11 @@ class _EdgeTable:
     def n_edges(self):
         return self.values.shape[0]
 
-    def check_mesh(self, mesh):
-        """Raise TransportConsistencyError unless the table is on the mesh's
-        edge set, so that ``values[mesh.cell_edges]`` are the cells' values."""
-        if mesh is not self.mesh and not np.array_equal(mesh.edges, self.mesh.edges):
-            raise TransportConsistencyError(
-                f"{type(self).__name__} does not match the mesh edge set"
-            )
-
-    def local_values(self, mesh, rows):
+    def local_values(self, rows):
         """Upper columns: row p holds the values along x -> y for pair p of
-        ``gaugefem.mesh.CELL_PAIRS[m]`` in each cell of ``mesh.cells[rows]``.
-
-        Raises TransportConsistencyError if the table is not on the mesh's
-        edge set.
+        ``gaugefem.mesh.CELL_PAIRS[m]`` in each cell of ``self.mesh.cells[rows]``.
         """
-        self.check_mesh(mesh)
-        return self.values[mesh.cell_edges[rows].T]
+        return self.values[self.mesh.cell_edges[rows].T]
 
 
 class EdgeCirculation(_EdgeTable):
@@ -191,7 +174,7 @@ def apply_gauge_to_circulation(circulation, alpha):
 
 def random_gauge(mesh, amplitude, seed):
     """Uniform random vertex phases alpha_x ~ U[-amplitude, amplitude]."""
-    if not 0.0 <= amplitude < np.inf:
-        raise ValueError("amplitude must be finite and nonnegative")
+    if not 0.0 <= amplitude <= np.finfo(float).max / 2:
+        raise ValueError("amplitude must be nonnegative, with a finite range 2 * amplitude")
     rng = np.random.default_rng(seed)
     return rng.uniform(-amplitude, amplitude, mesh.n_vertices)

@@ -63,7 +63,7 @@ class SpinorProblem(AssembledProblem):
     b: np.ndarray
 
 
-def assemble_pauli(mesh, field_spec, potential=None, circulation=None):
+def assemble_pauli(mesh, field_spec, potential=None):
     """Assemble the Pauli eigenvalue problem for a uniform-field potential.
 
     Parameters
@@ -72,13 +72,8 @@ def assemble_pauli(mesh, field_spec, potential=None, circulation=None):
     field_spec : GaugeFieldSpec
     potential : (nv,) array, optional
         Vertex samples of the scalar potential V (enters both spin blocks).
-    circulation : EdgeCirculation, optional
-        Overrides the circulations derived from ``field_spec`` -- the hook
-        for feeding in gauge-transformed data.  The Zeeman coupling always
-        uses the (gauge-independent) B of ``field_spec``.
     """
-    circ = circulate(field_spec, mesh) if circulation is None else circulation
-    scalar = assemble_scalar_problem(mesh, circ, potential)
+    scalar = assemble_scalar_problem(circulate(field_spec, mesh), potential)
     return SpinorProblem(**vars(scalar), b=field_spec.b)
 
 
@@ -92,6 +87,9 @@ def solve_pauli(problem, k, tol=1e-9, seed=0):
     n = problem.n
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= 2 * n:
         raise ValueError(f"k must be in [1, {2 * n}], got {k!r}")
+    # |B|^2 in Python floats, which overflow to inf without a numpy warning
+    if not np.isfinite(sum(x * x for x in problem.b.tolist())):
+        raise ValueError("the Zeeman term |B| overflows: |B|^2 is not finite")
     scalar = solve_hermitian_gevp(problem, min(k, n), tol=tol, seed=seed)
 
     # Columns chi_-, chi_+ of -(sigma . B), eigenvalues -|B|, +|B|.

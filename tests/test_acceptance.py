@@ -54,8 +54,8 @@ def _paired_gauge_solve(dim, n, method, k=5, seed=101):
     gauge = random_gauge(mesh, np.pi, seed=seed)
     gauged = apply_gauge_to_circulation(circ, gauge)
 
-    original = assemble_scalar_problem(mesh, circ, method=method)
-    twin = assemble_scalar_problem(mesh, gauged, method=method)
+    original = assemble_scalar_problem(circ, method=method)
+    twin = assemble_scalar_problem(gauged, method=method)
     r0 = solve_hermitian_gevp(original, k)
     r1 = solve_hermitian_gevp(twin, k)
 
@@ -95,13 +95,13 @@ def test_criterion_2_zero_field_reduction_to_p1():
         ones = unit_transports(mesh)
         mass_diff = np.max(
             np.abs(
-                covariant_mass(mesh, ones).to_dense()
+                covariant_mass(ones).to_dense()
                 - p1_mass_dense(mesh.vertices, mesh.cells)
             )
         )
         stiff_diff = np.max(
             np.abs(
-                covariant_stiffness(mesh, ones).to_dense()
+                covariant_stiffness(ones).to_dense()
                 - p1_stiffness_dense(mesh.vertices, mesh.cells)
             )
         )
@@ -119,7 +119,7 @@ def _lowest_eigenvalues(dim, levels, bz):
     for n in levels:
         mesh = build_box_mesh(dim, n)
         spec = GaugeFieldSpec((0.0,) * dim, (0.0, 0.0, bz))
-        problem = assemble_scalar_problem(mesh, circulate(spec, mesh))
+        problem = assemble_scalar_problem(circulate(spec, mesh))
         result = solve_hermitian_gevp(problem, k=1)
         out.append(result.eigenvalues[0])
     return np.asarray(out)
@@ -175,7 +175,7 @@ def test_criterion_6_pauli_zeeman_decoupling():
     spec = GaugeFieldSpec((0.0, 0.0), (0.0, 0.0, 1.0))
     pauli = solve_pauli(assemble_pauli(mesh, spec), k=6)
 
-    scalar_problem = assemble_scalar_problem(mesh, circulate(spec, mesh))
+    scalar_problem = assemble_scalar_problem(circulate(spec, mesh))
     scalar = solve_hermitian_gevp(scalar_problem, k=8)
     union = np.sort(
         np.concatenate([scalar.eigenvalues - 1.0, scalar.eigenvalues + 1.0])
@@ -187,8 +187,8 @@ def test_criterion_6_pauli_zeeman_decoupling():
     tilted = GaugeFieldSpec((0.2, -0.1, 0.3), (0.3, 0.2, 1.0))
     spinor = solve_pauli(assemble_pauli(mesh3, tilted), k=8)
     table = transports(circulate(tilted, mesh3))
-    h, m = pauli_pencil_dense(covariant_stiffness(mesh3, table).to_dense(),
-                              covariant_mass(mesh3, table).to_dense(), tilted.b,
+    h, m = pauli_pencil_dense(covariant_stiffness(table).to_dense(),
+                              covariant_mass(table).to_dense(), tilted.b,
                               mesh3.boundary_vertex)
     full = scipy.linalg.eigh(h, m, eigvals_only=True, subset_by_index=[0, 7])
     tilted_gap = np.max(np.abs(spinor.eigenvalues - full) / np.abs(full))
@@ -207,15 +207,15 @@ def test_criterion_7_structural_invariants(tmp_path):
     table = transports(circ)
     rng = np.random.default_rng(77)
     potential = rng.standard_normal(mesh.n_vertices)
-    k_std, m_std = standard_galerkin(mesh, circ)
+    k_std, m_std = standard_galerkin(circ)
 
     checks = {}
 
     # Hermiticity of every assembled matrix type (exact, by storage)
     assembled = [
-        covariant_mass(mesh, table),
-        covariant_stiffness(mesh, table),
-        potential_matrix(mesh, table, potential),
+        covariant_mass(table),
+        covariant_stiffness(table),
+        potential_matrix(table, potential),
         k_std,
         m_std,
     ]
@@ -227,14 +227,14 @@ def test_criterion_7_structural_invariants(tmp_path):
 
     # mass positive definiteness (covariant and baseline)
     checks["hpd-mass"] = (
-        np.linalg.eigvalsh(covariant_mass(mesh, table).to_dense()).min() > 0.0
+        np.linalg.eigvalsh(covariant_mass(table).to_dense()).min() > 0.0
         and np.linalg.eigvalsh(m_std.to_dense()).min() > 0.0
     )
 
     # transport algebra: unit moduli, and every cell reads U_xy along each
     # pair x < y of its vertices
     value = edge_lookup(table, np.conj, 1.0)
-    local = table.local_values(mesh, slice(None)).T
+    local = table.local_values(slice(None)).T
     x, y = np.triu_indices(mesh.dim + 1, 1)
     checks["transports"] = (
         np.max(np.abs(np.abs(table.values) - 1.0)) <= 1e-14
@@ -251,8 +251,8 @@ def test_criterion_7_structural_invariants(tmp_path):
     conj_err = max(
         np.max(
             np.abs(
-                assemble(mesh, gauged).to_dense()
-                - d @ assemble(mesh, table).to_dense() @ d.conj().T
+                assemble(gauged).to_dense()
+                - d @ assemble(table).to_dense() @ d.conj().T
             )
         )
         for assemble in (covariant_stiffness, covariant_mass)
@@ -260,7 +260,7 @@ def test_criterion_7_structural_invariants(tmp_path):
     checks["gauge-conjugation"] = conj_err < 1e-13
 
     # eigensolver consistency: Rayleigh quotients and shift invariance
-    problem = assemble_scalar_problem(mesh, circ)
+    problem = assemble_scalar_problem(circ)
     tol = 1e-9
     result = solve_hermitian_gevp(problem, k=3, tol=tol)
     h_csr = problem.stiffness.to_csr()

@@ -12,7 +12,6 @@ from gaugefem import (
     GaugeFieldSpec,
     HermitianSparse,
     MeshGeometryError,
-    TransportConsistencyError,
     TransportTable,
     apply_gauge_to_circulation,
     assemble_scalar_problem,
@@ -74,13 +73,13 @@ def _random_cell(dim, seed):
 
 def test_local_mass_closed_form_values():
     mesh = _reference_cell(3)
-    m3 = covariant_mass(mesh, unit_transports(mesh)).to_dense()
+    m3 = covariant_mass(unit_transports(mesh)).to_dense()
     assert np.allclose(np.diag(m3), 1 / 60, rtol=1e-15)
     off = m3[~np.eye(4, dtype=bool)]
     assert np.allclose(off, 1 / 120, rtol=1e-15)
 
     mesh = _reference_cell(2)
-    m2 = covariant_mass(mesh, unit_transports(mesh)).to_dense()
+    m2 = covariant_mass(unit_transports(mesh)).to_dense()
     assert np.allclose(np.diag(m2), 1 / 12, rtol=1e-15)
     assert np.allclose(m2[0, 1], 1 / 24, rtol=1e-15)
 
@@ -88,7 +87,7 @@ def test_local_mass_closed_form_values():
 def test_local_mass_row_sums():
     for dim in (2, 3):
         mesh = _random_cell(dim, seed=40 + dim)
-        m = covariant_mass(mesh, unit_transports(mesh)).to_dense()
+        m = covariant_mass(unit_transports(mesh)).to_dense()
         assert np.allclose(m.sum(axis=1), mesh.volumes[0] / (dim + 1), rtol=1e-14)
         assert np.array_equal(m, m.T)
 
@@ -99,7 +98,7 @@ def test_local_mass_matches_quadrature(dim):
     pts, w = simplex_quadrature(mesh.vertices)
     lam = barycentric_values(mesh.vertices, pts)
     reference = np.einsum("q,qa,qb->ab", w, lam, lam)
-    m = covariant_mass(mesh, unit_transports(mesh)).to_dense()
+    m = covariant_mass(unit_transports(mesh)).to_dense()
     assert np.allclose(m, reference, rtol=1e-13)
 
 
@@ -144,7 +143,7 @@ def test_orthogonal_kuhn_pairs_are_stored_exact_zeros(dim, lengths, b):
     # must stay stored, so every assembled matrix keeps one pattern.
     mesh = build_box_mesh(dim, 4, lengths)
     circ = circulate(GaugeFieldSpec((0.2,) * dim, b), mesh)
-    k = covariant_stiffness(mesh, transports(circ))
+    k = covariant_stiffness(transports(circ))
     assert k.to_csr().nnz == mesh.n_vertices + 2 * mesh.n_edges
     lo, hi = mesh.edges.T
     step = np.abs(mesh.vertices[hi] - mesh.vertices[lo]) > 1e-12
@@ -156,7 +155,7 @@ def test_orthogonal_kuhn_pairs_are_stored_exact_zeros(dim, lengths, b):
     reference = p1_stiffness_dense(mesh.vertices, mesh.cells)
     assert np.abs(reference[lo[diagonal], hi[diagonal]]).max() < 1e-12
 
-    problem = assemble_scalar_problem(mesh, circ)
+    problem = assemble_scalar_problem(circ)
     stored = problem.stiffness.to_csr()
     assert stored.nnz == problem.mass.to_csr().nnz
     assert np.count_nonzero(stored.data) < stored.nnz
@@ -179,7 +178,7 @@ def test_cell_pass_sums_the_upper_half_and_rejects_an_imaginary_diagonal():
     np.fill_diagonal(skew, rng.standard_normal(3))  # real diagonal, not Hermitian
     skew[1, 1] += 1e-15j  # within DIAG_IMAG_TOL summed over the cells, dropped
     table = unit_transports(mesh)
-    stiffness = _cell_pass(mesh, table, _constant_kernel(skew), None)[0]
+    stiffness = _cell_pass(table, _constant_kernel(skew), None)[0]
     reference = np.zeros((mesh.n_vertices,) * 2, dtype=complex)
     for cell in mesh.cells:
         reference[np.ix_(cell, cell)] += skew
@@ -192,7 +191,7 @@ def test_cell_pass_sums_the_upper_half_and_rejects_an_imaginary_diagonal():
     bent = skew.copy()
     bent[1, 1] += 1e-10j  # beyond DIAG_IMAG_TOL
     with pytest.raises(ValueError, match="diagonal imaginary part"):
-        _cell_pass(mesh, table, _constant_kernel(bent), None)
+        _cell_pass(table, _constant_kernel(bent), None)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
@@ -202,7 +201,8 @@ def test_assembly_is_bit_identical_for_cells_in_any_vertex_order(dim, n):
     circ = EdgeCirculation(mesh, rng.uniform(-np.pi, np.pi, mesh.n_edges))
     potential = rng.uniform(-5.0, 5.0, mesh.n_vertices)
     forms = [
-        covariant_stiffness(m, transports(circ), potential, with_mass=True)
+        covariant_stiffness(transports(EdgeCirculation(m, circ.values)), potential,
+                            with_mass=True)
         for m in (mesh, shuffled_cells(mesh, seed=dim))
     ]
     for a, b in zip(forms[0][:2], forms[1][:2]):
@@ -227,15 +227,14 @@ def test_one_pass_equals_the_single_forms(dim, n):
     well = np.where(np.linalg.norm(mesh.vertices - 0.5, axis=1) <= 0.3, -5.0, 0.0)
     assert 0 < np.count_nonzero(well) < mesh.n_vertices
 
-    stiffness, mass, floor, deficit = covariant_stiffness(mesh, table, well,
-                                                          with_mass=True)
-    _assert_same_csr(stiffness, covariant_stiffness(mesh, table, well))
-    _assert_same_csr(mass, covariant_mass(mesh, table))
+    stiffness, mass, floor, deficit = covariant_stiffness(table, well, with_mass=True)
+    _assert_same_csr(stiffness, covariant_stiffness(table, well))
+    _assert_same_csr(mass, covariant_mass(table))
     # the floor does not depend on the potential
-    assert np.array_equal(floor, covariant_stiffness(mesh, table, with_mass=True)[2])
+    assert np.array_equal(floor, covariant_stiffness(table, with_mass=True)[2])
 
     interior = ~mesh.boundary_vertex
-    problem = assemble_scalar_problem(mesh, circ, well)
+    problem = assemble_scalar_problem(circ, well)
     _assert_same_csr(problem.stiffness, eliminate_dirichlet(stiffness, interior))
     _assert_same_csr(problem.mass, eliminate_dirichlet(mass, interior))
     assert np.array_equal(problem.mass_floor, floor[interior])
@@ -252,7 +251,7 @@ def test_one_pass_equals_the_single_forms(dim, n):
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
 def test_covariant_mass_reduces_to_p1_mass(dim, n):
     mesh = build_box_mesh(dim, n)
-    dense = covariant_mass(mesh, unit_transports(mesh)).to_dense()
+    dense = covariant_mass(unit_transports(mesh)).to_dense()
     reference = p1_mass_dense(mesh.vertices, mesh.cells)
     assert np.allclose(dense, reference, rtol=0, atol=1e-14)
     assert np.max(np.abs(dense.imag)) == 0.0
@@ -265,7 +264,7 @@ def test_covariant_mass_single_edge_phase():
     values = np.zeros(mesh.n_edges)
     values[np.all(mesh.edges == (0, 1), axis=1)] = np.pi
     circ = EdgeCirculation(mesh, values)
-    dense = covariant_mass(mesh, transports(circ)).to_dense()
+    dense = covariant_mass(transports(circ)).to_dense()
     assert dense[0, 1] == pytest.approx(-1 / 120, rel=1e-13)
     assert dense[0, 0] == pytest.approx(1 / 60, rel=1e-13)
 
@@ -273,7 +272,7 @@ def test_covariant_mass_single_edge_phase():
 def test_covariant_mass_hermitian_pairing():
     mesh = build_box_mesh(2, 3)
     circ = circulate(GaugeFieldSpec([0.1, -0.4], [0.0, 0.0, 2.0]), mesh)
-    m = covariant_mass(mesh, transports(circ)).to_dense()
+    m = covariant_mass(transports(circ)).to_dense()
     assert np.array_equal(m, m.conj().T)
 
     rng = np.random.default_rng(0)
@@ -288,7 +287,7 @@ def test_covariant_mass_positive_definite(dim, n):
     rng = np.random.default_rng(8)
     values = rng.uniform(-1.0, 1.0, mesh.n_edges)  # |A_xy| <= 1 per edge
     circ = EdgeCirculation(mesh, values)
-    dense = covariant_mass(mesh, transports(circ)).to_dense()
+    dense = covariant_mass(transports(circ)).to_dense()
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
 
@@ -298,21 +297,12 @@ def test_covariant_mass_matches_quadrature_in_any_cell_order(dim, n):
     rng = np.random.default_rng(dim)
     circ = EdgeCirculation(mesh, rng.uniform(-1.0, 1.0, mesh.n_edges))
     table = transports(circ)
-    dense = covariant_mass(mesh, table).to_dense()
+    dense = covariant_mass(table).to_dense()
     reference = covariant_mass_dense(
         mesh.vertices, random_vertex_order(mesh.cells, seed=3),
         edge_lookup(table, np.conj, 1.0)
     )
     assert np.allclose(dense, reference, rtol=0, atol=1e-14)
-
-
-def test_assembly_rejects_foreign_transport_table():
-    mesh = build_box_mesh(2, 2)
-    other = build_box_mesh(2, 3)
-    with pytest.raises(TransportConsistencyError):
-        covariant_mass(mesh, unit_transports(other))
-    with pytest.raises(TransportConsistencyError):
-        covariant_stiffness(mesh, unit_transports(other))
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +312,14 @@ def test_assembly_rejects_foreign_transport_table():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_local_stiffness_zero_field_is_p1(dim):
     mesh = _random_cell(dim, seed=10 + dim)
-    k = covariant_stiffness(mesh, unit_transports(mesh)).to_dense()
+    k = covariant_stiffness(unit_transports(mesh)).to_dense()
     assert np.allclose(k, p1_local_stiffness(mesh.vertices), rtol=0, atol=1e-13)
     assert np.allclose(k @ np.ones(dim + 1), 0.0, atol=1e-13)
 
 
 def test_local_stiffness_reference_tet_entry():
     mesh = _reference_cell(3)
-    k = covariant_stiffness(mesh, unit_transports(mesh)).to_dense()
+    k = covariant_stiffness(unit_transports(mesh)).to_dense()
     assert k[0, 0] == pytest.approx(0.5, rel=1e-14)  # |T| |grad lam_0|^2
 
 
@@ -364,7 +354,7 @@ def test_local_stiffness_hermitian(dim):
 
     circ = EdgeCirculation(mesh, theta)
     flat = unit_transports(mesh).values[mesh.cell_edges.T]
-    columns = _galerkin_kinetic(mesh, circ)(rows, mesh.gradients, mesh.volumes, flat)
+    columns = _galerkin_kinetic(circ)(rows, mesh.gradients, mesh.volumes, flat)
     circulation_of = edge_lookup(circ, np.negative, 0.0)
     blocks = np.array([
         magnetic_galerkin_dense(mesh.vertices, [cell], circulation_of)[np.ix_(cell, cell)]
@@ -417,7 +407,7 @@ def test_cell_columns_match_the_block_forms(dim, n):
     reference = _upper_columns(_covariant_blocks(mesh, u))
     assert np.abs(columns - reference).max() <= 1e-14 * np.abs(reference).max()
 
-    stiffness, mass, floor, deficit = covariant_stiffness(mesh, table, potential,
+    stiffness, mass, floor, deficit = covariant_stiffness(table, potential,
                                                           with_mass=True)
     scaled = mesh.volumes / (m * (m + 1))
     for got, blocks in ((stiffness, _covariant_blocks(mesh, u, potential)),
@@ -451,7 +441,7 @@ def test_cell_columns_match_the_block_forms(dim, n):
 
 def test_global_stiffness_zero_field_is_p1():
     for mesh in (build_box_mesh(2, 2), perturbed_box_mesh(2, 4, seed=1)):
-        dense = covariant_stiffness(mesh, unit_transports(mesh)).to_dense()
+        dense = covariant_stiffness(unit_transports(mesh)).to_dense()
         reference = p1_stiffness_dense(mesh.vertices, mesh.cells)
         assert np.allclose(dense, reference, rtol=0, atol=1e-14)
         assert np.allclose(dense @ np.ones(mesh.n_vertices), 0.0, atol=1e-13)
@@ -473,11 +463,11 @@ def test_stiffness_matches_dual_basis_form(dim, n):
         one = _one_cell_mesh(mesh.vertices[cell])
         u_loc = np.array([[transport_of(i, j) for j in cell] for i in cell])
         lo, hi = one.edges.T
-        k = covariant_stiffness(one, TransportTable(one, u_loc[lo, hi])).to_dense()
+        k = covariant_stiffness(TransportTable(one, u_loc[lo, hi])).to_dense()
         reference = local_covariant_stiffness_dual(one.vertices, u_loc)
         assert np.abs(k - reference).max() <= 1e-13 * np.abs(reference).max()
 
-    dense = covariant_stiffness(mesh, table).to_dense()
+    dense = covariant_stiffness(table).to_dense()
     reference = covariant_stiffness_dense(mesh.vertices, cells, transport_of)
     assert np.abs(dense - reference).max() <= 1e-13 * np.abs(reference).max()
 
@@ -490,8 +480,8 @@ def test_gauge_transform_conjugates_assembled_matrices():
     d = np.diag(np.exp(1j * gauge))
 
     for assemble in (covariant_stiffness, covariant_mass):
-        original = assemble(mesh, transports(circ)).to_dense()
-        twin = assemble(mesh, transports(gauged)).to_dense()
+        original = assemble(transports(circ)).to_dense()
+        twin = assemble(transports(gauged)).to_dense()
         assert np.allclose(twin, d @ original @ d.conj().T, rtol=0, atol=1e-13)
 
 
@@ -520,11 +510,11 @@ def test_gauge_transform_conjugates_over_meshes_and_fields(dim, n, scale, mesh_s
     forms = (
         covariant_stiffness,
         covariant_mass,
-        lambda mesh, table: potential_matrix(mesh, table, values),
+        lambda table: potential_matrix(table, values),
     )
     for assemble in forms:
-        original = assemble(mesh, transports(circ)).to_dense()
-        twin = assemble(mesh, transports(gauged)).to_dense()
+        original = assemble(transports(circ)).to_dense()
+        twin = assemble(transports(gauged)).to_dense()
         conjugated = d[:, None] * original * d.conj()[None, :]
         assert np.abs(twin - conjugated).max() <= 1e-13
 
@@ -537,14 +527,14 @@ def test_potential_constant_is_scaled_mass():
     mesh = build_box_mesh(2, 3)
     u = unit_transports(mesh)
     c = 2.75
-    left = potential_matrix(mesh, u, np.full(mesh.n_vertices, c)).to_dense()
-    right = c * covariant_mass(mesh, u).to_dense()
+    left = potential_matrix(u, np.full(mesh.n_vertices, c)).to_dense()
+    right = c * covariant_mass(u).to_dense()
     assert np.allclose(left, right, rtol=0, atol=1e-14)
 
 
 def test_potential_zero_is_zero_matrix():
     mesh = build_box_mesh(2, 2)
-    out = potential_matrix(mesh, unit_transports(mesh), np.zeros(mesh.n_vertices))
+    out = potential_matrix(unit_transports(mesh), np.zeros(mesh.n_vertices))
     assert np.all(out.to_dense() == 0.0)
 
 
@@ -552,7 +542,7 @@ def test_potential_reference_tet_cubic_integral():
     # V = lam_0 makes entry (0,0) = int lam_0^3 = (1/6) 3! 3! / 6! = 1/120
     mesh = _reference_cell(3)
     values = np.array([1.0, 0.0, 0.0, 0.0])
-    dense = potential_matrix(mesh, unit_transports(mesh), values).to_dense()
+    dense = potential_matrix(unit_transports(mesh), values).to_dense()
     assert dense[0, 0] == pytest.approx(1 / 120, rel=1e-14)
 
 
@@ -562,7 +552,7 @@ def test_potential_matches_quadrature_with_transports():
     values = rng.standard_normal(mesh.n_vertices)
     circ = circulate(GaugeFieldSpec([0.3, -0.2], [0.0, 0.0, 0.9]), mesh)
     table = transports(circ)
-    dense = potential_matrix(mesh, table, values).to_dense()
+    dense = potential_matrix(table, values).to_dense()
     reference = potential_dense(
         mesh.vertices, mesh.cells, values, edge_lookup(table, np.conj, 1.0)
     )
@@ -573,9 +563,9 @@ def test_potential_validates_samples():
     mesh = build_box_mesh(2, 1)
     u = unit_transports(mesh)
     with pytest.raises(ValueError):
-        potential_matrix(mesh, u, np.zeros(3))
+        potential_matrix(u, np.zeros(3))
     with pytest.raises(ValueError):
-        potential_matrix(mesh, u, np.full(mesh.n_vertices, np.nan))
+        potential_matrix(u, np.full(mesh.n_vertices, np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +575,13 @@ def test_potential_validates_samples():
 def test_standard_galerkin_zero_field_equals_covariant():
     mesh = build_box_mesh(2, 3)
     circ = EdgeCirculation(mesh, np.zeros(mesh.n_edges))
-    k_std, m_std = standard_galerkin(mesh, circ)
+    k_std, m_std = standard_galerkin(circ)
     u = unit_transports(mesh)
     assert np.allclose(
-        k_std.to_dense(), covariant_stiffness(mesh, u).to_dense(), rtol=0, atol=1e-14
+        k_std.to_dense(), covariant_stiffness(u).to_dense(), rtol=0, atol=1e-14
     )
     assert np.allclose(
-        m_std.to_dense(), covariant_mass(mesh, u).to_dense(), rtol=0, atol=1e-14
+        m_std.to_dense(), covariant_mass(u).to_dense(), rtol=0, atol=1e-14
     )
 
 
@@ -600,7 +590,7 @@ def test_standard_galerkin_matches_quadrature(dim, n):
     mesh = build_box_mesh(dim, n)
     rng = np.random.default_rng(dim)
     circ = EdgeCirculation(mesh, rng.uniform(-1.0, 1.0, mesh.n_edges))
-    k_std, m_std = standard_galerkin(mesh, circ)
+    k_std, m_std = standard_galerkin(circ)
     reference = magnetic_galerkin_dense(
         mesh.vertices, mesh.cells, edge_lookup(circ, np.negative, 0.0)
     )
@@ -614,17 +604,9 @@ def test_standard_galerkin_hermitian():
     mesh = build_box_mesh(2, 3)
     rng = np.random.default_rng(2)
     circ = EdgeCirculation(mesh, rng.uniform(-2.0, 2.0, mesh.n_edges))
-    k_std, _ = standard_galerkin(mesh, circ)
+    k_std, _ = standard_galerkin(circ)
     dense = k_std.to_dense()
     assert np.array_equal(dense, dense.conj().T)
-
-
-def test_standard_galerkin_rejects_foreign_circulation():
-    mesh = build_box_mesh(2, 2)
-    other = build_box_mesh(2, 3)
-    circ = EdgeCirculation(other, np.zeros(other.n_edges))
-    with pytest.raises(TransportConsistencyError):
-        standard_galerkin(mesh, circ)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -643,8 +625,8 @@ def test_covariant_standard_difference_is_first_order(dim):
     rates = []
     for eps in (1e-2, 1e-3, 1e-4):
         circ = EdgeCirculation(mesh, eps * pattern)
-        k_cov = covariant_stiffness(mesh, transports(circ)).to_dense()
-        k_std = standard_galerkin(mesh, circ)[0].to_dense()
+        k_cov = covariant_stiffness(transports(circ)).to_dense()
+        k_std = standard_galerkin(circ)[0].to_dense()
         rates.append(np.max(np.abs(k_cov - k_std)) / eps)
     assert rates[0] > 0.0
     assert abs(rates[1] / rates[0] - 1.0) < 0.1
@@ -687,7 +669,7 @@ def test_hermitian_sparse_restrict():
 
 def test_hermitian_sparse_upper_coo_layout():
     mesh = build_box_mesh(2, 2)
-    h = covariant_mass(mesh, unit_transports(mesh))
+    h = covariant_mass(unit_transports(mesh))
     rows, cols, vals = h.upper_coo()
     assert np.all(rows <= cols)
     assert vals.shape == rows.shape == cols.shape
@@ -721,7 +703,7 @@ def test_eliminate_dirichlet_no_interior():
 def test_eliminate_dirichlet_preserves_interior_quadratic_form():
     mesh = build_box_mesh(2, 3)
     circ = circulate(GaugeFieldSpec([0.0, 0.0], [0.0, 0.0, 1.0]), mesh)
-    k = covariant_stiffness(mesh, transports(circ))
+    k = covariant_stiffness(transports(circ))
     reduced = eliminate_dirichlet(k, ~mesh.boundary_vertex)
     assert reduced.n == int((~mesh.boundary_vertex).sum())
     dense = reduced.to_dense()
@@ -749,7 +731,7 @@ def test_eliminate_dirichlet_rejects_other_sizes():
 def test_assemble_scalar_problem_shapes():
     mesh = build_box_mesh(2, 4)
     circ = circulate(GaugeFieldSpec([0.0, 0.0], [0.0, 0.0, 1.0]), mesh)
-    problem = assemble_scalar_problem(mesh, circ)
+    problem = assemble_scalar_problem(circ)
     n_int = int((~mesh.boundary_vertex).sum())
     assert problem.n == problem.stiffness.n == n_int
     assert problem.mass.n == n_int
@@ -757,26 +739,26 @@ def test_assemble_scalar_problem_shapes():
     assert np.array_equal(problem.interior, ~mesh.boundary_vertex)
 
     # an all-zero potential is the same as none
-    zero_v = assemble_scalar_problem(mesh, circ, potential=np.zeros(mesh.n_vertices))
+    zero_v = assemble_scalar_problem(circ, potential=np.zeros(mesh.n_vertices))
     assert np.array_equal(zero_v.stiffness.to_csr().data, problem.stiffness.to_csr().data)
 
     with_v = assemble_scalar_problem(
-        mesh, circ, potential=np.full(mesh.n_vertices, 1.0)
+        circ, potential=np.full(mesh.n_vertices, 1.0)
     )
     # V = 1 adds exactly the (interior-reduced) covariant mass matrix
     diff = with_v.stiffness.to_dense() - problem.stiffness.to_dense()
     assert np.allclose(diff, problem.mass.to_dense(), rtol=0, atol=1e-15)
 
-    baseline = assemble_scalar_problem(mesh, circ, method="baseline")
+    baseline = assemble_scalar_problem(circ, method="baseline")
     assert baseline.stiffness.n == n_int
     with pytest.raises(ValueError):
-        assemble_scalar_problem(mesh, circ, method="lumped")
+        assemble_scalar_problem(circ, method="lumped")
 
 
 def test_export_matrix_round_trip(tmp_path):
     mesh = build_box_mesh(2, 2)
     circ = circulate(GaugeFieldSpec([0.2, 0.1], [0.0, 0.0, 1.0]), mesh)
-    h = covariant_mass(mesh, transports(circ))
+    h = covariant_mass(transports(circ))
     path = tmp_path / "mass.txt"
     export_matrix(h, path)
 
@@ -813,8 +795,8 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     b = (0.0, 0.0, b[2]) if dim == 2 else b
     circ = circulate(GaugeFieldSpec((0.3,) * dim, b), mesh)
     table = transports(circ)
-    floor = covariant_stiffness(mesh, table, with_mass=True)[2]
-    m = covariant_mass(mesh, table).to_dense()
+    floor = covariant_stiffness(table, with_mass=True)[2]
+    m = covariant_mass(table).to_dense()
     scale = np.abs(m).max()
 
     def cell_sum(per_cell):
@@ -840,18 +822,18 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     # M - diag(f) is PSD, whatever the sign of f
     assert np.linalg.eigvalsh(m - np.diag(floor))[0] >= -1e-13 * scale
 
-    problem = assemble_scalar_problem(mesh, circ)
+    problem = assemble_scalar_problem(circ)
     for mass, f in ((m, floor), (problem.mass.to_dense(), problem.mass_floor)):
         if f.min() > 0.0:
             np.linalg.cholesky(mass)
             assert np.linalg.eigvalsh(mass)[0] >= f.min() * (1.0 - 1e-12)
 
     gauged = apply_gauge_to_circulation(circ, random_gauge(mesh, np.pi, gauge_seed))
-    moved = covariant_stiffness(mesh, transports(gauged), with_mass=True)[2]
+    moved = covariant_stiffness(transports(gauged), with_mass=True)[2]
     assert np.allclose(moved, floor, rtol=0, atol=1e-13 * scale)
 
     # the plain P1 mass: every cell block has lambda_min = vol / ((d+1)(d+2))
-    plain = covariant_stiffness(mesh, unit_transports(mesh), with_mass=True)[2]
+    plain = covariant_stiffness(unit_transports(mesh), with_mass=True)[2]
     assert plain.min() > 0.0
     assert np.allclose(plain, cell_sum(np.ones(mesh.n_cells)), rtol=1e-13, atol=0)
 
@@ -887,7 +869,7 @@ def test_spectrum_floor_bounds_the_lowest_eigenvalue(dim, n, mesh_seed, b, depth
     potential = depth * (rng.uniform(-1.0, 1.0, mesh.n_vertices) + bias)
     v_min = min(0.0, potential.min())
     circ = circulate(GaugeFieldSpec((0.3,) * dim, b), mesh)
-    problem = assemble_scalar_problem(mesh, circ, potential)
+    problem = assemble_scalar_problem(circ, potential)
     s = problem.spectrum_floor
     assert s <= v_min
     if np.isfinite(s):
@@ -896,7 +878,7 @@ def test_spectrum_floor_bounds_the_lowest_eigenvalue(dim, n, mesh_seed, b, depth
 
     # gauge invariant, to roundoff on the scale of the potential
     gauged = apply_gauge_to_circulation(circ, random_gauge(mesh, np.pi, gauge_seed))
-    moved = assemble_scalar_problem(mesh, gauged, potential).spectrum_floor
+    moved = assemble_scalar_problem(gauged, potential).spectrum_floor
     if np.isfinite(s):
         assert abs(moved - s) <= 1e-12 * max(abs(s), np.abs(potential).max())
     else:
@@ -904,7 +886,7 @@ def test_spectrum_floor_bounds_the_lowest_eigenvalue(dim, n, mesh_seed, b, depth
 
     # U = 1 exactly: no deficit, s = v_min
     flat = GaugeFieldSpec((0.0,) * dim, (0.0, 0.0, 0.0))
-    zero_field = assemble_scalar_problem(mesh, circulate(flat, mesh), potential)
+    zero_field = assemble_scalar_problem(circulate(flat, mesh), potential)
     assert zero_field.spectrum_floor == v_min
     assert v_min <= _lowest_eigenvalue(zero_field)
 
@@ -918,9 +900,9 @@ def test_spectrum_floor_is_minus_infinity_without_a_certificate():
         mesh = build_box_mesh(dim, n)
         potential = rng.uniform(-50.0, 50.0, mesh.n_vertices)
         circ = circulate(GaugeFieldSpec((0.0,) * dim, b), mesh)
-        assert assemble_scalar_problem(mesh, circ, potential).spectrum_floor == -np.inf
-        assert assemble_scalar_problem(mesh, circ).spectrum_floor == -np.inf
+        assert assemble_scalar_problem(circ, potential).spectrum_floor == -np.inf
+        assert assemble_scalar_problem(circ).spectrum_floor == -np.inf
     # the baseline on the last (3D) problem: its kinetic form is PSD on every
     # cell and its mass plain P1, so s = v_min where the covariant one fails
-    baseline = assemble_scalar_problem(mesh, circ, potential, method="baseline")
+    baseline = assemble_scalar_problem(circ, potential, method="baseline")
     assert baseline.spectrum_floor == min(0.0, potential.min())

@@ -283,19 +283,22 @@ def test_gauge_check_zero_amplitude(capsys):
 
 
 def test_convergence_analytic_reference(capsys):
-    rc, out, _ = run_cli(
-        ["convergence", "--dim", "2", "--n", "2,4,8", "--k", "1"], capsys
-    )
-    assert rc == 0
-    res = json.loads(out)["results"]
-    assert res["reference"]["kind"] == "analytic"
-    assert res["reference"]["values"][0] == pytest.approx(2 * np.pi**2, rel=1e-15)
-    assert [level["n"] for level in res["levels"]] == [2, 4, 8]
-    assert res["levels"][0]["h"] == 2 * res["levels"][1]["h"]
-    orders = res["orders"]
-    assert [o["levels"] for o in orders] == [[2, 4], [4, 8]]
-    for o in orders:
-        assert 1.5 < o["values"][0] < 2.5
+    # a constant a0 is the pure gauge A = grad(a0 . x), so it keeps the
+    # zero-field analytic reference and every order pair
+    for a0 in ([], ["--a0", "0.3,-0.2"]):
+        rc, out, _ = run_cli(
+            ["convergence", "--dim", "2", "--n", "2,4,8", "--k", "1", *a0], capsys
+        )
+        assert rc == 0
+        res = json.loads(out)["results"]
+        assert res["reference"]["kind"] == "analytic"
+        assert res["reference"]["values"][0] == pytest.approx(2 * np.pi**2, rel=1e-15)
+        assert [level["n"] for level in res["levels"]] == [2, 4, 8]
+        assert res["levels"][0]["h"] == 2 * res["levels"][1]["h"]
+        orders = res["orders"]
+        assert [o["levels"] for o in orders] == [[2, 4], [4, 8]]
+        for o in orders:
+            assert 1.5 < o["values"][0] < 2.5
 
 
 def test_convergence_extrapolated_reference(capsys):
@@ -350,8 +353,10 @@ def test_pauli_k_runs_up_to_both_spin_components(capsys):
     ["gauge-check", "--n", "4", "--gauge-amplitude", "inf"],
     ["solve", "--n", "4", "--potential", "well:5,nan"],
     ["solve", "--n", "4", "--potential", "well:5,inf"],
+    ["gauge-check", "--n", "4", "--gauge-amplitude", "1e308"],
+    ["pauli", "--n", "4", "--b", "1e200"],
 ], ids=["tol-nan", "tol-inf", "amplitude-nan", "amplitude-inf", "radius-nan",
-        "radius-inf"])
+        "radius-inf", "amplitude-range-overflow", "zeeman-overflow"])
 def test_non_finite_inputs_exit_with_code_2(args, capsys):
     rc, out, err = run_cli(args, capsys)
     assert rc == 2

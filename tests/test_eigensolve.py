@@ -89,7 +89,7 @@ def _magnetic_problem(dim=2, n=8, bz=1.0, b=None, potential=None, radius=0.3):
         potential = np.where(
             np.linalg.norm(mesh.vertices - center, axis=1) <= radius, potential, 0.0
         )
-    return mesh, assemble_scalar_problem(mesh, circ, potential)
+    return mesh, assemble_scalar_problem(circ, potential)
 
 
 @pytest.fixture
@@ -384,7 +384,7 @@ def test_a_scattered_vertex_numbering_takes_superlu(monkeypatch):
     results = []
     for mesh in (box, scattered):
         circ = circulate(GaugeFieldSpec((0.2, 0.1), (0.0, 0.0, 7.0)), mesh)
-        problem = assemble_scalar_problem(mesh, circ)
+        problem = assemble_scalar_problem(circ)
         results.append(solve_hermitian_gevp(problem, 4))
         assert results[-1].method_tag == "arpack-shift-invert"
     assert factors == ["zpbtrf", "splu"]
@@ -406,7 +406,7 @@ def test_dense_and_arpack_paths_agree(dim, mesh_seed, a0, b, zero_shift, k):
     # or sigma < 0 (H - 30 M, negative lowest eigenvalues).
     mesh = perturbed_box_mesh(dim, 7 if dim == 2 else 4, mesh_seed)
     b = (0.0, 0.0, b[2]) if dim == 2 else b
-    problem = assemble_scalar_problem(mesh, circulate(GaugeFieldSpec(a0[:dim], b), mesh))
+    problem = assemble_scalar_problem(circulate(GaugeFieldSpec(a0[:dim], b), mesh))
     if zero_shift:
         h = problem.stiffness.to_csr()
         row_sums = np.asarray(np.abs(h).sum(axis=1)).ravel()

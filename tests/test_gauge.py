@@ -4,13 +4,10 @@ import pytest
 from gaugefem import (
     EdgeCirculation,
     GaugeFieldSpec,
-    TransportConsistencyError,
     TransportTable,
     apply_gauge_to_circulation,
     build_box_mesh,
     circulate,
-    covariant_mass,
-    make_mesh,
     random_gauge,
     transports,
 )
@@ -106,11 +103,11 @@ def test_circulation_antisymmetry():
     mesh = shuffled_cells(build_box_mesh(2, 2), seed=4)
     circ = circulate(GaugeFieldSpec([0.2, 0.0], [0.0, 0.0, 1.3]), mesh)
     value = edge_lookup(circ, np.negative, 0.0)
-    local = circ.local_values(mesh, slice(None))
+    local = circ.local_values(slice(None))
     x, y = np.triu_indices(3, 1)
     for cell, loc in zip(mesh.cells, local.T):
         assert np.array_equal(loc, [value(i, j) for i, j in zip(cell[x], cell[y])])
-    assert np.array_equal(circ.local_values(mesh, slice(3, 5)), local[:, 3:5])
+    assert np.array_equal(circ.local_values(slice(3, 5)), local[:, 3:5])
 
 
 def test_transport_special_angles():
@@ -137,7 +134,7 @@ def test_transport_unit_modulus_and_reversal():
     table = transports(circ)
     assert np.max(np.abs(np.abs(table.values) - 1.0)) <= 1e-14
     value = edge_lookup(table, np.conj, 1.0)
-    local = table.local_values(mesh, slice(None))
+    local = table.local_values(slice(None))
     x, y = np.triu_indices(4, 1)
     for cell, loc in zip(mesh.cells[::5], local.T[::5]):
         assert np.array_equal(loc, [value(i, j) for i, j in zip(cell[x], cell[y])])
@@ -164,29 +161,6 @@ def test_tables_check_their_values():
             EdgeCirculation(mesh, values)
         with pytest.raises(ValueError, match="transports must be finite"):
             TransportTable(mesh, values)
-
-
-def test_tables_on_an_equal_mesh_are_accepted():
-    mesh, twin = build_box_mesh(2, 4), build_box_mesh(2, 4)
-    # the same vertices and edge count, with the diagonals the other way
-    mirror = np.arange(mesh.n_vertices).reshape(5, 5)[::-1].ravel()
-    flipped = make_mesh(2, mesh.vertices, mirror[mesh.cells])
-    assert flipped.edges.shape == mesh.edges.shape
-    assert not np.array_equal(flipped.edges, mesh.edges)
-
-    circ = circulate(GaugeFieldSpec([0.2, 0.0], [0.0, 0.0, 1.0]), mesh)
-    table = transports(circ)
-    assert twin is not mesh
-    assert np.array_equal(circ.local_values(twin, slice(None)),
-                          circ.local_values(mesh, slice(None)))
-    assert np.array_equal(covariant_mass(twin, table).to_dense(),
-                          covariant_mass(mesh, table).to_dense())
-    for other in (build_box_mesh(2, 3), flipped):
-        for edge_table in (circ, table):
-            with pytest.raises(TransportConsistencyError):
-                edge_table.local_values(other, slice(None))
-        with pytest.raises(TransportConsistencyError):
-            covariant_mass(other, table)
 
 
 def test_gauge_phases_are_checked():
@@ -259,7 +233,8 @@ def test_random_gauge_contract():
     assert np.all(np.abs(g1) <= np.pi)
     with pytest.raises(ValueError):
         random_gauge(mesh, -1.0, seed=0)
-    for amplitude in (np.nan, np.inf):
+    # 1e308 is finite, but its range 2 * amplitude overflows
+    for amplitude in (np.nan, np.inf, 1e308):
         with pytest.raises(ValueError):
             random_gauge(mesh, amplitude, seed=0)
 

@@ -112,7 +112,7 @@ def test_interior_mask_is_the_non_boundary_vertices():
     for dim, n in ((2, 4), (3, 3)):
         mesh = build_box_mesh(dim, n)
         spec = GaugeFieldSpec((0.0,) * dim, (0.0, 0.0, 1.0))
-        problem = assemble_scalar_problem(mesh, circulate(spec, mesh))
+        problem = assemble_scalar_problem(circulate(spec, mesh))
         assert problem.interior.dtype == bool
         assert np.array_equal(problem.interior, ~mesh.boundary_vertex)
         assert problem.n == np.count_nonzero(problem.interior) == (n - 1) ** dim

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from gaugefem import (
     GaugeFieldSpec,
     PAULI_MATRICES,
+    SpinorProblem,
     apply_gauge_to_circulation,
     assemble_pauli,
     assemble_scalar_problem,
@@ -28,7 +29,7 @@ from oracles import pauli_pencil_dense, spin_block, zeeman_matrix
 
 
 def _scalar_eigenvalues(mesh, spec, k, potential=None):
-    problem = assemble_scalar_problem(mesh, circulate(spec, mesh), potential)
+    problem = assemble_scalar_problem(circulate(spec, mesh), potential)
     return solve_hermitian_gevp(problem, k).eigenvalues
 
 
@@ -48,7 +49,7 @@ def test_spin_block_layout_and_validation():
     # layout of the oracle 2n pencil: all spin-up rows, then all spin-down
     mesh = build_box_mesh(2, 2)
     spec = GaugeFieldSpec([0.0, 0.0], [0.0, 0.0, 1.0])
-    md = covariant_mass(mesh, transports(circulate(spec, mesh))).to_dense()
+    md = covariant_mass(transports(circulate(spec, mesh))).to_dense()
     nv = mesh.n_vertices
 
     block = spin_block(PAULI_MATRICES[2], md)
@@ -63,7 +64,7 @@ def test_spin_block_layout_and_validation():
 
 
 def _dense_mass(mesh, spec):
-    return covariant_mass(mesh, transports(circulate(spec, mesh))).to_dense()
+    return covariant_mass(transports(circulate(spec, mesh))).to_dense()
 
 
 def test_zeeman_zero_field():
@@ -140,7 +141,8 @@ def test_pauli_gauge_invariance():
     gauged = apply_gauge_to_circulation(circ, gauge)
 
     base = solve_pauli(assemble_pauli(mesh, spec), k=4)
-    twin = solve_pauli(assemble_pauli(mesh, spec, circulation=gauged), k=4)
+    twin_problem = SpinorProblem(**vars(assemble_scalar_problem(gauged)), b=spec.b)
+    twin = solve_pauli(twin_problem, k=4)
     drift = np.abs(twin.eigenvalues - base.eigenvalues) / np.abs(base.eigenvalues)
     assert drift.max() < 1e-10
 
@@ -170,7 +172,7 @@ def test_potential_enters_both_spin_blocks():
     rng = np.random.default_rng(17)
     v = rng.standard_normal(mesh.n_vertices)
     spinor = assemble_pauli(mesh, spec, potential=v)
-    scalar = assemble_scalar_problem(mesh, circulate(spec, mesh), potential=v)
+    scalar = assemble_scalar_problem(circulate(spec, mesh), potential=v)
 
     # the Pauli problem carries the scalar pencil shared by both spin blocks
     assert np.allclose(spinor.stiffness.to_dense(), scalar.stiffness.to_dense(),
@@ -227,17 +229,17 @@ def test_pauli_reduction_matches_spinor_pencil(dim, n, mesh_seed, b, a0, gauge_s
         potential = 10.0 * np.random.default_rng(mesh_seed).standard_normal(
             mesh.n_vertices)
 
-    problem = assemble_pauli(mesh, spec, potential=potential, circulation=circ)
+    problem = SpinorProblem(**vars(assemble_scalar_problem(circ, potential)), b=spec.b)
     two_n = 2 * problem.n
     k = 1 + int(k_frac * (two_n - 1))
     tol = 1e-9
     result = solve_pauli(problem, k, tol=tol)
 
     table = transports(circ)
-    stiffness = covariant_stiffness(mesh, table).to_dense()
+    stiffness = covariant_stiffness(table).to_dense()
     if potential is not None:
-        stiffness = stiffness + potential_matrix(mesh, table, potential).to_dense()
-    h, m = pauli_pencil_dense(stiffness, covariant_mass(mesh, table).to_dense(),
+        stiffness = stiffness + potential_matrix(table, potential).to_dense()
+    h, m = pauli_pencil_dense(stiffness, covariant_mass(table).to_dense(),
                               spec.b, mesh.boundary_vertex)
     expected = scipy.linalg.eigh(h, m, eigvals_only=True)[:k]
     scale = np.maximum(np.abs(expected), 1.0)
