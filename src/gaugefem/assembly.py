@@ -75,8 +75,9 @@ __all__ = [
     "export_matrix",
 ]
 
-# Assembled diagonals must be real; larger imaginary parts indicate a bug
-# upstream rather than roundoff, so they raise instead of being dropped.
+# Assembled diagonals must be real; imaginary parts beyond this times
+# max(1, max |Re d|) indicate a bug upstream rather than roundoff, so they
+# raise instead of being dropped.
 DIAG_IMAG_TOL = 1e-13
 
 # Cells per vectorized assembly batch; bounds the cell kernels' scratch arrays.
@@ -92,12 +93,12 @@ class EmptyProblemError(ValueError):
 
 
 def _check_real_diag(diag):
-    diag_imag = np.abs(diag.imag)
-    if diag_imag.size and diag_imag.max() > DIAG_IMAG_TOL:
-        raise ValueError(
-            f"diagonal imaginary part {diag_imag.max():.3e} exceeds "
-            f"{DIAG_IMAG_TOL:.0e}"
-        )
+    if not diag.size:
+        return
+    imag = np.abs(diag.imag).max()
+    bound = DIAG_IMAG_TOL * max(1.0, np.abs(diag.real).max())
+    if imag > bound:
+        raise ValueError(f"diagonal imaginary part {imag:.3e} exceeds {bound:.3e}")
 
 
 class HermitianSparse:
@@ -106,8 +107,8 @@ class HermitianSparse:
     The stored matrix is exactly H = H^dagger: the cell pass stores its lower
     triangle as the exact conjugate of the upper, and :meth:`from_csr`
     stores (H_xy + conj(H_yx)) / 2.  Diagonal imaginary parts beyond
-    ``DIAG_IMAG_TOL`` raise.  Principal submatrices stay exactly Hermitian,
-    so they are not re-symmetrized.
+    ``DIAG_IMAG_TOL`` times max(1, max |Re d|) raise.  Principal submatrices
+    stay exactly Hermitian, so they are not re-symmetrized.
     """
 
     def __init__(self, full):

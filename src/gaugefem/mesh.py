@@ -16,7 +16,6 @@ from math import factorial
 import numpy as np
 
 __all__ = [
-    "BOUNDARY_TOL",
     "CELL_PAIRS",
     "MatrixPattern",
     "MeshGeometryError",
@@ -25,15 +24,13 @@ __all__ = [
     "build_box_mesh",
 ]
 
-# Absolute tolerance for classifying a vertex as lying on the bounding box.
-BOUNDARY_TOL = 1e-12
-
 # A cell's vertex pairs x < y, ``np.triu_indices(m, 1)``, by vertex count m.
 CELL_PAIRS = {m: np.triu_indices(m, 1) for m in (3, 4)}
 
 
 class MeshGeometryError(ValueError):
-    """Raised when a cell is degenerate (zero or negative volume)."""
+    """Raised when a cell is degenerate (zero or negative volume), cells
+    overlap, or the geometry leaves the floating-point range."""
 
 
 @dataclass
@@ -75,7 +72,8 @@ class SimplicialMesh:
         cell rows ascend, so every pair runs along its edge lower index
         first.
     boundary_vertex : (nv,) bool ndarray
-        True where the vertex lies on the bounding box of the mesh.
+        True where the vertex lies on a boundary facet: an edge (2D) or a
+        triangle (3D) of exactly one cell.
     h : float
         Length of the longest edge.
     volumes : (nc,) float ndarray
@@ -117,9 +115,10 @@ def make_mesh(dim, vertices, cells):
     Edges, boundary flags, h, cell volumes, barycentric gradients and the
     matrix pattern are derived, and each cell is stored with its vertices in
     ascending order.
-    Cells must reference distinct, in-range vertices and span strictly
-    positive volume; the boundary is the bounding box of the vertex cloud
-    (coordinates compared with absolute tolerance ``BOUNDARY_TOL``).
+    Any simplicial mesh is accepted: cells must reference distinct, in-range
+    vertices, span strictly positive volume with finite volumes, h and
+    squared barycentric gradients, and meet at most two to a facet.  The
+    boundary vertices are those of the facets that lie in exactly one cell.
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -141,17 +140,6 @@ def make_mesh(dim, vertices, cells):
     if cells.shape[0] == 0:
         raise ValueError("mesh needs at least one cell")
 
-    det, adj = _span_adjugate(vertices.T[:, cells.T])
-    vols = np.abs(det) / factorial(dim)
-    if np.any(vols <= 0.0):
-        worst = int(np.argmin(vols))
-        raise MeshGeometryError(
-            f"cell {worst} is degenerate (volume {vols[worst]:.3e})"
-        )
-    grads = np.empty((dim, dim + 1, cells.shape[0]))
-    grads[:, 1:] = adj / det
-    grads[:, 0] = -grads[:, 1:].sum(axis=1)  # the partition of unity
-
     # Key each vertex pair a < b of a cell as a * nv + b: the sorted unique
     # keys are the lexicographically sorted edges, and the inverse is the
     # incidence.
@@ -160,15 +148,36 @@ def make_mesh(dim, vertices, cells):
     keys, cell_edges = np.unique(keys, return_inverse=True)
     edges = np.stack([keys // nv, keys % nv], axis=1)
     cell_edges = cell_edges.reshape(cells.shape[0], a.size)
-    evec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    h = float(np.sqrt((evec**2).sum(axis=1)).max())
 
-    lo = vertices.min(axis=0)
-    hi = vertices.max(axis=0)
-    on_face = (np.abs(vertices - lo) <= BOUNDARY_TOL) | (
-        np.abs(vertices - hi) <= BOUNDARY_TOL
-    )
-    boundary = on_face.any(axis=1)
+    # overflow shows as a non-finite volume, h or |grad lambda|^2, checked
+    # below without a warning
+    with np.errstate(all="ignore"):
+        det, adj = _span_adjugate(vertices.T[:, cells.T])
+        vols = np.abs(det) / factorial(dim)
+        if np.any(vols <= 0.0):
+            worst = int(np.argmin(vols))
+            raise MeshGeometryError(
+                f"cell {worst} is degenerate (volume {vols[worst]:.3e})"
+            )
+        grads = np.empty((dim, dim + 1, cells.shape[0]))
+        grads[:, 1:] = adj / det
+        grads[:, 0] = -grads[:, 1:].sum(axis=1)  # the partition of unity
+        evec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+        h = float(np.sqrt((evec**2).sum(axis=1)).max())
+        grad_sq = (grads**2).sum(axis=0)
+    if not (np.isfinite(h) and np.isfinite(vols).all() and np.isfinite(grad_sq).all()):
+        raise MeshGeometryError("cell volumes, h or |grad lambda|^2 overflow")
+
+    # Boundary facets lie in one cell, inner ones in two.  A facet p < q [< r]
+    # is keyed by the CELL_PAIRS columns of its edges (p, q), (p, r); r = q in 2D.
+    ne = edges.shape[0]
+    pq, pr = ([0, 1, 2], [0, 1, 2]) if dim == 2 else ([0, 0, 1, 3], [1, 2, 2, 4])
+    keys, counts = np.unique(cell_edges[:, pq] * ne + cell_edges[:, pr], return_counts=True)
+    if counts.max() > 2:
+        raise MeshGeometryError("a facet lies in more than two cells: cells overlap")
+    outer = keys[counts == 1]
+    boundary = np.zeros(nv, dtype=bool)
+    boundary[edges[[outer // ne, outer % ne]]] = True
 
     return SimplicialMesh(dim, vertices, cells, edges, cell_edges, boundary, h, vols,
                           grads, _matrix_pattern(nv, edges))

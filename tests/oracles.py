@@ -11,6 +11,7 @@ are looked up in plain dicts.  Slow but unarguable.
 import itertools
 
 import numpy as np
+import scipy.spatial
 
 
 def gauss_points_01(npts):
@@ -299,6 +300,39 @@ def structured_box_cells(dim, n):
                 path.append(step)
             cells.append([int(np.ravel_multi_index(tuple(p), shape)) for p in path])
     return np.asarray(cells, dtype=np.int64)
+
+
+def ring_disk(h):
+    """Delaunay mesh of the unit disk from rings of points at spacing h.
+
+    The centre and rings of radius j / J for j = 1 .. J = round(1/h), the
+    last the unit circle, each with round(2 pi j) points evenly spaced in
+    angle, are triangulated by ``scipy.spatial.Delaunay``.  Returns the
+    vertices, the cells and the mask of the circle's vertices, which are the
+    Dirichlet boundary.
+    """
+    rings = round(1.0 / h)
+    points = [np.zeros((1, 2))]
+    for j in range(1, rings + 1):
+        theta = np.linspace(0.0, 2.0 * np.pi, round(2.0 * np.pi * j), endpoint=False)
+        points.append((j / rings) * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    vertices = np.concatenate(points)
+    on_circle = np.zeros(len(vertices), dtype=bool)
+    on_circle[-len(points[-1]):] = True
+    return vertices, scipy.spatial.Delaunay(vertices).simplices, on_circle
+
+
+def delaunay_cloud(dim, npoints, seed):
+    """Delaunay mesh of ``npoints`` uniform random points in the unit box.
+
+    Returns the vertices, the cells and the mask of the convex hull's
+    vertices, which are the boundary of the mesh.
+    """
+    vertices = np.random.default_rng(seed).uniform(0.0, 1.0, (npoints, dim))
+    tri = scipy.spatial.Delaunay(vertices)
+    on_hull = np.zeros(npoints, dtype=bool)
+    on_hull[tri.convex_hull] = True
+    return vertices, tri.simplices, on_hull
 
 
 def edge_lookup(table, reverse, diagonal):

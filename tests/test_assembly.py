@@ -37,6 +37,7 @@ from oracles import (
     cell_blocks,
     covariant_mass_dense,
     covariant_stiffness_dense,
+    delaunay_cloud,
     edge_lookup,
     local_covariant_stiffness_dual,
     magnetic_galerkin_dense,
@@ -489,7 +490,7 @@ def test_gauge_transform_conjugates_assembled_matrices():
 @given(
     dim=st.sampled_from([2, 3]),
     n=st.integers(2, 3),
-    scale=st.sampled_from([0.0, 0.2]),
+    scale=st.sampled_from([0.0, 0.2, "cloud"]),
     mesh_seed=st.integers(0, 2**16),
     a0=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
     b=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
@@ -498,8 +499,11 @@ def test_gauge_transform_conjugates_assembled_matrices():
 def test_gauge_transform_conjugates_over_meshes_and_fields(dim, n, scale, mesh_seed,
                                                            a0, b, gauge_seed):
     # A -> A - d(alpha) turns stiffness, mass and potential into D (.) D^H, on
-    # the box mesh (scale 0) and on perturbed ones
-    mesh = perturbed_box_mesh(dim, n, mesh_seed, scale=scale)
+    # the box mesh (scale 0), on perturbed ones and on a Delaunay point cloud
+    if scale == "cloud":
+        mesh = make_mesh(dim, *delaunay_cloud(dim, (n + 1)**dim, mesh_seed)[:2])
+    else:
+        mesh = perturbed_box_mesh(dim, n, mesh_seed, scale=scale)
     b = (0.0, 0.0, b[2]) if dim == 2 else b
     circ = circulate(GaugeFieldSpec(a0[:dim], b), mesh)
     gauge = random_gauge(mesh, np.pi, gauge_seed)
@@ -516,7 +520,10 @@ def test_gauge_transform_conjugates_over_meshes_and_fields(dim, n, scale, mesh_s
         original = assemble(transports(circ)).to_dense()
         twin = assemble(transports(gauged)).to_dense()
         conjugated = d[:, None] * original * d.conj()[None, :]
-        assert np.abs(twin - conjugated).max() <= 1e-13
+        # a cloud's sliver cells reach entries of 1e3, so its bound
+        # scales with the largest entry
+        size = max(1.0, np.abs(original).max()) if scale == "cloud" else 1.0
+        assert np.abs(twin - conjugated).max() <= 1e-13 * size
 
 
 # ---------------------------------------------------------------------------

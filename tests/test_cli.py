@@ -355,13 +355,38 @@ def test_pauli_k_runs_up_to_both_spin_components(capsys):
     ["solve", "--n", "4", "--potential", "well:5,inf"],
     ["gauge-check", "--n", "4", "--gauge-amplitude", "1e308"],
     ["pauli", "--n", "4", "--b", "1e200"],
+    ["solve", "--dim", "2", "--n", "4", "--lengths", "1e300,1e300"],
+    ["solve", "--dim", "2", "--n", "4", "--lengths", "1e-300,1"],
 ], ids=["tol-nan", "tol-inf", "amplitude-nan", "amplitude-inf", "radius-nan",
-        "radius-inf", "amplitude-range-overflow", "zeeman-overflow"])
+        "radius-inf", "amplitude-range-overflow", "zeeman-overflow",
+        "huge-box-overflow", "thin-box-gradient-overflow"])
+@pytest.mark.filterwarnings("error")  # refused before any numpy warning
 def test_non_finite_inputs_exit_with_code_2(args, capsys):
     rc, out, err = run_cli(args, capsys)
     assert rc == 2
     assert out == ""
     assert err.startswith("gaugefem:")
+
+
+@pytest.mark.parametrize("scaled,unit,factor,dofs", [
+    # a 4e-12 side lies within any absolute coordinate tolerance of 1e-12, so
+    # the boundary must come from the cells, not from the coordinates
+    (["--dim", "2", "--n", "8", "--lengths", "4e-12,4e-12"],
+     ["--dim", "2", "--n", "8", "--lengths", "4,4"], 1e24, 49),
+    # a pure gauge at side 1e4 leaves imaginary roundoff of 1.6e-13 on
+    # diagonals far above 1, so the bound on it must scale with them
+    (["--dim", "3", "--n", "6", "--lengths", "1e4,1e4,1e4", "--a0", "0.3,0.2,0.1"],
+     ["--dim", "3", "--n", "6"], 1e-8, 125),
+], ids=["tiny-box", "large-cube-pure-gauge"])
+def test_a_scaled_box_scales_the_spectrum(scaled, unit, factor, dofs, capsys):
+    results = []
+    for args in (scaled, unit):
+        rc, out, _ = run_cli(["solve", *args, "--k", "2", "--deterministic"], capsys)
+        assert rc == 0
+        results.append(json.loads(out)["results"])
+    assert results[0]["n_dofs"] == results[1]["n_dofs"] == dofs
+    assert np.allclose(results[0]["eigenvalues"],
+                       np.multiply(results[1]["eigenvalues"], factor), rtol=1e-12, atol=0)
 
 
 def test_csv_projections(capsys):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from gaugefem import (
     GaugeFieldSpec,
@@ -9,10 +13,11 @@ from gaugefem import (
     circulate,
     make_mesh,
     reconstruct_field,
+    solve_hermitian_gevp,
 )
 
 from conftest import perturbed_box_mesh, shuffled_cells
-from oracles import structured_box_cells, structured_box_edges
+from oracles import delaunay_cloud, ring_disk, structured_box_cells, structured_box_edges
 
 
 def test_box_mesh_counts_2d():
@@ -108,6 +113,34 @@ def test_boundary_classification():
     assert np.allclose(mesh.vertices[center], 0.5)
 
 
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([2, 3]), npoints=st.integers(5, 60),
+       seed=st.integers(0, 2**16))
+def test_boundary_of_a_delaunay_cloud_is_its_convex_hull(dim, npoints, seed):
+    vertices, cells, on_hull = delaunay_cloud(dim, npoints, seed)
+    mesh = make_mesh(dim, vertices, cells)
+    assert np.array_equal(mesh.boundary_vertex, on_hull)
+
+
+def test_disk_boundary_is_the_circle_and_a_pure_gauge_converges_at_second_order():
+    # A = a0 is a pure gauge, so the spectrum is the Dirichlet Laplacian's on
+    # the disk, j_mk^2: j_01, j_11 twice, j_21; the inscribed polygon adds
+    # only O(h^2)
+    zeros = scipy.special.jn_zeros
+    exact = np.array([zeros(0, 1)[0], zeros(1, 1)[0], zeros(1, 1)[0], zeros(2, 1)[0]])**2
+    spec = GaugeFieldSpec((0.3, -0.2), (0.0, 0.0, 0.0))
+    errors = []
+    for h in (0.1, 0.05, 0.025):
+        vertices, cells, on_circle = ring_disk(h)
+        mesh = make_mesh(2, vertices, cells)
+        assert np.array_equal(mesh.boundary_vertex, on_circle)
+        problem = assemble_scalar_problem(circulate(spec, mesh))
+        eigenvalues = solve_hermitian_gevp(problem, k=4).eigenvalues
+        errors.append(np.abs(eigenvalues - exact) / exact)
+    orders = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert np.all((orders >= 1.9) & (orders <= 2.1)), orders
+
+
 def test_interior_mask_is_the_non_boundary_vertices():
     for dim, n in ((2, 4), (3, 3)):
         mesh = build_box_mesh(dim, n)
@@ -146,6 +179,14 @@ def test_make_mesh_rejects_degenerate_cell():
         make_mesh(2, vertices, np.array([[0, 1, 2]]))
 
 
+def test_make_mesh_rejects_a_facet_in_three_cells():
+    # a duplicated corner cell puts its boundary edge in two cells and its
+    # two inner edges in three
+    mesh = build_box_mesh(2, 2)
+    with pytest.raises(MeshGeometryError, match="more than two cells"):
+        make_mesh(2, mesh.vertices, np.vstack([mesh.cells, mesh.cells[:1]]))
+
+
 def test_make_mesh_argument_errors():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     cells = np.array([[0, 1, 2]])
@@ -169,4 +210,11 @@ def test_build_box_mesh_argument_errors():
     # refused before the grid is spaced, so no RuntimeWarning comes first
     with pytest.raises(ValueError, match="finite and positive"):
         build_box_mesh(2, 4, lengths=(np.inf, 1.0))
+    # sides of 1e300 overflow the cell volumes and h, a 1e-300 side the
+    # squared gradients: one error, and no RuntimeWarning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lengths in ((1e300, 1e300), (1e-300, 1.0)):
+            with pytest.raises(MeshGeometryError, match="overflow"):
+                build_box_mesh(2, 4, lengths=lengths)
 
