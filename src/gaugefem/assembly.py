@@ -62,7 +62,6 @@ from .gauge import transports as make_transports, unit_transports
 from .mesh import CELL_PAIRS
 
 __all__ = [
-    "DIAG_IMAG_TOL",
     "EmptyProblemError",
     "HermitianSparse",
     "AssembledProblem",
@@ -169,7 +168,7 @@ class AssembledProblem:
     has a negative floor lambda_min(I + U_T), or min f <= 0.  With U = 1
     (the baseline, or a zero field) d = 0 and s = v_min.
 
-    A pencil without certificates has ``mass_floor`` None and
+    A pencil without certificates has a zero ``mass_floor`` and
     ``spectrum_floor`` -inf.
     """
 

@@ -464,7 +464,8 @@ def _add_subcommand(sub, name, summary, *, method=True, amplitude=False):
         p.add_argument("--method", choices=("covariant", "baseline"),
                        help="gauge-invariant assembly or conventional baseline")
     p.add_argument("--k", type=int, help="number of eigenvalues (default 1)")
-    p.add_argument("--tol", type=float, help="residual tolerance (default 1e-9)")
+    p.add_argument("--tol", type=float, help="bound on the residual ||Hu - EMu|| / ||u||, "
+                   "in the units of the assembled matrices (default 1e-9)")
     p.add_argument("--seed", type=int, help="rng seed (default 0)")
     if amplitude:
         p.add_argument("--gauge-amplitude", type=float,

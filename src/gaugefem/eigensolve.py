@@ -20,9 +20,6 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackNoConvergence
 
 __all__ = [
-    "BAND_CUTOFF",
-    "DENSE_CUTOFF",
-    "MULTIPLET_GAP",
     "DefinitenessError",
     "ConvergenceError",
     "SpectrumResult",
@@ -236,9 +233,9 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
         The pencil H = ``stiffness``, M = ``mass`` (HermitianSparse, same
         size n) and its two certificates.  M must be positive definite
         (checked).  ``mass_floor`` is a proven (n,) floor f with M - diag(f)
-        positive semidefinite; when min f > 0 the ARPACK path takes M as
-        positive definite, and when it is None or min f <= 0 (the
-        certificate is sufficient, not necessary) a Lanczos probe of M runs.
+        positive semidefinite, zero for none; when min f > 0 the ARPACK path
+        takes M as positive definite, and otherwise (the certificate is
+        sufficient, not necessary) a Lanczos probe of M runs.
         ``spectrum_floor`` is a proven lower bound s on the smallest
         eigenvalue, -inf for none.  It only places the ARPACK shift:
         sigma = 0 when the Gershgorin bound proves H positive definite, and
@@ -247,7 +244,8 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     k : int
         Number of eigenpairs, 1 <= k <= n.
     tol : float
-        Acceptance threshold for the relative residuals; finite and positive.
+        Acceptance threshold for the residuals ||H u - E M u||_2 / ||u||_2,
+        in the units of H and M rather than relative; finite and positive.
     seed : int
         Seeds the ARPACK start vector; fixed seed gives bit-reproducible runs.
 
@@ -259,7 +257,7 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
         The mass probe stalled, the shift-invert factor met a pivot that is
         not positive (band) or an exactly singular one (SuperLU),
         ARPACK failed or stalled, the Ritz vectors are not M-independent, or
-        a relative residual exceeds ``tol``; the message says which.
+        a residual exceeds ``tol``; the message says which.
     """
     H, M = problem.stiffness, problem.mass
     if H.n != M.n:
@@ -291,7 +289,7 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
     floor = problem.mass_floor
-    if floor is None or floor.min() <= 0.0:
+    if floor.min() <= 0.0:
         # No certificate: a positive-definiteness probe of M.
         try:
             floor = spla.eigsh(

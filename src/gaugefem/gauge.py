@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "UNIT_MODULUS_TOL",
     "GaugeFieldSpec",
     "EdgeCirculation",
     "TransportTable",

@@ -1,4 +1,4 @@
-"""Simplicial meshes of axis-aligned boxes in two and three dimensions.
+"""Simplicial meshes in two and three dimensions, and Kuhn meshes of boxes.
 
 Boxes are triangulated with the Kuhn (Freudenthal) subdivision: every grid
 cell is cut into d! simplices along its main diagonal, one per permutation of
@@ -16,8 +16,6 @@ from math import factorial
 import numpy as np
 
 __all__ = [
-    "CELL_PAIRS",
-    "MatrixPattern",
     "MeshGeometryError",
     "SimplicialMesh",
     "make_mesh",
@@ -30,7 +28,8 @@ CELL_PAIRS = {m: np.triu_indices(m, 1) for m in (3, 4)}
 
 class MeshGeometryError(ValueError):
     """Raised when a cell is degenerate (zero or negative volume), cells
-    overlap, or the geometry leaves the floating-point range."""
+    overlap, a vertex lies in no cell, or the geometry leaves the
+    floating-point range."""
 
 
 @dataclass
@@ -117,8 +116,9 @@ def make_mesh(dim, vertices, cells):
     ascending order.
     Any simplicial mesh is accepted: cells must reference distinct, in-range
     vertices, span strictly positive volume with finite volumes, h and
-    squared barycentric gradients, and meet at most two to a facet.  The
-    boundary vertices are those of the facets that lie in exactly one cell.
+    squared barycentric gradients, and meet at most two to a facet; every
+    vertex must lie in a cell.  The boundary vertices are those of the
+    facets that lie in exactly one cell.
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -139,6 +139,9 @@ def make_mesh(dim, vertices, cells):
         raise MeshGeometryError("cell with repeated vertex index")
     if cells.shape[0] == 0:
         raise ValueError("mesh needs at least one cell")
+    in_cell = np.bincount(cells.ravel(), minlength=nv) > 0
+    if not in_cell.all():
+        raise MeshGeometryError(f"vertex {int(np.argmin(in_cell))} lies in no cell")
 
     # Key each vertex pair a < b of a cell as a * nv + b: the sorted unique
     # keys are the lexicographically sorted edges, and the inverse is the

@@ -29,7 +29,9 @@ from conftest import perturbed_box_mesh, shift_problem
 
 def _pencil(h, m, mass_floor=None):
     """The problem of two HermitianSparse matrices, without a spectrum floor
-    and, unless ``mass_floor`` is given, without a mass floor."""
+    and, unless ``mass_floor`` is given, with a zero mass floor."""
+    if mass_floor is None:
+        mass_floor = np.zeros(h.n)
     return AssembledProblem(h, m, np.ones(h.n, dtype=bool), mass_floor, -np.inf)
 
 
@@ -459,6 +461,29 @@ def test_uncertified_mass_falls_back_to_the_probe(arpack_shifts):
         assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
 
+def test_failed_certificate_runs_the_probe_once_before_arpack(monkeypatch):
+    # the problem of `solve --dim 3 --n 7 --b 1412.68,-87.97,1471.91 --k 2`,
+    # whose mass certificate fails (min f = -2.6e-4) on a positive definite
+    # mass
+    _, problem = _magnetic_problem(dim=3, n=7, b=(1412.68, -87.97, 1471.91))
+    assert problem.mass_floor.min() <= 0.0
+    assert problem.spectrum_floor == -np.inf
+    calls = []
+    eigsh = spla.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counting)
+    result = solve_hermitian_gevp(problem, k=2)
+    assert len(calls) == 1
+    assert result.method_tag == "arpack-shift-invert"
+    dense = scipy.linalg.eigh(problem.stiffness.to_dense(), problem.mass.to_dense(),
+                              eigvals_only=True, subset_by_index=[0, 1])
+    assert np.allclose(result.eigenvalues, dense, rtol=1e-10, atol=0)
+
+
 def test_reconstruct_field():
     mesh, problem = _magnetic_problem(dim=2, n=4, bz=1.0)
     result = solve_hermitian_gevp(problem, k=2)
@@ -512,6 +537,11 @@ def _small_problem():
     return _magnetic_problem(2, 8, bz=1.0)[1]
 
 
+def _uncertified_small_problem():
+    problem = _small_problem()
+    return dataclasses.replace(problem, mass_floor=np.zeros(problem.n))
+
+
 def _huge_potential_problem(depth, radius):
     return _magnetic_problem(dim=2, n=20, bz=0.0, potential=depth, radius=radius)[1]
 
@@ -538,7 +568,7 @@ _ARPACK_ROUTES = {
     "arpack-error": (["arpack_path", "arpack_error"], _small_problem, (2,),
                      "shift-invert ARPACK failed: ARPACK error -9: Unknown error"),
     "probe-stall": (["arpack_path", "probe_stall"],
-                    lambda: dataclasses.replace(_small_problem(), mass_floor=None), (2,),
+                    _uncertified_small_problem, (2,),
                     "mass definiteness probe stalled: ARPACK error -1: ARPACK stalled"),
     "ritz-failure": (["arpack_path", "dependent_ritz_vectors"], _small_problem, (2,),
                      "ARPACK Ritz vectors are not M-independent"),

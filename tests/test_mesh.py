@@ -187,6 +187,17 @@ def test_make_mesh_rejects_a_facet_in_three_cells():
         make_mesh(2, mesh.vertices, np.vstack([mesh.cells, mesh.cells[:1]]))
 
 
+def test_make_mesh_rejects_a_vertex_in_no_cell():
+    # a free vertex would become a DOF with a zero mass row
+    mesh = build_box_mesh(2, 6)
+    free = np.array([[0.51, 0.52]])
+    with pytest.raises(MeshGeometryError, match="^vertex 49 lies in no cell$"):
+        make_mesh(2, np.vstack([mesh.vertices, free]), mesh.cells)
+    # with two free vertices the error names the first
+    with pytest.raises(MeshGeometryError, match="^vertex 0 lies in no cell$"):
+        make_mesh(2, np.vstack([free, mesh.vertices, free]), mesh.cells + 1)
+
+
 def test_make_mesh_argument_errors():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     cells = np.array([[0, 1, 2]])
