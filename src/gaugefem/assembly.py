@@ -34,11 +34,11 @@ that ``make_mesh`` computed once, and from them forms the columns of the
 stiffness (plus potential) block, with U_T^2 A_T as explicit sums over the
 unit diagonal and the upper pairs, of the mass block c |T| A_T and of the
 mass floor lambda_min(A_T).  ``np.bincount`` sums the columns into one slot
-per vertex and one per edge.  One CSR pattern per mesh (``mesh.pattern``,
-built once by ``make_mesh``), the diagonal and both directions of every edge,
-gathers the slots, the lower triangle as exact conjugates.  Entries that
-vanish exactly, such as the stiffness of an orthogonal Kuhn pair, stay
-stored in that shared pattern.
+per vertex and one per edge, and one COO -> CSR conversion turns the slots
+into the matrix (:func:`_hermitian_matrix`): the diagonal and both
+directions of every edge, the lower triangle as exact conjugates.  Entries
+that vanish exactly, such as the stiffness of an orthogonal Kuhn pair, stay
+stored, so every assembled matrix of a mesh has the same pattern.
 
 A conventional (non-invariant) P1 discretization of |grad u + i A u|^2 with
 A interpolated from the same edge circulations is provided as a baseline;
@@ -111,7 +111,7 @@ class HermitianSparse:
     """
 
     def __init__(self, full):
-        # upper_coo's row-major order needs sorted, summed indices
+        # export_matrix's row-major order needs sorted, summed indices
         self._full = full.tocsr()
         self._full.sum_duplicates()
 
@@ -143,11 +143,6 @@ class HermitianSparse:
 
     def to_dense(self):
         return self._full.toarray()
-
-    def upper_coo(self):
-        """Upper triangle as (rows, cols, values) in row-major order."""
-        coo = sparse.triu(self._full, format="csr").tocoo()
-        return coo.row, coo.col, coo.data
 
 
 @dataclass
@@ -240,18 +235,23 @@ class _CellEntries:
 _CELL_ENTRIES = {m: _CellEntries(m) for m in CELL_PAIRS}
 
 
-def _pattern_matrix(pattern, acc):
-    """The HermitianSparse matrix of the summed slots ``acc`` on the mesh's
-    :class:`~gaugefem.mesh.MatrixPattern` ``pattern``."""
-    n = pattern.indptr.size - 1
-    diag = acc[:n]
+def _hermitian_matrix(mesh, acc):
+    """The HermitianSparse matrix of the summed slots ``acc``: slot v is entry
+    (v, v), slot nv + e is entry (lo, hi) of edge e = (lo, hi) of ``mesh``,
+    and entry (hi, lo) is its conjugate."""
+    nv = mesh.n_vertices
+    diag, upper = acc[:nv], acc[nv:]
     _check_real_diag(diag)
     diag.imag = 0.0
-    data = acc[pattern.source]
-    np.conjugate(data, out=data, where=pattern.lower)
-    return HermitianSparse(
-        sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
-    )
+    # The edges are sorted (lo, hi), so listing the lower entries, then the
+    # diagonal, then the upper ones puts each row's columns in ascending order,
+    # which scipy's stable COO -> CSR conversion keeps: nothing is sorted, and
+    # entries that vanish exactly stay stored.
+    lo, hi = mesh.edges.T
+    verts = np.arange(nv)
+    rows, cols = np.concatenate([hi, verts, lo]), np.concatenate([lo, verts, hi])
+    data = np.concatenate([upper.conj(), diag, upper])
+    return HermitianSparse(sparse.csr_matrix((data, (rows, cols)), shape=(nv, nv)))
 
 
 def _scatter_add(out, slots, values):
@@ -422,10 +422,11 @@ def _cell_pass(table, kinetic, potential):
     H - v_min M >= -diag(d); a cell whose floor is negative sets d = +inf
     on its vertices.
 
-    ``np.bincount`` adds each column into the vertex and edge slots of
-    ``mesh.pattern``.  Returns (stiffness, mass, floor, deficit):
-    HermitianSparse matrices on the mesh's pattern and the per-vertex floor
-    and deficit.
+    ``np.bincount`` adds each column into one slot per vertex and one per
+    edge, which :func:`_hermitian_matrix` turns into a matrix.  Returns
+    (stiffness, mass, floor, deficit): HermitianSparse matrices with the
+    diagonal and both directions of every edge stored, and the per-vertex
+    floor and deficit.
     """
     mesh = table.mesh
     m = mesh.dim + 1
@@ -466,8 +467,7 @@ def _cell_pass(table, kinetic, potential):
         f += np.bincount(cells.ravel(), np.repeat(scaled * lam, m), nv)
         drop = np.where(lam < 0.0, np.inf, drop)
         deficit += np.bincount(cells.ravel(), np.repeat(drop, m), nv)
-    return (_pattern_matrix(mesh.pattern, k_acc), _pattern_matrix(mesh.pattern, m_acc),
-            f, deficit)
+    return _hermitian_matrix(mesh, k_acc), _hermitian_matrix(mesh, m_acc), f, deficit
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +593,9 @@ def export_matrix(matrix, path):
     First line ``n nnz``; then one ``row col re im`` line per stored entry in
     row-major order, 0-based indices.
     """
-    rows, cols, vals = matrix.upper_coo()
-    lines = [f"{matrix.n} {rows.size}"]
-    for r, c, v in zip(rows, cols, vals):
+    upper = sparse.triu(matrix.to_csr(), format="coo")  # row-major, as stored
+    lines = [f"{matrix.n} {upper.nnz}"]
+    for r, c, v in zip(upper.row, upper.col, upper.data):
         lines.append(f"{int(r)} {int(c)} {repr(float(v.real))} {repr(float(v.imag))}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

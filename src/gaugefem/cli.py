@@ -527,8 +527,9 @@ def main(argv=None):
     except (DefinitenessError, ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"gaugefem: numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"gaugefem: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a MemoryError may carry no message
+        print(f"gaugefem: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

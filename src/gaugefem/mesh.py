@@ -33,25 +33,11 @@ class MeshGeometryError(ValueError):
 
 
 @dataclass
-class MatrixPattern:
-    """The CSR pattern every assembled matrix of a mesh shares.
-
-    Row x holds x itself and both directions of every edge at x, which are
-    exactly the vertices sharing a cell with x.  Assembly sums one slot per
-    vertex v (slot v) and per edge e = (lo, hi) (slot nv + e); ``source`` is
-    the slot of each stored entry and ``lower`` marks the (hi, lo) entries,
-    which read their slot conjugated.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    source: np.ndarray
-    lower: np.ndarray
-
-
-@dataclass
 class SimplicialMesh:
     """Simplicial mesh with derived edge set and boundary classification.
+
+    It holds geometry and topology only: how the assembled matrices store
+    their vertex and edge entries is :mod:`gaugefem.assembly`'s concern.
 
     Attributes
     ----------
@@ -80,8 +66,6 @@ class SimplicialMesh:
     gradients : (dim, dim+1, nc) float ndarray
         Barycentric gradients, one column per axis and cell vertex:
         ``gradients[i, k]`` is d lambda_k / d x_i on every cell.
-    pattern : MatrixPattern
-        The sparsity pattern of the assembled matrices.
     """
 
     dim: int
@@ -93,7 +77,6 @@ class SimplicialMesh:
     h: float
     volumes: np.ndarray
     gradients: np.ndarray
-    pattern: MatrixPattern
 
     @property
     def n_vertices(self):
@@ -111,9 +94,8 @@ class SimplicialMesh:
 def make_mesh(dim, vertices, cells):
     """Build a validated mesh from raw vertex and cell arrays.
 
-    Edges, boundary flags, h, cell volumes, barycentric gradients and the
-    matrix pattern are derived, and each cell is stored with its vertices in
-    ascending order.
+    Edges, boundary flags, h, cell volumes and barycentric gradients are
+    derived, and each cell is stored with its vertices in ascending order.
     Any simplicial mesh is accepted: cells must reference distinct, in-range
     vertices, span strictly positive volume with finite volumes, h and
     squared barycentric gradients, and meet at most two to a facet; every
@@ -183,23 +165,7 @@ def make_mesh(dim, vertices, cells):
     boundary[edges[[outer // ne, outer % ne]]] = True
 
     return SimplicialMesh(dim, vertices, cells, edges, cell_edges, boundary, h, vols,
-                          grads, _matrix_pattern(nv, edges))
-
-
-def _matrix_pattern(nv, edges):
-    """The :class:`MatrixPattern` of nv vertices and the sorted ``edges``."""
-    ne = edges.shape[0]
-    lo, hi = edges.T
-    verts = np.arange(nv)
-    rows = np.concatenate([verts, lo, hi])
-    cols = np.concatenate([verts, hi, lo])
-    order = np.argsort(rows * nv + cols)
-    edge_slots = np.arange(nv, nv + ne)
-    indptr = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
-    return MatrixPattern(indptr, cols[order],
-                         np.concatenate([verts, edge_slots, edge_slots])[order],
-                         order >= nv + ne)
+                          grads)
 
 
 def _span_adjugate(coords):

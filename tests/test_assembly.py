@@ -45,6 +45,7 @@ from oracles import (
     p1_mass_dense,
     p1_stiffness_dense,
     potential_dense,
+    ring_disk,
     simplex_quadrature,
     barycentric_values,
 )
@@ -160,6 +161,51 @@ def test_orthogonal_kuhn_pairs_are_stored_exact_zeros(dim, lengths, b):
     stored = problem.stiffness.to_csr()
     assert stored.nnz == problem.mass.to_csr().nnz
     assert np.count_nonzero(stored.data) < stored.nnz
+
+
+def _relabelled(mesh, seed):
+    """``mesh`` with its vertices renumbered and its cells listed at random."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[label] = mesh.vertices
+    return make_mesh(mesh.dim, vertices, rng.permutation(label[mesh.cells]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: perturbed_box_mesh(2, 5, seed=3),
+    lambda: perturbed_box_mesh(3, 3, seed=4),
+    lambda: shuffled_cells(_relabelled(perturbed_box_mesh(2, 5, seed=5), 6), seed=7),
+    lambda: shuffled_cells(_relabelled(perturbed_box_mesh(3, 3, seed=8), 9), seed=10),
+    lambda: make_mesh(2, *ring_disk(0.25)[:2]),
+    lambda: make_mesh(2, *delaunay_cloud(2, 40, 11)[:2]),
+    lambda: make_mesh(3, *delaunay_cloud(3, 40, 12)[:2]),
+], ids=["perturbed-2d", "perturbed-3d", "shuffled-2d", "shuffled-3d", "ring-disk-2d",
+        "delaunay-2d", "delaunay-3d"])
+def test_csr_layout_on_unstructured_meshes(build):
+    # Every assembled matrix stores, in canonical CSR (columns ascending in
+    # each row, no duplicates), its diagonal and both directions of every
+    # edge, and its lower triangle is the exact conjugate of the upper.  The
+    # export and the SpMV summation orders follow these rows.
+    mesh = build()
+    rng = np.random.default_rng(13)
+    table = transports(EdgeCirculation(mesh, rng.uniform(-1.0, 1.0, mesh.n_edges)))
+    potential = rng.uniform(-1.0, 1.0, mesh.n_vertices)
+    stiffness, mass, _, _ = covariant_stiffness(table, potential, with_mass=True)
+    nv = mesh.n_vertices
+    lo, hi = mesh.edges.T
+    keys = np.sort(np.concatenate([np.arange(nv) * (nv + 1), lo * nv + hi, hi * nv + lo]))
+    indptr = np.searchsorted(keys, np.arange(nv + 1) * nv)
+    for matrix in (stiffness, mass):
+        csr = matrix.to_csr()
+        assert csr.has_canonical_format
+        assert np.array_equal(csr.indptr, indptr)
+        assert np.array_equal(csr.indices, keys % nv)
+        mirror = csr.conj().T.tocsr()
+        mirror.sort_indices()
+        assert np.array_equal(mirror.indptr, csr.indptr)
+        assert np.array_equal(mirror.indices, csr.indices)
+        assert np.array_equal(mirror.data, csr.data)
 
 
 def _constant_kernel(block):
@@ -674,15 +720,21 @@ def test_hermitian_sparse_restrict():
     assert np.array_equal(sub.to_dense(), h.to_dense()[np.ix_(keep, keep)])
 
 
-def test_hermitian_sparse_upper_coo_layout():
-    mesh = build_box_mesh(2, 2)
-    h = covariant_mass(unit_transports(mesh))
-    rows, cols, vals = h.upper_coo()
+def test_export_matrix_writes_the_upper_triangle_row_major(tmp_path):
+    mesh = perturbed_box_mesh(2, 4, seed=14)
+    circ = circulate(GaugeFieldSpec((0.2, 0.1), (0.0, 0.0, 3.0)), mesh)
+    h = covariant_stiffness(transports(circ), np.linspace(-1.0, 1.0, mesh.n_vertices))
+    path = tmp_path / "stiffness.txt"
+    export_matrix(h, path)
+    header, *lines = path.read_text().splitlines()
+    assert header == f"{h.n} {h.nnz}"
+    assert len(lines) == h.nnz
+    rows, cols = np.array([line.split()[:2] for line in lines], dtype=np.int64).T
     assert np.all(rows <= cols)
-    assert vals.shape == rows.shape == cols.shape
     # row-major: rows ascending, columns ascending within a row
-    order = rows * h.n + cols
-    assert np.all(np.diff(order) > 0)
+    assert np.all(np.diff(rows * h.n + cols) > 0)
+    values = [complex(float(part[2]), float(part[3])) for part in map(str.split, lines)]
+    assert np.array_equal(values, h.to_dense()[rows, cols])
 
 
 # ---------------------------------------------------------------------------

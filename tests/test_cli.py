@@ -134,6 +134,26 @@ def test_unwritable_output_exits_with_code_2(args, target, tmp_path, monkeypatch
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 298. GiB for an array with shape (200001, 200001)",
+     "gaugefem: Unable to allocate 298. GiB for an array with shape (200001, 200001)"),
+    ("", "gaugefem: MemoryError"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("subcommand", ["solve", "pauli", "gauge-check"])
+def test_oversized_grid_exits_with_code_2(subcommand, message, line, monkeypatch,
+                                          capsys):
+    # a grid too large for memory is a request that cannot be met: one line,
+    # exit 2, no traceback; the mesh build is stubbed, nothing is allocated
+    def oversized(*_args, **_kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("gaugefem.cli.build_box_mesh", oversized)
+    rc, out, err = run_cli([subcommand, "--dim", "2", "--n", "200000"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == line + "\n"
+
+
 @pytest.mark.parametrize("subcommand", [
     "solve", "pauli", "gauge-check", "convergence", "export-matrices",
 ])
