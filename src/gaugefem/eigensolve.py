@@ -5,8 +5,8 @@ two floors assembly proves about it.  Small problems go through dense LAPACK
 (scipy.linalg.eigh on the pencil); larger ones use ARPACK shift-invert with a
 deterministic start vector and one factor of H - sigma M, with sigma placed
 by those floors, and a Rayleigh-Ritz finish.  The factor is LAPACK's band
-Cholesky where H - sigma M is a narrow band (the box meshes number their
-vertices row-major) and a symmetric-mode SuperLU factor where it is not.
+Cholesky where H - sigma M is a narrow band, as numbered or in reverse
+Cuthill-McKee order, and a symmetric-mode SuperLU factor where it is not.
 All returned eigenvectors are M-orthonormal and phase-fixed so repeated runs
 are reproducible and gauge-paired solves can be compared pointwise.
 """
@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence
 
 __all__ = [
@@ -46,23 +47,29 @@ __all__ = [
 DENSE_CUTOFF = 140
 
 # The ARPACK path factors H - sigma M as a band Cholesky when its band array
-# holds at most this many entries, n (kd + 1) with kd the half-bandwidth, and
-# with SuperLU above.  Measured, the factor plus 36 solves at the solver's
-# shift (median of 15, interleaved, one core, one BLAS thread, B = 3 in 2D
-# and (0.3, 0.2, 1) in 3D, Xeon VM), in ms, SuperLU vs band:
+# holds at most this many entries, n (kd + 1) with kd the half-bandwidth in
+# the factor's numbering, and with SuperLU above.  Measured on pencils in
+# reverse Cuthill-McKee (RCM) order where that is narrower, the factor plus
+# 36 solves at the solver's shift (median of 15-21, interleaved, one core,
+# one BLAS thread, B = 3 in 2D and (0.3, 0.2, 1) in 3D, wells of depth -40
+# in 2D and -5 in 3D, Xeon VM), in ms, SuperLU vs band:
 #
-#   2D  with a well:  n=16 (4k entries) 3.7 vs 1.5;  n=44 (83k) 28 vs 15
-#       sigma = 0:    n=56 (169k) 37 vs 30;  n=68 (305k) 58 vs 49;
-#                     n=72 (363k) 64 vs 60;  n=76 (428k) 69 vs 71;
-#                     n=80 (499k) 84 vs 88;  n=96 (866k) 130 vs 210
-#   3D  sigma = 0:    n=13 (251k) 42 vs 32;  n=14 (373k) 56 vs 50
-#       with a well:  n=14 (404k) 115 vs 57;  n=15 (582k) 170 vs 79
+#   2D  sigma = 0:    n=68 (305k entries) 30 vs 32;  n=72 (363k) 33 vs 37;
+#                     n=76 (428k) 35 vs 44;  n=80 (499k) 52 vs 62;
+#                     n=84 (579k) 72 vs 75;  n=96 (866k) 63 vs 92
+#       with a well:  n=44 (81k) 14 vs 8;  n=80 (499k) 63 vs 59
+#   3D  sigma = 0:    n=12 (129k) 16 vs 11;  n=14 (294k) 43 vs 33;
+#                     n=15 (425k) 81 vs 51;  n=16 (597k) 79 vs 63
+#       with a well:  n=12 (164k) 33 vs 16;  n=14 (376k) 66 vs 36;
+#                     n=15 (543k) 136 vs 65;  n=16 (763k) 189 vs 89
 #
-# At sigma = 0 the two stay within about 10 % of each other from 300k to
-# 430k entries (best-of-run times favour SuperLU there), and the band array
-# holds up to twice the SuperLU factor's entries (3D n=14: 373k vs 208k),
-# so the cutoff sits at the low end of that range.
-BAND_CUTOFF = 330_000
+# RCM cuts the 3D boxes' kd by 7-22 % (n=15: 196 -> 154 at sigma = 0, 211 ->
+# 197 with a well) and leaves the 2D boxes' within 1.  The band wins at every
+# 3D size, and loses by 1.1-1.5x at 2D sigma = 0 from about 350k entries, so
+# no cutoff on the band size serves both: this one sends every 3D pencil up
+# to n=15 to the band at either sigma and keeps 2D n >= 84 on SuperLU.  The
+# band array at the cutoff holds 9 MB.
+BAND_CUTOFF = 560_000
 
 # Neighbouring eigenvalues closer than this (relative) are flagged as a
 # multiplet; their eigenvectors are only defined up to mixing.
@@ -169,28 +176,43 @@ def _gershgorin_lower(h_csr):
 def _shift_invert_solver(a):
     """x -> A^-1 x for the Hermitian positive definite CSR matrix A.
 
-    A narrow band, n (kd + 1) <= ``BAND_CUTOFF`` with kd the largest
-    col - row over A's stored entries, takes LAPACK's band Cholesky
-    (``zpbtrf``/``zpbtrs``); a wider one takes a symmetric-mode SuperLU
-    factor.  A is the sparse difference H - sigma M, which stores no exact
-    zeros, so at sigma = 0 both see H on its true nonzero pattern, without
-    the zeros H stores (orthogonal Kuhn pairs of a field-only stiffness).
-    The returned function holds only the factor.
+    The band factor numbers the unknowns itself: by reverse Cuthill-McKee
+    (RCM) where that narrows the band, and as given where RCM ties or widens
+    it (on some row-major 2D boxes).  A narrow band, n (kd + 1) <=
+    ``BAND_CUTOFF`` with kd the largest col - row over A's stored entries in
+    the chosen numbering, takes LAPACK's band Cholesky (``zpbtrf``/
+    ``zpbtrs``), permuted inside the returned solve so that its input and
+    output keep A's numbering; a wider one takes a symmetric-mode SuperLU
+    factor of A as given.  A is the sparse difference H - sigma M, which
+    stores no exact zeros, so at sigma = 0 both see H on its true nonzero
+    pattern, without the zeros H stores (orthogonal Kuhn pairs of a
+    field-only stiffness).  The returned function holds only the factor.
     """
     n = a.shape[0]
-    offset = a.indices - np.repeat(np.arange(n), np.diff(a.indptr))
-    kd = int(offset.max(initial=0))
+    rows, cols = np.repeat(np.arange(n), np.diff(a.indptr)), a.indices
+    kd = int((cols - rows).max(initial=0))
+    order = reverse_cuthill_mckee(a, symmetric_mode=True).astype(np.intp)
+    rank = np.empty_like(order)  # the RCM index of each unknown
+    rank[order] = np.arange(n)
+    rcm_rows, rcm_cols = rank[rows], rank[cols]
+    rcm_kd = int((rcm_cols - rcm_rows).max(initial=0))
+    renumbered = rcm_kd < kd
+    if renumbered:
+        rows, cols, kd = rcm_rows, rcm_cols, rcm_kd
     if n * (kd + 1) <= BAND_CUTOFF:
         # LAPACK upper band storage: A[i, j], i <= j, at ab[kd + i - j, j]
-        upper = offset >= 0
+        upper = rows <= cols
         ab = np.zeros((kd + 1, n), np.complex128, order="F")
-        ab[kd - offset[upper], a.indices[upper]] = a.data[upper]
+        ab[kd + rows[upper] - cols[upper], cols[upper]] = a.data[upper]
         chol, info = scipy.linalg.lapack.zpbtrf(ab, lower=0, overwrite_ab=1)
         if info > 0:  # e.g. after overflow
             raise ConvergenceError(
                 np.inf, f"shift-invert factorization failed: pivot {info} "
                 "is not positive"
             )
+        if renumbered:
+            return lambda x: scipy.linalg.lapack.zpbtrs(
+                chol, x[order], overwrite_b=1)[0][rank]
         return lambda x: scipy.linalg.lapack.zpbtrs(chol, x, overwrite_b=1)[0]
     # Diagonal pivots are stable on a positive definite matrix, and a
     # symmetric ordering of the pattern cuts the fill.  The solver uses the
@@ -218,14 +240,14 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     k >= n - 1, which ARPACK cannot do, use dense LAPACK.  The ARPACK path
     factors H - sigma M once, at a shift proven to lie below the spectrum,
     so the matrix is Hermitian positive definite: as a band Cholesky when
-    its band array holds at most ``BAND_CUTOFF`` entries, which the
-    row-major numbering of the box meshes gives on the small and mid-size
-    grids, and with SuperLU otherwise.  ARPACK runs in shift-invert mode
-    with the Euclidean inner product on (H - sigma M)^-1 M, whose eigenvalues
-    are 1 / (E - sigma): one solve and one M-product per step.  A
-    Rayleigh-Ritz step of the pencil on its k Ritz vectors then gives real
-    eigenvalues and M-orthonormal eigenvectors, also in exactly degenerate
-    clusters.
+    its band array holds at most ``BAND_CUTOFF`` entries, numbering the
+    unknowns by reverse Cuthill-McKee where that narrows the band (the
+    eigenvectors keep the problem's numbering), and with SuperLU otherwise.
+    ARPACK runs in shift-invert mode with the Euclidean inner product on
+    (H - sigma M)^-1 M, whose eigenvalues are 1 / (E - sigma): one solve and
+    one M-product per step.  A Rayleigh-Ritz step of the pencil on its k
+    Ritz vectors then gives real eigenvalues and M-orthonormal eigenvectors,
+    also in exactly degenerate clusters.
 
     Parameters
     ----------

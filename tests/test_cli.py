@@ -235,11 +235,11 @@ def test_arpack_error_exits_with_code_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n, potential, cause", [
     ("20", "well:-1e300,0.3", "shift-invert factorization failed: pivot"),
-    ("80", "well:-1e300,0.3", "shift-invert factorization failed: Factor is exactly"),
+    ("96", "well:-1e300,0.3", "shift-invert factorization failed: Factor is exactly"),
     ("20", "constant:1e200", "eigensolver did not converge"),
 ], ids=["singular-factor", "singular-factor-superlu", "residual-overflow"])
 def test_huge_potential_on_the_arpack_path_exits_with_code_1(n, potential, cause, capsys):
-    # 361 DOFs factor as a band, 6,241 with SuperLU: under the deep well the
+    # 361 DOFs factor as a band, 9,025 with SuperLU: under the deep well the
     # band Cholesky meets a pivot that is not positive and SuperLU an exactly
     # singular one; under the constant ARPACK converges, but at E ~ 1e200 the
     # relative residuals (about 1e181) fail the tolerance

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import re
 
@@ -25,6 +26,7 @@ from gaugefem import (
 )
 
 from conftest import perturbed_box_mesh, shift_problem
+from oracles import delaunay_cloud, ring_disk
 
 
 def _pencil(h, m, mass_floor=None):
@@ -363,34 +365,130 @@ def test_zero_shift_factors_the_true_nonzero_pattern(monkeypatch, arpack_shifts)
     assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
 
-def test_a_scattered_vertex_numbering_takes_superlu(monkeypatch):
-    # the box numbering is row-major, so H - sigma M is a narrow band; the
-    # same mesh with randomly renumbered vertices has a band as wide as the
-    # matrix, above BAND_CUTOFF, and factors with SuperLU to the same spectrum
-    box = build_box_mesh(2, 28)
-    perm = np.random.default_rng(5).permutation(box.n_vertices)
-    rank = np.argsort(perm)  # new index of each old vertex
-    scattered = make_mesh(2, box.vertices[perm], rank[box.cells])
-    factors = []
+def _record_factors(patch):
+    """Record, through the MonkeyPatch ``patch``, the factor of every
+    shift-invert solve, in order: ("zpbtrf", the height kd + 1 of its band
+    array) or ("splu", None)."""
+    log = []
 
     def record(module, name):
         original = getattr(module, name)
 
         def recording(*args, **kwargs):
-            factors.append(name)
+            log.append((name, args[0].shape[0] if name == "zpbtrf" else None))
             return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, recording)
+        patch.setattr(module, name, recording)
 
     record(spla, "splu")
     record(scipy.linalg.lapack, "zpbtrf")
+    return log
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    return _record_factors(monkeypatch)
+
+
+def test_a_scattered_vertex_numbering_factors_as_the_box_band(factors):
+    # the box numbering is row-major, so H - sigma M is a narrow band; the
+    # same mesh with randomly renumbered vertices has a band as wide as the
+    # matrix, which reverse Cuthill-McKee brings back to the box's width, so
+    # both factor as a band, to the same spectrum
+    box = build_box_mesh(2, 28)
+    perm = np.random.default_rng(5).permutation(box.n_vertices)
+    rank = np.argsort(perm)  # new index of each old vertex
+    scattered = make_mesh(2, box.vertices[perm], rank[box.cells])
     results = []
     for mesh in (box, scattered):
         circ = circulate(GaugeFieldSpec((0.2, 0.1), (0.0, 0.0, 7.0)), mesh)
         problem = assemble_scalar_problem(circ)
         results.append(solve_hermitian_gevp(problem, 4))
         assert results[-1].method_tag == "arpack-shift-invert"
-    assert factors == ["zpbtrf", "splu"]
+    assert factors == [("zpbtrf", 28), ("zpbtrf", 28)]
     assert np.allclose(results[1].eigenvalues, results[0].eigenvalues, rtol=1e-10, atol=0)
+    # the 2D n=88 box, 7,569 DOFs of half-bandwidth 87, lies above
+    # BAND_CUTOFF and factors with SuperLU
+    _, problem = _magnetic_problem(n=88)
+    assert problem.n * 88 > eigensolve.BAND_CUTOFF
+    solve_hermitian_gevp(problem, 1)
+    assert factors[2:] == [("splu", None)]
+
+
+def test_the_given_numbering_stays_where_rcm_is_wider(factors, monkeypatch):
+    # the 2D n=80 box under a huge well: the row-major numbering of
+    # H - sigma M has kd = 80 and its reverse Cuthill-McKee order kd = 99,
+    # so the band array keeps the given numbering's 81 rows (and its
+    # Cholesky then meets a pivot that is not positive)
+    orders = []
+    original = eigensolve.reverse_cuthill_mckee
+
+    def recording(a, **kwargs):
+        orders.append((a, original(a, **kwargs)))
+        return orders[-1][1]
+
+    monkeypatch.setattr(eigensolve, "reverse_cuthill_mckee", recording)
+    _, problem = _magnetic_problem(n=80, bz=0.0, potential=-1e300)
+    with pytest.raises(ConvergenceError, match="pivot"):
+        solve_hermitian_gevp(problem, 1)
+    (a, order), = orders
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    rank = np.argsort(order)
+    assert (a.indices - rows).max() == 80
+    assert (rank[a.indices] - rank[rows]).max() == 99
+    assert factors == [("zpbtrf", 81)]
+
+
+@functools.cache
+def _unstructured_mesh(kind, seed):
+    """The ring-Delaunay disk of spacing 0.05 ("disk") or a Delaunay cloud of
+    300 points in the unit square ("cloud-2d") or cube ("cloud-3d"): meshes
+    whose vertex numbering scatters the band."""
+    if kind == "disk":
+        return make_mesh(2, *ring_disk(0.05)[:2])
+    dim = 2 if kind == "cloud-2d" else 3
+    return make_mesh(dim, *delaunay_cloud(dim, 300, seed)[:2])
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    kind=st.sampled_from(["disk", "cloud-2d", "cloud-3d"]),
+    cloud_seed=st.integers(0, 3),
+    a0=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    b=st.tuples(*[st.floats(-15.0, 15.0)] * 3),
+    well=st.one_of(st.none(), st.floats(-300.0, -10.0)),
+    k=st.integers(1, 4),
+)
+def test_unstructured_meshes_agree_on_every_path(kind, cloud_seed, a0, b, well, k):
+    # the dense solve, the band factor on the reverse Cuthill-McKee order
+    # and the SuperLU factor give one spectrum, above the certified floors
+    mesh = _unstructured_mesh(kind, 0 if kind == "disk" else cloud_seed)
+    dim = mesh.dim
+    b = (0.0, 0.0, b[2]) if dim == 2 else b
+    circ = circulate(GaugeFieldSpec(a0[:dim], b), mesh)
+    potential = None
+    if well is not None:
+        center = np.zeros(2) if kind == "disk" else np.full(dim, 0.5)
+        potential = np.where(
+            np.linalg.norm(mesh.vertices - center, axis=1) <= 0.3, well, 0.0)
+    problem = assemble_scalar_problem(circ, potential)
+    with pytest.MonkeyPatch.context() as patch:
+        factors = _record_factors(patch)
+        dense, arpack = _solve_every_path(problem, k)
+    (band, height), superlu = factors
+    a = problem.stiffness.to_csr()
+    rows = np.repeat(np.arange(problem.n), np.diff(a.indptr))
+    assert band == "zpbtrf" and superlu == ("splu", None)
+    assert height < (a.indices - rows).max() + 1
+    if kind == "disk":
+        assert (a.indices - rows).max() == 231 and height == 50
+    for result in arpack:
+        assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+    # M - diag(f) is positive semidefinite, and no eigenvalue lies below the
+    # spectrum floor
+    m = problem.mass.to_dense()
+    lowest = scipy.linalg.eigvalsh(m - np.diag(problem.mass_floor), subset_by_index=[0, 0])
+    assert lowest[0] >= -1e-12 * np.abs(m).max()
+    assert dense.eigenvalues[0] >= problem.spectrum_floor
 
 
 @settings(max_examples=8, deadline=None)
