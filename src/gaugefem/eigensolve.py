@@ -177,16 +177,18 @@ def _shift_invert_solver(a):
     """x -> A^-1 x for the Hermitian positive definite CSR matrix A.
 
     The band factor numbers the unknowns itself: by reverse Cuthill-McKee
-    (RCM) where that narrows the band, and as given where RCM ties or widens
-    it (on some row-major 2D boxes).  A narrow band, n (kd + 1) <=
-    ``BAND_CUTOFF`` with kd the largest col - row over A's stored entries in
-    the chosen numbering, takes LAPACK's band Cholesky (``zpbtrf``/
-    ``zpbtrs``), permuted inside the returned solve so that its input and
-    output keep A's numbering; a wider one takes a symmetric-mode SuperLU
-    factor of A as given.  A is the sparse difference H - sigma M, which
-    stores no exact zeros, so at sigma = 0 both see H on its true nonzero
-    pattern, without the zeros H stores (orthogonal Kuhn pairs of a
-    field-only stiffness).  The returned function holds only the factor.
+    (RCM) where that narrows the band by two columns or more, and as given
+    otherwise (the row-major 2D boxes), since a renumbered solve gathers its
+    input and output, about the memory traffic of one band column.  A
+    narrow band, n (kd + 1) <= ``BAND_CUTOFF`` with kd the largest col - row
+    over A's stored entries in the chosen numbering, takes LAPACK's band
+    Cholesky (``zpbtrf``/``zpbtrs``), permuted inside the returned solve so
+    that its input and output keep A's numbering; a wider one takes a
+    symmetric-mode SuperLU factor of A as given.  A is the sparse difference
+    H - sigma M, which stores no exact zeros, so at sigma = 0 both see H on
+    its true nonzero pattern, without the zeros H stores (orthogonal Kuhn
+    pairs of a field-only stiffness).  The returned function holds only the
+    factor.
     """
     n = a.shape[0]
     rows, cols = np.repeat(np.arange(n), np.diff(a.indptr)), a.indices
@@ -196,7 +198,7 @@ def _shift_invert_solver(a):
     rank[order] = np.arange(n)
     rcm_rows, rcm_cols = rank[rows], rank[cols]
     rcm_kd = int((rcm_cols - rcm_rows).max(initial=0))
-    renumbered = rcm_kd < kd
+    renumbered = rcm_kd <= kd - 2
     if renumbered:
         rows, cols, kd = rcm_rows, rcm_cols, rcm_kd
     if n * (kd + 1) <= BAND_CUTOFF:
@@ -241,13 +243,13 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     factors H - sigma M once, at a shift proven to lie below the spectrum,
     so the matrix is Hermitian positive definite: as a band Cholesky when
     its band array holds at most ``BAND_CUTOFF`` entries, numbering the
-    unknowns by reverse Cuthill-McKee where that narrows the band (the
-    eigenvectors keep the problem's numbering), and with SuperLU otherwise.
-    ARPACK runs in shift-invert mode with the Euclidean inner product on
-    (H - sigma M)^-1 M, whose eigenvalues are 1 / (E - sigma): one solve and
-    one M-product per step.  A Rayleigh-Ritz step of the pencil on its k
-    Ritz vectors then gives real eigenvalues and M-orthonormal eigenvectors,
-    also in exactly degenerate clusters.
+    unknowns by reverse Cuthill-McKee where that narrows the band by two
+    columns or more (the eigenvectors keep the problem's numbering), and
+    with SuperLU otherwise.  ARPACK runs in shift-invert mode with the
+    Euclidean inner product on (H - sigma M)^-1 M, whose eigenvalues are
+    1 / (E - sigma): one solve and one M-product per step.  A Rayleigh-Ritz
+    step of the pencil on its k Ritz vectors then gives real eigenvalues and
+    M-orthonormal eigenvectors, also in exactly degenerate clusters.
 
     Parameters
     ----------

@@ -32,12 +32,15 @@ class MeshGeometryError(ValueError):
     floating-point range."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimplicialMesh:
     """Simplicial mesh with derived edge set and boundary classification.
 
-    It holds geometry and topology only: how the assembled matrices store
-    their vertex and edge entries is :mod:`gaugefem.assembly`'s concern.
+    A mesh is immutable: its fields cannot be reassigned and
+    :func:`make_mesh` stores every array read-only, so one mesh can be
+    shared by any number of problems.  It holds geometry and topology only:
+    how the assembled matrices store their vertex and edge entries is
+    :mod:`gaugefem.assembly`'s concern.
 
     Attributes
     ----------
@@ -96,6 +99,8 @@ def make_mesh(dim, vertices, cells):
 
     Edges, boundary flags, h, cell volumes and barycentric gradients are
     derived, and each cell is stored with its vertices in ascending order.
+    Every stored array is read-only and the mesh's own: the vertices are
+    copied, so the caller's array stays writeable.
     Any simplicial mesh is accepted: cells must reference distinct, in-range
     vertices, span strictly positive volume with finite volumes, h and
     squared barycentric gradients, and meet at most two to a facet; every
@@ -104,7 +109,7 @@ def make_mesh(dim, vertices, cells):
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+    vertices = np.array(vertices, dtype=np.float64, order="C")
     cells = np.ascontiguousarray(cells, dtype=np.int64)
     if vertices.ndim != 2 or vertices.shape[1] != dim:
         raise ValueError(f"vertices must have shape (nv, {dim})")
@@ -164,6 +169,8 @@ def make_mesh(dim, vertices, cells):
     boundary = np.zeros(nv, dtype=bool)
     boundary[edges[[outer // ne, outer % ne]]] = True
 
+    for array in (vertices, cells, edges, cell_edges, boundary, vols, grads):
+        array.setflags(write=False)
     return SimplicialMesh(dim, vertices, cells, edges, cell_edges, boundary, h, vols,
                           grads)
 

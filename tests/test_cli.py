@@ -8,17 +8,28 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
+import gaugefem.cli as cli
 from gaugefem import build_box_mesh, reconstruct_field, solve_hermitian_gevp
 from gaugefem.cli import (
     RunConfig,
     _build_parser,
     _config_from_args,
+    _nbytes,
     _render,
     _scalar_problem,
+    _setup,
     dirichlet_reference,
     main,
     potential_values,
 )
+
+
+@pytest.fixture(autouse=True)
+def mesh_cache():
+    """The CLI's box mesh cache, empty when each test starts and ends."""
+    cli._mesh_cache.clear()
+    yield cli._mesh_cache
+    cli._mesh_cache.clear()
 
 
 def run_cli(args, capsys):
@@ -515,6 +526,72 @@ def test_deterministic_reports_are_byte_identical(tmp_path, capsys):
             # the report renderer matches the stdlib's indented encoding
             canonical = json.dumps(json.loads(first), indent=2, sort_keys=True)
             assert first == canonical + "\n", args
+
+
+def test_setup_reuses_a_small_box_mesh(mesh_cache):
+    cfg = RunConfig("solve", levels=(12,))
+    mesh, _ = _setup(cfg, 12)
+    assert _setup(cfg, 12)[0] is mesh
+    # another n, other lengths or another dim is another mesh
+    assert _setup(cfg, 16)[0] is not mesh
+    longer = RunConfig("solve", levels=(12,), lengths=(1.0, 2.0))
+    assert _setup(longer, 12)[0] is not mesh
+    cube = RunConfig("solve", dim=3, levels=(12,))
+    assert _setup(cube, 12)[0] is not mesh
+    assert list(mesh_cache) == [(2, 12, (1.0, 1.0)), (2, 16, (1.0, 1.0)),
+                                (2, 12, (1.0, 2.0))]
+    # the 3D n=12 box alone holds more than the budget, so it is never kept
+    big, _ = _setup(cube, 12)
+    assert _nbytes(big) > cli._MESH_CACHE_BYTES
+    assert _setup(cube, 12)[0] is not big
+    assert (3, 12, (1.0, 1.0, 1.0)) not in mesh_cache
+
+
+def test_mesh_cache_stays_within_its_budget_and_drops_the_oldest(mesh_cache):
+    cfg = RunConfig("solve")
+    # the eight sweep-2d sizes in their first-use order; n=6 is used again,
+    # so n=12 becomes the least recently used; n=60 then overflows the budget
+    uses = [6, 12, 8, 16, 44, 20, 28, 36, 6, 60]
+    for n in uses:
+        _setup(cfg, n)
+        assert sum(map(_nbytes, mesh_cache.values())) <= cli._MESH_CACHE_BYTES
+    by_last_use = list(dict.fromkeys(reversed(uses)))[::-1]
+    kept = [key[1] for key in mesh_cache]
+    assert kept == by_last_use[-len(kept):]
+    assert kept[0] != 12 and 6 in kept and 60 in kept
+    # the newest mesh that left would not have fit
+    left = build_box_mesh(2, by_last_use[-len(kept) - 1])
+    assert (sum(map(_nbytes, mesh_cache.values())) + _nbytes(left)
+            > cli._MESH_CACHE_BYTES)
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--dim", "2", "--n", "16", "--b", "7", "--potential", "well:-40,0.3",
+     "--k", "4"],
+    ["pauli", "--dim", "2", "--n", "12", "--b", "2", "--k", "4"],
+    ["gauge-check", "--dim", "2", "--n", "8", "--b", "1", "--k", "3"],
+    ["convergence", "--dim", "2", "--n", "4,8,16", "--b", "1", "--k", "2"],
+], ids=lambda args: args[0])
+def test_a_reused_mesh_gives_the_same_report_bytes(args, mesh_cache, tmp_path,
+                                                   monkeypatch):
+    builds = []
+    original = cli.build_box_mesh
+
+    def counting(*build_args):
+        builds.append(build_args[1])
+        return original(*build_args)
+
+    monkeypatch.setattr(cli, "build_box_mesh", counting)
+    target = tmp_path / "report.json"  # one path, so the echoed --output agrees
+    reports = []
+    for run in ("fresh", "reused", "rebuilt"):
+        if run == "rebuilt":
+            mesh_cache.clear()
+        assert main(args + ["--deterministic", "--output", str(target)]) == 0
+        reports.append(target.read_bytes())
+    levels = [int(n) for n in args[args.index("--n") + 1].split(",")]
+    assert builds == levels + levels  # none for the reused run
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 _REPORT_SCALARS = st.one_of(

@@ -438,6 +438,33 @@ def test_the_given_numbering_stays_where_rcm_is_wider(factors, monkeypatch):
     assert factors == [("zpbtrf", 81)]
 
 
+def test_rcm_renumbers_only_where_it_narrows_the_band_by_two(factors, monkeypatch):
+    # each renumbered solve gathers its input and output, which costs about
+    # one band column; the 2D n=16 box with a well narrows by one, from
+    # kd = 16 to 15, so its band array keeps the given numbering's 17 rows,
+    # while the 3D n=12 box narrows from 133 to 122 and is renumbered
+    bands = []
+    original = eigensolve.reverse_cuthill_mckee
+
+    def recording(a, **kwargs):
+        order = original(a, **kwargs)
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        rank = np.argsort(order)
+        bands.append(((a.indices - rows).max(), (rank[a.indices] - rank[rows]).max()))
+        return order
+
+    monkeypatch.setattr(eigensolve, "reverse_cuthill_mckee", recording)
+    results = []
+    for args in (dict(n=16, bz=7.0, potential=-40.0), dict(dim=3, n=12, b=(0.0,) * 3)):
+        _, problem = _magnetic_problem(**args)
+        results.append((problem, solve_hermitian_gevp(problem, 3)))
+    assert bands == [(16, 15), (133, 122)]
+    assert factors == [("zpbtrf", 17), ("zpbtrf", 123)]
+    for problem, result in results:
+        dense = _solve(problem, 3, "dense")
+        assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+
+
 @functools.cache
 def _unstructured_mesh(kind, seed):
     """The ring-Delaunay disk of spacing 0.05 ("disk") or a Delaunay cloud of

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -196,6 +197,27 @@ def test_make_mesh_rejects_a_vertex_in_no_cell():
     # with two free vertices the error names the first
     with pytest.raises(MeshGeometryError, match="^vertex 0 lies in no cell$"):
         make_mesh(2, np.vstack([free, mesh.vertices, free]), mesh.cells + 1)
+
+
+def test_a_mesh_and_its_arrays_are_read_only():
+    # one mesh may be shared by many problems, so nothing may write into it
+    for mesh in (build_box_mesh(2, 4), build_box_mesh(3, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.vertices[0, 0] = 0.5
+        for name, value in vars(mesh).items():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.h = 1.0
+
+
+def test_make_mesh_leaves_the_callers_arrays_writeable():
+    box = build_box_mesh(2, 3)
+    vertices, cells = np.array(box.vertices), np.array(box.cells)
+    mesh = make_mesh(2, vertices, cells)
+    assert vertices.flags.writeable and cells.flags.writeable
+    vertices[5] += 0.1  # moves an interior vertex of the caller's copy only
+    assert np.array_equal(mesh.vertices, box.vertices)
 
 
 def test_make_mesh_argument_errors():
