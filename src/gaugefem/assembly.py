@@ -103,28 +103,15 @@ def _check_real_diag(diag):
 class HermitianSparse:
     """Sparse Hermitian matrix stored as its full CSR matrix.
 
-    The stored matrix is exactly H = H^dagger: the cell pass stores its lower
-    triangle as the exact conjugate of the upper, and :meth:`from_csr`
-    stores (H_xy + conj(H_yx)) / 2.  Diagonal imaginary parts beyond
-    ``DIAG_IMAG_TOL`` times max(1, max |Re d|) raise.  Principal submatrices
-    stay exactly Hermitian, so they are not re-symmetrized.
+    The matrix given must be exactly H = H^dagger; the cell pass stores its
+    lower triangle as the exact conjugate of the upper.  Principal
+    submatrices stay exactly Hermitian, so they are not re-symmetrized.
     """
 
     def __init__(self, full):
         # export_matrix's row-major order needs sorted, summed indices
         self._full = full.tocsr()
         self._full.sum_duplicates()
-
-    @classmethod
-    def from_csr(cls, full):
-        """The Hermitian part (F + F^dagger) / 2 of a square sparse matrix F."""
-        n = full.shape[0]
-        if full.shape != (n, n):
-            raise ValueError("matrix must be square")
-        _check_real_diag(full.diagonal())
-        full = sparse.csr_matrix(full, dtype=np.complex128)
-        # each entry plus its mirror: the diagonal becomes exactly real
-        return cls((full + full.conj().T) * 0.5)
 
     @property
     def n(self):
@@ -140,9 +127,6 @@ class HermitianSparse:
     def to_csr(self):
         """Full Hermitian matrix as CSR (the stored matrix; do not modify)."""
         return self._full
-
-    def to_dense(self):
-        return self._full.toarray()
 
 
 @dataclass
@@ -394,9 +378,9 @@ def _cell_pass(table, kinetic, potential):
     Every cell block is Hermitian, so the pass keeps only its diagonal and
     upper pairs, as per-entry columns over a chunk of ``_CHUNK`` cells
     (:class:`_CellEntries`).  Per chunk it reads the upper transport columns
-    u = ``table.values[mesh.cell_edges[rows].T]`` from the TransportTable
-    ``table`` (``unit_transports(mesh)`` for the plain P1 forms), one
-    contiguous column per pair, and the gradient columns
+    u = ``table.local_values(rows)`` from the TransportTable ``table``
+    (``unit_transports(mesh)`` for the plain P1 forms), one contiguous
+    column per pair, and the gradient columns
     ``mesh.gradients[:, :, rows]``.  From them come the stiffness columns
     ``kinetic(rows, grads, vols, u)`` (none for ``None``) plus the potential
     columns |T| (sum_z V_z int lambda_x lambda_y lambda_z / |T|) U_xy for
@@ -443,7 +427,7 @@ def _cell_pass(table, kinetic, potential):
         cells, vols = mesh.cells[rows], mesh.volumes[rows]
         pairs = mesh.cell_edges[rows].T
         scaled = vols / (m * (m + 1))  # c |T|
-        u = table.values[pairs]
+        u = table.local_values(rows)
         slots = np.concatenate([cells.T, nv + pairs]).ravel()
         holonomy, delta = _face_holonomies(u, m)
         lam = _floor_eigenvalue(u, holonomy, delta, m)

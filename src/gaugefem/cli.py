@@ -309,8 +309,14 @@ def run_convergence(cfg):
 
     per_level = []
     eigs = []
+    # B = 0 (a constant a0 is the pure gauge grad(a0 . x)) and zero samples of V
+    field_free = not any(cfg.b)
     for n in levels:
         mesh, problem = _scalar_problem(cfg, n)
+        if problem.n < cfg.k:
+            raise ValueError(f"--k {cfg.k} exceeds the interior DOF count of level "
+                             f"n={n} ({problem.n})")
+        field_free = field_free and not np.any(potential_values(cfg.potential, mesh))
         result, runtime = _timed_solve(cfg, problem)
         eigs.append(result.eigenvalues)
         per_level.append(
@@ -323,8 +329,6 @@ def run_convergence(cfg):
             }
         )
 
-    # a constant a0 is the pure gauge A = grad(a0 . x): the spectrum is a0 = 0's
-    field_free = all(v == 0.0 for v in cfg.b) and cfg.potential == "zero"
     if field_free:
         reference = dirichlet_reference(cfg.dim, cfg.lengths, cfg.k)
         kind = "analytic"

@@ -188,7 +188,7 @@ def _shift_invert_solver(a):
     H - sigma M, which stores no exact zeros, so at sigma = 0 both see H on
     its true nonzero pattern, without the zeros H stores (orthogonal Kuhn
     pairs of a field-only stiffness).  The returned function holds only the
-    factor.
+    factor; it may overwrite its argument (a band solve as numbered does).
     """
     n = a.shape[0]
     rows, cols = np.repeat(np.arange(n), np.diff(a.indptr)), a.indices
@@ -198,9 +198,10 @@ def _shift_invert_solver(a):
     rank[order] = np.arange(n)
     rcm_rows, rcm_cols = rank[rows], rank[cols]
     rcm_kd = int((rcm_cols - rcm_rows).max(initial=0))
-    renumbered = rcm_kd <= kd - 2
-    if renumbered:
+    if rcm_kd <= kd - 2:
         rows, cols, kd = rcm_rows, rcm_cols, rcm_kd
+    else:  # x[:] is a view: the solve gathers nothing
+        order = rank = slice(None)
     if n * (kd + 1) <= BAND_CUTOFF:
         # LAPACK upper band storage: A[i, j], i <= j, at ab[kd + i - j, j]
         upper = rows <= cols
@@ -212,10 +213,8 @@ def _shift_invert_solver(a):
                 np.inf, f"shift-invert factorization failed: pivot {info} "
                 "is not positive"
             )
-        if renumbered:
-            return lambda x: scipy.linalg.lapack.zpbtrs(
-                chol, x[order], overwrite_b=1)[0][rank]
-        return lambda x: scipy.linalg.lapack.zpbtrs(chol, x, overwrite_b=1)[0]
+        return lambda x: scipy.linalg.lapack.zpbtrs(
+            chol, x[order], overwrite_b=1)[0][rank]
     # Diagonal pivots are stable on a positive definite matrix, and a
     # symmetric ordering of the pattern cuts the fill.  The solver uses the
     # factor only through ``solve``; it never reads its ``L`` or ``U``

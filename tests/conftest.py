@@ -11,7 +11,7 @@ def shift_problem(problem, s):
     """The problem of the pencil (H + s M, M): its spectrum, and so its
     spectrum floor, moved by s."""
     h, m = problem.stiffness.to_csr(), problem.mass.to_csr()
-    return dataclasses.replace(problem, stiffness=HermitianSparse.from_csr(h + s * m),
+    return dataclasses.replace(problem, stiffness=HermitianSparse(h + s * m),
                                spectrum_floor=problem.spectrum_floor + s)
 
 

@@ -95,13 +95,13 @@ def test_criterion_2_zero_field_reduction_to_p1():
         ones = unit_transports(mesh)
         mass_diff = np.max(
             np.abs(
-                covariant_mass(ones).to_dense()
+                covariant_mass(ones).to_csr().toarray()
                 - p1_mass_dense(mesh.vertices, mesh.cells)
             )
         )
         stiff_diff = np.max(
             np.abs(
-                covariant_stiffness(ones).to_dense()
+                covariant_stiffness(ones).to_csr().toarray()
                 - p1_stiffness_dense(mesh.vertices, mesh.cells)
             )
         )
@@ -187,8 +187,8 @@ def test_criterion_6_pauli_zeeman_decoupling():
     tilted = GaugeFieldSpec((0.2, -0.1, 0.3), (0.3, 0.2, 1.0))
     spinor = solve_pauli(assemble_pauli(mesh3, tilted), k=8)
     table = transports(circulate(tilted, mesh3))
-    h, m = pauli_pencil_dense(covariant_stiffness(table).to_dense(),
-                              covariant_mass(table).to_dense(), tilted.b,
+    h, m = pauli_pencil_dense(covariant_stiffness(table).to_csr().toarray(),
+                              covariant_mass(table).to_csr().toarray(), tilted.b,
                               mesh3.boundary_vertex)
     full = scipy.linalg.eigh(h, m, eigvals_only=True, subset_by_index=[0, 7])
     tilted_gap = np.max(np.abs(spinor.eigenvalues - full) / np.abs(full))
@@ -222,13 +222,14 @@ def test_criterion_7_structural_invariants(tmp_path):
     spinor = assemble_pauli(mesh, spec)
     assembled += [spinor.stiffness, spinor.mass]
     checks["hermitian"] = all(
-        np.array_equal(a.to_dense(), a.to_dense().conj().T) for a in assembled
+        np.array_equal(a.to_csr().toarray(), a.to_csr().toarray().conj().T)
+        for a in assembled
     )
 
     # mass positive definiteness (covariant and baseline)
     checks["hpd-mass"] = (
-        np.linalg.eigvalsh(covariant_mass(table).to_dense()).min() > 0.0
-        and np.linalg.eigvalsh(m_std.to_dense()).min() > 0.0
+        np.linalg.eigvalsh(covariant_mass(table).to_csr().toarray()).min() > 0.0
+        and np.linalg.eigvalsh(m_std.to_csr().toarray()).min() > 0.0
     )
 
     # transport algebra: unit moduli, and every cell reads U_xy along each
@@ -251,8 +252,8 @@ def test_criterion_7_structural_invariants(tmp_path):
     conj_err = max(
         np.max(
             np.abs(
-                assemble(gauged).to_dense()
-                - d @ assemble(table).to_dense() @ d.conj().T
+                assemble(gauged).to_csr().toarray()
+                - d @ assemble(table).to_csr().toarray() @ d.conj().T
             )
         )
         for assemble in (covariant_stiffness, covariant_mass)

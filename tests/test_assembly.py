@@ -29,7 +29,7 @@ from gaugefem import (
     unit_transports,
 )
 
-from gaugefem.assembly import (_CELL_ENTRIES, _cell_pass, _covariant_kinetic,
+from gaugefem.assembly import (_CELL_ENTRIES, _CHUNK, _cell_pass, _covariant_kinetic,
                                _galerkin_kinetic, _monomial_table)
 
 from conftest import perturbed_box_mesh, random_vertex_order, shuffled_cells
@@ -75,13 +75,13 @@ def _random_cell(dim, seed):
 
 def test_local_mass_closed_form_values():
     mesh = _reference_cell(3)
-    m3 = covariant_mass(unit_transports(mesh)).to_dense()
+    m3 = covariant_mass(unit_transports(mesh)).to_csr().toarray()
     assert np.allclose(np.diag(m3), 1 / 60, rtol=1e-15)
     off = m3[~np.eye(4, dtype=bool)]
     assert np.allclose(off, 1 / 120, rtol=1e-15)
 
     mesh = _reference_cell(2)
-    m2 = covariant_mass(unit_transports(mesh)).to_dense()
+    m2 = covariant_mass(unit_transports(mesh)).to_csr().toarray()
     assert np.allclose(np.diag(m2), 1 / 12, rtol=1e-15)
     assert np.allclose(m2[0, 1], 1 / 24, rtol=1e-15)
 
@@ -89,7 +89,7 @@ def test_local_mass_closed_form_values():
 def test_local_mass_row_sums():
     for dim in (2, 3):
         mesh = _random_cell(dim, seed=40 + dim)
-        m = covariant_mass(unit_transports(mesh)).to_dense()
+        m = covariant_mass(unit_transports(mesh)).to_csr().toarray()
         assert np.allclose(m.sum(axis=1), mesh.volumes[0] / (dim + 1), rtol=1e-14)
         assert np.array_equal(m, m.T)
 
@@ -100,7 +100,7 @@ def test_local_mass_matches_quadrature(dim):
     pts, w = simplex_quadrature(mesh.vertices)
     lam = barycentric_values(mesh.vertices, pts)
     reference = np.einsum("q,qa,qb->ab", w, lam, lam)
-    m = covariant_mass(unit_transports(mesh)).to_dense()
+    m = covariant_mass(unit_transports(mesh)).to_csr().toarray()
     assert np.allclose(m, reference, rtol=1e-13)
 
 
@@ -151,7 +151,7 @@ def test_orthogonal_kuhn_pairs_are_stored_exact_zeros(dim, lengths, b):
     step = np.abs(mesh.vertices[hi] - mesh.vertices[lo]) > 1e-12
     diagonal = np.count_nonzero(step, axis=1) > 1
     assert diagonal.sum() > 0
-    dense = k.to_dense()
+    dense = k.to_csr().toarray()
     assert np.all(dense[lo[diagonal], hi[diagonal]] == 0.0)
     assert np.all(dense[lo[~diagonal], hi[~diagonal]] != 0.0)
     reference = p1_stiffness_dense(mesh.vertices, mesh.cells)
@@ -231,7 +231,7 @@ def test_cell_pass_sums_the_upper_half_and_rejects_an_imaginary_diagonal():
         reference[np.ix_(cell, cell)] += skew
     upper = np.triu(reference, 1)
     expected = upper + upper.conj().T + np.diag(reference.diagonal().real)
-    dense = stiffness.to_dense()
+    dense = stiffness.to_csr().toarray()
     assert np.allclose(dense, expected, rtol=0, atol=1e-14)
     assert np.array_equal(dense, dense.conj().T)
 
@@ -255,6 +255,25 @@ def test_assembly_is_bit_identical_for_cells_in_any_vertex_order(dim, n):
     for a, b in zip(forms[0][:2], forms[1][:2]):
         _assert_same_csr(a, b)
     assert np.array_equal(forms[0][2], forms[1][2])
+
+
+@pytest.mark.parametrize("method", ["covariant", "baseline"])
+def test_the_cell_pass_gathers_transports_through_local_values(method, monkeypatch):
+    # one TransportTable.local_values call per chunk of cells: the method is
+    # the pass's only transport gather, so a trace of it sees the whole gather
+    mesh = build_box_mesh(3, 10)  # 6,000 cells, two chunks
+    calls = []
+    original = TransportTable.local_values
+
+    def spy(self, rows):
+        calls.append(rows)
+        return original(self, rows)
+
+    monkeypatch.setattr(TransportTable, "local_values", spy)
+    spec = GaugeFieldSpec((0.1, 0.2, 0.3), (1.0, 2.0, 3.0))
+    assemble_scalar_problem(circulate(spec, mesh), method=method)
+    assert calls == [slice(lo, lo + _CHUNK) for lo in range(0, mesh.n_cells, _CHUNK)]
+    assert len(calls) == 2
 
 
 def _assert_same_csr(a, b):
@@ -298,7 +317,7 @@ def test_one_pass_equals_the_single_forms(dim, n):
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
 def test_covariant_mass_reduces_to_p1_mass(dim, n):
     mesh = build_box_mesh(dim, n)
-    dense = covariant_mass(unit_transports(mesh)).to_dense()
+    dense = covariant_mass(unit_transports(mesh)).to_csr().toarray()
     reference = p1_mass_dense(mesh.vertices, mesh.cells)
     assert np.allclose(dense, reference, rtol=0, atol=1e-14)
     assert np.max(np.abs(dense.imag)) == 0.0
@@ -311,7 +330,7 @@ def test_covariant_mass_single_edge_phase():
     values = np.zeros(mesh.n_edges)
     values[np.all(mesh.edges == (0, 1), axis=1)] = np.pi
     circ = EdgeCirculation(mesh, values)
-    dense = covariant_mass(transports(circ)).to_dense()
+    dense = covariant_mass(transports(circ)).to_csr().toarray()
     assert dense[0, 1] == pytest.approx(-1 / 120, rel=1e-13)
     assert dense[0, 0] == pytest.approx(1 / 60, rel=1e-13)
 
@@ -319,7 +338,7 @@ def test_covariant_mass_single_edge_phase():
 def test_covariant_mass_hermitian_pairing():
     mesh = build_box_mesh(2, 3)
     circ = circulate(GaugeFieldSpec([0.1, -0.4], [0.0, 0.0, 2.0]), mesh)
-    m = covariant_mass(transports(circ)).to_dense()
+    m = covariant_mass(transports(circ)).to_csr().toarray()
     assert np.array_equal(m, m.conj().T)
 
     rng = np.random.default_rng(0)
@@ -334,7 +353,7 @@ def test_covariant_mass_positive_definite(dim, n):
     rng = np.random.default_rng(8)
     values = rng.uniform(-1.0, 1.0, mesh.n_edges)  # |A_xy| <= 1 per edge
     circ = EdgeCirculation(mesh, values)
-    dense = covariant_mass(transports(circ)).to_dense()
+    dense = covariant_mass(transports(circ)).to_csr().toarray()
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
 
@@ -344,7 +363,7 @@ def test_covariant_mass_matches_quadrature_in_any_cell_order(dim, n):
     rng = np.random.default_rng(dim)
     circ = EdgeCirculation(mesh, rng.uniform(-1.0, 1.0, mesh.n_edges))
     table = transports(circ)
-    dense = covariant_mass(table).to_dense()
+    dense = covariant_mass(table).to_csr().toarray()
     reference = covariant_mass_dense(
         mesh.vertices, random_vertex_order(mesh.cells, seed=3),
         edge_lookup(table, np.conj, 1.0)
@@ -359,14 +378,14 @@ def test_covariant_mass_matches_quadrature_in_any_cell_order(dim, n):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_local_stiffness_zero_field_is_p1(dim):
     mesh = _random_cell(dim, seed=10 + dim)
-    k = covariant_stiffness(unit_transports(mesh)).to_dense()
+    k = covariant_stiffness(unit_transports(mesh)).to_csr().toarray()
     assert np.allclose(k, p1_local_stiffness(mesh.vertices), rtol=0, atol=1e-13)
     assert np.allclose(k @ np.ones(dim + 1), 0.0, atol=1e-13)
 
 
 def test_local_stiffness_reference_tet_entry():
     mesh = _reference_cell(3)
-    k = covariant_stiffness(unit_transports(mesh)).to_dense()
+    k = covariant_stiffness(unit_transports(mesh)).to_csr().toarray()
     assert k[0, 0] == pytest.approx(0.5, rel=1e-14)  # |T| |grad lam_0|^2
 
 
@@ -460,7 +479,8 @@ def test_cell_columns_match_the_block_forms(dim, n):
     for got, blocks in ((stiffness, _covariant_blocks(mesh, u, potential)),
                         (mass, scaled[:, None, None] * a)):
         reference = _cell_sum(mesh, blocks)
-        assert np.abs(got.to_dense() - reference).max() <= 1e-14 * np.abs(reference).max()
+        error = np.abs(got.to_csr().toarray() - reference).max()
+        assert error <= 1e-14 * np.abs(reference).max()
 
     # the floor and deficit of the block forms, cell by cell: the face
     # holonomies through vertex 0, Weyl's 1 - delta_T in 3D with eigvalsh
@@ -488,7 +508,7 @@ def test_cell_columns_match_the_block_forms(dim, n):
 
 def test_global_stiffness_zero_field_is_p1():
     for mesh in (build_box_mesh(2, 2), perturbed_box_mesh(2, 4, seed=1)):
-        dense = covariant_stiffness(unit_transports(mesh)).to_dense()
+        dense = covariant_stiffness(unit_transports(mesh)).to_csr().toarray()
         reference = p1_stiffness_dense(mesh.vertices, mesh.cells)
         assert np.allclose(dense, reference, rtol=0, atol=1e-14)
         assert np.allclose(dense @ np.ones(mesh.n_vertices), 0.0, atol=1e-13)
@@ -510,11 +530,11 @@ def test_stiffness_matches_dual_basis_form(dim, n):
         one = _one_cell_mesh(mesh.vertices[cell])
         u_loc = np.array([[transport_of(i, j) for j in cell] for i in cell])
         lo, hi = one.edges.T
-        k = covariant_stiffness(TransportTable(one, u_loc[lo, hi])).to_dense()
+        k = covariant_stiffness(TransportTable(one, u_loc[lo, hi])).to_csr().toarray()
         reference = local_covariant_stiffness_dual(one.vertices, u_loc)
         assert np.abs(k - reference).max() <= 1e-13 * np.abs(reference).max()
 
-    dense = covariant_stiffness(table).to_dense()
+    dense = covariant_stiffness(table).to_csr().toarray()
     reference = covariant_stiffness_dense(mesh.vertices, cells, transport_of)
     assert np.abs(dense - reference).max() <= 1e-13 * np.abs(reference).max()
 
@@ -527,8 +547,8 @@ def test_gauge_transform_conjugates_assembled_matrices():
     d = np.diag(np.exp(1j * gauge))
 
     for assemble in (covariant_stiffness, covariant_mass):
-        original = assemble(transports(circ)).to_dense()
-        twin = assemble(transports(gauged)).to_dense()
+        original = assemble(transports(circ)).to_csr().toarray()
+        twin = assemble(transports(gauged)).to_csr().toarray()
         assert np.allclose(twin, d @ original @ d.conj().T, rtol=0, atol=1e-13)
 
 
@@ -563,8 +583,8 @@ def test_gauge_transform_conjugates_over_meshes_and_fields(dim, n, scale, mesh_s
         lambda table: potential_matrix(table, values),
     )
     for assemble in forms:
-        original = assemble(transports(circ)).to_dense()
-        twin = assemble(transports(gauged)).to_dense()
+        original = assemble(transports(circ)).to_csr().toarray()
+        twin = assemble(transports(gauged)).to_csr().toarray()
         conjugated = d[:, None] * original * d.conj()[None, :]
         # a cloud's sliver cells reach entries of 1e3, so its bound
         # scales with the largest entry
@@ -580,22 +600,22 @@ def test_potential_constant_is_scaled_mass():
     mesh = build_box_mesh(2, 3)
     u = unit_transports(mesh)
     c = 2.75
-    left = potential_matrix(u, np.full(mesh.n_vertices, c)).to_dense()
-    right = c * covariant_mass(u).to_dense()
+    left = potential_matrix(u, np.full(mesh.n_vertices, c)).to_csr().toarray()
+    right = c * covariant_mass(u).to_csr().toarray()
     assert np.allclose(left, right, rtol=0, atol=1e-14)
 
 
 def test_potential_zero_is_zero_matrix():
     mesh = build_box_mesh(2, 2)
     out = potential_matrix(unit_transports(mesh), np.zeros(mesh.n_vertices))
-    assert np.all(out.to_dense() == 0.0)
+    assert np.all(out.to_csr().toarray() == 0.0)
 
 
 def test_potential_reference_tet_cubic_integral():
     # V = lam_0 makes entry (0,0) = int lam_0^3 = (1/6) 3! 3! / 6! = 1/120
     mesh = _reference_cell(3)
     values = np.array([1.0, 0.0, 0.0, 0.0])
-    dense = potential_matrix(unit_transports(mesh), values).to_dense()
+    dense = potential_matrix(unit_transports(mesh), values).to_csr().toarray()
     assert dense[0, 0] == pytest.approx(1 / 120, rel=1e-14)
 
 
@@ -605,7 +625,7 @@ def test_potential_matches_quadrature_with_transports():
     values = rng.standard_normal(mesh.n_vertices)
     circ = circulate(GaugeFieldSpec([0.3, -0.2], [0.0, 0.0, 0.9]), mesh)
     table = transports(circ)
-    dense = potential_matrix(table, values).to_dense()
+    dense = potential_matrix(table, values).to_csr().toarray()
     reference = potential_dense(
         mesh.vertices, mesh.cells, values, edge_lookup(table, np.conj, 1.0)
     )
@@ -631,10 +651,11 @@ def test_standard_galerkin_zero_field_equals_covariant():
     k_std, m_std = standard_galerkin(circ)
     u = unit_transports(mesh)
     assert np.allclose(
-        k_std.to_dense(), covariant_stiffness(u).to_dense(), rtol=0, atol=1e-14
+        k_std.to_csr().toarray(), covariant_stiffness(u).to_csr().toarray(),
+        rtol=0, atol=1e-14,
     )
     assert np.allclose(
-        m_std.to_dense(), covariant_mass(u).to_dense(), rtol=0, atol=1e-14
+        m_std.to_csr().toarray(), covariant_mass(u).to_csr().toarray(), rtol=0, atol=1e-14
     )
 
 
@@ -647,9 +668,10 @@ def test_standard_galerkin_matches_quadrature(dim, n):
     reference = magnetic_galerkin_dense(
         mesh.vertices, mesh.cells, edge_lookup(circ, np.negative, 0.0)
     )
-    assert np.allclose(k_std.to_dense(), reference, rtol=0, atol=1e-13)
+    assert np.allclose(k_std.to_csr().toarray(), reference, rtol=0, atol=1e-13)
     assert np.allclose(
-        m_std.to_dense(), p1_mass_dense(mesh.vertices, mesh.cells), rtol=0, atol=1e-14
+        m_std.to_csr().toarray(), p1_mass_dense(mesh.vertices, mesh.cells),
+        rtol=0, atol=1e-14,
     )
 
 
@@ -658,7 +680,7 @@ def test_standard_galerkin_hermitian():
     rng = np.random.default_rng(2)
     circ = EdgeCirculation(mesh, rng.uniform(-2.0, 2.0, mesh.n_edges))
     k_std, _ = standard_galerkin(circ)
-    dense = k_std.to_dense()
+    dense = k_std.to_csr().toarray()
     assert np.array_equal(dense, dense.conj().T)
 
 
@@ -678,8 +700,8 @@ def test_covariant_standard_difference_is_first_order(dim):
     rates = []
     for eps in (1e-2, 1e-3, 1e-4):
         circ = EdgeCirculation(mesh, eps * pattern)
-        k_cov = covariant_stiffness(transports(circ)).to_dense()
-        k_std = standard_galerkin(circ)[0].to_dense()
+        k_cov = covariant_stiffness(transports(circ)).to_csr().toarray()
+        k_std = standard_galerkin(circ)[0].to_csr().toarray()
         rates.append(np.max(np.abs(k_cov - k_std)) / eps)
     assert rates[0] > 0.0
     assert abs(rates[1] / rates[0] - 1.0) < 0.1
@@ -690,23 +712,6 @@ def test_covariant_standard_difference_is_first_order(dim):
 # HermitianSparse bookkeeping
 
 
-def test_hermitian_sparse_symmetrizes_exactly():
-    rng = np.random.default_rng(21)
-    f = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    np.fill_diagonal(f, rng.standard_normal(6))  # real diagonal
-    h = HermitianSparse.from_csr(sparse.csr_matrix(f))
-    dense = h.to_dense()
-    assert np.allclose(dense, 0.5 * (f + f.conj().T), rtol=0, atol=1e-16)
-    assert np.array_equal(dense, dense.conj().T)
-
-
-def test_hermitian_sparse_rejects_imaginary_diagonal():
-    f = np.eye(3, dtype=np.complex128)
-    f[1, 1] = 1.0 + 1e-10j
-    with pytest.raises(ValueError):
-        HermitianSparse.from_csr(sparse.csr_matrix(f))
-
-
 def test_hermitian_sparse_restrict():
     # eliminate_dirichlet takes the principal submatrix on the interior
     # vertices, here of a dense random Hermitian matrix
@@ -714,10 +719,10 @@ def test_hermitian_sparse_restrict():
     rng = np.random.default_rng(23)
     n = mesh.n_vertices
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = HermitianSparse.from_csr(sparse.csr_matrix(f + f.conj().T))
+    h = HermitianSparse(sparse.csr_matrix(f + f.conj().T))
     keep = np.flatnonzero(~mesh.boundary_vertex)
     sub = eliminate_dirichlet(h, ~mesh.boundary_vertex)
-    assert np.array_equal(sub.to_dense(), h.to_dense()[np.ix_(keep, keep)])
+    assert np.array_equal(sub.to_csr().toarray(), h.to_csr().toarray()[np.ix_(keep, keep)])
 
 
 def test_export_matrix_writes_the_upper_triangle_row_major(tmp_path):
@@ -734,7 +739,7 @@ def test_export_matrix_writes_the_upper_triangle_row_major(tmp_path):
     # row-major: rows ascending, columns ascending within a row
     assert np.all(np.diff(rows * h.n + cols) > 0)
     values = [complex(float(part[2]), float(part[3])) for part in map(str.split, lines)]
-    assert np.array_equal(values, h.to_dense()[rows, cols])
+    assert np.array_equal(values, h.to_csr().toarray()[rows, cols])
 
 
 # ---------------------------------------------------------------------------
@@ -744,15 +749,15 @@ def test_export_matrix_writes_the_upper_triangle_row_major(tmp_path):
 def test_eliminate_dirichlet_single_interior_vertex():
     mesh = build_box_mesh(3, 2)  # 27 vertices, 1 interior
     n = mesh.n_vertices
-    eye = HermitianSparse.from_csr(sparse.identity(n, format="csr", dtype=complex))
+    eye = HermitianSparse(sparse.identity(n, format="csr", dtype=complex))
     reduced = eliminate_dirichlet(eye, ~mesh.boundary_vertex)
     assert reduced.n == 1
-    assert np.allclose(reduced.to_dense(), [[1.0]], atol=0)
+    assert np.allclose(reduced.to_csr().toarray(), [[1.0]], atol=0)
 
 
 def test_eliminate_dirichlet_no_interior():
     mesh = build_box_mesh(3, 1)
-    eye = HermitianSparse.from_csr(
+    eye = HermitianSparse(
         sparse.identity(mesh.n_vertices, format="csr", dtype=complex)
     )
     with pytest.raises(EmptyProblemError):
@@ -765,7 +770,7 @@ def test_eliminate_dirichlet_preserves_interior_quadratic_form():
     k = covariant_stiffness(transports(circ))
     reduced = eliminate_dirichlet(k, ~mesh.boundary_vertex)
     assert reduced.n == int((~mesh.boundary_vertex).sum())
-    dense = reduced.to_dense()
+    dense = reduced.to_csr().toarray()
     assert np.array_equal(dense, dense.conj().T)
 
     rng = np.random.default_rng(4)
@@ -774,7 +779,7 @@ def test_eliminate_dirichlet_preserves_interior_quadratic_form():
     u[interior] = rng.standard_normal(interior.size) + 1j * rng.standard_normal(
         interior.size
     )
-    full_form = np.vdot(u, k.to_dense() @ u)
+    full_form = np.vdot(u, k.to_csr().toarray() @ u)
     reduced_form = np.vdot(u[interior], dense @ u[interior])
     assert reduced_form == pytest.approx(full_form, rel=1e-13)
 
@@ -782,7 +787,7 @@ def test_eliminate_dirichlet_preserves_interior_quadratic_form():
 def test_eliminate_dirichlet_rejects_other_sizes():
     mesh = build_box_mesh(2, 2)
     for size in (2 * mesh.n_vertices, 3 * mesh.n_vertices):
-        eye = HermitianSparse.from_csr(sparse.identity(size, format="csr", dtype=complex))
+        eye = HermitianSparse(sparse.identity(size, format="csr", dtype=complex))
         with pytest.raises(ValueError):
             eliminate_dirichlet(eye, ~mesh.boundary_vertex)
 
@@ -805,8 +810,8 @@ def test_assemble_scalar_problem_shapes():
         circ, potential=np.full(mesh.n_vertices, 1.0)
     )
     # V = 1 adds exactly the (interior-reduced) covariant mass matrix
-    diff = with_v.stiffness.to_dense() - problem.stiffness.to_dense()
-    assert np.allclose(diff, problem.mass.to_dense(), rtol=0, atol=1e-15)
+    diff = with_v.stiffness.to_csr().toarray() - problem.stiffness.to_csr().toarray()
+    assert np.allclose(diff, problem.mass.to_csr().toarray(), rtol=0, atol=1e-15)
 
     baseline = assemble_scalar_problem(circ, method="baseline")
     assert baseline.stiffness.n == n_int
@@ -834,7 +839,7 @@ def test_export_matrix_round_trip(tmp_path):
         assert r <= c
         back[r, c] = float(re) + 1j * float(im)
     full = back + back.conj().T - np.diag(np.diag(back))
-    assert np.array_equal(full, h.to_dense())  # repr precision is exact
+    assert np.array_equal(full, h.to_csr().toarray())  # repr precision is exact
 
 
 @settings(max_examples=12, deadline=None)
@@ -855,7 +860,7 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     circ = circulate(GaugeFieldSpec((0.3,) * dim, b), mesh)
     table = transports(circ)
     floor = covariant_stiffness(table, with_mass=True)[2]
-    m = covariant_mass(table).to_dense()
+    m = covariant_mass(table).to_csr().toarray()
     scale = np.abs(m).max()
 
     def cell_sum(per_cell):
@@ -882,7 +887,7 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     assert np.linalg.eigvalsh(m - np.diag(floor))[0] >= -1e-13 * scale
 
     problem = assemble_scalar_problem(circ)
-    for mass, f in ((m, floor), (problem.mass.to_dense(), problem.mass_floor)):
+    for mass, f in ((m, floor), (problem.mass.to_csr().toarray(), problem.mass_floor)):
         if f.min() > 0.0:
             np.linalg.cholesky(mass)
             assert np.linalg.eigvalsh(mass)[0] >= f.min() * (1.0 - 1e-12)
@@ -898,7 +903,7 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
 
 
 def _lowest_eigenvalue(problem):
-    h, m = problem.stiffness.to_dense(), problem.mass.to_dense()
+    h, m = problem.stiffness.to_csr().toarray(), problem.mass.to_csr().toarray()
     return scipy.linalg.eigh(h, m, eigvals_only=True, subset_by_index=[0, 0])[0]
 
 

@@ -314,11 +314,13 @@ def test_gauge_check_zero_amplitude(capsys):
 
 
 def test_convergence_analytic_reference(capsys):
-    # a constant a0 is the pure gauge A = grad(a0 . x), so it keeps the
+    # a constant a0 is the pure gauge A = grad(a0 . x), and a potential whose
+    # samples are all zero assembles no potential, so each keeps the
     # zero-field analytic reference and every order pair
-    for a0 in ([], ["--a0", "0.3,-0.2"]):
+    for extra in ([], ["--a0", "0.3,-0.2"], ["--potential", "constant:0"],
+                  ["--potential", "well:0,0.3"]):
         rc, out, _ = run_cli(
-            ["convergence", "--dim", "2", "--n", "2,4,8", "--k", "1", *a0], capsys
+            ["convergence", "--dim", "2", "--n", "2,4,8", "--k", "1", *extra], capsys
         )
         assert rc == 0
         res = json.loads(out)["results"]
@@ -343,6 +345,16 @@ def test_convergence_extrapolated_reference(capsys):
     # the finest pair defines the extrapolation, so only one order is honest
     assert [o["levels"] for o in res["orders"]] == [[4, 8]]
     assert 1.7 < res["orders"][0]["values"][0] < 2.3
+
+
+def test_convergence_k_above_a_levels_dof_count_exits_with_code_2(capsys):
+    # 2D n=2 has one interior vertex
+    rc, out, err = run_cli(["convergence", "--dim", "2", "--n", "2,4,8", "--k", "3"],
+                           capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("gaugefem: --k 3 ") and "n=2 " in err
+    assert err.count("\n") == 1
 
 
 def test_convergence_default_levels(capsys):

@@ -37,12 +37,16 @@ def _pencil(h, m, mass_floor=None):
     return AssembledProblem(h, m, np.ones(h.n, dtype=bool), mass_floor, -np.inf)
 
 
+def _hermitian_part(a):
+    """HermitianSparse of (A + A^dagger) / 2 for a dense matrix A, which is
+    exactly Hermitian even where A (say a BLAS product) is not."""
+    a = np.asarray(a, dtype=complex)
+    return HermitianSparse(sparse.csr_matrix((a + a.conj().T) / 2))
+
+
 def _pencil_from_dense(h, m):
     """The problem of two dense matrices, without certificates."""
-    return _pencil(
-        HermitianSparse.from_csr(sparse.csr_matrix(np.asarray(h, dtype=complex))),
-        HermitianSparse.from_csr(sparse.csr_matrix(np.asarray(m, dtype=complex))),
-    )
+    return _pencil(_hermitian_part(h), _hermitian_part(m))
 
 
 def _clustered_problem():
@@ -51,8 +55,8 @@ def _clustered_problem():
     shift-invert solve."""
     n = 2100
     diag = 1.0 + 1e-6 * np.arange(n) / n
-    h = HermitianSparse.from_csr(sparse.diags(diag, format="csr", dtype=complex))
-    m = HermitianSparse.from_csr(sparse.identity(n, format="csr", dtype=complex))
+    h = HermitianSparse(sparse.diags(diag, format="csr", dtype=complex))
+    m = HermitianSparse(sparse.identity(n, format="csr", dtype=complex))
     return _pencil(h, m, mass_floor=np.ones(n))
 
 
@@ -259,8 +263,8 @@ def test_definiteness_error_sparse():
     n = 2100  # above the dense cutoff
     diag = np.ones(n)
     diag[137] = -0.5
-    h = HermitianSparse.from_csr(sparse.identity(n, format="csr", dtype=complex))
-    m = HermitianSparse.from_csr(sparse.diags(diag, format="csr", dtype=complex))
+    h = HermitianSparse(sparse.identity(n, format="csr", dtype=complex))
+    m = HermitianSparse(sparse.diags(diag, format="csr", dtype=complex))
     with pytest.raises(DefinitenessError):
         solve_hermitian_gevp(_pencil(h, m), k=2)
 
@@ -330,7 +334,7 @@ def test_spectrum_floor_places_the_shift_under_a_deep_well(case, arpack_shifts):
     results = [_solve(p, 3, factor) for factor in ("band", "superlu")
                for p in (problem, plain)]
 
-    hd = problem.stiffness.to_dense()
+    hd = problem.stiffness.to_csr().toarray()
     diag = hd.diagonal().real
     gershgorin = diag - (np.abs(hd).sum(axis=1) - np.abs(diag))
     assert gershgorin.min() < 0.0
@@ -512,7 +516,7 @@ def test_unstructured_meshes_agree_on_every_path(kind, cloud_seed, a0, b, well, 
         assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
     # M - diag(f) is positive semidefinite, and no eigenvalue lies below the
     # spectrum floor
-    m = problem.mass.to_dense()
+    m = problem.mass.to_csr().toarray()
     lowest = scipy.linalg.eigvalsh(m - np.diag(problem.mass_floor), subset_by_index=[0, 0])
     assert lowest[0] >= -1e-12 * np.abs(m).max()
     assert dense.eigenvalues[0] >= problem.spectrum_floor
@@ -539,7 +543,7 @@ def test_dense_and_arpack_paths_agree(dim, mesh_seed, a0, b, zero_shift, k):
         row_sums = np.asarray(np.abs(h).sum(axis=1)).ravel()
         shift = 1.0 + 2.0 * row_sums.max()
         # H + c I >= H, so the spectrum floor still holds
-        problem = dataclasses.replace(problem, stiffness=HermitianSparse.from_csr(
+        problem = dataclasses.replace(problem, stiffness=HermitianSparse(
             h + shift * sparse.identity(problem.n)))
     else:
         problem = shift_problem(problem, -30.0)
@@ -579,7 +583,7 @@ def test_uncertified_mass_falls_back_to_the_probe(arpack_shifts):
     # no positive vertex floor, yet the global mass is positive definite
     _, problem = _magnetic_problem(dim=3, n=4, bz=100.0)
     assert problem.mass_floor.max() <= 0.0
-    np.linalg.cholesky(problem.mass.to_dense())
+    np.linalg.cholesky(problem.mass.to_csr().toarray())
     dense, arpack = _solve_every_path(problem, 3)
     assert arpack_shifts[0] is None  # the Lanczos probe ran
     for result in arpack:
@@ -604,7 +608,8 @@ def test_failed_certificate_runs_the_probe_once_before_arpack(monkeypatch):
     result = solve_hermitian_gevp(problem, k=2)
     assert len(calls) == 1
     assert result.method_tag == "arpack-shift-invert"
-    dense = scipy.linalg.eigh(problem.stiffness.to_dense(), problem.mass.to_dense(),
+    dense = scipy.linalg.eigh(problem.stiffness.to_csr().toarray(),
+                              problem.mass.to_csr().toarray(),
                               eigvals_only=True, subset_by_index=[0, 1])
     assert np.allclose(result.eigenvalues, dense, rtol=1e-10, atol=0)
 

@@ -49,7 +49,7 @@ def test_spin_block_layout_and_validation():
     # layout of the oracle 2n pencil: all spin-up rows, then all spin-down
     mesh = build_box_mesh(2, 2)
     spec = GaugeFieldSpec([0.0, 0.0], [0.0, 0.0, 1.0])
-    md = covariant_mass(transports(circulate(spec, mesh))).to_dense()
+    md = covariant_mass(transports(circulate(spec, mesh))).to_csr().toarray()
     nv = mesh.n_vertices
 
     block = spin_block(PAULI_MATRICES[2], md)
@@ -64,7 +64,7 @@ def test_spin_block_layout_and_validation():
 
 
 def _dense_mass(mesh, spec):
-    return covariant_mass(transports(circulate(spec, mesh))).to_dense()
+    return covariant_mass(transports(circulate(spec, mesh))).to_csr().toarray()
 
 
 def test_zeeman_zero_field():
@@ -175,9 +175,10 @@ def test_potential_enters_both_spin_blocks():
     scalar = assemble_scalar_problem(circulate(spec, mesh), potential=v)
 
     # the Pauli problem carries the scalar pencil shared by both spin blocks
-    assert np.allclose(spinor.stiffness.to_dense(), scalar.stiffness.to_dense(),
-                       rtol=0, atol=1e-14)
-    assert np.allclose(spinor.mass.to_dense(), scalar.mass.to_dense(), rtol=0, atol=1e-15)
+    assert np.allclose(spinor.stiffness.to_csr().toarray(),
+                       scalar.stiffness.to_csr().toarray(), rtol=0, atol=1e-14)
+    assert np.allclose(spinor.mass.to_csr().toarray(), scalar.mass.to_csr().toarray(),
+                       rtol=0, atol=1e-15)
     assert np.array_equal(spinor.mass_floor, scalar.mass_floor)
 
     n = scalar.n
@@ -236,10 +237,10 @@ def test_pauli_reduction_matches_spinor_pencil(dim, n, mesh_seed, b, a0, gauge_s
     result = solve_pauli(problem, k, tol=tol)
 
     table = transports(circ)
-    stiffness = covariant_stiffness(table).to_dense()
+    stiffness = covariant_stiffness(table).to_csr().toarray()
     if potential is not None:
-        stiffness = stiffness + potential_matrix(table, potential).to_dense()
-    h, m = pauli_pencil_dense(stiffness, covariant_mass(table).to_dense(),
+        stiffness = stiffness + potential_matrix(table, potential).to_csr().toarray()
+    h, m = pauli_pencil_dense(stiffness, covariant_mass(table).to_csr().toarray(),
                               spec.b, mesh.boundary_vertex)
     expected = scipy.linalg.eigh(h, m, eigvals_only=True)[:k]
     scale = np.maximum(np.abs(expected), 1.0)
