@@ -92,8 +92,6 @@ class EmptyProblemError(ValueError):
 
 
 def _check_real_diag(diag):
-    if not diag.size:
-        return
     imag = np.abs(diag.imag).max()
     bound = DIAG_IMAG_TOL * max(1.0, np.abs(diag.real).max())
     if imag > bound:
@@ -363,12 +361,16 @@ def _floor_eigenvalue(u, holonomy, delta, m):
 
 
 def _potential_samples(mesh, values):
+    """The checked vertex samples ``values`` of a potential on ``mesh`` as
+    floats, or None for no potential: ``values`` None or all-zero samples."""
+    if values is None:
+        return None
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (mesh.n_vertices,):
         raise ValueError("potential needs one sample per vertex")
     if not np.all(np.isfinite(values)):
         raise ValueError("potential samples must be finite")
-    return values
+    return values if np.any(values) else None
 
 
 def _cell_pass(table, kinetic, potential):
@@ -384,8 +386,9 @@ def _cell_pass(table, kinetic, potential):
     ``mesh.gradients[:, :, rows]``.  From them come the stiffness columns
     ``kinetic(rows, grads, vols, u)`` (none for ``None``) plus the potential
     columns |T| (sum_z V_z int lambda_x lambda_y lambda_z / |T|) U_xy for
-    the vertex samples ``potential`` (none for ``None``), the mass columns
-    c |T| A_T with A_T = I + U_T, and the per-vertex mass floor f.
+    the vertex samples ``potential`` (none for ``None``, which
+    :func:`_potential_samples` gives for all-zero samples), the mass
+    columns c |T| A_T with A_T = I + U_T, and the per-vertex mass floor f.
 
     Each mass block dominates c |T| l_T I on its cell for any l_T <=
     lambda_min(A_T) (:func:`_floor_eigenvalue`), so M >= diag(f) with f_v the
@@ -476,8 +479,7 @@ def covariant_stiffness(transports, potential=None, *, with_mass=False):
     and the potential deficit of ``_cell_pass``, and the result is the tuple
     (stiffness, mass, floor, deficit).
     """
-    if potential is not None:
-        potential = _potential_samples(transports.mesh, potential)
+    potential = _potential_samples(transports.mesh, potential)
     forms = _cell_pass(transports, _covariant_kinetic, potential)
     return forms if with_mass else forms[0]
 
@@ -490,8 +492,7 @@ def potential_matrix(transports, values):
     cubic integrals evaluated exactly.  For constant V and U = 1 this is
     exactly V times the mass matrix.
     """
-    values = _potential_samples(transports.mesh, values)
-    return _cell_pass(transports, None, values)[0]
+    return _cell_pass(transports, None, _potential_samples(transports.mesh, values))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +548,7 @@ def assemble_scalar_problem(circulation, potential=None, method="covariant"):
     if method not in ("covariant", "baseline"):
         raise ValueError(f"unknown method {method!r}")
     mesh = circulation.mesh
-    if potential is not None:
-        potential = _potential_samples(mesh, potential)
-        if not np.any(potential):
-            potential = None
-
+    potential = _potential_samples(mesh, potential)
     if method == "covariant":
         stiffness, mass, floor, deficit = covariant_stiffness(
             make_transports(circulation), potential, with_mass=True

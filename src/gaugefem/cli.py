@@ -186,6 +186,12 @@ def _timed(cfg, solve, *args, **kwargs):
     return result, None if cfg.deterministic else time.perf_counter() - t0
 
 
+def _check_k(cfg, n_dofs, where=""):
+    """Refuse a --k above the report's ``n_dofs`` before anything is solved."""
+    if cfg.k > n_dofs:
+        raise ValueError(f"--k {cfg.k} exceeds the interior DOF count{where} ({n_dofs})")
+
+
 def _timed_solve(cfg, problem):
     return _timed(cfg, solve_hermitian_gevp, problem, cfg.k, tol=cfg.tol, seed=cfg.seed)
 
@@ -239,6 +245,7 @@ def _spectrum_block(result):
 
 def run_solve(cfg):
     mesh, problem = _scalar_problem(cfg, cfg.n)
+    _check_k(cfg, problem.n)
     result, runtime = _timed_solve(cfg, problem)
     return {
         **_spectrum_block(result),
@@ -252,6 +259,7 @@ def run_solve(cfg):
 def run_pauli(cfg):
     mesh, pot = _setup(cfg, cfg.n)
     problem = assemble_pauli(mesh, cfg.field_spec(), pot)
+    _check_k(cfg, 2 * problem.n)
     result, runtime = _timed(cfg, solve_pauli, problem, cfg.k, tol=cfg.tol,
                              seed=cfg.seed)
     up, down = spin_components(result.eigenvectors, problem.n)
@@ -272,6 +280,7 @@ def run_gauge_check(cfg):
     gauged = apply_gauge_to_circulation(circ, gauge)
 
     base = assemble_scalar_problem(circ, pot, method=cfg.method)
+    _check_k(cfg, base.n)
     twin = assemble_scalar_problem(gauged, pot, method=cfg.method)
     res0, runtime = _timed_solve(cfg, base)
     res1, _ = _timed_solve(cfg, twin)
@@ -313,9 +322,7 @@ def run_convergence(cfg):
     field_free = not any(cfg.b)
     for n in levels:
         mesh, problem = _scalar_problem(cfg, n)
-        if problem.n < cfg.k:
-            raise ValueError(f"--k {cfg.k} exceeds the interior DOF count of level "
-                             f"n={n} ({problem.n})")
+        _check_k(cfg, problem.n, f" of level n={n}")
         field_free = field_free and not np.any(potential_values(cfg.potential, mesh))
         result, runtime = _timed_solve(cfg, problem)
         eigs.append(result.eigenvalues)
@@ -332,17 +339,16 @@ def run_convergence(cfg):
     if field_free:
         reference = dirichlet_reference(cfg.dim, cfg.lengths, cfg.k)
         kind = "analytic"
-        drop_last_pair = False
+        n_pairs = len(levels) - 1
     else:
         # Richardson from the two finest levels assuming clean O(h^2) error;
         # the finest pair would then show order 2 by construction, so it is
         # excluded from the reported orders.
         reference = eigs[-1] + (eigs[-1] - eigs[-2]) / 3.0
         kind = "extrapolated"
-        drop_last_pair = True
+        n_pairs = len(levels) - 2
 
     errors = [np.abs(e - reference) for e in eigs]
-    n_pairs = len(levels) - 1 - (1 if drop_last_pair else 0)
     orders = []
     for li in range(n_pairs):
         vals = []
@@ -409,13 +415,11 @@ def _csv_projection(report):
                 res["relative_drift"])
         ):
             rows.append((i, repr(a), repr(b), repr(d)))
-    elif sub == "convergence":
+    else:  # convergence: export-matrices refuses --format csv before it runs
         rows.append(("n", "h", "n_dofs", "index", "eigenvalue"))
         for level in res["levels"]:
             for i, e in enumerate(level["eigenvalues"]):
                 rows.append((level["n"], repr(level["h"]), level["n_dofs"], i, repr(e)))
-    else:
-        raise ValueError(f"no CSV projection for subcommand {sub!r}")
     return rows
 
 

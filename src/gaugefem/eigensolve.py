@@ -126,11 +126,10 @@ class SpectrumResult:
 
 def _flag_multiplets(vals):
     flags = np.zeros(vals.size, dtype=bool)
-    if vals.size > 1:
-        gap = np.abs(np.diff(vals))
-        close = gap < MULTIPLET_GAP * np.maximum(1.0, np.abs(vals[:-1]))
-        flags[:-1] |= close
-        flags[1:] |= close
+    gap = np.abs(np.diff(vals))
+    close = gap < MULTIPLET_GAP * np.maximum(1.0, np.abs(vals[:-1]))
+    flags[:-1] |= close
+    flags[1:] |= close
     return flags
 
 

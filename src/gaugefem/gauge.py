@@ -121,14 +121,14 @@ class TransportTable(_EdgeTable):
 
     def __init__(self, mesh, values):
         values = np.asarray(values, dtype=np.complex128)
+        super().__init__(mesh, values)
         if not np.all(np.isfinite(values)):
             raise ValueError("transports must be finite")
         drift = np.abs(np.abs(values) - 1.0)
-        if values.size and drift.max() > UNIT_MODULUS_TOL:
+        if drift.max() > UNIT_MODULUS_TOL:
             raise ValueError(
                 f"transport modulus drifts from 1 by {drift.max():.3e}"
             )
-        super().__init__(mesh, values)
 
 
 def circulate(spec, mesh):

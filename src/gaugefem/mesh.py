@@ -117,15 +117,15 @@ def make_mesh(dim, vertices, cells):
         raise ValueError("vertex coordinates must be finite")
     if cells.ndim != 2 or cells.shape[1] != dim + 1:
         raise ValueError(f"cells must have shape (nc, {dim + 1})")
+    if cells.shape[0] == 0:
+        raise ValueError("mesh needs at least one cell")
     nv = vertices.shape[0]
-    if cells.size and (cells.min() < 0 or cells.max() >= nv):
+    if cells.min() < 0 or cells.max() >= nv:
         raise ValueError("cell vertex index out of range")
     # ascending rows, which must hold distinct vertices
     cells = np.sort(cells, axis=1)
-    if cells.size and np.any(cells[:, 1:] == cells[:, :-1]):
+    if np.any(cells[:, 1:] == cells[:, :-1]):
         raise MeshGeometryError("cell with repeated vertex index")
-    if cells.shape[0] == 0:
-        raise ValueError("mesh needs at least one cell")
     in_cell = np.bincount(cells.ravel(), minlength=nv) > 0
     if not in_cell.all():
         raise MeshGeometryError(f"vertex {int(np.argmin(in_cell))} lies in no cell")

@@ -92,11 +92,9 @@ def solve_pauli(problem, k, tol=1e-9, seed=0):
         raise ValueError("the Zeeman term |B| overflows: |B|^2 is not finite")
     scalar = solve_hermitian_gevp(problem, min(k, n), tol=tol, seed=seed)
 
-    # Columns chi_-, chi_+ of -(sigma . B), eigenvalues -|B|, +|B|.
-    if np.any(problem.b != 0.0):
-        _, chi = np.linalg.eigh(-sigma_dot(problem.b))
-    else:
-        chi = np.eye(2, dtype=np.complex128)
+    # Columns chi_-, chi_+ of -(sigma . B), eigenvalues -|B|, +|B|; at B = 0
+    # eigh gives the exact identity, spin up first.
+    _, chi = np.linalg.eigh(-sigma_dot(problem.b))
     zeeman = np.linalg.norm(problem.b)
     m = scalar.eigenvalues.size
     energies = np.concatenate([scalar.eigenvalues - zeeman, scalar.eigenvalues + zeeman])

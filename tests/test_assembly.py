@@ -607,8 +607,9 @@ def test_potential_constant_is_scaled_mass():
 
 def test_potential_zero_is_zero_matrix():
     mesh = build_box_mesh(2, 2)
-    out = potential_matrix(unit_transports(mesh), np.zeros(mesh.n_vertices))
-    assert np.all(out.to_csr().toarray() == 0.0)
+    for values in (np.zeros(mesh.n_vertices), None):  # both mean no potential
+        out = potential_matrix(unit_transports(mesh), values)
+        assert np.all(out.to_csr().toarray() == 0.0)
 
 
 def test_potential_reference_tet_cubic_integral():

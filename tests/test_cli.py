@@ -357,6 +357,31 @@ def test_convergence_k_above_a_levels_dof_count_exits_with_code_2(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, dofs", [
+    (["solve", "--dim", "2", "--n", "2", "--k", "3"], 1),
+    (["pauli", "--dim", "2", "--n", "3", "--k", "9"], 8),  # 4 interior vertices
+    (["gauge-check", "--dim", "2", "--n", "2", "--k", "3"], 1),
+], ids=["solve", "pauli", "gauge-check"])
+def test_k_above_the_dof_count_exits_with_code_2(args, dofs, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == f"gaugefem: --k {args[-1]} exceeds the interior DOF count ({dofs})\n"
+
+
+def test_gauge_check_refuses_k_before_assembling_the_gauged_twin(monkeypatch, capsys):
+    calls, assemble = [], cli.assemble_scalar_problem
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_scalar_problem", spy)
+    rc, _, err = run_cli(["gauge-check", "--dim", "2", "--n", "2", "--k", "3"], capsys)
+    assert len(calls) == 1
+    assert rc == 2 and "--k 3" in err
+
+
 def test_convergence_default_levels(capsys):
     rc, out, _ = run_cli(["convergence", "--dim", "2"], capsys)
     assert rc == 0

@@ -151,7 +151,7 @@ def test_transport_table_rejects_non_unit_values():
 def test_tables_check_their_values():
     mesh = build_box_mesh(2, 2)
     for table in (EdgeCirculation, TransportTable):
-        for shape in (mesh.n_edges - 1, (mesh.n_edges, 1)):
+        for shape in (mesh.n_edges - 1, (mesh.n_edges, 1), 0):
             with pytest.raises(ValueError, match="one value per mesh edge"):
                 table(mesh, np.ones(shape))
     for bad in (np.nan, np.inf):

@@ -99,16 +99,18 @@ def test_zeeman_transverse_field_couples_spins():
 
 def test_spin_degeneracy_without_magnetic_field():
     mesh = build_box_mesh(2, 5)
-    spec = GaugeFieldSpec([0.4, -0.2], [0.0, 0.0, 0.0])
-    problem = assemble_pauli(mesh, spec)
-    result = solve_pauli(problem, k=4)
-    scalar = _scalar_eigenvalues(mesh, spec, k=2)
-    expected = np.repeat(scalar, 2)
-    assert np.allclose(result.eigenvalues, expected, rtol=1e-11)
-    assert np.all(result.multiplet)
-    # exact ties list the lower branch, spin up at B = 0, first
-    up, down = spin_components(result.eigenvectors, problem.n)
-    assert np.all(down[0::2] == 0.0) and np.all(up[1::2] == 0.0)
+    for b3 in (0.0, -0.0):
+        spec = GaugeFieldSpec([0.4, -0.2], [0.0, 0.0, b3])
+        problem = assemble_pauli(mesh, spec)
+        result = solve_pauli(problem, k=4)
+        scalar = _scalar_eigenvalues(mesh, spec, k=2)
+        expected = np.repeat(scalar, 2)
+        assert np.allclose(result.eigenvalues, expected, rtol=1e-11)
+        assert np.all(result.multiplet)
+        # exact ties list the lower branch, spin up at B = 0, first: eigh of
+        # -(sigma . B) gives the identity for either sign of zero
+        up, down = spin_components(result.eigenvectors, problem.n)
+        assert np.all(down[0::2] == 0.0) and np.all(up[1::2] == 0.0)
 
 
 def test_zeeman_split_matches_shifted_scalar_spectrum():
