@@ -82,10 +82,6 @@ DIAG_IMAG_TOL = 1e-13
 # Cells per vectorized assembly batch; bounds the cell kernels' scratch arrays.
 _CHUNK = 4096
 
-# 3D cells whose Weyl floor 1 - delta_T is below this take the exact
-# lambda_min(I + U_T) from ``eigvalsh`` instead (:func:`_floor_eigenvalue`).
-_WEYL_FLOOR_MIN = 0.5
-
 
 class EmptyProblemError(ValueError):
     """The problem has no degrees of freedom (e.g. no interior vertices)."""
@@ -336,10 +332,13 @@ def _floor_eigenvalue(u, holonomy, delta, m):
     2D: the exact closed form in the cell holonomy.  3D: A_T is unitarily
     similar to I + J + E_T (:func:`_face_holonomies`) and I + J has
     lambda_min = 1, so Weyl's inequality gives lambda_min(A_T) >= 1 - delta_T;
-    only cells where that falls below ``_WEYL_FLOOR_MIN`` form their m x m
-    block A_T from the columns u and run ``eigvalsh``, so strong fields keep
-    the exact floor.
+    only cells where that bound, less the margin, is negative and so
+    certifies nothing form their m x m block A_T from the columns u and run
+    ``eigvalsh``.
     """
+    # all three err by a small multiple of m eps ||A_T||_2, and the norm is
+    # at most m + 1
+    margin = 8 * m * (m + 1) * np.finfo(float).eps
     if m == 3:
         # A_T has the eigenvalues 2 + 2 cos((phi + 2 pi j) / 3), j = 0, 1, 2,
         # for the cell holonomy phi in [-pi, pi]; the smallest is
@@ -348,16 +347,14 @@ def _floor_eigenvalue(u, holonomy, delta, m):
         lam = 2.0 + 2.0 * np.cos((2.0 * np.pi + phi) / 3.0)
     else:
         lam = 1.0 - delta
-        low = np.flatnonzero(lam < _WEYL_FLOOR_MIN)
+        low = np.flatnonzero(lam < margin)
         if low.size:
             a, b = CELL_PAIRS[m]
             block = np.full((low.size, m, m), 2.0, dtype=np.complex128)
             block[:, a, b] = u[:, low].T
             block[:, b, a] = u[:, low].T.conj()
             lam[low] = np.linalg.eigvalsh(block)[:, 0]
-    # all three err by a small multiple of m eps ||A_T||_2, and the norm is
-    # at most m + 1
-    return lam - 8 * m * (m + 1) * np.finfo(float).eps
+    return lam - margin
 
 
 def _potential_samples(mesh, values):

@@ -484,18 +484,20 @@ def test_cell_columns_match_the_block_forms(dim, n):
 
     # the floor and deficit of the block forms, cell by cell: the face
     # holonomies through vertex 0, Weyl's 1 - delta_T in 3D with eigvalsh
-    # below 0.5, the closed form in the one holonomy in 2D
+    # where that, less the roundoff margin, is negative, the closed form in
+    # the one holonomy in 2D
     x, y = (p[m - 1:] for p in np.triu_indices(m, 1))
     h = u[:, 0, x] * u[:, x, y] * u[:, y, 0]
     delta = np.sqrt(2.0 * np.sum((h.real - 1.0) ** 2 + h.imag ** 2, axis=1))
+    margin = 8 * m * (m + 1) * np.finfo(float).eps
     if dim == 2:
         lam = 2.0 + 2.0 * np.cos((2.0 * np.pi + np.abs(np.angle(h[:, 0]))) / 3.0)
     else:
         lam = 1.0 - delta
-        low = np.flatnonzero(lam < 0.5)
-        assert low.size > 0
+        low = np.flatnonzero(lam < margin)
+        assert 0 < low.size < mesh.n_cells
         lam[low] = np.linalg.eigvalsh(a[low])[:, 0]
-    lam -= 8 * m * (m + 1) * np.finfo(float).eps
+    lam -= margin
     cubic = _monomial_table(dim, 3)
     v_min = min(0.0, potential.min())
     top = (cubic[np.arange(m), np.arange(m)] @ (potential[mesh.cells] - v_min).T).max(axis=0)
@@ -843,6 +845,13 @@ def test_export_matrix_round_trip(tmp_path):
     assert np.array_equal(full, h.to_csr().toarray())  # repr precision is exact
 
 
+def _weyl_floor(u):
+    """Weyl's 1 - delta_T for (nc, m, m) cell blocks u: delta_T =
+    ||U_T - J||_F in the tree gauge at the first vertex, where the entries
+    are U_0x U_xy U_y0."""
+    return 1.0 - np.linalg.norm(u[:, 0, :, None] * u * u[:, None, :, 0] - 1.0, axis=(1, 2))
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     dim=st.sampled_from([2, 3]),
@@ -851,9 +860,11 @@ def test_export_matrix_round_trip(tmp_path):
     b=st.tuples(*[st.floats(-90.0, 90.0)] * 3),
     gauge_seed=st.integers(0, 2**16),
 )
-# 3D fields that leave every cell, some cells and no cell on the Weyl floor
+# 3D fields that give every cell, some cells and no cell a negative Weyl
+# floor; the middle one also leaves cells with 1 - delta_T in [0, 0.5) and
+# above 0.5
 @example(dim=3, n=3, mesh_seed=5, b=(0.3, 0.2, 1.0), gauge_seed=6)
-@example(dim=3, n=3, mesh_seed=7, b=(1.5, -1.0, 4.0), gauge_seed=8)
+@example(dim=3, n=3, mesh_seed=7, b=(3.0, -2.0, 8.0), gauge_seed=8)
 @example(dim=3, n=2, mesh_seed=9, b=(60.0, -40.0, 90.0), gauge_seed=10)
 def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     mesh = perturbed_box_mesh(dim, n, mesh_seed)
@@ -870,18 +881,16 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
         return out / ((dim + 1) * (dim + 2))
 
     # f_v sums a lower bound on lambda_min(I + U_T) over the cells around v:
-    # the exact value in 2D; in 3D Weyl's 1 - delta_T, and the exact value
-    # on the cells where that falls below 0.5
+    # the exact value in 2D; in 3D Weyl's 1 - delta_T where it is
+    # nonnegative, and the exact value on the cells where it is negative
     u = cell_blocks(table, np.conj, 1.0)
     exact = np.linalg.eigvalsh(np.eye(dim + 1) + u)[:, 0]
     expected = exact
     if dim == 3:
-        # delta_T = ||U_T - J||_F in the tree gauge at the first vertex,
-        # where the entries are U_0x U_xy U_y0
-        tree = u[:, 0, :, None] * u * u[:, None, :, 0]
-        weyl = 1.0 - np.linalg.norm(tree - 1.0, axis=(1, 2))
+        weyl = _weyl_floor(u)
         assert np.all(weyl <= exact + 1e-13)
-        expected = np.where(weyl < 0.5, exact, weyl)
+        margin = 8 * (dim + 1) * (dim + 2) * np.finfo(float).eps
+        expected = np.where(weyl < margin, exact, weyl)
     assert np.allclose(floor, cell_sum(expected), rtol=0, atol=1e-13 * scale)
     assert np.all(floor <= cell_sum(exact) + 1e-13 * scale)
     # M - diag(f) is PSD, whatever the sign of f
@@ -901,6 +910,31 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     plain = covariant_stiffness(unit_transports(mesh), with_mass=True)[2]
     assert plain.min() > 0.0
     assert np.allclose(plain, cell_sum(np.ones(mesh.n_cells)), rtol=1e-13, atol=0)
+
+
+def test_eigvalsh_takes_exactly_the_cells_weyl_leaves_uncertified(monkeypatch):
+    # random circulations of amplitude 0.3 put the cells of this 3D box in
+    # all three bands of 1 - delta_T: negative, in [0, 0.5) and above 0.5;
+    # only a negative Weyl floor needs the exact lambda_min(I + U_T)
+    mesh = perturbed_box_mesh(3, 4, seed=3)
+    rng = np.random.default_rng(3)
+    table = transports(EdgeCirculation(mesh, rng.uniform(-0.3, 0.3, mesh.n_edges)))
+    u = cell_blocks(table, np.conj, 1.0)
+    weyl = _weyl_floor(u)
+    low = weyl < 0.0
+    assert np.any(low) and np.any((weyl >= 0.0) & (weyl < 0.5)) and np.any(weyl >= 0.5)
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    covariant_mass(table)
+    monkeypatch.undo()
+    assert np.array_equal(np.concatenate(calls), np.eye(4) + u[low])
 
 
 def _lowest_eigenvalue(problem):

@@ -235,9 +235,12 @@ def test_shift_invariance():
 
 
 def test_multiplet_flagging():
-    pencil = _pencil_from_dense(np.diag([1.0, 1.0 + 1e-14, 2.0]), np.eye(3))
-    result = solve_hermitian_gevp(pencil, k=3)
-    assert list(result.multiplet) == [True, True, False]
+    # a pair split by 1e-14 is one level; a pair split by 1e-10 relative,
+    # far above roundoff, is two
+    pencil = _pencil_from_dense(np.diag([1.0, 1.0 + 1e-14, 2.0, 2.0 + 2e-10, 3.0]),
+                                np.eye(5))
+    result = solve_hermitian_gevp(pencil, k=5)
+    assert list(result.multiplet) == [True, True, False, False, False]
 
 
 def test_phase_fix_and_determinism():
@@ -467,6 +470,17 @@ def test_rcm_renumbers_only_where_it_narrows_the_band_by_two(factors, monkeypatc
     for problem, result in results:
         dense = _solve(problem, 3, "dense")
         assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+
+    # a path numbered 0, 3, 1, 2 has kd = 3, and RCM numbers it along the
+    # path, kd = 1: narrowed by exactly two, so renumbered
+    a = 3.0 * np.eye(4, dtype=complex)
+    for x, y in ((0, 3), (3, 1), (1, 2)):
+        a[x, y], a[y, x] = 1.0 + 1.0j, 1.0 - 1.0j
+    rhs = np.array([1.0, 2.0j, -1.0, 0.5 + 0.5j])
+    solution = eigensolve._shift_invert_solver(sparse.csr_matrix(a))(rhs.copy())
+    assert bands[-1] == (3, 1)
+    assert factors[-1] == ("zpbtrf", 2)
+    assert np.allclose(solution, np.linalg.solve(a, rhs), rtol=1e-14, atol=0)
 
 
 @functools.cache
