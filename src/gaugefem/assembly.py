@@ -315,8 +315,9 @@ def _face_holonomies(u, m):
     2D, three in 3D.  Conjugating U_T by diag(U_0x) (the tree gauge at
     vertex 0) gives J + E_T, with J all ones and E_T holding h_xy - 1 at
     (x, y) and its conjugate at (y, x).  Returns (h, delta_T) with
-    delta_T = ||E_T||_F = sqrt(2 sum |h - 1|^2), which is gauge invariant
-    and 0 exactly when the transports are flat.
+    delta_T = ||E_T||_F = sqrt(2 sum |h - 1|^2), which is gauge invariant,
+    0 exactly when the transports are flat, and gives every cell, triangle
+    or tetrahedron, the Weyl floor 1 - delta_T (:func:`_floor_eigenvalue`).
     """
     x, y = (p[m - 1:] for p in CELL_PAIRS[m])  # skip the m - 1 pairs (0, y)
     h = u[x - 1] * u[m - 1:] * u[y - 1].conj()
@@ -325,35 +326,27 @@ def _face_holonomies(u, m):
     return h, np.sqrt(2.0 * np.sum((h.real - 1.0) ** 2 + h.imag ** 2, axis=0))
 
 
-def _floor_eigenvalue(u, holonomy, delta, m):
+def _floor_eigenvalue(u, delta, m):
     """Lower bound on lambda_min(A_T) per cell, A_T = I + U_T, less a
     roundoff margin.
 
-    2D: the exact closed form in the cell holonomy.  3D: A_T is unitarily
-    similar to I + J + E_T (:func:`_face_holonomies`) and I + J has
-    lambda_min = 1, so Weyl's inequality gives lambda_min(A_T) >= 1 - delta_T;
-    only cells where that bound, less the margin, is negative and so
-    certifies nothing form their m x m block A_T from the columns u and run
-    ``eigvalsh``.
+    On a simplex of any dimension A_T is unitarily similar to I + J + E_T
+    (:func:`_face_holonomies`) and I + J has lambda_min = 1, so Weyl's
+    inequality gives lambda_min(A_T) >= 1 - delta_T.  Only cells where that
+    bound, less the margin, is negative and so certifies nothing form their
+    m x m block A_T from the columns u and run ``eigvalsh``.
     """
-    # all three err by a small multiple of m eps ||A_T||_2, and the norm is
-    # at most m + 1
+    # both err by a small multiple of m eps ||A_T||_2, and the norm is at
+    # most m + 1
     margin = 8 * m * (m + 1) * np.finfo(float).eps
-    if m == 3:
-        # A_T has the eigenvalues 2 + 2 cos((phi + 2 pi j) / 3), j = 0, 1, 2,
-        # for the cell holonomy phi in [-pi, pi]; the smallest is
-        # 2 + 2 cos((2 pi + |phi|) / 3)
-        phi = np.abs(np.angle(holonomy[0]))
-        lam = 2.0 + 2.0 * np.cos((2.0 * np.pi + phi) / 3.0)
-    else:
-        lam = 1.0 - delta
-        low = np.flatnonzero(lam < margin)
-        if low.size:
-            a, b = CELL_PAIRS[m]
-            block = np.full((low.size, m, m), 2.0, dtype=np.complex128)
-            block[:, a, b] = u[:, low].T
-            block[:, b, a] = u[:, low].T.conj()
-            lam[low] = np.linalg.eigvalsh(block)[:, 0]
+    lam = 1.0 - delta
+    low = np.flatnonzero(lam < margin)
+    if low.size:
+        a, b = CELL_PAIRS[m]
+        block = np.full((low.size, m, m), 2.0, dtype=np.complex128)
+        block[:, a, b] = u[:, low].T
+        block[:, b, a] = u[:, low].T.conj()
+        lam[low] = np.linalg.eigvalsh(block)[:, 0]
     return lam - margin
 
 
@@ -395,7 +388,7 @@ def _cell_pass(table, kinetic, potential):
     necessary: f_v <= 0 where the cells at v have lambda_min(A_T) <= 0.
 
     The face holonomies of :func:`_face_holonomies` give delta_T once per
-    cell, for the 3D floor and for the deficit d.  With v_min = min(0, min V)
+    cell, for the floor and for the deficit d.  With v_min = min(0, min V)
     and w_z = V_z - v_min >= 0, a cell's potential block minus v_min times
     its mass block is W_T o U_T, W_T = |T| sum_z w_z int lambda_x lambda_y
     lambda_z / |T| PSD.  Schur's bound on the Hadamard product of a PSD
@@ -429,8 +422,8 @@ def _cell_pass(table, kinetic, potential):
         scaled = vols / (m * (m + 1))  # c |T|
         u = table.local_values(rows)
         slots = np.concatenate([cells.T, nv + pairs]).ravel()
-        holonomy, delta = _face_holonomies(u, m)
-        lam = _floor_eigenvalue(u, holonomy, delta, m)
+        delta = _face_holonomies(u, m)[1]
+        lam = _floor_eigenvalue(u, delta, m)
         if kinetic is None:
             block = np.zeros((entries.rows.size, cells.shape[0]), np.complex128)
         else:

@@ -222,10 +222,10 @@ def _setup(cfg, n):
 
 
 def _scalar_problem(cfg, n):
-    """Box mesh at n cells per axis and its reduced scalar problem."""
+    """Box mesh at n cells per axis, its potential samples, its scalar problem."""
     mesh, pot = _setup(cfg, n)
     circ = circulate(cfg.field_spec(), mesh)
-    return mesh, assemble_scalar_problem(circ, pot, method=cfg.method)
+    return mesh, pot, assemble_scalar_problem(circ, pot, method=cfg.method)
 
 
 def _density(coefficients, interior):
@@ -244,7 +244,7 @@ def _spectrum_block(result):
 
 
 def run_solve(cfg):
-    mesh, problem = _scalar_problem(cfg, cfg.n)
+    mesh, _, problem = _scalar_problem(cfg, cfg.n)
     _check_k(cfg, problem.n)
     result, runtime = _timed_solve(cfg, problem)
     return {
@@ -321,9 +321,9 @@ def run_convergence(cfg):
     # B = 0 (a constant a0 is the pure gauge grad(a0 . x)) and zero samples of V
     field_free = not any(cfg.b)
     for n in levels:
-        mesh, problem = _scalar_problem(cfg, n)
+        mesh, pot, problem = _scalar_problem(cfg, n)
         _check_k(cfg, problem.n, f" of level n={n}")
-        field_free = field_free and not np.any(potential_values(cfg.potential, mesh))
+        field_free = field_free and not np.any(pot)
         result, runtime = _timed_solve(cfg, problem)
         eigs.append(result.eigenvalues)
         per_level.append(
@@ -373,7 +373,7 @@ def run_export_matrices(cfg):
         raise ValueError("export-matrices requires --output PREFIX")
     if cfg.fmt != "json":
         raise ValueError("export-matrices writes text matrix files; use --format json")
-    _, problem = _scalar_problem(cfg, cfg.n)
+    problem = _scalar_problem(cfg, cfg.n)[2]
     paths = {name: f"{cfg.output}_{name}.txt" for name in ("stiffness", "mass")}
     for name, path in paths.items():
         export_matrix(getattr(problem, name), path)

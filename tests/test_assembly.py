@@ -458,8 +458,8 @@ def _cell_sum(mesh, blocks):
 
 @pytest.mark.parametrize("dim,n", [(2, 6), (3, 3)])
 def test_cell_columns_match_the_block_forms(dim, n):
-    # uniform random phases: in 3D many cells fall below the Weyl floor and
-    # take the eigvalsh path, which forms their m x m blocks from the columns
+    # uniform random phases: many cells fall below the Weyl floor and take
+    # the eigvalsh path, which forms their m x m blocks from the columns
     mesh = perturbed_box_mesh(dim, n, seed=70 + dim)
     rng = np.random.default_rng(70 + dim)
     m = dim + 1
@@ -483,20 +483,16 @@ def test_cell_columns_match_the_block_forms(dim, n):
         assert error <= 1e-14 * np.abs(reference).max()
 
     # the floor and deficit of the block forms, cell by cell: the face
-    # holonomies through vertex 0, Weyl's 1 - delta_T in 3D with eigvalsh
-    # where that, less the roundoff margin, is negative, the closed form in
-    # the one holonomy in 2D
+    # holonomies through vertex 0 and Weyl's 1 - delta_T, with eigvalsh
+    # where that, less the roundoff margin, is negative
     x, y = (p[m - 1:] for p in np.triu_indices(m, 1))
     h = u[:, 0, x] * u[:, x, y] * u[:, y, 0]
     delta = np.sqrt(2.0 * np.sum((h.real - 1.0) ** 2 + h.imag ** 2, axis=1))
     margin = 8 * m * (m + 1) * np.finfo(float).eps
-    if dim == 2:
-        lam = 2.0 + 2.0 * np.cos((2.0 * np.pi + np.abs(np.angle(h[:, 0]))) / 3.0)
-    else:
-        lam = 1.0 - delta
-        low = np.flatnonzero(lam < margin)
-        assert 0 < low.size < mesh.n_cells
-        lam[low] = np.linalg.eigvalsh(a[low])[:, 0]
+    lam = 1.0 - delta
+    low = np.flatnonzero(lam < margin)
+    assert 0 < low.size < mesh.n_cells
+    lam[low] = np.linalg.eigvalsh(a[low])[:, 0]
     lam -= margin
     cubic = _monomial_table(dim, 3)
     v_min = min(0.0, potential.min())
@@ -862,10 +858,12 @@ def _weyl_floor(u):
 )
 # 3D fields that give every cell, some cells and no cell a negative Weyl
 # floor; the middle one also leaves cells with 1 - delta_T in [0, 0.5) and
-# above 0.5
+# above 0.5; 2D fields that give every triangle and half the triangles one
 @example(dim=3, n=3, mesh_seed=5, b=(0.3, 0.2, 1.0), gauge_seed=6)
 @example(dim=3, n=3, mesh_seed=7, b=(3.0, -2.0, 8.0), gauge_seed=8)
 @example(dim=3, n=2, mesh_seed=9, b=(60.0, -40.0, 90.0), gauge_seed=10)
+@example(dim=2, n=2, mesh_seed=1, b=(0.0, 0.0, 10.0), gauge_seed=2)
+@example(dim=2, n=3, mesh_seed=1, b=(0.0, 0.0, 13.0), gauge_seed=3)
 def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     mesh = perturbed_box_mesh(dim, n, mesh_seed)
     b = (0.0, 0.0, b[2]) if dim == 2 else b
@@ -881,16 +879,14 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
         return out / ((dim + 1) * (dim + 2))
 
     # f_v sums a lower bound on lambda_min(I + U_T) over the cells around v:
-    # the exact value in 2D; in 3D Weyl's 1 - delta_T where it is
-    # nonnegative, and the exact value on the cells where it is negative
+    # Weyl's 1 - delta_T where it is nonnegative, and the exact value on the
+    # cells where it is negative
     u = cell_blocks(table, np.conj, 1.0)
     exact = np.linalg.eigvalsh(np.eye(dim + 1) + u)[:, 0]
-    expected = exact
-    if dim == 3:
-        weyl = _weyl_floor(u)
-        assert np.all(weyl <= exact + 1e-13)
-        margin = 8 * (dim + 1) * (dim + 2) * np.finfo(float).eps
-        expected = np.where(weyl < margin, exact, weyl)
+    weyl = _weyl_floor(u)
+    assert np.all(weyl <= exact + 1e-13)
+    margin = 8 * (dim + 1) * (dim + 2) * np.finfo(float).eps
+    expected = np.where(weyl < margin, exact, weyl)
     assert np.allclose(floor, cell_sum(expected), rtol=0, atol=1e-13 * scale)
     assert np.all(floor <= cell_sum(exact) + 1e-13 * scale)
     # M - diag(f) is PSD, whatever the sign of f
@@ -913,28 +909,31 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
 
 
 def test_eigvalsh_takes_exactly_the_cells_weyl_leaves_uncertified(monkeypatch):
-    # random circulations of amplitude 0.3 put the cells of this 3D box in
-    # all three bands of 1 - delta_T: negative, in [0, 0.5) and above 0.5;
-    # only a negative Weyl floor needs the exact lambda_min(I + U_T)
-    mesh = perturbed_box_mesh(3, 4, seed=3)
-    rng = np.random.default_rng(3)
-    table = transports(EdgeCirculation(mesh, rng.uniform(-0.3, 0.3, mesh.n_edges)))
-    u = cell_blocks(table, np.conj, 1.0)
-    weyl = _weyl_floor(u)
-    low = weyl < 0.0
-    assert np.any(low) and np.any((weyl >= 0.0) & (weyl < 0.5)) and np.any(weyl >= 0.5)
+    # random circulations put the cells of this 3D box and this 2D box in all
+    # three bands of 1 - delta_T: negative, in [0, 0.5) and above 0.5; in
+    # either dimension only a negative Weyl floor needs the exact
+    # lambda_min(I + U_T)
+    for dim, n, amplitude in ((3, 4, 0.3), (2, 6, 0.6)):
+        mesh = perturbed_box_mesh(dim, n, seed=3)
+        rng = np.random.default_rng(3)
+        circulations = rng.uniform(-amplitude, amplitude, mesh.n_edges)
+        table = transports(EdgeCirculation(mesh, circulations))
+        u = cell_blocks(table, np.conj, 1.0)
+        weyl = _weyl_floor(u)
+        low = weyl < 0.0
+        assert np.any(low) and np.any((weyl >= 0.0) & (weyl < 0.5)) and np.any(weyl >= 0.5)
 
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
 
-    def spy(a, *args, **kwargs):
-        calls.append(np.array(a))
-        return eigvalsh(a, *args, **kwargs)
+        def spy(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    covariant_mass(table)
-    monkeypatch.undo()
-    assert np.array_equal(np.concatenate(calls), np.eye(4) + u[low])
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        covariant_mass(table)
+        monkeypatch.undo()
+        assert np.array_equal(np.concatenate(calls), np.eye(dim + 1) + u[low])
 
 
 def _lowest_eigenvalue(problem):

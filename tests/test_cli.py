@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -69,7 +70,7 @@ def test_solve_density_is_re2_plus_im2_bit_for_bit(capsys):
     )
     assert rc == 0
     cfg = RunConfig("solve", levels=(20,), b=(1.0,), k=3)
-    _, problem = _scalar_problem(cfg, cfg.n)
+    problem = _scalar_problem(cfg, cfg.n)[2]
     result = solve_hermitian_gevp(problem, cfg.k, tol=cfg.tol, seed=cfg.seed)
     f = reconstruct_field(result.eigenvectors, problem.interior)
     assert json.loads(out)["results"]["density"] == (f.real**2 + f.imag**2).tolist()
@@ -345,6 +346,27 @@ def test_convergence_extrapolated_reference(capsys):
     # the finest pair defines the extrapolation, so only one order is honest
     assert [o["levels"] for o in res["orders"]] == [[4, 8]]
     assert 1.7 < res["orders"][0]["values"][0] < 2.3
+
+
+def test_convergence_reports_no_order_where_an_error_is_roundoff(monkeypatch, capsys):
+    # levels that return 2.5 + 1e-3, then 2.5 twice: the extrapolated
+    # reference is 2.5, the finer error of the one order pair is 0, at or
+    # below ORDER_FLOOR, so that pair's order is null
+    returned = iter([2.5 + 1e-3, 2.5, 2.5])
+
+    def solve(problem, k, **kwargs):
+        return dataclasses.replace(solve_hermitian_gevp(problem, k, **kwargs),
+                                   eigenvalues=np.array([next(returned)]))
+
+    monkeypatch.setattr(cli, "solve_hermitian_gevp", solve)
+    rc, out, _ = run_cli(
+        ["convergence", "--dim", "2", "--n", "4,8,16", "--b", "1", "--k", "1"], capsys
+    )
+    assert rc == 0
+    res = json.loads(out)["results"]
+    assert res["reference"]["values"] == [2.5]
+    assert res["errors"] == [[pytest.approx(1e-3, rel=1e-9)], [0.0], [0.0]]
+    assert res["orders"] == [{"levels": [4, 8], "values": [None]}]
 
 
 def test_convergence_k_above_a_levels_dof_count_exits_with_code_2(capsys):
@@ -764,6 +786,9 @@ def test_runconfig_validation():
         RunConfig("solve", dim=3, b=(1.0,))
     with pytest.raises(ValueError, match="solve takes a single --n value"):
         RunConfig("solve", levels=(4, 8))
+    for dim, a0 in ((2, (0.1,)), (2, (0.1, 0.2, 0.3)), (3, (0.1, 0.2))):
+        with pytest.raises(ValueError, match=f"^--a0 needs {dim} values$"):
+            RunConfig("solve", dim=dim, a0=a0)
     assert RunConfig("solve", b=(1.0,)).b == (0.0, 0.0, 1.0)
     assert RunConfig("solve").levels == (8,)
     cfg = RunConfig("convergence")

@@ -178,6 +178,9 @@ def test_argument_validation():
             solve_hermitian_gevp(pencil, k=1, tol=tol)
     with pytest.raises(ValueError):
         solve_hermitian_gevp(_pencil_from_dense(np.eye(3), np.eye(2)), k=1)
+    empty = HermitianSparse(sparse.csr_matrix((0, 0), dtype=complex))
+    with pytest.raises(ValueError, match="^empty problem$"):
+        solve_hermitian_gevp(_pencil(empty, empty), k=1)
 
 
 def test_dirichlet_cube_lowest_eigenvalue():
@@ -283,6 +286,28 @@ def test_convergence_error_iteration_cap(one_arpack_iteration):
     # clustered spectrum: one restart cannot separate the Ritz values
     with pytest.raises(ConvergenceError):
         solve_hermitian_gevp(_clustered_problem(), k=6)
+
+
+def test_a_stall_with_converged_pairs_reports_their_best_residual(arpack_path,
+                                                                  monkeypatch):
+    # eigs stalls holding two eigenvectors of the pencil, perturbed by 1e-2
+    # and 1e-6: best_residual is the smaller of their residual norms
+    problem = _small_problem()
+    h, m = problem.stiffness.to_csr().toarray(), problem.mass.to_csr().toarray()
+    vals, vecs = scipy.linalg.eigh(h, m, subset_by_index=[0, 1])
+    noise = np.random.default_rng(5).standard_normal(vecs.shape)
+    vecs = vecs + noise * np.array([1e-2, 1e-6])
+    residuals = np.linalg.norm(h @ vecs - m @ vecs * vals, axis=0)
+    residuals /= np.linalg.norm(vecs, axis=0)
+    assert residuals[1] < 1e-3 * residuals[0]
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK stalled", vals, vecs)
+
+    monkeypatch.setattr(spla, "eigs", stalled)
+    with pytest.raises(ConvergenceError) as info:
+        solve_hermitian_gevp(problem, k=2)
+    assert info.value.best_residual == pytest.approx(residuals[1], rel=1e-10)
 
 
 @pytest.mark.parametrize("case, k", [

@@ -31,6 +31,10 @@ def test_field_spec_validation():
         GaugeFieldSpec([1.0, 0.0], [0.5, 0.0, 1.0])  # in-plane field in 2D
     with pytest.raises(ValueError):
         GaugeFieldSpec([np.inf, 0.0], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^b must have 3 components$"):
+        GaugeFieldSpec([0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="^points must have 2 components$"):
+        spec.evaluate(np.zeros((4, 3)))
 
 
 def test_circulation_of_constant_potential():
@@ -151,6 +155,7 @@ def test_transport_table_rejects_non_unit_values():
 def test_tables_check_their_values():
     mesh = build_box_mesh(2, 2)
     for table in (EdgeCirculation, TransportTable):
+        assert table(mesh, np.ones(mesh.n_edges)).n_edges == mesh.n_edges == 16
         for shape in (mesh.n_edges - 1, (mesh.n_edges, 1), 0):
             with pytest.raises(ValueError, match="one value per mesh edge"):
                 table(mesh, np.ones(shape))

@@ -231,9 +231,20 @@ def test_make_mesh_argument_errors():
         make_mesh(2, vertices[:, :1], cells)  # wrong coordinate count
     with pytest.raises(ValueError):
         make_mesh(2, vertices, cells[:0])  # no cells
+    for bad in (np.nan, np.inf):
+        poisoned = vertices.copy()
+        poisoned[2, 1] = bad
+        with pytest.raises(ValueError, match="^vertex coordinates must be finite$"):
+            make_mesh(2, poisoned, cells)
+    for shape in ([[0, 1]], [[0, 1, 2, 0]], [0, 1, 2]):
+        with pytest.raises(ValueError, match=r"^cells must have shape \(nc, 3\)$"):
+            make_mesh(2, vertices, np.array(shape))
 
 
 def test_build_box_mesh_argument_errors():
+    # the dimension is checked first: n = 0 would be refused next
+    with pytest.raises(ValueError, match="^dim must be 2 or 3, got 4$"):
+        build_box_mesh(4, 0)
     with pytest.raises(ValueError):
         build_box_mesh(2, 0)
     with pytest.raises(ValueError):
