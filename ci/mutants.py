@@ -6,11 +6,14 @@ test node ids) that claim to catch the defect.  For each mutant the script
 copies ``src/`` to a temporary directory, applies the edit there and runs
 ``pytest -x`` on those tests against the copy.  The gate fails if any
 mutant's tests pass, or if a snippet no longer occurs exactly once, so a
-refactor must update the list instead of dropping a mutant silently.
+refactor must update the list instead of dropping a mutant silently.  A
+control run first runs every listed test the same way against an unpatched
+copy; unless it passes, a failing test proves nothing about a mutant and
+the gate fails before any mutant runs.
 
-Run from the repository root, for every mutant or the named ones:
+Run from the repository root:
 
-    python ci/mutants.py [NAME ...]
+    python ci/mutants.py
 """
 
 import os
@@ -122,46 +125,54 @@ MUTANTS = [
 ]
 
 
-def run(name, file, snippet, replacement, tests):
-    """(name, None) if a test of the mutant fails, else (name, why not)."""
+def pytest_exit(tests, file=None, snippet=None, replacement=None):
+    """pytest's exit code on ``tests`` against a copy of ``src/``, with
+    ``snippet`` replaced in ``file`` if given, or a message if ``snippet``
+    does not occur there exactly once."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        path = src / "gaugefem" / file
-        text = path.read_text()
-        count = text.count(snippet)
-        if count != 1:
-            return name, f"snippet occurs {count} times in {file}"
-        path.write_text(text.replace(snippet, replacement))
+        if file is not None:
+            path = src / "gaugefem" / file
+            text = path.read_text()
+            count = text.count(snippet)
+            if count != 1:
+                return f"snippet occurs {count} times in {file}"
+            path.write_text(text.replace(snippet, replacement))
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                    OPENBLAS_NUM_THREADS="1")
         # run in the temporary directory, so that Hypothesis keeps the
         # examples a mutant fails on there, not for later runs
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              "-c", str(ROOT / "pyproject.toml"), *(str(ROOT / t) for t in tests)],
             cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        ).returncode
+
+
+def run(name, file, snippet, replacement, tests):
+    """(name, None) if a test of the mutant fails, else (name, why not)."""
+    code = pytest_exit(tests, file, snippet, replacement)
     # pytest exits 1 when a test failed, other codes when it could not run them
-    return name, None if done.returncode == 1 else f"pytest exited {done.returncode}"
+    return name, None if code == 1 else f"pytest exited {code}"
 
 
-def main(names):
-    unknown = set(names) - {m[0] for m in MUTANTS}
-    if unknown:
-        sys.exit(f"unknown mutants: {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not names or m[0] in names]
+def main():
     start = time.perf_counter()
+    control = pytest_exit(sorted({t for m in MUTANTS for t in m[4]}))
+    if control != 0:
+        print(f"control run: the listed tests exited {control} on unpatched src/")
+        return 1
     # two pytest processes at a time: each is single-threaded and small
     with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(lambda m: run(*m), chosen))
+        results = list(pool.map(lambda m: run(*m), MUTANTS))
     survivors = [(name, why) for name, why in results if why]
     for name, why in survivors:
         print(f"SURVIVED {name}: {why}")
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed "
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

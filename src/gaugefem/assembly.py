@@ -306,15 +306,15 @@ def _galerkin_kinetic(circulation):
     return kinetic
 
 
-def _face_holonomies(u, m):
-    """Face holonomies through each cell's first vertex, and delta_T.
+def _holonomy_defect(u, m):
+    """delta_T from the face holonomies through each cell's first vertex.
 
     From the upper transport columns u of cells with m vertices
     (``CELL_PAIRS[m]`` order, the pairs (0, y) first):
     h_xy = U_0x U_xy U_y0 for 1 <= x < y, shape (d(d-1)/2, nc): one face in
     2D, three in 3D.  Conjugating U_T by diag(U_0x) (the tree gauge at
     vertex 0) gives J + E_T, with J all ones and E_T holding h_xy - 1 at
-    (x, y) and its conjugate at (y, x).  Returns (h, delta_T) with
+    (x, y) and its conjugate at (y, x).  Returns
     delta_T = ||E_T||_F = sqrt(2 sum |h - 1|^2), which is gauge invariant,
     0 exactly when the transports are flat, and gives every cell, triangle
     or tetrahedron, the Weyl floor 1 - delta_T (:func:`_floor_eigenvalue`).
@@ -323,7 +323,7 @@ def _face_holonomies(u, m):
     h = u[x - 1] * u[m - 1:] * u[y - 1].conj()
     # |h - 1|^2 from its parts: a SIMD complex np.abs may round differently
     # from scalar abs(), and delta_T reaches the shift through the floors
-    return h, np.sqrt(2.0 * np.sum((h.real - 1.0) ** 2 + h.imag ** 2, axis=0))
+    return np.sqrt(2.0 * np.sum((h.real - 1.0) ** 2 + h.imag ** 2, axis=0))
 
 
 def _floor_eigenvalue(u, delta, m):
@@ -331,7 +331,7 @@ def _floor_eigenvalue(u, delta, m):
     roundoff margin.
 
     On a simplex of any dimension A_T is unitarily similar to I + J + E_T
-    (:func:`_face_holonomies`) and I + J has lambda_min = 1, so Weyl's
+    (:func:`_holonomy_defect`) and I + J has lambda_min = 1, so Weyl's
     inequality gives lambda_min(A_T) >= 1 - delta_T.  Only cells where that
     bound, less the margin, is negative and so certifies nothing form their
     m x m block A_T from the columns u and run ``eigvalsh``.
@@ -387,7 +387,7 @@ def _cell_pass(table, kinetic, potential):
     change conjugates U_T by a diagonal unitary) and sufficient, not
     necessary: f_v <= 0 where the cells at v have lambda_min(A_T) <= 0.
 
-    The face holonomies of :func:`_face_holonomies` give delta_T once per
+    The face holonomies of :func:`_holonomy_defect` give delta_T once per
     cell, for the floor and for the deficit d.  With v_min = min(0, min V)
     and w_z = V_z - v_min >= 0, a cell's potential block minus v_min times
     its mass block is W_T o U_T, W_T = |T| sum_z w_z int lambda_x lambda_y
@@ -422,7 +422,7 @@ def _cell_pass(table, kinetic, potential):
         scaled = vols / (m * (m + 1))  # c |T|
         u = table.local_values(rows)
         slots = np.concatenate([cells.T, nv + pairs]).ravel()
-        delta = _face_holonomies(u, m)[1]
+        delta = _holonomy_defect(u, m)
         lam = _floor_eigenvalue(u, delta, m)
         if kinetic is None:
             block = np.zeros((entries.rows.size, cells.shape[0]), np.complex128)
