@@ -83,6 +83,15 @@ MUTANTS = [
      [EIGENSOLVE]),
     ("shift factor 1.0", "eigensolve.py",
      "np.min(lower / (0.9 * floor))", "np.min(lower / (1.0 * floor))", [EIGENSOLVE]),
+    ("sigma without the spectrum floor", "eigensolve.py",
+     "max(float(np.min(lower / (0.9 * floor))), problem.spectrum_floor) - 1.0",
+     "float(np.min(lower / (0.9 * floor))) - 1.0", [EIGENSOLVE]),
+    ("no zero shift", "eigensolve.py",
+     "if lower.min() > 0.0:", "if False:", [EIGENSOLVE]),
+    ("dense path skips the certificate", "eigensolve.py",
+     "if floor.min() <= 0.0:", "if not dense and floor.min() <= 0.0:", [EIGENSOLVE]),
+    ("ARPACK path skips the probe", "eigensolve.py",
+     "if floor.min() <= 0.0:", "if dense and floor.min() <= 0.0:", [EIGENSOLVE]),
     ("ARPACK tol = tol", "eigensolve.py",
      "tol=tol * 1e-2", "tol=tol", [EIGENSOLVE]),
     ("RCM kept only three columns narrower", "eigensolve.py",

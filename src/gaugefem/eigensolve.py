@@ -255,9 +255,10 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
         The pencil H = ``stiffness``, M = ``mass`` (HermitianSparse, same
         size n) and its two certificates.  M must be positive definite
         (checked).  ``mass_floor`` is a proven (n,) floor f with M - diag(f)
-        positive semidefinite, zero for none; when min f > 0 the ARPACK path
-        takes M as positive definite, and otherwise (the certificate is
-        sufficient, not necessary) a Lanczos probe of M runs.
+        positive semidefinite, zero for none.  When min f > 0, M is certified
+        and nothing is measured; otherwise (the certificate is sufficient,
+        not necessary) M's smallest eigenvalue is measured before either
+        path runs, by LAPACK when dense and by a Lanczos probe otherwise.
         ``spectrum_floor`` is a proven lower bound s on the smallest
         eigenvalue, -inf for none.  It only places the ARPACK shift:
         sigma = 0 when the Gershgorin bound proves H positive definite, and
@@ -274,12 +275,14 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     Raises
     ------
     DefinitenessError
-        M is not positive definite; ``pivot`` is the smallest detected pivot.
+        M's measured smallest eigenvalue, ``pivot``, is not positive.
     ConvergenceError
         The mass probe stalled, the shift-invert factor met a pivot that is
-        not positive (band) or an exactly singular one (SuperLU),
-        ARPACK failed or stalled, the Ritz vectors are not M-independent, or
-        a residual exceeds ``tol``; the message says which.
+        not positive (band) or an exactly singular one (SuperLU), ARPACK
+        failed or stalled, the Ritz vectors are not M-independent, or a
+        residual exceeds ``tol``; the message says which.
+    numpy.linalg.LinAlgError
+        LAPACK failed on the dense pencil; it passes unchanged.
     """
     H, M = problem.stiffness, problem.mass
     if H.n != M.n:
@@ -294,35 +297,32 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
 
     h_csr = H.to_csr()
     m_csr = M.to_csr()
-
-    if n <= DENSE_CUTOFF or k >= n - 1:
-        md = m_csr.toarray()
-        try:
-            # eigh factors M itself and fails on the first nonpositive pivot
-            vals, vecs = scipy.linalg.eigh(h_csr.toarray(), md, subset_by_index=[0, k - 1])
-        except np.linalg.LinAlgError:
-            pivot = scipy.linalg.eigh(md, eigvals_only=True, subset_by_index=[0, 0])[0]
-            if pivot > 0.0:
-                raise
-            raise DefinitenessError(pivot) from None
-        return _postprocess(vals, vecs, h_csr @ vecs, m_csr @ vecs, tol, "dense-eigh")
-
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    dense = n <= DENSE_CUTOFF or k >= n - 1
+    if not dense:
+        rng = np.random.default_rng(seed)
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
     floor = problem.mass_floor
     if floor.min() <= 0.0:
-        # No certificate: a positive-definiteness probe of M.
-        try:
-            floor = spla.eigsh(
-                m_csr, k=1, which="SA", tol=1e-8, v0=v0, return_eigenvectors=False
-            )[0]
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                np.inf, f"mass definiteness probe stalled: {exc}"
-            ) from None
+        # No certificate: measure the smallest eigenvalue of M.
+        if dense:
+            floor = scipy.linalg.eigh(m_csr.toarray(), eigvals_only=True,
+                                      subset_by_index=[0, 0])[0]
+        else:
+            try:
+                floor = spla.eigsh(m_csr, k=1, which="SA", tol=1e-8, v0=v0,
+                                   return_eigenvectors=False)[0]
+            except ArpackNoConvergence as exc:
+                raise ConvergenceError(
+                    np.inf, f"mass definiteness probe stalled: {exc}"
+                ) from None
         if floor <= 0.0:
             raise DefinitenessError(floor)
+
+    if dense:
+        vals, vecs = scipy.linalg.eigh(h_csr.toarray(), m_csr.toarray(),
+                                       subset_by_index=[0, k - 1])
+        return _postprocess(vals, vecs, h_csr @ vecs, m_csr @ vecs, tol, "dense-eigh")
 
     # Any sigma strictly below the smallest pencil eigenvalue keeps H - sigma M
     # positive definite and makes the smallest eigenvalues the ARPACK 'LM'

@@ -322,6 +322,47 @@ def ring_disk(h):
     return vertices, scipy.spatial.Delaunay(vertices).simplices, on_circle
 
 
+def chebyshev_matrix(n):
+    """The Chebyshev points x_j = cos(j pi / n), j = 0 .. n, and the
+    differentiation matrix D on them (Trefethen, *Spectral Methods in
+    MATLAB*, SIAM 2000, ``cheb``): (D f)_i = f'(x_i) for polynomials f of
+    degree <= n."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.ones(n + 1)
+    c[0] = c[-1] = 2.0
+    c *= (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    return x, d - np.diag(d.sum(axis=1))
+
+
+def disk_spectrum(b, count, n, mmax):
+    """The ``count`` lowest Dirichlet eigenvalues of (-i grad - A)^2 on the
+    unit disk with A = (b/2)(-y, x), the uniform field b along z.
+
+    The eigenfunctions separate as f(r) e^{i m theta}, with the radial problem
+    -f'' - f'/r + (m/r - b r/2)^2 f = lambda f and f(1) = 0.  Chebyshev
+    collocation of degree ``n`` (odd) on r in [-1, 1] folds the grid onto
+    r > 0 by the parity f(-r) = (-1)^m f(r), so no node sits at r = 0
+    (Trefethen's Programs 28-29).  The spectrum is the union over
+    |m| <= ``mmax``, which also covers the opposite sign of A.
+    """
+    if n % 2 == 0:
+        raise ValueError("n must be odd")
+    x, d = chebyshev_matrix(n)
+    d2 = d @ d
+    rows = np.arange(1, n // 2 + 1)  # the nodes in (0, 1)
+    mirror = n - rows  # x[mirror] = -x[rows]
+    r = x[rows]
+    values = []
+    for m in range(-mmax, mmax + 1):
+        parity = (-1.0) ** m
+        first = d[np.ix_(rows, rows)] + parity * d[np.ix_(rows, mirror)]
+        second = d2[np.ix_(rows, rows)] + parity * d2[np.ix_(rows, mirror)]
+        radial = -second - first / r[:, None] + np.diag((m / r - b * r / 2.0) ** 2)
+        values.extend(np.linalg.eigvals(radial).real)
+    return np.sort(values)[:count]
+
+
 def delaunay_cloud(dim, npoints, seed):
     """Delaunay mesh of ``npoints`` uniform random points in the unit box.
 

@@ -12,11 +12,14 @@ asserts the same condition, so this file doubles as the acceptance report:
 6. Pauli spectrum equals the shifted scalar spectrum union at B = (0,0,1)
    and the full 2n spinor pencil at a tilted B,
 7. structural invariants (Hermiticity, HPD mass, transport algebra, matrix
-   conjugation, solver consistency, byte-identical deterministic reports).
+   conjugation, solver consistency, byte-identical deterministic reports),
+8. second-order magnetic eigenvalue convergence on the unit disk vs an
+   independent Chebyshev collocation of the radial problems.
 """
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from gaugefem import (
     GaugeFieldSpec,
@@ -27,6 +30,7 @@ from gaugefem import (
     circulate,
     covariant_mass,
     covariant_stiffness,
+    make_mesh,
     potential_matrix,
     random_gauge,
     reconstruct_field,
@@ -39,7 +43,14 @@ from gaugefem import (
 from gaugefem.cli import main
 
 from conftest import perturbed_box_mesh, shift_problem
-from oracles import edge_lookup, p1_mass_dense, p1_stiffness_dense, pauli_pencil_dense
+from oracles import (
+    disk_spectrum,
+    edge_lookup,
+    p1_mass_dense,
+    p1_stiffness_dense,
+    pauli_pencil_dense,
+    ring_disk,
+)
 
 
 def _criterion(name, passed, detail):
@@ -291,3 +302,31 @@ def test_criterion_7_structural_invariants(tmp_path):
         else "failed: " + ", ".join(failed)
     )
     _criterion("7 structural invariant suite", not failed, detail)
+
+
+def test_criterion_8_second_order_convergence_on_the_disk():
+    # B = 6 on the unit disk, meshed by rings whose boundary vertices lie on
+    # the circle, so the inscribed polygon adds only O(h^2); a0 is a pure gauge
+    # at B = 0 the oracle gives the squared Bessel zeros j_{0,1}, j_{1,1}
+    # (twice, m = +-1) and j_{2,1}
+    bessel = [scipy.special.jn_zeros(m, 1)[0] ** 2 for m in (0, 1, 1, 2)]
+    assert np.allclose(disk_spectrum(0.0, 4, n=61, mmax=12), bessel, rtol=1e-12, atol=0)
+    b, k = 6.0, 4
+    exact = disk_spectrum(b, k, n=61, mmax=12)
+    finer = disk_spectrum(b, k, n=81, mmax=16)
+    assert np.allclose(finer, exact, rtol=1e-10, atol=0)
+    errors = []
+    for h in (0.1, 0.05, 0.025):
+        mesh = make_mesh(2, *ring_disk(h)[:2])
+        spec = GaugeFieldSpec((0.3, -0.2), (0.0, 0.0, b))
+        result = solve_hermitian_gevp(assemble_scalar_problem(circulate(spec, mesh)), k=k)
+        errors.append(np.abs(result.eigenvalues - exact) / exact)
+    finest = np.log2(errors[-2] / errors[-1])
+    _criterion(
+        "8 second-order convergence (magnetic disk, Chebyshev oracle)",
+        bool(np.all((finest > 1.9) & (finest < 2.1))),
+        f"lambda_1..{k} relative errors at h = 0.025 "
+        + "/".join(f"{e:.1e}" for e in errors[-1])
+        + ", finest-pair orders " + "/".join(f"{p:.3f}" for p in finest)
+        + " all within [1.9, 2.1]",
+    )

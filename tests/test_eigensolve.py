@@ -265,6 +265,38 @@ def test_definiteness_error_dense():
     assert info.value.pivot == pytest.approx(-0.5, rel=1e-14)
 
 
+@pytest.mark.parametrize("b, measured", [((30.0, 20.0, 100.0), 1), ((0.3, 0.2, 1.0), 0)])
+def test_dense_path_measures_the_mass_only_without_a_certificate(monkeypatch, b,
+                                                                 measured):
+    # the pencil of `solve --dim 3 --n 4 --b 30,20,100` (27 DOFs, dense) has
+    # min f < 0 on a positive definite mass, so LAPACK measures M's smallest
+    # eigenvalue once before the pencil solve; a certified pencil (B =
+    # (0.3, 0.2, 1)) measures nothing and draws no start vector
+    _, problem = _magnetic_problem(dim=3, n=4, b=b)
+    assert problem.n == 27
+    assert (problem.mass_floor.min() <= 0.0) == bool(measured)
+    h, m = problem.stiffness.to_csr().toarray(), problem.mass.to_csr().toarray()
+    expected = scipy.linalg.eigh(h, m, eigvals_only=True, subset_by_index=[0, 1])
+    calls, rngs = [], []
+    eigh, default_rng = scipy.linalg.eigh, np.random.default_rng
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(bool(kwargs.get("eigvals_only")))
+        return eigh(*args, **kwargs)
+
+    def counting_rng(*args, **kwargs):
+        rngs.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    result = solve_hermitian_gevp(problem, k=2)
+    assert result.method_tag == "dense-eigh"
+    assert calls == [True] * measured + [False]
+    assert rngs == []
+    assert np.allclose(result.eigenvalues, expected, rtol=1e-12, atol=0)
+
+
 def test_definiteness_error_sparse():
     n = 2100  # above the dense cutoff
     diag = np.ones(n)
