@@ -69,6 +69,9 @@ MUTANTS = [
      "low = np.flatnonzero(lam < margin)",
      "low = np.flatnonzero((lam < margin) & (m == 4))",
      [f"{ASSEMBLY}::test_eigvalsh_takes_exactly_the_cells_weyl_leaves_uncertified"]),
+    ("mass floor from the largest certificate", "assembly.py",
+     "mass_floor = float(floor.min())", "mass_floor = float(floor.max())",
+     [f"{ASSEMBLY}::test_one_pass_equals_the_single_forms"]),
     ("lower triangle not conjugated", "assembly.py",
      "data = np.concatenate([upper.conj(), diag, upper])",
      "data = np.concatenate([upper, diag, upper])", [ASSEMBLY]),
@@ -82,16 +85,18 @@ MUTANTS = [
      "    vecs *= np.conj(top / np.hypot(top.real, top.imag))[:, None]\n", "",
      [EIGENSOLVE]),
     ("shift factor 1.0", "eigensolve.py",
-     "np.min(lower / (0.9 * floor))", "np.min(lower / (1.0 * floor))", [EIGENSOLVE]),
+     "g_min / (0.9 * mu)", "g_min / (1.0 * mu)", [EIGENSOLVE]),
     ("sigma without the spectrum floor", "eigensolve.py",
-     "max(float(np.min(lower / (0.9 * floor))), problem.spectrum_floor) - 1.0",
-     "float(np.min(lower / (0.9 * floor))) - 1.0", [EIGENSOLVE]),
+     "max(float(g_min / (0.9 * mu)), problem.spectrum_floor) - 1.0",
+     "float(g_min / (0.9 * mu)) - 1.0", [EIGENSOLVE]),
     ("no zero shift", "eigensolve.py",
-     "if lower.min() > 0.0:", "if False:", [EIGENSOLVE]),
+     "if g_min > 0.0:", "if False:", [EIGENSOLVE]),
     ("dense path skips the certificate", "eigensolve.py",
-     "if floor.min() <= 0.0:", "if not dense and floor.min() <= 0.0:", [EIGENSOLVE]),
+     "mu = problem.mass_floor\n    if mu <= 0.0:",
+     "mu = problem.mass_floor\n    if not dense and mu <= 0.0:", [EIGENSOLVE]),
     ("ARPACK path skips the probe", "eigensolve.py",
-     "if floor.min() <= 0.0:", "if dense and floor.min() <= 0.0:", [EIGENSOLVE]),
+     "mu = problem.mass_floor\n    if mu <= 0.0:",
+     "mu = problem.mass_floor\n    if dense and mu <= 0.0:", [EIGENSOLVE]),
     ("ARPACK tol = tol", "eigensolve.py",
      "tol=tol * 1e-2", "tol=tol", [EIGENSOLVE]),
     ("RCM kept only three columns narrower", "eigensolve.py",

@@ -80,6 +80,9 @@ __all__ = [
 DIAG_IMAG_TOL = 1e-13
 
 # Cells per vectorized assembly batch; bounds the cell kernels' scratch arrays.
+# assemble_scalar_problem with a well, chunked vs one chunk (best of 7x5, one
+# core, one BLAS thread, Xeon VM): 3D n=15 19.0 vs 31.5 ms, max RSS 78 vs
+# 94 MB; 3D n=14 17.4 vs 26.7 ms; 2D n=104 18.0 vs 20.9 ms.
 _CHUNK = 4096
 
 
@@ -130,25 +133,23 @@ class AssembledProblem:
     ``interior`` is the vertex mask ``~mesh.boundary_vertex``; the n DOFs
     are its interior vertices in ascending order.
 
-    ``mass_floor`` holds, per interior DOF, the cell pass's floor f with
-    ``mass`` - diag(f) PSD; min f > 0 proves ``mass`` positive definite.
+    ``mass_floor`` is mu = min f over the interior DOFs, f the cell pass's
+    floor (``mass`` - diag(f) PSD); mu > 0 proves ``mass`` positive definite,
+    and a pencil without certificates has mu = 0.
 
     ``spectrum_floor`` is a proven lower bound s on the smallest eigenvalue
     of the pencil: s = v_min - max_v d_v / f_v over the interior vertices,
     with v_min = min(0, min V) and d the potential deficit of the cell pass
     (H - v_min M >= -diag(d)).  Then H - s M >= diag((v_min - s) f - d) >= 0.
     It is -inf when the certificate fails: some cell at an interior vertex
-    has a negative floor lambda_min(I + U_T), or min f <= 0.  With U = 1
+    has a negative floor lambda_min(I + U_T), or mu <= 0.  With U = 1
     (the baseline, or a zero field) d = 0 and s = v_min.
-
-    A pencil without certificates has a zero ``mass_floor`` and
-    ``spectrum_floor`` -inf.
     """
 
     stiffness: HermitianSparse
     mass: HermitianSparse
     interior: np.ndarray
-    mass_floor: np.ndarray
+    mass_floor: float
     spectrum_floor: float
 
     @property
@@ -551,11 +552,12 @@ def assemble_scalar_problem(circulation, potential=None, method="covariant"):
     stiffness = eliminate_dirichlet(stiffness, interior)
     mass = eliminate_dirichlet(mass, interior)
     floor, deficit = floor[interior], deficit[interior]
+    mass_floor = float(floor.min())
     v_min = 0.0 if potential is None else min(0.0, potential.min())
     spectrum_floor = (
-        v_min - float(np.max(deficit / floor)) if floor.min() > 0.0 else -np.inf
+        v_min - float(np.max(deficit / floor)) if mass_floor > 0.0 else -np.inf
     )
-    return AssembledProblem(stiffness, mass, interior, floor, spectrum_floor)
+    return AssembledProblem(stiffness, mass, interior, mass_floor, spectrum_floor)
 
 
 def export_matrix(matrix, path):

@@ -140,20 +140,22 @@ def potential_values(expr, mesh):
     """
     if expr == "zero":
         return None
-    if expr.startswith("constant:"):
-        c = float(expr[len("constant:"):])
-        return np.full(mesh.n_vertices, c)
-    if expr.startswith("well:"):
-        parts = expr[len("well:"):].split(",")
-        if len(parts) != 2:
-            raise ValueError("well potential takes depth,radius")
-        depth, radius = float(parts[0]), float(parts[1])
-        if not 0.0 < radius < math.inf:
-            raise ValueError("well radius must be finite and positive")
-        center = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
-        dist = np.linalg.norm(mesh.vertices - center, axis=1)
-        return np.where(dist <= radius, depth, 0.0)
-    raise ValueError(f"unknown potential {expr!r}")
+    kind, colon, text = expr.partition(":")
+    if not colon or kind not in ("constant", "well"):
+        raise ValueError(f"unknown potential {expr!r}")
+    try:
+        values = [float(tok) for tok in text.split(",")]
+        if kind == "constant":
+            (c,) = values
+            return np.full(mesh.n_vertices, c)
+        depth, radius = values
+    except ValueError:  # a token that is not a number, or a wrong count
+        raise ValueError(f"could not parse --potential value {expr!r}") from None
+    if not 0.0 < radius < math.inf:
+        raise ValueError("well radius must be finite and positive")
+    center = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
+    dist = np.linalg.norm(mesh.vertices - center, axis=1)
+    return np.where(dist <= radius, depth, 0.0)
 
 
 def dirichlet_reference(dim, lengths, count):

@@ -79,12 +79,10 @@ MULTIPLET_GAP = 1e-12
 class DefinitenessError(RuntimeError):
     """The mass matrix is not positive definite."""
 
-    def __init__(self, pivot):
-        self.pivot = float(pivot)
-        super().__init__(
-            f"mass matrix is not positive definite "
-            f"(smallest detected pivot {self.pivot:.6e})"
-        )
+    def __init__(self, eigenvalue):
+        self.eigenvalue = float(eigenvalue)
+        super().__init__("mass matrix is not positive definite (smallest "
+                         f"eigenvalue {self.eigenvalue:.6e})")
 
 
 class ConvergenceError(RuntimeError):
@@ -92,10 +90,8 @@ class ConvergenceError(RuntimeError):
 
     def __init__(self, best_residual, message=None):
         self.best_residual = float(best_residual)
-        super().__init__(
-            message
-            or f"eigensolver did not converge (best residual {self.best_residual:.3e})"
-        )
+        super().__init__(message or "eigensolver did not converge "
+                         f"(best residual {self.best_residual:.3e})")
 
 
 @dataclass
@@ -162,14 +158,14 @@ def _postprocess(vals, vecs, hx, mx, tol, tag):
     return SpectrumResult(vals, vecs, residuals, _flag_multiplets(vals), tag)
 
 
-def _gershgorin_lower(h_csr):
-    """Per-row g with x^H H x >= sum_i g_i |x_i|^2: diagonal minus row radius."""
+def _gershgorin_min(h_csr):
+    """g with x^H H x >= g ||x||^2: the least diagonal minus row radius."""
     # np.hypot rounds like scalar abs(); a SIMD complex np.abs may not
     data, diag = h_csr.data, h_csr.diagonal()
     moduli = sparse.csr_matrix((np.hypot(data.real, data.imag), h_csr.indices,
                                 h_csr.indptr), shape=h_csr.shape)
     radii = np.asarray(moduli.sum(axis=1)).ravel() - np.hypot(diag.real, diag.imag)
-    return diag.real - radii
+    return float((diag.real - radii).min())
 
 
 def _shift_invert_solver(a):
@@ -254,16 +250,16 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     problem : AssembledProblem
         The pencil H = ``stiffness``, M = ``mass`` (HermitianSparse, same
         size n) and its two certificates.  M must be positive definite
-        (checked).  ``mass_floor`` is a proven (n,) floor f with M - diag(f)
-        positive semidefinite, zero for none.  When min f > 0, M is certified
-        and nothing is measured; otherwise (the certificate is sufficient,
-        not necessary) M's smallest eigenvalue is measured before either
-        path runs, by LAPACK when dense and by a Lanczos probe otherwise.
-        ``spectrum_floor`` is a proven lower bound s on the smallest
-        eigenvalue, -inf for none.  It only places the ARPACK shift:
-        sigma = 0 when the Gershgorin bound proves H positive definite, and
-        otherwise sigma = max(min_i g_i / (0.9 f_i), s) - 1 with g the
-        Gershgorin rows of H, so H - sigma M >= diag(f).
+        (checked).  ``mass_floor`` is a proven lower bound mu on M's
+        smallest eigenvalue, M - mu I positive semidefinite, 0 for none.
+        When mu > 0, M is certified and nothing is measured; otherwise (the
+        certificate is sufficient, not necessary) mu becomes M's smallest
+        eigenvalue, measured before either path runs, by LAPACK when dense
+        and by a Lanczos probe otherwise.  ``spectrum_floor`` is a proven
+        lower bound s on the smallest eigenvalue, -inf for none.  It only
+        places the ARPACK shift: sigma = 0 when the Gershgorin bound g
+        proves H positive definite, and otherwise
+        sigma = max(g / (0.9 mu), s) - 1, so H - sigma M >= mu I.
     k : int
         Number of eigenpairs, 1 <= k <= n.
     tol : float
@@ -275,7 +271,7 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
     Raises
     ------
     DefinitenessError
-        M's measured smallest eigenvalue, ``pivot``, is not positive.
+        M's measured smallest eigenvalue, ``eigenvalue``, is not positive.
     ConvergenceError
         The mass probe stalled, the shift-invert factor met a pivot that is
         not positive (band) or an exactly singular one (SuperLU), ARPACK
@@ -302,22 +298,22 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    floor = problem.mass_floor
-    if floor.min() <= 0.0:
+    mu = problem.mass_floor
+    if mu <= 0.0:
         # No certificate: measure the smallest eigenvalue of M.
         if dense:
-            floor = scipy.linalg.eigh(m_csr.toarray(), eigvals_only=True,
-                                      subset_by_index=[0, 0])[0]
+            mu = scipy.linalg.eigh(m_csr.toarray(), eigvals_only=True,
+                                   subset_by_index=[0, 0])[0]
         else:
             try:
-                floor = spla.eigsh(m_csr, k=1, which="SA", tol=1e-8, v0=v0,
-                                   return_eigenvectors=False)[0]
+                mu = spla.eigsh(m_csr, k=1, which="SA", tol=1e-8, v0=v0,
+                                return_eigenvectors=False)[0]
             except ArpackNoConvergence as exc:
                 raise ConvergenceError(
                     np.inf, f"mass definiteness probe stalled: {exc}"
                 ) from None
-        if floor <= 0.0:
-            raise DefinitenessError(floor)
+        if mu <= 0.0:
+            raise DefinitenessError(mu)
 
     if dense:
         vals, vecs = scipy.linalg.eigh(h_csr.toarray(), m_csr.toarray(),
@@ -326,16 +322,15 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
 
     # Any sigma strictly below the smallest pencil eigenvalue keeps H - sigma M
     # positive definite and makes the smallest eigenvalues the ARPACK 'LM'
-    # targets.  For sigma <= 0, x^H (H - sigma M) x >= sum_i (g_i - sigma f_i)
-    # |x_i|^2, so any sigma below min g_i / f_i will do.  That bound sits far
-    # below the spectrum under a deep well, where the problem's certified
-    # floor is the tighter one; a shift nearer the spectrum needs fewer
-    # ARPACK iterations.
-    lower = _gershgorin_lower(h_csr)
-    if lower.min() > 0.0:
+    # targets.  For sigma <= 0, x^H (H - sigma M) x >= (g - sigma mu) ||x||^2,
+    # so any sigma below g / mu will do.  That bound sits far below the
+    # spectrum under a deep well, where the problem's certified floor is the
+    # tighter one; a shift nearer the spectrum needs fewer ARPACK iterations.
+    g_min = _gershgorin_min(h_csr)
+    if g_min > 0.0:
         sigma = 0.0
     else:
-        sigma = max(float(np.min(lower / (0.9 * floor))), problem.spectrum_floor) - 1.0
+        sigma = max(float(g_min / (0.9 * mu)), problem.spectrum_floor) - 1.0
 
     solve = _shift_invert_solver(h_csr - sigma * m_csr)
     # no M given: eigs reads only the size and dtype of its matrix argument

@@ -335,6 +335,29 @@ def chebyshev_matrix(n):
     return x, d - np.diag(d.sum(axis=1))
 
 
+def _radial_operators(b, n, angular):
+    """The Chebyshev collocation of :func:`disk_spectrum`: the nodes x of
+    degree ``n`` (odd), the indices ``rows`` of the nodes r = x[rows] in
+    (0, 1), and per m in ``angular`` the matrix of the radial operator
+    -f'' - f'/r + (m/r - b r/2)^2 f on the values f(r), with f(1) = 0 and
+    f(-r) = (-1)^m f(r) folding the nodes in (-1, 0) onto them."""
+    if n % 2 == 0:
+        raise ValueError("n must be odd")
+    x, d = chebyshev_matrix(n)
+    d2 = d @ d
+    rows = np.arange(1, n // 2 + 1)  # the nodes in (0, 1)
+    mirror = n - rows  # x[mirror] = -x[rows]
+    r = x[rows]
+    operators = []
+    for m in angular:
+        parity = (-1.0) ** m
+        first = d[np.ix_(rows, rows)] + parity * d[np.ix_(rows, mirror)]
+        second = d2[np.ix_(rows, rows)] + parity * d2[np.ix_(rows, mirror)]
+        operators.append(-second - first / r[:, None]
+                         + np.diag((m / r - b * r / 2.0) ** 2))
+    return x, rows, operators
+
+
 def disk_spectrum(b, count, n, mmax):
     """The ``count`` lowest Dirichlet eigenvalues of (-i grad - A)^2 on the
     unit disk with A = (b/2)(-y, x), the uniform field b along z.
@@ -346,21 +369,45 @@ def disk_spectrum(b, count, n, mmax):
     (Trefethen's Programs 28-29).  The spectrum is the union over
     |m| <= ``mmax``, which also covers the opposite sign of A.
     """
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
-    x, d = chebyshev_matrix(n)
-    d2 = d @ d
-    rows = np.arange(1, n // 2 + 1)  # the nodes in (0, 1)
-    mirror = n - rows  # x[mirror] = -x[rows]
-    r = x[rows]
-    values = []
-    for m in range(-mmax, mmax + 1):
-        parity = (-1.0) ** m
-        first = d[np.ix_(rows, rows)] + parity * d[np.ix_(rows, mirror)]
-        second = d2[np.ix_(rows, rows)] + parity * d2[np.ix_(rows, mirror)]
-        radial = -second - first / r[:, None] + np.diag((m / r - b * r / 2.0) ** 2)
-        values.extend(np.linalg.eigvals(radial).real)
+    operators = _radial_operators(b, n, range(-mmax, mmax + 1))[2]
+    values = np.concatenate([np.linalg.eigvals(a).real for a in operators])
     return np.sort(values)[:count]
+
+
+def disk_ground_state(b, radii, n):
+    """The lowest m = 0 eigenvalue of :func:`disk_spectrum`'s radial problem
+    and its eigenfunction f at ``radii`` in [0, 1], normalized to
+    2 pi int_0^1 f(r)^2 r dr = 1 (of either sign), from the same
+    collocation.
+
+    f is even, so its values at the nodes r and -r and the zeros at +-1
+    give its degree-n polynomial on all n + 1 Chebyshev points, which the
+    barycentric formula evaluates anywhere (Berrut and Trefethen, SIAM
+    Review 46, 2004); Gauss-Legendre with n + 1 points integrates f^2 r
+    exactly.
+    """
+    x, rows, (radial,) = _radial_operators(b, n, [0])
+    vals, vecs = np.linalg.eig(radial)
+    lowest = np.argmin(vals.real)
+    nodal = np.zeros(n + 1)
+    nodal[rows] = nodal[n - rows] = vecs[:, lowest].real
+    weights = (-1.0) ** np.arange(n + 1)
+    weights[[0, -1]] *= 0.5
+
+    def f(points):
+        points = np.asarray(points, dtype=np.float64)
+        diff = points[:, None] - x[None, :]
+        exact = diff == 0.0
+        diff[exact] = 1.0
+        terms = weights / diff
+        out = (terms @ nodal) / terms.sum(axis=1)
+        hit = np.flatnonzero(exact.any(axis=1))
+        out[hit] = nodal[exact[hit].argmax(axis=1)]
+        return out
+
+    r, w = gauss_points_01(n + 1)
+    scale = np.sqrt(2.0 * np.pi * np.sum(w * f(r) ** 2 * r))
+    return vals[lowest].real, f(np.ravel(radii)) / scale
 
 
 def delaunay_cloud(dim, npoints, seed):

@@ -14,7 +14,9 @@ asserts the same condition, so this file doubles as the acceptance report:
 7. structural invariants (Hermiticity, HPD mass, transport algebra, matrix
    conjugation, solver consistency, byte-identical deterministic reports),
 8. second-order magnetic eigenvalue convergence on the unit disk vs an
-   independent Chebyshev collocation of the radial problems.
+   independent Chebyshev collocation of the radial problems,
+9. second-order convergence of the ground-state density on that disk vs the
+   same collocation's radial eigenfunction.
 """
 
 import numpy as np
@@ -44,6 +46,7 @@ from gaugefem.cli import main
 
 from conftest import perturbed_box_mesh, shift_problem
 from oracles import (
+    disk_ground_state,
     disk_spectrum,
     edge_lookup,
     p1_mass_dense,
@@ -329,4 +332,29 @@ def test_criterion_8_second_order_convergence_on_the_disk():
         + "/".join(f"{e:.1e}" for e in errors[-1])
         + ", finest-pair orders " + "/".join(f"{p:.3f}" for p in finest)
         + " all within [1.9, 2.1]",
+    )
+
+
+def test_criterion_9_second_order_density_convergence_on_the_disk():
+    # criterion 8's disk and field: the ground state is the simple m = 0
+    # level, whose density |f(r)|^2 does not depend on the gauge; the largest
+    # nodal error of |u_h|^2, relative to the oracle's maximum, falls as h^2
+    b = 6.0
+    spec = GaugeFieldSpec((0.3, -0.2), (0.0, 0.0, b))
+    errors = []
+    for h in (0.1, 0.05, 0.025):
+        mesh = make_mesh(2, *ring_disk(h)[:2])
+        problem = assemble_scalar_problem(circulate(spec, mesh))
+        result = solve_hermitian_gevp(problem, k=1)
+        density = np.abs(reconstruct_field(result.eigenvectors[0], problem.interior)) ** 2
+        lam, f = disk_ground_state(b, np.linalg.norm(mesh.vertices, axis=1), n=61)
+        assert np.isclose(lam, disk_spectrum(b, 1, n=61, mmax=12)[0], rtol=1e-12, atol=0)
+        errors.append(np.abs(density - f**2).max() / (f**2).max())
+    finest = np.log2(errors[-2] / errors[-1])
+    _criterion(
+        "9 second-order density convergence (magnetic disk, Chebyshev oracle)",
+        bool(finest >= 1.85),
+        "largest nodal |u|^2 errors relative to the oracle's maximum "
+        + "/".join(f"{e:.2e}" for e in errors)
+        + f" at h = 0.1/0.05/0.025, finest-pair order {finest:.3f} >= 1.85",
     )

@@ -303,7 +303,7 @@ def test_one_pass_equals_the_single_forms(dim, n):
     problem = assemble_scalar_problem(circ, well)
     _assert_same_csr(problem.stiffness, eliminate_dirichlet(stiffness, interior))
     _assert_same_csr(problem.mass, eliminate_dirichlet(mass, interior))
-    assert np.array_equal(problem.mass_floor, floor[interior])
+    assert problem.mass_floor == floor[interior].min()
     assert np.array_equal(problem.interior, interior)
     f, d = floor[interior], deficit[interior]
     s = -5.0 - np.max(d / f) if f.min() > 0.0 else -np.inf
@@ -798,7 +798,7 @@ def test_assemble_scalar_problem_shapes():
     n_int = int((~mesh.boundary_vertex).sum())
     assert problem.n == problem.stiffness.n == n_int
     assert problem.mass.n == n_int
-    assert problem.mass_floor.shape == (n_int,)
+    assert type(problem.mass_floor) is float
     assert np.array_equal(problem.interior, ~mesh.boundary_vertex)
 
     # an all-zero potential is the same as none
@@ -893,10 +893,11 @@ def test_mass_floor_certifies_the_mass(dim, n, mesh_seed, b, gauge_seed):
     assert np.linalg.eigvalsh(m - np.diag(floor))[0] >= -1e-13 * scale
 
     problem = assemble_scalar_problem(circ)
-    for mass, f in ((m, floor), (problem.mass.to_csr().toarray(), problem.mass_floor)):
-        if f.min() > 0.0:
+    for mass, mu in ((m, floor.min()), (problem.mass.to_csr().toarray(),
+                                        problem.mass_floor)):
+        if mu > 0.0:
             np.linalg.cholesky(mass)
-            assert np.linalg.eigvalsh(mass)[0] >= f.min() * (1.0 - 1e-12)
+            assert np.linalg.eigvalsh(mass)[0] >= mu * (1.0 - 1e-12)
 
     gauged = apply_gauge_to_circulation(circ, random_gauge(mesh, np.pi, gauge_seed))
     moved = covariant_stiffness(transports(gauged), with_mass=True)[2]
@@ -971,7 +972,7 @@ def test_spectrum_floor_bounds_the_lowest_eigenvalue(dim, n, mesh_seed, b, depth
     s = problem.spectrum_floor
     assert s <= v_min
     if np.isfinite(s):
-        assert problem.mass_floor.min() > 0.0
+        assert problem.mass_floor > 0.0
         assert s <= _lowest_eigenvalue(problem)
 
     # gauge invariant, to roundoff on the scale of the potential

@@ -736,6 +736,14 @@ def test_potential_values_parsing():
         potential_values("well:-2,0", mesh)
 
 
+@pytest.mark.parametrize("value", ["constant:", "well:x,0.3"])
+def test_potential_parse_errors_name_the_flag(value, capsys):
+    rc, out, err = run_cli(["solve", "--n", "4", "--potential", value], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == f"gaugefem: could not parse --potential value {value!r}\n"
+
+
 def test_dirichlet_reference_table():
     vals = dirichlet_reference(2, (1.0, 1.0), 4)
     assert np.allclose(

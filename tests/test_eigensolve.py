@@ -19,21 +19,21 @@ from gaugefem import (
     assemble_scalar_problem,
     build_box_mesh,
     circulate,
+    covariant_stiffness,
     HermitianSparse,
     make_mesh,
     reconstruct_field,
     solve_hermitian_gevp,
+    transports,
 )
 
 from conftest import perturbed_box_mesh, shift_problem
 from oracles import delaunay_cloud, ring_disk
 
 
-def _pencil(h, m, mass_floor=None):
+def _pencil(h, m, mass_floor=0.0):
     """The problem of two HermitianSparse matrices, without a spectrum floor
     and, unless ``mass_floor`` is given, with a zero mass floor."""
-    if mass_floor is None:
-        mass_floor = np.zeros(h.n)
     return AssembledProblem(h, m, np.ones(h.n, dtype=bool), mass_floor, -np.inf)
 
 
@@ -57,7 +57,7 @@ def _clustered_problem():
     diag = 1.0 + 1e-6 * np.arange(n) / n
     h = HermitianSparse(sparse.diags(diag, format="csr", dtype=complex))
     m = HermitianSparse(sparse.identity(n, format="csr", dtype=complex))
-    return _pencil(h, m, mass_floor=np.ones(n))
+    return _pencil(h, m, mass_floor=1.0)
 
 
 def _solve(problem, k, path, **kwargs):
@@ -262,7 +262,8 @@ def test_definiteness_error_dense():
     pencil = _pencil_from_dense(np.eye(3), np.diag([1.0, -0.5, 1.0]))
     with pytest.raises(DefinitenessError) as info:
         solve_hermitian_gevp(pencil, k=1)
-    assert info.value.pivot == pytest.approx(-0.5, rel=1e-14)
+    assert info.value.eigenvalue == pytest.approx(-0.5, rel=1e-14)
+    assert "(smallest eigenvalue -5.000000e-01)" in str(info.value)
 
 
 @pytest.mark.parametrize("b, measured", [((30.0, 20.0, 100.0), 1), ((0.3, 0.2, 1.0), 0)])
@@ -274,7 +275,7 @@ def test_dense_path_measures_the_mass_only_without_a_certificate(monkeypatch, b,
     # (0.3, 0.2, 1)) measures nothing and draws no start vector
     _, problem = _magnetic_problem(dim=3, n=4, b=b)
     assert problem.n == 27
-    assert (problem.mass_floor.min() <= 0.0) == bool(measured)
+    assert (problem.mass_floor <= 0.0) == bool(measured)
     h, m = problem.stiffness.to_csr().toarray(), problem.mass.to_csr().toarray()
     expected = scipy.linalg.eigh(h, m, eigvals_only=True, subset_by_index=[0, 1])
     calls, rngs = [], []
@@ -348,7 +349,7 @@ def test_a_stall_with_converged_pairs_reports_their_best_residual(arpack_path,
 ], ids=["2d-n20", "2d-n28", "3d-n8", "unit-square-zero-field", "unit-cube-zero-field"])
 def test_iterative_path_matches_dense(case, k, arpack_shifts):
     _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case])
-    assert problem.mass_floor.min() > 0.0
+    assert problem.mass_floor > 0.0
     dense, arpack = _solve_every_path(problem, k)
     # the certificate replaces the Lanczos mass probe: one ARPACK call per
     # solve only
@@ -387,7 +388,7 @@ def test_spectrum_floor_places_the_shift_under_a_deep_well(case, arpack_shifts):
     # spectrum; the assembly's certified floor s gives sigma = s - 1, and
     # without it the solver keeps the Gershgorin shift
     _, problem = _magnetic_problem(**_ACROSS_CUTOFF[case], potential=-400.0)
-    f, s = problem.mass_floor, problem.spectrum_floor
+    mu, s = problem.mass_floor, problem.spectrum_floor
     dense = _solve(problem, 3, "dense")
     plain = dataclasses.replace(problem, spectrum_floor=-np.inf)
     # certified and plain, on the band and then on the SuperLU factor
@@ -398,7 +399,7 @@ def test_spectrum_floor_places_the_shift_under_a_deep_well(case, arpack_shifts):
     diag = hd.diagonal().real
     gershgorin = diag - (np.abs(hd).sum(axis=1) - np.abs(diag))
     assert gershgorin.min() < 0.0
-    gershgorin_shift = np.min(gershgorin / (0.9 * f)) - 1.0
+    gershgorin_shift = gershgorin.min() / (0.9 * mu) - 1.0
     assert gershgorin_shift < s - 1.0 and s <= dense.eigenvalues[0] < 0.0
     assert arpack_shifts[0] == arpack_shifts[2] == s - 1.0
     assert arpack_shifts[1] == arpack_shifts[3]
@@ -585,10 +586,13 @@ def test_unstructured_meshes_agree_on_every_path(kind, cloud_seed, a0, b, well, 
         assert (a.indices - rows).max() == 231 and height == 50
     for result in arpack:
         assert np.allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
-    # M - diag(f) is positive semidefinite, and no eigenvalue lies below the
-    # spectrum floor
+    # M - diag(f) is positive semidefinite for the per-vertex floor f, whose
+    # least interior value is the mass floor, and no eigenvalue lies below
+    # the spectrum floor
     m = problem.mass.to_csr().toarray()
-    lowest = scipy.linalg.eigvalsh(m - np.diag(problem.mass_floor), subset_by_index=[0, 0])
+    floor = covariant_stiffness(transports(circ), with_mass=True)[2][problem.interior]
+    assert problem.mass_floor == floor.min()
+    lowest = scipy.linalg.eigvalsh(m - np.diag(floor), subset_by_index=[0, 0])
     assert lowest[0] >= -1e-12 * np.abs(m).max()
     assert dense.eigenvalues[0] >= problem.spectrum_floor
 
@@ -652,8 +656,10 @@ def test_k_near_n_takes_the_dense_path():
 def test_uncertified_mass_falls_back_to_the_probe(arpack_shifts):
     # B = 100 on the 3D n=4 cube gives cells with lambda_min(I + U_T) < 0 and
     # no positive vertex floor, yet the global mass is positive definite
-    _, problem = _magnetic_problem(dim=3, n=4, bz=100.0)
-    assert problem.mass_floor.max() <= 0.0
+    mesh, problem = _magnetic_problem(dim=3, n=4, bz=100.0)
+    circ = circulate(GaugeFieldSpec((0.0,) * 3, (0.0, 0.0, 100.0)), mesh)
+    floor = covariant_stiffness(transports(circ), with_mass=True)[2][problem.interior]
+    assert floor.max() <= 0.0 and problem.mass_floor == floor.min()
     np.linalg.cholesky(problem.mass.to_csr().toarray())
     dense, arpack = _solve_every_path(problem, 3)
     assert arpack_shifts[0] is None  # the Lanczos probe ran
@@ -666,7 +672,7 @@ def test_failed_certificate_runs_the_probe_once_before_arpack(monkeypatch):
     # whose mass certificate fails (min f = -2.6e-4) on a positive definite
     # mass
     _, problem = _magnetic_problem(dim=3, n=7, b=(1412.68, -87.97, 1471.91))
-    assert problem.mass_floor.min() <= 0.0
+    assert problem.mass_floor <= 0.0
     assert problem.spectrum_floor == -np.inf
     calls = []
     eigsh = spla.eigsh
@@ -740,7 +746,7 @@ def _small_problem():
 
 def _uncertified_small_problem():
     problem = _small_problem()
-    return dataclasses.replace(problem, mass_floor=np.zeros(problem.n))
+    return dataclasses.replace(problem, mass_floor=0.0)
 
 
 def _huge_potential_problem(depth, radius):

@@ -181,7 +181,7 @@ def test_potential_enters_both_spin_blocks():
                        scalar.stiffness.to_csr().toarray(), rtol=0, atol=1e-14)
     assert np.allclose(spinor.mass.to_csr().toarray(), scalar.mass.to_csr().toarray(),
                        rtol=0, atol=1e-15)
-    assert np.array_equal(spinor.mass_floor, scalar.mass_floor)
+    assert spinor.mass_floor == scalar.mass_floor
 
     n = scalar.n
     pauli = solve_pauli(spinor, k=2 * n)
