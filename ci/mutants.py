@@ -113,6 +113,9 @@ MUTANTS = [
     ("stall reports the worst residual", "eigensolve.py",
      "m_csr @ vv).min()", "m_csr @ vv).max()",
      [f"{EIGENSOLVE}::test_a_stall_with_converged_pairs_reports_their_best_residual"]),
+    ("shift-invert solve through eigs", "eigensolve.py",
+     "ritz = spla.eigsh(", "ritz = spla.eigs(",
+     [f"{EIGENSOLVE}::test_the_shift_invert_solve_is_one_eigsh_call"]),
     # pauli
     ("Pauli sort not stable", "pauli.py",
      'np.argsort(energies, kind="stable")', 'np.argsort(energies[::-1])[::-1]', [PAULI]),
@@ -136,6 +139,9 @@ MUTANTS = [
     ("a0 of any length", "cli.py",
      "if len(self.a0) != self.dim:", "if False:",
      [f"{CLI}::test_runconfig_validation"]),
+    ("report keys unsorted", "cli.py",
+     "json.dumps(report, sort_keys=True)", "json.dumps(report)",
+     [f"{CLI}::test_deterministic_reports_are_byte_identical"]),
 ]
 
 

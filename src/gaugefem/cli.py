@@ -8,8 +8,9 @@ gauge-check      paired solve under a random discrete gauge transform
 convergence      refinement study with analytic or extrapolated reference
 export-matrices  write the assembled pencil in coordinate text form
 
-Reports are JSON (default) or CSV; JSON reports carry ``format_version`` 1
-and echo the fully resolved configuration so runs can be replayed.  With
+Reports are JSON (default) or CSV.  A JSON report is one line with sorted
+keys (``python -m json.tool`` indents it); it carries ``format_version`` 1
+and echoes the fully resolved configuration so runs can be replayed.  With
 ``--deterministic`` wall-clock fields are emitted as null and reruns of the
 same command line produce byte-identical output.
 """
@@ -425,40 +426,10 @@ def _csv_projection(report):
     return rows
 
 
-def _indented_json(value, newline):
-    """json.dumps(value, indent=2, sort_keys=True) for report values.
-
-    Dict keys are str.  With an indent the stdlib runs its pure-Python
-    encoder, so a list of numbers, bools and nulls (the eigenvalues, a
-    density row) is encoded in one C call instead and re-indented at its
-    ", " separators, which those encodings never contain.  A list whose C
-    encoding holds a quote or an inner "[" is walked item by item; an empty
-    dict or list encodes as {} or [] at any indent.  ``newline`` is a
-    newline followed by the current indentation.
-    """
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (json.dumps(key) + ": " + _indented_json(item, inner)
-                 for key, item in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if not isinstance(value[0], (dict, list, tuple)):
-            flat = json.dumps(value)
-            if '"' not in flat and flat.find("[", 1) < 0:
-                return ("[" + inner + flat[1:-1].replace(", ", "," + inner)
-                        + newline + "]")
-        items = (_indented_json(item, inner) for item in value)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(value)
-
-
 def _render(report, fmt):
+    """The report's text: one line of JSON with sorted keys, or CSV rows."""
     if fmt == "json":
-        return _indented_json(report, "\n") + "\n"
+        return json.dumps(report, sort_keys=True) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(_csv_projection(report))

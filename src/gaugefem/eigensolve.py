@@ -333,12 +333,13 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
         sigma = max(float(g_min / (0.9 * mu)), problem.spectrum_floor) - 1.0
 
     solve = _shift_invert_solver(h_csr - sigma * m_csr)
-    # no M given: eigs reads only the size and dtype of its matrix argument
+    # no M given: ARPACK reads only the size and dtype of its matrix argument;
+    # for complex input eigsh hands every argument to eigs unchanged
     op_inv = spla.LinearOperator(
         (n, n), matvec=lambda x: solve(m_csr @ x), dtype=np.complex128
     )
     try:
-        ritz = spla.eigs(
+        ritz = spla.eigsh(
             h_csr, k=k, sigma=sigma, OPinv=op_inv, which="LM", tol=tol * 1e-2, v0=v0
         )[1]
     except ArpackNoConvergence as exc:

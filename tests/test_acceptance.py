@@ -16,7 +16,10 @@ asserts the same condition, so this file doubles as the acceptance report:
 8. second-order magnetic eigenvalue convergence on the unit disk vs an
    independent Chebyshev collocation of the radial problems,
 9. second-order convergence of the ground-state density on that disk vs the
-   same collocation's radial eigenfunction.
+   same collocation's radial eigenfunction,
+10. that eigenfunction's error in the gauge-dependent norms of the covariant
+    mass (order 4) and stiffness (order 2) forms, the same under a random
+    vertex gauge.
 """
 
 import numpy as np
@@ -357,4 +360,53 @@ def test_criterion_9_second_order_density_convergence_on_the_disk():
         "largest nodal |u|^2 errors relative to the oracle's maximum "
         + "/".join(f"{e:.2e}" for e in errors)
         + f" at h = 0.1/0.05/0.025, finest-pair order {finest:.3f} >= 1.85",
+    )
+
+
+def _disk_ground_state_errors(circ, b, a0, alpha, method="covariant"):
+    """e^H M e and e^H K e for the k = 1 solve on ``circ``'s disk, in its own
+    M and K, with e = u_h - c Pi u: Pi u = exp(i (alpha - a0 . x)) f(r) at the
+    interior vertices and c its M-orthogonal phase and scale."""
+    problem = assemble_scalar_problem(circ, method=method)
+    u = solve_hermitian_gevp(problem, k=1).eigenvectors[0]
+    x = circ.mesh.vertices[problem.interior]
+    f = disk_ground_state(b, np.linalg.norm(x, axis=1), n=61)[1]
+    pi_u = np.exp(1j * (alpha[problem.interior] - x @ np.asarray(a0))) * f
+    m, k = problem.mass.to_csr(), problem.stiffness.to_csr()
+    e = u - np.vdot(pi_u, m @ u) / np.vdot(pi_u, m @ pi_u) * pi_u
+    return np.vdot(e, m @ e).real, np.vdot(e, k @ e).real
+
+
+def test_criterion_10_gauge_uniform_eigenfunction_errors_on_the_disk():
+    # criterion 9's disk and field: the phase-aligned error e of the ground
+    # state falls as h^4 in the covariant mass form and as h^2 in the
+    # stiffness form (the discrete ||u||^2 and ||(grad - iA) u||^2), and
+    # under a random vertex gauge alpha, with Pi u taken as exp(i alpha) Pi u,
+    # both equal the ungauged errors to roundoff
+    b, a0 = 6.0, (0.3, -0.2)
+    spec = GaugeFieldSpec(a0, (0.0, 0.0, b))
+    errors, drift, baseline = [], 0.0, []
+    for h in (0.1, 0.05, 0.025):
+        mesh = make_mesh(2, *ring_disk(h)[:2])
+        circ = circulate(spec, mesh)
+        alpha = random_gauge(mesh, 3.0, 7)
+        gauged = apply_gauge_to_circulation(circ, alpha)
+        plain = _disk_ground_state_errors(circ, b, a0, np.zeros(mesh.n_vertices))
+        twin = _disk_ground_state_errors(gauged, b, a0, alpha)
+        errors.append(plain)
+        drift = max(drift, *(abs(t - p) / p for t, p in zip(twin, plain)))
+        baseline.append(_disk_ground_state_errors(gauged, b, a0, alpha, "baseline"))
+    errors = np.array(errors)
+    order_m, order_k = np.log2(errors[-2] / errors[-1])
+    print("baseline, gauged: e^H M e "
+          + "/".join(f"{e:.3g}" for e, _ in baseline)
+          + ", e^H K e " + "/".join(f"{e:.4g}" for _, e in baseline))
+    _criterion(
+        "10 gauge-uniform eigenfunction errors (magnetic disk, Chebyshev oracle)",
+        bool(order_m >= 3.8 and order_k >= 1.8 and drift <= 1e-10),
+        "e^H M e " + "/".join(f"{e:.3e}" for e in errors[:, 0])
+        + ", e^H K e " + "/".join(f"{e:.3e}" for e in errors[:, 1])
+        + f" at h = 0.1/0.05/0.025, finest-pair orders {order_m:.2f} (>= 3.8)"
+        + f" and {order_k:.2f} (>= 1.8), gauged relative drift {drift:.1e}"
+        + " (<= 1e-10)",
     )

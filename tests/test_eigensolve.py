@@ -82,9 +82,9 @@ def arpack_path(monkeypatch):
 
 @pytest.fixture
 def one_arpack_iteration(monkeypatch):
-    """The real shift-invert eigs, capped at one iteration: a stall on demand."""
-    original = spla.eigs
-    monkeypatch.setattr(spla, "eigs",
+    """The real shift-invert eigsh, capped at one iteration: a stall on demand."""
+    original = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh",
                         lambda *args, **kwargs: original(*args, **kwargs, maxiter=1))
 
 
@@ -108,8 +108,8 @@ def superlu_factor(monkeypatch):
 
 @pytest.fixture
 def arpack_shifts(monkeypatch):
-    """The sigma of every ARPACK call the solver makes, in order: the eigsh
-    Lanczos mass probe records None, the shift-invert eigs its sigma."""
+    """The sigma of every ARPACK call the solver makes, in order: the
+    Lanczos mass probe records None, the shift-invert solve its sigma."""
     shifts = []
 
     def recorder(original):
@@ -118,8 +118,7 @@ def arpack_shifts(monkeypatch):
             return original(*args, **kwargs)
         return recording
 
-    for name in ("eigsh", "eigs"):
-        monkeypatch.setattr(spla, name, recorder(getattr(spla, name)))
+    monkeypatch.setattr(spla, "eigsh", recorder(spla.eigsh))
     return shifts
 
 
@@ -323,7 +322,7 @@ def test_convergence_error_iteration_cap(one_arpack_iteration):
 
 def test_a_stall_with_converged_pairs_reports_their_best_residual(arpack_path,
                                                                   monkeypatch):
-    # eigs stalls holding two eigenvectors of the pencil, perturbed by 1e-2
+    # eigsh stalls holding two eigenvectors of the pencil, perturbed by 1e-2
     # and 1e-6: best_residual is the smaller of their residual norms
     problem = _small_problem()
     h, m = problem.stiffness.to_csr().toarray(), problem.mass.to_csr().toarray()
@@ -337,7 +336,7 @@ def test_a_stall_with_converged_pairs_reports_their_best_residual(arpack_path,
     def stalled(*args, **kwargs):
         raise spla.ArpackNoConvergence("ARPACK stalled", vals, vecs)
 
-    monkeypatch.setattr(spla, "eigs", stalled)
+    monkeypatch.setattr(spla, "eigsh", stalled)
     with pytest.raises(ConvergenceError) as info:
         solve_hermitian_gevp(problem, k=2)
     assert info.value.best_residual == pytest.approx(residuals[1], rel=1e-10)
@@ -623,18 +622,18 @@ def test_dense_and_arpack_paths_agree(dim, mesh_seed, a0, b, zero_shift, k):
     else:
         problem = shift_problem(problem, -30.0)
     shifts = []
-    original = spla.eigs
+    original = spla.eigsh
 
     def recording(*args, **kwargs):
         shifts.append(kwargs.get("sigma"))
         return original(*args, **kwargs)
 
-    spla.eigs = recording
+    spla.eigsh = recording
     try:
         dense = _solve(problem, k, "dense")
         arpack = _solve(problem, k, "arpack")
     finally:
-        spla.eigs = original
+        spla.eigsh = original
     assert (shifts[-1] == 0.0) if zero_shift else (shifts[-1] < 0.0)
     assert arpack.method_tag == "arpack-shift-invert"
     assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
@@ -674,21 +673,46 @@ def test_failed_certificate_runs_the_probe_once_before_arpack(monkeypatch):
     _, problem = _magnetic_problem(dim=3, n=7, b=(1412.68, -87.97, 1471.91))
     assert problem.mass_floor <= 0.0
     assert problem.spectrum_floor == -np.inf
-    calls = []
+    shifts = []
     eigsh = spla.eigsh
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        shifts.append(kwargs.get("sigma"))
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(spla, "eigsh", counting)
     result = solve_hermitian_gevp(problem, k=2)
-    assert len(calls) == 1
+    # one probe (no shift), then the shift-invert solve
+    assert len(shifts) == 2 and shifts[0] is None and shifts[1] is not None
     assert result.method_tag == "arpack-shift-invert"
     dense = scipy.linalg.eigh(problem.stiffness.to_csr().toarray(),
                               problem.mass.to_csr().toarray(),
                               eigvals_only=True, subset_by_index=[0, 1])
     assert np.allclose(result.eigenvalues, dense, rtol=1e-10, atol=0)
+
+
+def test_the_shift_invert_solve_is_one_eigsh_call(arpack_path, monkeypatch):
+    # a certified mass runs no probe, so the one ARPACK call is the
+    # shift-invert solve; for complex input eigsh hands its arguments to eigs
+    # unchanged, so eigs on the same arguments gives the same bits
+    problem = _small_problem()
+    assert problem.mass_floor > 0.0
+    calls = []
+    eigsh = spla.eigsh
+
+    def spying(*args, **kwargs):
+        calls.append((args, kwargs, eigsh(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(spla, "eigsh", spying)
+    result = solve_hermitian_gevp(problem, k=2)
+    assert result.method_tag == "arpack-shift-invert"
+    assert len(calls) == 1
+    args, kwargs, (vals, vecs) = calls[0]
+    assert kwargs["sigma"] is not None
+    direct = spla.eigs(*args, **kwargs)
+    assert np.array_equal(vals, direct[0].real)
+    assert np.array_equal(vecs, direct[1])
 
 
 def test_reconstruct_field():
@@ -713,11 +737,11 @@ def test_reconstruct_field():
 
 @pytest.fixture
 def arpack_error(monkeypatch):
-    """The shift-invert eigs stops with ARPACK error -9."""
+    """The shift-invert eigsh stops with ARPACK error -9."""
     def failing(*args, **kwargs):
         raise spla.ArpackError(-9)
 
-    monkeypatch.setattr(spla, "eigs", failing)
+    monkeypatch.setattr(spla, "eigsh", failing)
 
 
 @pytest.fixture
@@ -732,12 +756,12 @@ def probe_stall(monkeypatch):
 
 @pytest.fixture
 def dependent_ritz_vectors(monkeypatch):
-    """The shift-invert eigs returns k copies of one vector, so X^H M X is
+    """The shift-invert eigsh returns k copies of one vector, so X^H M X is
     singular."""
     def copies(a, k, **kwargs):
-        return np.ones(k, dtype=complex), np.ones((a.shape[0], k), dtype=complex)
+        return np.ones(k), np.ones((a.shape[0], k), dtype=complex)
 
-    monkeypatch.setattr(spla, "eigs", copies)
+    monkeypatch.setattr(spla, "eigsh", copies)
 
 
 def _small_problem():
