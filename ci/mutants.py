@@ -116,6 +116,9 @@ MUTANTS = [
     ("shift-invert solve through eigs", "eigensolve.py",
      "ritz = spla.eigsh(", "ritz = spla.eigs(",
      [f"{EIGENSOLVE}::test_the_shift_invert_solve_is_one_eigsh_call"]),
+    ("ARPACK restarts uncapped", "eigensolve.py",
+     "maxiter=ARPACK_MAXITER)", "maxiter=None)",
+     [f"{CLI}::test_arpack_restarts_are_capped"]),
     # pauli
     ("Pauli sort not stable", "pauli.py",
      'np.argsort(energies, kind="stable")', 'np.argsort(energies[::-1])[::-1]', [PAULI]),
@@ -139,6 +142,16 @@ MUTANTS = [
     ("a0 of any length", "cli.py",
      "if len(self.a0) != self.dim:", "if False:",
      [f"{CLI}::test_runconfig_validation"]),
+    ("--density paths unchecked", "cli.py",
+     '(("--output", cfg.output), ("--density", cfg.density))', '(("--output", cfg.output),)',
+     [f"{CLI}::test_unwritable_output_exits_with_code_2"]),
+    ("--density may be the --output file", "cli.py",
+     "if cfg.output and cfg.density and (", "if False and (",
+     [f"{CLI}::test_unwritable_output_exits_with_code_2"]),
+    ("pauli density down before up", "cli.py",
+     "spin_components(result.eigenvectors, problem.n), problem.interior)",
+     "spin_components(result.eigenvectors, problem.n)[::-1], problem.interior)",
+     [f"{CLI}::test_pauli_report"]),
     ("report keys unsorted", "cli.py",
      "json.dumps(report, sort_keys=True)", "json.dumps(report)",
      [f"{CLI}::test_deterministic_reports_are_byte_identical"]),

@@ -9,10 +9,13 @@ convergence      refinement study with analytic or extrapolated reference
 export-matrices  write the assembled pencil in coordinate text form
 
 Reports are JSON (default) or CSV.  A JSON report is one line with sorted
-keys (``python -m json.tool`` indents it); it carries ``format_version`` 1
+keys (``python -m json.tool`` indents it); it carries ``format_version`` 2
 and echoes the fully resolved configuration so runs can be replayed.  With
 ``--deterministic`` wall-clock fields are emitted as null and reruns of the
 same command line produce byte-identical output.
+Densities |u|^2 stay out of the report: ``--density PATH`` (``solve`` and
+``pauli`` only) writes them, once the solve succeeds, as one float64 ``.npy``
+array of shape (k, n_vertices), or (2, k, n_vertices) with spin up first.
 """
 
 import argparse
@@ -48,7 +51,7 @@ from .pauli import assemble_pauli, solve_pauli, spin_components
 __all__ = ["RunConfig", "main", "run_solve", "run_pauli", "run_gauge_check",
            "run_convergence", "run_export_matrices", "dirichlet_reference"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Errors below this are indistinguishable from roundoff; no order is reported.
 ORDER_FLOOR = 1e-12
@@ -75,6 +78,7 @@ class RunConfig:
     seed: int = 0
     gauge_amplitude: float = math.pi
     output: str = None
+    density: str = None
     fmt: str = "json"
     deterministic: bool = False
 
@@ -237,6 +241,14 @@ def _density(coefficients, interior):
     return f.real**2 + f.imag**2
 
 
+def _save_density(cfg, coefficients, interior):
+    """Write the densities to --density, if given, at that exact path
+    (``np.save`` given a name would append ``.npy``)."""
+    if cfg.density is not None:
+        with open(cfg.density, "wb") as fh:
+            np.save(fh, _density(coefficients, interior), allow_pickle=False)
+
+
 def _spectrum_block(result):
     return {
         "eigenvalues": [float(v) for v in result.eigenvalues],
@@ -250,11 +262,11 @@ def run_solve(cfg):
     mesh, _, problem = _scalar_problem(cfg, cfg.n)
     _check_k(cfg, problem.n)
     result, runtime = _timed_solve(cfg, problem)
+    _save_density(cfg, result.eigenvectors, problem.interior)
     return {
         **_spectrum_block(result),
         "n_dofs": problem.n,
         "h": mesh.h,
-        "density": _density(result.eigenvectors, problem.interior).tolist(),
         "runtime_seconds": runtime,
     }
 
@@ -265,13 +277,12 @@ def run_pauli(cfg):
     _check_k(cfg, 2 * problem.n)
     result, runtime = _timed(cfg, solve_pauli, problem, cfg.k, tol=cfg.tol,
                              seed=cfg.seed)
-    up, down = spin_components(result.eigenvectors, problem.n)
+    # the (up, down) views stack to (2, k, n) only when a density is written
+    _save_density(cfg, spin_components(result.eigenvectors, problem.n), problem.interior)
     return {
         **_spectrum_block(result),
         "n_dofs": 2 * problem.n,
         "h": mesh.h,
-        "density_up": _density(up, problem.interior).tolist(),
-        "density_down": _density(down, problem.interior).tolist(),
         "runtime_seconds": runtime,
     }
 
@@ -449,7 +460,7 @@ def _emit(report, cfg):
 # argument parsing
 
 
-def _add_subcommand(sub, name, summary, *, method=True, amplitude=False):
+def _add_subcommand(sub, name, summary, *, method=True, amplitude=False, density=False):
     # an option left out stays out of the namespace and takes RunConfig's default
     p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
     p.add_argument("--dim", type=int, choices=(2, 3),
@@ -471,6 +482,10 @@ def _add_subcommand(sub, name, summary, *, method=True, amplitude=False):
         p.add_argument("--gauge-amplitude", type=float,
                        help="uniform bound on the random vertex phases (default pi)")
     p.add_argument("--output", help="output file (default stdout)")
+    if density:
+        p.add_argument("--density", metavar="PATH",
+                       help="write the densities |u|^2 to PATH as a float64 .npy "
+                            "array (default: not formed)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"),
                    help="report format (default json)")
     p.add_argument("--deterministic", action="store_true",
@@ -486,8 +501,8 @@ def _build_parser():
                     "and Pauli eigenvalue problems on box meshes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    _add_subcommand(sub, "solve", "scalar eigenproblem")
-    _add_subcommand(sub, "pauli", "Pauli (spinor) eigenproblem", method=False)
+    _add_subcommand(sub, "solve", "scalar eigenproblem", density=True)
+    _add_subcommand(sub, "pauli", "Pauli (spinor) eigenproblem", method=False, density=True)
     _add_subcommand(sub, "gauge-check", "paired solve under a random gauge transform",
                     amplitude=True)
     _add_subcommand(sub, "convergence", "refinement study")
@@ -505,15 +520,21 @@ def _config_from_args(args):
 
 
 def _check_output(cfg):
-    """Refuse an --output no file can be written to, before any work runs."""
-    if cfg.output is None:
-        return
-    if not cfg.output:
-        raise ValueError("--output must not be empty")
-    if cfg.subcommand != "export-matrices" and os.path.isdir(cfg.output):
-        raise ValueError(f"--output {cfg.output!r} is a directory")
-    if not os.path.isdir(os.path.dirname(cfg.output) or "."):
-        raise ValueError(f"--output {cfg.output!r} is in a missing directory")
+    """Refuse an --output or --density no file can be written to, or one
+    file for both, before any work runs."""
+    for flag, path in (("--output", cfg.output), ("--density", cfg.density)):
+        if path is None:
+            continue
+        if not path:
+            raise ValueError(f"{flag} must not be empty")
+        # an export's --output is a prefix; export-matrices takes no --density
+        if cfg.subcommand != "export-matrices" and os.path.isdir(path):
+            raise ValueError(f"{flag} {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} {path!r} is in a missing directory")
+    if cfg.output and cfg.density and (os.path.realpath(cfg.output)
+                                       == os.path.realpath(cfg.density)):
+        raise ValueError(f"--density {cfg.density!r} is the --output file")
 
 
 def main(argv=None):

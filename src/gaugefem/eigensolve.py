@@ -71,6 +71,12 @@ DENSE_CUTOFF = 140
 # band array at the cutoff holds 9 MB.
 BAND_CUTOFF = 560_000
 
+# Restarts (Arnoldi update iterations) allowed to the shift-invert ARPACK solve,
+# against scipy's 10 n.  Most measured: 16 over the CI lines and seed-0 benchmark
+# jobs, 35 on solve --dim 2 --n 32 --b 300 --a0 0.3,0.1 --potential well:-200,0.3
+# --k 4.  A stalled Landau cluster (2D n=40, B = 600) fails after ~1,000 solves.
+ARPACK_MAXITER = 100
+
 # Neighbouring eigenvalues closer than this (relative) are flagged as a
 # multiplet; their eigenvectors are only defined up to mixing.
 MULTIPLET_GAP = 1e-12
@@ -339,9 +345,8 @@ def solve_hermitian_gevp(problem, k, tol=1e-9, seed=0):
         (n, n), matvec=lambda x: solve(m_csr @ x), dtype=np.complex128
     )
     try:
-        ritz = spla.eigsh(
-            h_csr, k=k, sigma=sigma, OPinv=op_inv, which="LM", tol=tol * 1e-2, v0=v0
-        )[1]
+        ritz = spla.eigsh(h_csr, k=k, sigma=sigma, OPinv=op_inv, which="LM",
+                          tol=tol * 1e-2, v0=v0, maxiter=ARPACK_MAXITER)[1]
     except ArpackNoConvergence as exc:
         best = np.inf
         if len(exc.eigenvalues):

@@ -9,7 +9,15 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 import gaugefem.cli as cli
-from gaugefem import build_box_mesh, reconstruct_field, solve_hermitian_gevp
+import gaugefem.eigensolve as eigensolve
+from gaugefem import (
+    assemble_pauli,
+    build_box_mesh,
+    reconstruct_field,
+    solve_hermitian_gevp,
+    solve_pauli,
+    spin_components,
+)
 from gaugefem.cli import (
     RunConfig,
     _build_parser,
@@ -37,15 +45,17 @@ def run_cli(args, capsys):
     return rc, captured.out, captured.err
 
 
-def test_solve_report_regression(capsys):
+def test_solve_report_regression(tmp_path, capsys):
+    density = tmp_path / "density.npy"
     rc, out, _ = run_cli(
         ["solve", "--dim", "2", "--n", "8", "--b", "1", "--k", "3",
-         "--deterministic"],
+         "--deterministic", "--density", str(density)],
         capsys,
     )
     assert rc == 0
     report = json.loads(out)
-    assert report["format_version"] == 1
+    assert report["format_version"] == 2
+    assert report["config"]["density"] == str(density)
     assert report["config"]["subcommand"] == "solve"
     assert report["config"]["b"] == [0.0, 0.0, 1.0]
 
@@ -55,23 +65,60 @@ def test_solve_report_regression(capsys):
     assert all(r < 1e-9 for r in res["residuals"])
     assert res["n_dofs"] == 49
     assert res["runtime_seconds"] is None
-    assert len(res["density"]) == 3
-    assert len(res["density"][0]) == 81  # one value per vertex
+    assert "density" not in res  # the densities go to the --density file
+    assert np.load(density).shape == (3, 81)  # one row per pair, one value per vertex
 
 
-def test_solve_density_is_re2_plus_im2_bit_for_bit(capsys):
+def _re2_plus_im2(coefficients, interior):
+    f = reconstruct_field(coefficients, interior)
+    return f.real**2 + f.imag**2
+
+
+def _assert_same_bits(array, expected):
+    assert array.dtype == np.float64 and array.shape == expected.shape
+    assert array.tobytes() == expected.tobytes()
+
+
+def test_solve_density_is_re2_plus_im2_bit_for_bit(tmp_path, capsys):
     # a SIMD complex np.abs can round differently on different CPUs, which
-    # would make report bytes machine-dependent; re^2 + im^2 does not
+    # would make the density bytes machine-dependent; re^2 + im^2 does not
+    density = tmp_path / "density.npy"
     rc, out, _ = run_cli(
-        ["solve", "--dim", "2", "--n", "20", "--b", "1", "--k", "3", "--deterministic"],
+        ["solve", "--dim", "2", "--n", "20", "--b", "1", "--k", "3", "--deterministic",
+         "--density", str(density)],
         capsys,
     )
     assert rc == 0
     cfg = RunConfig("solve", levels=(20,), b=(1.0,), k=3)
     problem = _scalar_problem(cfg, cfg.n)[2]
     result = solve_hermitian_gevp(problem, cfg.k, tol=cfg.tol, seed=cfg.seed)
-    f = reconstruct_field(result.eigenvectors, problem.interior)
-    assert json.loads(out)["results"]["density"] == (f.real**2 + f.imag**2).tolist()
+    _assert_same_bits(np.load(density), _re2_plus_im2(result.eigenvectors, problem.interior))
+
+
+def test_no_density_is_formed_without_the_option(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(cli, name, counted)
+
+    spy("_density")
+    spy("reconstruct_field")
+    runs = [["solve", "--dim", "2", "--n", "20", "--b", "1", "--k", "3"],
+            ["pauli", "--dim", "2", "--n", "6", "--b", "0.5", "--k", "2"]]
+    for args in runs:
+        rc, out, _ = run_cli(args, capsys)
+        assert rc == 0 and calls == [], args
+        assert not any(key.startswith("density") for key in json.loads(out)["results"])
+    # with the option, one density call forms each file
+    for args in runs:
+        calls.clear()
+        assert run_cli(args + ["--density", str(tmp_path / "d.npy")], capsys)[0] == 0
+        assert calls == ["_density", "reconstruct_field"], args
 
 
 def test_solve_cube_reference(capsys):
@@ -120,28 +167,38 @@ def test_usage_errors_exit_with_code_2(capsys):
     assert "--seed must be nonnegative" in err
 
 
-@pytest.mark.parametrize("args, target", [
-    (["solve", "--n", "4"], "."),
-    (["solve", "--n", "4"], "no/such/report.json"),
-    (["export-matrices", "--n", "2"], "no/such/p"),
-    (["solve", "--n", "4"], ""),
-    (["export-matrices", "--n", "2"], ""),
+@pytest.mark.parametrize("args, targets", [
+    (["solve", "--n", "4"], {"--output": "."}),
+    (["solve", "--n", "4"], {"--output": "no/such/report.json"}),
+    (["export-matrices", "--n", "2"], {"--output": "no/such/p"}),
+    (["solve", "--n", "4"], {"--output": ""}),
+    (["export-matrices", "--n", "2"], {"--output": ""}),
+    (["solve", "--n", "4"], {"--density": "."}),
+    (["pauli", "--n", "4"], {"--density": "no/such/density.npy"}),
+    (["solve", "--n", "4"], {"--density": ""}),
+    (["solve", "--n", "4"], {"--output": "report", "--density": "report"}),
+    (["pauli", "--n", "4"], {"--output": "report.json", "--density": "sub/../report.json"}),
 ], ids=["solve-directory", "solve-missing-parent", "export-missing-parent",
-        "solve-empty", "export-empty"])
-def test_unwritable_output_exits_with_code_2(args, target, tmp_path, monkeypatch,
+        "solve-empty", "export-empty", "density-directory", "density-missing-parent",
+        "density-empty", "density-is-output", "density-resolves-to-output"])
+def test_unwritable_output_exits_with_code_2(args, targets, tmp_path, monkeypatch,
                                             capsys):
-    # the path is refused before any assembly runs
+    # the paths are refused before any assembly runs, and no file is written
     def never(*_args, **_kwargs):
-        raise AssertionError("assembly ran before --output was checked")
+        raise AssertionError("assembly ran before --output and --density were checked")
 
     monkeypatch.setattr("gaugefem.cli.assemble_scalar_problem", never)
     monkeypatch.setattr("gaugefem.cli.assemble_pauli", never)
-    output = str(tmp_path / target) if target else ""
-    rc, out, err = run_cli(args + ["--output", output], capsys)
+    (tmp_path / "sub").mkdir()
+    options = []
+    for flag, target in targets.items():
+        options += [flag, str(tmp_path / target) if target else ""]
+    rc, out, err = run_cli(args + options, capsys)
     assert rc == 2
     assert out == ""
     assert err.startswith("gaugefem:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
 @pytest.mark.parametrize("message, line", [
@@ -187,6 +244,7 @@ def test_config_echo_of_the_defaults(subcommand, tmp_path, capsys):
         "seed": 0,
         "gauge_amplitude": math.pi,
         "output": output,
+        "density": None,
         "format": "json",
         "deterministic": False,
     }
@@ -229,6 +287,35 @@ def test_arpack_stall_exits_with_code_1(monkeypatch, capsys):
     assert out == ""
     assert "numerical failure" in err
     assert "eigensolver did not converge" in err
+
+
+@pytest.mark.parametrize("args, rc", [
+    ("solve --dim 2 --n 40 --b 600 --k 1", 1),
+    # the slowest known convergence: 35 restarts, 563 solves
+    ("solve --dim 2 --n 32 --b 300 --a0 0.3,0.1 --potential well:-200,0.3 --k 4", 0),
+], ids=["landau-stall", "slow-convergence"])
+def test_arpack_restarts_are_capped(args, rc, monkeypatch, capsys):
+    # a stalled Landau cluster fails within about a thousand shift-invert
+    # solves, where scipy's default cap of 10 n restarts allows 150,000
+    solves = []
+    original = eigensolve._shift_invert_solver
+
+    def counting(a):
+        solve = original(a)
+
+        def counted(x):
+            solves.append(None)
+            assert len(solves) <= 2000, "ARPACK restarts are not capped"
+            return solve(x)
+        return counted
+
+    monkeypatch.setattr(eigensolve, "_shift_invert_solver", counting)
+    code, out, err = run_cli(args.split(), capsys)
+    assert code == rc, err
+    if rc:
+        assert out == ""
+        assert err == ("gaugefem: numerical failure: eigensolver did not converge "
+                       "(best residual inf)\n")
 
 
 def test_arpack_error_exits_with_code_1(monkeypatch, capsys):
@@ -409,17 +496,29 @@ def test_convergence_default_levels(capsys):
     assert report["config"]["n"] == [4, 8, 16]
 
 
-def test_pauli_report(capsys):
+def test_pauli_report(tmp_path, capsys):
+    density = tmp_path / "density.npy"
     rc, out, _ = run_cli(
-        ["pauli", "--dim", "2", "--n", "4", "--b", "0.5", "--k", "2"], capsys
+        ["pauli", "--dim", "2", "--n", "4", "--b", "0.5", "--a0", "0.3,0.1", "--k", "3",
+         "--density", str(density)], capsys
     )
     assert rc == 0
     res = json.loads(out)["results"]
     assert res["n_dofs"] == 2 * 9
-    assert len(res["density_up"]) == 2
-    assert len(res["density_up"][0]) == 25
-    assert len(res["density_down"][0]) == 25
+    assert not any(key.startswith("density") for key in res)
     assert res["eigenvalues"] == sorted(res["eigenvalues"])
+    # spin up at index 0, spin down at index 1, bit for bit
+    cfg = RunConfig("pauli", levels=(4,), b=(0.5,), a0=(0.3, 0.1), k=3)
+    mesh, pot = _setup(cfg, cfg.n)
+    problem = assemble_pauli(mesh, cfg.field_spec(), pot)
+    result = solve_pauli(problem, cfg.k, tol=cfg.tol, seed=cfg.seed)
+    up, down = spin_components(result.eigenvectors, problem.n)
+    array = np.load(density)
+    assert array.shape == (2, 3, 25)
+    _assert_same_bits(array[0], _re2_plus_im2(up, problem.interior))
+    _assert_same_bits(array[1], _re2_plus_im2(down, problem.interior))
+    # the two spin components carry different densities, so their order shows
+    assert not np.array_equal(array[0], array[1])
 
 
 def test_pauli_k_runs_up_to_both_spin_components(capsys):
@@ -583,6 +682,13 @@ def test_deterministic_reports_are_byte_identical(tmp_path, capsys):
             # one line, keys sorted: the stdlib's compact encoding
             assert first == json.dumps(json.loads(first), sort_keys=True) + "\n", args
             assert first.count("\n") == 1 and first.endswith("\n"), args
+    # the density files of solve and pauli, byte for byte
+    for args in runs[:2]:
+        files = [tmp_path / f"{run}.npy" for run in ("first", "second")]
+        for path in files:
+            assert main(args + ["--deterministic", "--density", str(path)]) == 0, args
+        capsys.readouterr()
+        assert files[0].read_bytes() == files[1].read_bytes(), args
 
 
 def test_setup_reuses_a_small_box_mesh(mesh_cache):

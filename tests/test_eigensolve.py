@@ -85,7 +85,7 @@ def one_arpack_iteration(monkeypatch):
     """The real shift-invert eigsh, capped at one iteration: a stall on demand."""
     original = spla.eigsh
     monkeypatch.setattr(spla, "eigsh",
-                        lambda *args, **kwargs: original(*args, **kwargs, maxiter=1))
+                        lambda *args, **kwargs: original(*args, **{**kwargs, "maxiter": 1}))
 
 
 def _magnetic_problem(dim=2, n=8, bz=1.0, b=None, potential=None, radius=0.3):
