@@ -73,8 +73,14 @@ MUTANTS = [
      "mass_floor = float(floor.min())", "mass_floor = float(floor.max())",
      [f"{ASSEMBLY}::test_one_pass_equals_the_single_forms"]),
     ("lower triangle not conjugated", "assembly.py",
-     "data = np.concatenate([upper.conj(), diag, upper])",
-     "data = np.concatenate([upper, diag, upper])", [ASSEMBLY]),
+     "data = np.concatenate([upper.conj(), diag[keep], upper])",
+     "data = np.concatenate([upper, diag[keep], upper])", [ASSEMBLY]),
+    ("interior mask on the upper rows only", "assembly.py",
+     "inner = keep[lo] & keep[hi]", "inner = keep[lo]",
+     [f"{ASSEMBLY}::test_the_problem_is_assembled_straight_onto_the_interior"]),
+    ("empty problem reaches the cell pass", "assembly.py",
+     "    if not interior.any():\n        raise EmptyProblemError(", "    if False:\n        raise EmptyProblemError(",
+     [f"{ASSEMBLY}::test_a_problem_without_interior_vertices_runs_no_cell_pass"]),
     # eigensolve
     ("multiplets flag only the lower member", "eigensolve.py",
      "    flags[1:] |= close\n", "", [EIGENSOLVE]),
@@ -124,7 +130,13 @@ MUTANTS = [
      'np.argsort(energies, kind="stable")', 'np.argsort(energies[::-1])[::-1]', [PAULI]),
     # cli
     ("mesh cache of zero bytes", "cli.py",
-     "_MESH_CACHE_BYTES = 2 << 20", "_MESH_CACHE_BYTES = 0", [CLI]),
+     "_MESH_CACHE_BYTES = 8 << 20", "_MESH_CACHE_BYTES = 0", [CLI]),
+    ("mesh kept on its first build", "cli.py",
+     "mesh if seen and _nbytes(mesh)", "mesh if _nbytes(mesh)",
+     [f"{CLI}::test_setup_reuses_a_small_box_mesh"]),
+    ("mesh cache keys unbounded", "cli.py",
+     "len(_mesh_cache) > _MESH_CACHE_KEYS", "False",
+     [f"{CLI}::test_boxes_that_never_repeat_keep_no_mesh"]),
     ("mesh cache key without lengths", "cli.py",
      "key = (cfg.dim, n, cfg.lengths)", "key = (cfg.dim, n)", [CLI]),
     ("mesh cache get for pop", "cli.py",

@@ -35,10 +35,11 @@ stiffness (plus potential) block, with U_T^2 A_T as explicit sums over the
 unit diagonal and the upper pairs, of the mass block c |T| A_T and of the
 mass floor lambda_min(A_T).  ``np.bincount`` sums the columns into one slot
 per vertex and one per edge, and one COO -> CSR conversion turns the slots
-into the matrix (:func:`_hermitian_matrix`): the diagonal and both
-directions of every edge, the lower triangle as exact conjugates.  Entries
-that vanish exactly, such as the stiffness of an orthogonal Kuhn pair, stay
-stored, so every assembled matrix of a mesh has the same pattern.
+into the matrix (:func:`_hermitian_matrix`) on the kept vertices (for a
+problem its interior, so no Dirichlet row is formed): the diagonal and both
+directions of every edge between them, the lower triangle as exact
+conjugates.  Entries that vanish exactly, such as the stiffness of an
+orthogonal Kuhn pair, stay stored, so all matrices of a mesh share a pattern.
 
 A conventional (non-invariant) P1 discretization of |grad u + i A u|^2 with
 A interpolated from the same edge circulations is provided as a baseline;
@@ -214,23 +215,27 @@ class _CellEntries:
 _CELL_ENTRIES = {m: _CellEntries(m) for m in CELL_PAIRS}
 
 
-def _hermitian_matrix(mesh, acc):
-    """The HermitianSparse matrix of the summed slots ``acc``: slot v is entry
+def _hermitian_matrix(mesh, acc, keep):
+    """The HermitianSparse matrix of the summed slots ``acc`` on the vertices
+    of the mask ``keep``, renumbered in ascending order: slot v is entry
     (v, v), slot nv + e is entry (lo, hi) of edge e = (lo, hi) of ``mesh``,
     and entry (hi, lo) is its conjugate."""
     nv = mesh.n_vertices
-    diag, upper = acc[:nv], acc[nv:]
+    diag = acc[:nv]
     _check_real_diag(diag)
     diag.imag = 0.0
-    # The edges are sorted (lo, hi), so listing the lower entries, then the
-    # diagonal, then the upper ones puts each row's columns in ascending order,
-    # which scipy's stable COO -> CSR conversion keeps: nothing is sorted, and
-    # entries that vanish exactly stay stored.
+    # The edges are sorted (lo, hi) and the renumbering is monotone, so listing
+    # the lower entries, then the diagonal, then the upper ones puts each row's
+    # columns in ascending order, which scipy's stable COO -> CSR conversion
+    # keeps: nothing is sorted, and entries that vanish exactly stay stored.
+    index = np.cumsum(keep) - 1
     lo, hi = mesh.edges.T
-    verts = np.arange(nv)
+    inner = keep[lo] & keep[hi]
+    lo, hi = index[lo[inner]], index[hi[inner]]
+    upper, verts = acc[nv:][inner], index[keep]
     rows, cols = np.concatenate([hi, verts, lo]), np.concatenate([lo, verts, hi])
-    data = np.concatenate([upper.conj(), diag, upper])
-    return HermitianSparse(sparse.csr_matrix((data, (rows, cols)), shape=(nv, nv)))
+    data = np.concatenate([upper.conj(), diag[keep], upper])
+    return HermitianSparse(sparse.csr_matrix((data, (rows, cols)), shape=(verts.size,) * 2))
 
 
 def _scatter_add(out, slots, values):
@@ -364,7 +369,7 @@ def _potential_samples(mesh, values):
     return values if np.any(values) else None
 
 
-def _cell_pass(table, kinetic, potential):
+def _cell_pass(table, kinetic, potential, interior=None):
     """Assemble the stiffness, the mass, the mass floor and the potential
     deficit in one pass over the cells of ``mesh = table.mesh``.
 
@@ -401,14 +406,16 @@ def _cell_pass(table, kinetic, potential):
     on its vertices.
 
     ``np.bincount`` adds each column into one slot per vertex and one per
-    edge, which :func:`_hermitian_matrix` turns into a matrix.  Returns
-    (stiffness, mass, floor, deficit): HermitianSparse matrices with the
-    diagonal and both directions of every edge stored, and the per-vertex
-    floor and deficit.
+    edge, which :func:`_hermitian_matrix` turns into a matrix on the vertex
+    mask ``interior`` (all vertices for None).  Returns (stiffness, mass,
+    floor, deficit): HermitianSparse matrices with the diagonal and both
+    directions of every kept edge stored, and the floor and deficit of every
+    vertex.
     """
     mesh = table.mesh
     m = mesh.dim + 1
     nv = mesh.n_vertices
+    keep = np.ones(nv, bool) if interior is None else interior
     entries = _CELL_ENTRIES[m]
     if potential is not None:
         v_min = min(0.0, potential.min())
@@ -445,7 +452,8 @@ def _cell_pass(table, kinetic, potential):
         f += np.bincount(cells.ravel(), np.repeat(scaled * lam, m), nv)
         drop = np.where(lam < 0.0, np.inf, drop)
         deficit += np.bincount(cells.ravel(), np.repeat(drop, m), nv)
-    return _hermitian_matrix(mesh, k_acc), _hermitian_matrix(mesh, m_acc), f, deficit
+    return (_hermitian_matrix(mesh, k_acc, keep), _hermitian_matrix(mesh, m_acc, keep),
+            f, deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +469,9 @@ def covariant_mass(transports):
     return _cell_pass(transports, None, None)[1]
 
 
-def covariant_stiffness(transports, potential=None, *, with_mass=False):
-    """Assembled covariant stiffness matrix on all vertices of the table's mesh.
+def covariant_stiffness(transports, potential=None, *, with_mass=False, interior=None):
+    """Assembled covariant stiffness matrix on all vertices of the table's
+    mesh, or on those of the vertex mask ``interior`` in ascending order.
 
     With vertex samples ``potential`` the matrix includes the potential term
     of :func:`potential_matrix`.  With ``with_mass`` the same pass over the
@@ -471,7 +480,7 @@ def covariant_stiffness(transports, potential=None, *, with_mass=False):
     (stiffness, mass, floor, deficit).
     """
     potential = _potential_samples(transports.mesh, potential)
-    forms = _cell_pass(transports, _covariant_kinetic, potential)
+    forms = _cell_pass(transports, _covariant_kinetic, potential, interior)
     return forms if with_mass else forms[0]
 
 
@@ -512,7 +521,8 @@ def eliminate_dirichlet(matrix, interior):
     """Drop boundary rows/columns (homogeneous Dirichlet condition).
 
     ``interior`` is the vertex mask ``~mesh.boundary_vertex``; ``matrix`` has
-    one row per vertex.
+    one row per vertex.  :func:`assemble_scalar_problem` forms only the
+    interior rows, equal to this reduction of the full forms byte for byte.
     """
     nv = len(interior)
     keep = np.flatnonzero(interior)
@@ -540,17 +550,17 @@ def assemble_scalar_problem(circulation, potential=None, method="covariant"):
         raise ValueError(f"unknown method {method!r}")
     mesh = circulation.mesh
     potential = _potential_samples(mesh, potential)
+    interior = ~mesh.boundary_vertex
+    if not interior.any():
+        raise EmptyProblemError("no interior vertices: nothing to solve for")
     if method == "covariant":
         stiffness, mass, floor, deficit = covariant_stiffness(
-            make_transports(circulation), potential, with_mass=True
+            make_transports(circulation), potential, with_mass=True, interior=interior
         )
     else:
         stiffness, mass, floor, deficit = _cell_pass(
-            unit_transports(mesh), _galerkin_kinetic(circulation), potential
+            unit_transports(mesh), _galerkin_kinetic(circulation), potential, interior
         )
-    interior = ~mesh.boundary_vertex
-    stiffness = eliminate_dirichlet(stiffness, interior)
-    mass = eliminate_dirichlet(mass, interior)
     floor, deficit = floor[interior], deficit[interior]
     mass_floor = float(floor.min())
     v_min = 0.0 if potential is None else min(0.0, potential.min())

@@ -203,13 +203,15 @@ def _timed_solve(cfg, problem):
     return _timed(cfg, solve_hermitian_gevp, problem, cfg.k, tol=cfg.tol, seed=cfg.seed)
 
 
-# Box meshes are kept for later jobs while their arrays hold at most this
-# many bytes together.  Measured, in MiB: sweep-2d's eight unit squares 1.29
-# together; pauli-mixed's 2D meshes 0.07 and 0.15, its 3D n=12 and n=14
-# boxes 2.08 and 3.29; each scalar-large mesh 2.41-4.04 (2D n=96 and n=104,
-# 3D n=14 and n=15), against 62 MB in an idle worker after import.
-_MESH_CACHE_BYTES = 2 << 20
-_mesh_cache = {}  # (dim, n, lengths) -> box mesh, least recently used first
+# A box mesh is kept from the second build of its key on; the first leaves
+# the key alone, so boxes that never repeat keep no arrays.  Kept meshes hold
+# at most this many bytes together, and at most _MESH_CACHE_KEYS keys are
+# remembered.  Measured, in MiB: eight unit squares at n = 6-44 take 1.29
+# together; 2D n=16 and n=24 0.07 and 0.15; 3D n=12 and n=14 2.08 and 3.29;
+# 2D n=96 and n=104, 3D n=14 and n=15 boxes 2.41-4.04 each.
+_MESH_CACHE_BYTES = 8 << 20
+_MESH_CACHE_KEYS = 64
+_mesh_cache = {}  # (dim, n, lengths) -> mesh, None after one build; LRU first
 
 
 def _nbytes(mesh):
@@ -217,14 +219,16 @@ def _nbytes(mesh):
 
 
 def _setup(cfg, n):
-    """Box mesh at n cells per axis, kept for later calls within
-    ``_MESH_CACHE_BYTES`` (meshes are immutable), and its potential samples."""
+    """Box mesh at n cells per axis, kept for later calls once it is built a
+    second time (meshes are immutable; see ``_MESH_CACHE_BYTES``), and its
+    potential samples."""
     key = (cfg.dim, n, cfg.lengths)
+    seen = key in _mesh_cache
     mesh = _mesh_cache.pop(key, None) or build_box_mesh(cfg.dim, n, cfg.lengths)
-    if _nbytes(mesh) <= _MESH_CACHE_BYTES:
-        _mesh_cache[key] = mesh
-        while sum(map(_nbytes, _mesh_cache.values())) > _MESH_CACHE_BYTES:
-            del _mesh_cache[next(iter(_mesh_cache))]
+    _mesh_cache[key] = mesh if seen and _nbytes(mesh) <= _MESH_CACHE_BYTES else None
+    while (len(_mesh_cache) > _MESH_CACHE_KEYS
+           or sum(map(_nbytes, filter(None, _mesh_cache.values()))) > _MESH_CACHE_BYTES):
+        del _mesh_cache[next(iter(_mesh_cache))]
     return mesh, potential_values(cfg.potential, mesh)
 
 

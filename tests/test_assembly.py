@@ -29,8 +29,10 @@ from gaugefem import (
     unit_transports,
 )
 
+import gaugefem.assembly as assembly
 from gaugefem.assembly import (_CELL_ENTRIES, _CHUNK, _cell_pass, _covariant_kinetic,
                                _galerkin_kinetic, _monomial_table)
+from gaugefem.cli import main
 
 from conftest import perturbed_box_mesh, random_vertex_order, shuffled_cells
 from oracles import (
@@ -277,10 +279,13 @@ def test_the_cell_pass_gathers_transports_through_local_values(method, monkeypat
 
 
 def _assert_same_csr(a, b):
+    # byte for byte, so that -0.0 does not pass for 0.0, nor int64 for int32
     a, b = a.to_csr(), b.to_csr()
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data, b.data)
+    assert a.shape == b.shape
+    assert a.has_canonical_format and b.has_canonical_format
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
@@ -308,6 +313,69 @@ def test_one_pass_equals_the_single_forms(dim, n):
     f, d = floor[interior], deficit[interior]
     s = -5.0 - np.max(d / f) if f.min() > 0.0 else -np.inf
     assert problem.spectrum_floor == s
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["box", "perturbed", "shuffled"]),
+    dim=st.sampled_from([2, 3]),
+    method=st.sampled_from(["covariant", "baseline"]),
+    field=st.booleans(),
+    with_potential=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="box", dim=3, method="covariant", field=False, with_potential=False, seed=0)
+@example(kind="shuffled", dim=2, method="baseline", field=True, with_potential=True, seed=1)
+def test_the_problem_is_assembled_straight_onto_the_interior(kind, dim, method, field,
+                                                             with_potential, seed):
+    # The pass keeps only the entries between interior vertices, renumbered
+    # in ascending order, and gives eliminate_dirichlet's reduction of the
+    # full-vertex forms byte for byte, also where the interior vertices are
+    # scattered over the labels (shuffled) and where a zero field leaves
+    # exact zeros stored.
+    n = 5 if dim == 2 else 3
+    if kind == "box":
+        mesh = build_box_mesh(dim, n)
+    elif kind == "perturbed":
+        mesh = perturbed_box_mesh(dim, n, seed)
+    else:
+        mesh = shuffled_cells(_relabelled(perturbed_box_mesh(dim, n, seed), seed + 1),
+                              seed + 2)
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-np.pi, np.pi, mesh.n_edges) if field else np.zeros(mesh.n_edges)
+    circ = EdgeCirculation(mesh, values)
+    potential = rng.uniform(-5.0, 5.0, mesh.n_vertices) if with_potential else None
+    if method == "covariant":
+        full = covariant_stiffness(transports(circ), potential, with_mass=True)
+    else:
+        full = _cell_pass(unit_transports(mesh), _galerkin_kinetic(circ), potential)
+    interior = ~mesh.boundary_vertex
+    problem = assemble_scalar_problem(circ, potential, method)
+    _assert_same_csr(problem.stiffness, eliminate_dirichlet(full[0], interior))
+    _assert_same_csr(problem.mass, eliminate_dirichlet(full[1], interior))
+    assert problem.mass_floor == full[2][interior].min()
+
+
+def test_a_problem_without_interior_vertices_runs_no_cell_pass(monkeypatch, capsys):
+    passes = []
+    original = assembly._cell_pass
+
+    def spy(*args, **kwargs):
+        passes.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "_cell_pass", spy)
+    mesh = build_box_mesh(2, 1)
+    circ = circulate(GaugeFieldSpec([0.0, 0.0], [0.0, 0.0, 1.0]), mesh)
+    for method in ("covariant", "baseline"):
+        with pytest.raises(EmptyProblemError, match="no interior vertices"):
+            assemble_scalar_problem(circ, method=method)
+    assert passes == []
+    assert main(["solve", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gaugefem: no interior vertices: nothing to solve for\n"
+    assert passes == []
 
 
 # ---------------------------------------------------------------------------

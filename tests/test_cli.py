@@ -691,52 +691,8 @@ def test_deterministic_reports_are_byte_identical(tmp_path, capsys):
         assert files[0].read_bytes() == files[1].read_bytes(), args
 
 
-def test_setup_reuses_a_small_box_mesh(mesh_cache):
-    cfg = RunConfig("solve", levels=(12,))
-    mesh, _ = _setup(cfg, 12)
-    assert _setup(cfg, 12)[0] is mesh
-    # another n, other lengths or another dim is another mesh
-    assert _setup(cfg, 16)[0] is not mesh
-    longer = RunConfig("solve", levels=(12,), lengths=(1.0, 2.0))
-    assert _setup(longer, 12)[0] is not mesh
-    cube = RunConfig("solve", dim=3, levels=(12,))
-    assert _setup(cube, 12)[0] is not mesh
-    assert list(mesh_cache) == [(2, 12, (1.0, 1.0)), (2, 16, (1.0, 1.0)),
-                                (2, 12, (1.0, 2.0))]
-    # the 3D n=12 box alone holds more than the budget, so it is never kept
-    big, _ = _setup(cube, 12)
-    assert _nbytes(big) > cli._MESH_CACHE_BYTES
-    assert _setup(cube, 12)[0] is not big
-    assert (3, 12, (1.0, 1.0, 1.0)) not in mesh_cache
-
-
-def test_mesh_cache_stays_within_its_budget_and_drops_the_oldest(mesh_cache):
-    cfg = RunConfig("solve")
-    # the eight sweep-2d sizes in their first-use order; n=6 is used again,
-    # so n=12 becomes the least recently used; n=60 then overflows the budget
-    uses = [6, 12, 8, 16, 44, 20, 28, 36, 6, 60]
-    for n in uses:
-        _setup(cfg, n)
-        assert sum(map(_nbytes, mesh_cache.values())) <= cli._MESH_CACHE_BYTES
-    by_last_use = list(dict.fromkeys(reversed(uses)))[::-1]
-    kept = [key[1] for key in mesh_cache]
-    assert kept == by_last_use[-len(kept):]
-    assert kept[0] != 12 and 6 in kept and 60 in kept
-    # the newest mesh that left would not have fit
-    left = build_box_mesh(2, by_last_use[-len(kept) - 1])
-    assert (sum(map(_nbytes, mesh_cache.values())) + _nbytes(left)
-            > cli._MESH_CACHE_BYTES)
-
-
-@pytest.mark.parametrize("args", [
-    ["solve", "--dim", "2", "--n", "16", "--b", "7", "--potential", "well:-40,0.3",
-     "--k", "4"],
-    ["pauli", "--dim", "2", "--n", "12", "--b", "2", "--k", "4"],
-    ["gauge-check", "--dim", "2", "--n", "8", "--b", "1", "--k", "3"],
-    ["convergence", "--dim", "2", "--n", "4,8,16", "--b", "1", "--k", "2"],
-], ids=lambda args: args[0])
-def test_a_reused_mesh_gives_the_same_report_bytes(args, mesh_cache, tmp_path,
-                                                   monkeypatch):
+def _count_builds(monkeypatch):
+    """The list that records the n of every box mesh the CLI builds."""
     builds = []
     original = cli.build_box_mesh
 
@@ -745,16 +701,91 @@ def test_a_reused_mesh_gives_the_same_report_bytes(args, mesh_cache, tmp_path,
         return original(*build_args)
 
     monkeypatch.setattr(cli, "build_box_mesh", counting)
+    return builds
+
+
+def _kept_bytes(mesh_cache):
+    return sum(_nbytes(mesh) for mesh in mesh_cache.values() if mesh is not None)
+
+
+def test_setup_reuses_a_small_box_mesh(mesh_cache, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    cfg = RunConfig("solve", levels=(12,))
+    key = (2, 12, (1.0, 1.0))
+    first, _ = _setup(cfg, 12)
+    # the first build of a key remembers the key and keeps no mesh
+    assert list(mesh_cache) == [key] and mesh_cache[key] is None
+    second, _ = _setup(cfg, 12)
+    assert second is not first and mesh_cache[key] is second
+    # the third call is served from the cache
+    assert _setup(cfg, 12)[0] is second
+    assert builds == [12, 12]
+    # another n, other lengths or another dim is another mesh
+    longer = RunConfig("solve", levels=(12,), lengths=(1.0, 2.0))
+    cube = RunConfig("solve", dim=3, levels=(12,))
+    for other, n in ((cfg, 16), (longer, 12), (cube, 12)):
+        assert _setup(other, n)[0] is not second
+    assert list(mesh_cache) == [key, (2, 16, (1.0, 1.0)), (2, 12, (1.0, 2.0)),
+                                (3, 12, (1.0, 1.0, 1.0))]
+    assert [mesh is None for mesh in mesh_cache.values()] == [False, True, True, True]
+    # the 3D n=12 box holds more than 2 MiB, and it is kept on its second build
+    big, _ = _setup(cube, 12)
+    assert _nbytes(big) > 2 << 20
+    assert _setup(cube, 12)[0] is big
+    assert builds == [12, 12, 16, 12, 12, 12]
+
+
+def test_mesh_cache_stays_within_its_budget_and_drops_the_oldest(mesh_cache):
+    cfg = RunConfig("solve")
+    # each size is kept on its second build; n=6 is used again, so n=80
+    # becomes the least recently used mesh, and n=72 then overflows the budget
+    uses = [6, 6, 80, 80, 96, 96, 6, 104, 104, 72, 72]
+    for n in uses:
+        _setup(cfg, n)
+        assert _kept_bytes(mesh_cache) <= cli._MESH_CACHE_BYTES
+    kept = [key[1] for key, mesh in mesh_cache.items() if mesh is not None]
+    assert kept == [96, 6, 104, 72]
+    assert (2, 80, (1.0, 1.0)) not in mesh_cache
+    # the mesh that left would not have fit
+    assert (_kept_bytes(mesh_cache) + _nbytes(build_box_mesh(2, 80))
+            > cli._MESH_CACHE_BYTES)
+
+
+def test_boxes_that_never_repeat_keep_no_mesh(mesh_cache):
+    # a stream of boxes of distinct lengths, each built once
+    keys = []
+    for i in range(cli._MESH_CACHE_KEYS + 8):
+        lengths = (1.0 + i / 256, 0.9)
+        _setup(RunConfig("solve", lengths=lengths), 4)
+        keys.append((2, 4, lengths))
+        assert all(mesh is None for mesh in mesh_cache.values())
+        assert len(mesh_cache) <= cli._MESH_CACHE_KEYS
+    # the remembered keys are the most recent ones
+    assert list(mesh_cache) == keys[-cli._MESH_CACHE_KEYS:]
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--dim", "2", "--n", "16", "--b", "7", "--potential", "well:-40,0.3",
+     "--k", "4"],
+    ["pauli", "--dim", "2", "--n", "12", "--b", "2", "--k", "4"],
+    ["gauge-check", "--dim", "2", "--n", "8", "--b", "1", "--k", "3"],
+    ["convergence", "--dim", "2", "--n", "4,8,16", "--b", "1", "--k", "2"],
+    ["pauli", "--dim", "3", "--n", "12", "--b", "1,2,8", "--k", "3"],
+], ids=["solve", "pauli", "gauge-check", "convergence", "pauli-3d"])
+def test_a_reused_mesh_gives_the_same_report_bytes(args, mesh_cache, tmp_path,
+                                                   monkeypatch):
+    builds = _count_builds(monkeypatch)
     target = tmp_path / "report.json"  # one path, so the echoed --output agrees
     reports = []
-    for run in ("fresh", "reused", "rebuilt"):
+    for run in ("fresh", "kept", "reused", "rebuilt"):
         if run == "rebuilt":
             mesh_cache.clear()
         assert main(args + ["--deterministic", "--output", str(target)]) == 0
         reports.append(target.read_bytes())
     levels = [int(n) for n in args[args.index("--n") + 1].split(",")]
-    assert builds == levels + levels  # none for the reused run
-    assert reports[1] == reports[0] and reports[2] == reports[0]
+    # the second run keeps what it builds, and the third builds nothing
+    assert builds == levels * 3
+    assert all(report == reports[0] for report in reports[1:])
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys):
