@@ -151,6 +151,15 @@ MUTANTS = [
     ("order from a roundoff error", "cli.py",
      "if e0 > ORDER_FLOOR and e1 > ORDER_FLOOR:", "if e0 > ORDER_FLOOR:",
      [f"{CLI}::test_convergence_reports_no_order_where_an_error_is_roundoff"]),
+    ("--potential parsed only with the mesh", "cli.py",
+     "        _parse_potential(self.potential)\n", "",
+     [f"{CLI}::test_non_finite_inputs_exit_with_code_2"]),
+    ("convergence levels need not double", "cli.py",
+     "if fine != 2 * coarse:", "if False:",
+     [f"{CLI}::test_usage_errors_exit_with_code_2"]),
+    ("reference modes bounded below the count", "cli.py",
+     "count // m", "(count - 1) // m",
+     [f"{CLI}::test_dirichlet_reference_matches_brute_force"]),
     ("a0 of any length", "cli.py",
      "if len(self.a0) != self.dim:", "if False:",
      [f"{CLI}::test_runconfig_validation"]),

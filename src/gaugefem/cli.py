@@ -10,7 +10,8 @@ export-matrices  write the assembled pencil in coordinate text form
 
 Reports are JSON (default) or CSV.  A JSON report is one line with sorted
 keys (``python -m json.tool`` indents it); it carries ``format_version`` 2
-and echoes the fully resolved configuration so runs can be replayed.  With
+and echoes every field of the resolved :class:`RunConfig`, which refuses a
+bad command line before any mesh is built, so runs can be replayed.  With
 ``--deterministic`` wall-clock fields are emitted as null and reruns of the
 same command line produce byte-identical output.
 Densities |u|^2 stay out of the report: ``--density PATH`` (``solve`` and
@@ -23,7 +24,6 @@ import csv
 import dataclasses
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -59,15 +59,16 @@ ORDER_FLOOR = 1e-12
 
 @dataclasses.dataclass
 class RunConfig:
-    """Fully resolved run parameters shared by all subcommands.
+    """Fully resolved run parameters shared by all subcommands, under the
+    names the report echoes; every check that depends on them alone runs here.
 
-    The defaults are the command line's.  ``levels`` defaults to (4, 8, 16)
-    for convergence, (8,) otherwise; in 2D a one-value ``b`` is bz alone.
+    The defaults are the command line's.  ``n`` is an int, 8 by default, or for
+    convergence a tuple, (4, 8, 16) by default; in 2D a one-value ``b`` is bz.
     """
 
     subcommand: str
     dim: int = 2
-    levels: tuple = None
+    n: object = None
     lengths: tuple = None
     a0: tuple = None
     b: tuple = (0.0, 0.0, 0.0)
@@ -79,15 +80,22 @@ class RunConfig:
     gauge_amplitude: float = math.pi
     output: str = None
     density: str = None
-    fmt: str = "json"
+    format: str = "json"
     deterministic: bool = False
 
     def __post_init__(self):
-        if self.levels is None:
-            self.levels = (4, 8, 16) if self.subcommand == "convergence" else (8,)
-        self.levels = tuple(int(n) for n in self.levels)
-        if self.subcommand != "convergence":
-            self.n  # raises unless there is exactly one level
+        convergence = self.subcommand == "convergence"
+        default = (4, 8, 16) if convergence else 8
+        levels = tuple(int(n) for n in np.atleast_1d(default if self.n is None else self.n))
+        if not convergence and len(levels) != 1:
+            raise ValueError(f"{self.subcommand} takes a single --n value")
+        if convergence and len(levels) < 3:
+            raise ValueError("a convergence study needs at least three levels")
+        for coarse, fine in zip(levels, levels[1:]):
+            if fine != 2 * coarse:
+                raise ValueError("levels must double (nested refinement); "
+                                 f"got {coarse} -> {fine}")
+        self.n = levels if convergence else levels[0]
         self.b = tuple(float(x) for x in self.b)
         if self.dim == 2:
             if len(self.b) == 1:
@@ -108,26 +116,21 @@ class RunConfig:
             raise ValueError("--seed must be nonnegative")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("--tol must be finite and positive")
-        if not 0.0 <= self.gauge_amplitude < math.inf:
-            raise ValueError("--gauge-amplitude must be finite and nonnegative")
-
-    @property
-    def n(self):
-        """The grid size of a single-level run."""
-        if len(self.levels) != 1:
-            raise ValueError(f"{self.subcommand} takes a single --n value")
-        return self.levels[0]
+        if not 0.0 <= self.gauge_amplitude <= sys.float_info.max / 2:
+            raise ValueError("--gauge-amplitude must be nonnegative, "
+                             "with a finite range 2 * amplitude")
+        _parse_potential(self.potential)
+        self.field_spec()  # refuses a non-finite --b or --a0
+        # solve_pauli's test, in Python floats: they overflow without a numpy warning
+        if self.subcommand == "pauli" and not math.isfinite(sum(x * x for x in self.b)):
+            raise ValueError("the Zeeman term |B| overflows: |B|^2 is not finite")
+        if self.subcommand == "export-matrices" and self.output is None:
+            raise ValueError("export-matrices requires --output PREFIX")
+        if self.subcommand == "export-matrices" and self.format != "json":
+            raise ValueError("export-matrices writes text matrix files; use --format json")
 
     def field_spec(self):
         return GaugeFieldSpec(self.a0, self.b)
-
-    def config_echo(self):
-        """The fields as reported: ``levels`` as ``n``, ``fmt`` as ``format``."""
-        echo = dataclasses.asdict(self)
-        levels = echo.pop("levels")
-        echo["n"] = levels[0] if len(levels) == 1 else list(levels)
-        echo["format"] = echo.pop("fmt")
-        return echo
 
 
 def _parse_list(text, cast, flag):
@@ -137,27 +140,37 @@ def _parse_list(text, cast, flag):
         raise ValueError(f"could not parse {flag} value {text!r}") from None
 
 
+def _parse_potential(expr):
+    """(), (c,) or (depth, radius) for ``zero``, ``constant:c`` or
+    ``well:depth,radius``: finite numbers, the radius positive."""
+    if expr == "zero":
+        return ()
+    kind, colon, text = expr.partition(":")
+    if not colon or kind not in ("constant", "well"):
+        raise ValueError(f"unknown potential {expr!r}")
+    try:
+        values = tuple(float(tok) for tok in text.split(","))
+        if len(values) != (1 if kind == "constant" else 2):
+            raise ValueError
+    except ValueError:  # a token that is not a number, or a wrong count
+        raise ValueError(f"could not parse --potential value {expr!r}") from None
+    if kind == "well" and not 0.0 < values[1] < math.inf:
+        raise ValueError("well radius must be finite and positive")
+    if not math.isfinite(values[0]):
+        raise ValueError("potential samples must be finite")
+    return values
+
+
 def potential_values(expr, mesh):
     """Vertex samples of a potential expression, or None for 'zero'.
 
     Accepted forms: ``zero``, ``constant:c`` and ``well:depth,radius`` (a
     spherical step of the given depth around the box center).
     """
-    if expr == "zero":
-        return None
-    kind, colon, text = expr.partition(":")
-    if not colon or kind not in ("constant", "well"):
-        raise ValueError(f"unknown potential {expr!r}")
-    try:
-        values = [float(tok) for tok in text.split(",")]
-        if kind == "constant":
-            (c,) = values
-            return np.full(mesh.n_vertices, c)
-        depth, radius = values
-    except ValueError:  # a token that is not a number, or a wrong count
-        raise ValueError(f"could not parse --potential value {expr!r}") from None
-    if not 0.0 < radius < math.inf:
-        raise ValueError("well radius must be finite and positive")
+    values = _parse_potential(expr)
+    if len(values) < 2:
+        return np.full(mesh.n_vertices, values[0]) if values else None
+    depth, radius = values
     center = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
     dist = np.linalg.norm(mesh.vertices - center, axis=1)
     return np.where(dist <= radius, depth, 0.0)
@@ -166,19 +179,19 @@ def potential_values(expr, mesh):
 def dirichlet_reference(dim, lengths, count):
     """Smallest Dirichlet Laplacian eigenvalues of the box, ascending.
 
-    pi^2 sum_i (m_i / L_i)^2 over positive integer mode tuples m.  The table
-    holds the modes 1..24 per axis; a count whose last value exceeds the
-    smallest value it omits (one mode 25, the others 1) raises.
+    pi^2 sum_i (m_i / L_i)^2 over positive integer mode tuples m.  One whose
+    product m_1...m_d exceeds ``count`` dominates ``count`` tuples of smaller
+    value, so ``modes`` lists the dim-tuples of product at most ``count``.
     """
-    top = 24
+    def modes(dim, count):
+        if dim == 0:
+            return [()]
+        return ((m, *rest) for m in range(1, count + 1) for rest in modes(dim - 1, count // m))
+
     vals = sorted(
         math.pi**2 * sum((m / L) ** 2 for m, L in zip(combo, lengths))
-        for combo in itertools.product(range(1, top + 1), repeat=dim)
+        for combo in modes(dim, count)
     )
-    base = sum(L**-2 for L in lengths)
-    omitted = min(math.pi**2 * (base + ((top + 1) ** 2 - 1) / L**2) for L in lengths)
-    if count > len(vals) or vals[count - 1] > omitted:
-        raise ValueError("reference mode table too small")
     return np.asarray(vals[:count])
 
 
@@ -325,15 +338,7 @@ def run_gauge_check(cfg):
 
 
 def run_convergence(cfg):
-    levels = cfg.levels
-    if len(levels) < 3:
-        raise ValueError("a convergence study needs at least three levels")
-    for a, b in zip(levels, levels[1:]):
-        if b != 2 * a:
-            raise ValueError(
-                f"levels must double (nested refinement); got {a} -> {b}"
-            )
-
+    levels = cfg.n
     per_level = []
     eigs = []
     # B = 0 (a constant a0 is the pure gauge grad(a0 . x)) and zero samples of V
@@ -387,10 +392,6 @@ def run_convergence(cfg):
 
 
 def run_export_matrices(cfg):
-    if cfg.output is None:
-        raise ValueError("export-matrices requires --output PREFIX")
-    if cfg.fmt != "json":
-        raise ValueError("export-matrices writes text matrix files; use --format json")
     problem = _scalar_problem(cfg, cfg.n)[2]
     paths = {name: f"{cfg.output}_{name}.txt" for name in ("stiffness", "mass")}
     for name, path in paths.items():
@@ -452,7 +453,7 @@ def _render(report, fmt):
 
 
 def _emit(report, cfg):
-    text = _render(report, cfg.fmt)
+    text = _render(report, cfg.format)
     if cfg.output is None or cfg.subcommand == "export-matrices":
         sys.stdout.write(text)
     else:
@@ -469,8 +470,7 @@ def _add_subcommand(sub, name, summary, *, method=True, amplitude=False, density
     p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
     p.add_argument("--dim", type=int, choices=(2, 3),
                    help="spatial dimension (default 2)")
-    p.add_argument("--n", dest="levels", metavar="N",
-                   help="grid subdivisions per axis; comma list for convergence")
+    p.add_argument("--n", help="grid subdivisions per axis; comma list for convergence")
     p.add_argument("--lengths", help="box side lengths, comma separated")
     p.add_argument("--a0", help="constant potential offset, comma separated")
     p.add_argument("--b", help="magnetic field: bz in 2D, bx,by,bz in 3D")
@@ -490,8 +490,7 @@ def _add_subcommand(sub, name, summary, *, method=True, amplitude=False, density
         p.add_argument("--density", metavar="PATH",
                        help="write the densities |u|^2 to PATH as a float64 .npy "
                             "array (default: not formed)")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                   help="report format (default json)")
+    p.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
     p.add_argument("--deterministic", action="store_true",
                    help="byte-identical reports: wall-clock fields become null")
 
@@ -516,10 +515,9 @@ def _build_parser():
 
 def _config_from_args(args):
     opts = dict(vars(args))
-    for field, cast, flag in (("levels", int, "--n"), ("b", float, "--b"),
-                              ("lengths", float, "--lengths"), ("a0", float, "--a0")):
+    for field, cast in (("n", int), ("b", float), ("lengths", float), ("a0", float)):
         if field in opts:
-            opts[field] = _parse_list(opts[field], cast, flag)
+            opts[field] = _parse_list(opts[field], cast, f"--{field}")
     return RunConfig(**opts)
 
 
@@ -547,7 +545,7 @@ def main(argv=None):
         cfg = _config_from_args(args)
         _check_output(cfg)
         results = _DISPATCH[cfg.subcommand](cfg)
-        _emit({"format_version": FORMAT_VERSION, "config": cfg.config_echo(),
+        _emit({"format_version": FORMAT_VERSION, "config": dict(vars(cfg)),
                "results": results}, cfg)
     except (DefinitenessError, ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"gaugefem: numerical failure: {exc}", file=sys.stderr)

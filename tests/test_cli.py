@@ -89,7 +89,7 @@ def test_solve_density_is_re2_plus_im2_bit_for_bit(tmp_path, capsys):
         capsys,
     )
     assert rc == 0
-    cfg = RunConfig("solve", levels=(20,), b=(1.0,), k=3)
+    cfg = RunConfig("solve", n=20, b=(1.0,), k=3)
     problem = _scalar_problem(cfg, cfg.n)[2]
     result = solve_hermitian_gevp(problem, cfg.k, tol=cfg.tol, seed=cfg.seed)
     _assert_same_bits(np.load(density), _re2_plus_im2(result.eigenvectors, problem.interior))
@@ -508,7 +508,7 @@ def test_pauli_report(tmp_path, capsys):
     assert not any(key.startswith("density") for key in res)
     assert res["eigenvalues"] == sorted(res["eigenvalues"])
     # spin up at index 0, spin down at index 1, bit for bit
-    cfg = RunConfig("pauli", levels=(4,), b=(0.5,), a0=(0.3, 0.1), k=3)
+    cfg = RunConfig("pauli", n=4, b=(0.5,), a0=(0.3, 0.1), k=3)
     mesh, pot = _setup(cfg, cfg.n)
     problem = assemble_pauli(mesh, cfg.field_spec(), pot)
     result = solve_pauli(problem, cfg.k, tol=cfg.tol, seed=cfg.seed)
@@ -544,11 +544,24 @@ def test_pauli_k_runs_up_to_both_spin_components(capsys):
     ["pauli", "--n", "4", "--b", "1e200"],
     ["solve", "--dim", "2", "--n", "4", "--lengths", "1e300,1e300"],
     ["solve", "--dim", "2", "--n", "4", "--lengths", "1e-300,1"],
+    ["solve", "--n", "4", "--potential", "bogus"],
+    ["solve", "--n", "4", "--potential", "well:1"],
+    ["solve", "--n", "4", "--potential", "constant:inf"],
+    ["solve", "--n", "4", "--b", "inf"],
+    ["gauge-check", "--n", "4", "--a0", "nan,0"],
 ], ids=["tol-nan", "tol-inf", "amplitude-nan", "amplitude-inf", "radius-nan",
         "radius-inf", "amplitude-range-overflow", "zeeman-overflow",
-        "huge-box-overflow", "thin-box-gradient-overflow"])
+        "huge-box-overflow", "thin-box-gradient-overflow", "potential-unknown",
+        "potential-well-one-value", "potential-constant-inf", "b-inf", "a0-nan"])
 @pytest.mark.filterwarnings("error")  # refused before any numpy warning
-def test_non_finite_inputs_exit_with_code_2(args, capsys):
+def test_non_finite_inputs_exit_with_code_2(args, monkeypatch, capsys):
+    # only the box's own geometry overflows need the mesh; the rest depend on
+    # the command line alone and are refused before any mesh is built
+    if "--lengths" not in args:
+        def never(*_args, **_kwargs):
+            raise AssertionError(f"a mesh was built before {args} was refused")
+
+        monkeypatch.setattr(cli, "build_box_mesh", never)
     rc, out, err = run_cli(args, capsys)
     assert rc == 2
     assert out == ""
@@ -710,7 +723,7 @@ def _kept_bytes(mesh_cache):
 
 def test_setup_reuses_a_small_box_mesh(mesh_cache, monkeypatch):
     builds = _count_builds(monkeypatch)
-    cfg = RunConfig("solve", levels=(12,))
+    cfg = RunConfig("solve", n=12)
     key = (2, 12, (1.0, 1.0))
     first, _ = _setup(cfg, 12)
     # the first build of a key remembers the key and keeps no mesh
@@ -721,8 +734,8 @@ def test_setup_reuses_a_small_box_mesh(mesh_cache, monkeypatch):
     assert _setup(cfg, 12)[0] is second
     assert builds == [12, 12]
     # another n, other lengths or another dim is another mesh
-    longer = RunConfig("solve", levels=(12,), lengths=(1.0, 2.0))
-    cube = RunConfig("solve", dim=3, levels=(12,))
+    longer = RunConfig("solve", n=12, lengths=(1.0, 2.0))
+    cube = RunConfig("solve", dim=3, n=12)
     for other, n in ((cfg, 16), (longer, 12), (cube, 12)):
         assert _setup(other, n)[0] is not second
     assert list(mesh_cache) == [key, (2, 16, (1.0, 1.0)), (2, 12, (1.0, 2.0)),
@@ -794,7 +807,7 @@ def test_cached_parser_carries_nothing_between_calls(capsys):
         assert rc == 0, argv
         fresh = _config_from_args(_build_parser.__wrapped__().parse_args(argv))
         config = json.loads(out)["config"]
-        assert config == json.loads(json.dumps(fresh.config_echo())), argv
+        assert config == json.loads(json.dumps(vars(fresh))), argv
         return config
 
     echo(["gauge-check", "--n", "4", "--b", "1", "--gauge-amplitude", "1"])
@@ -857,32 +870,29 @@ def test_dirichlet_reference_table():
     )
     vals = dirichlet_reference(3, (1.0, 1.0, 1.0), 1)
     assert vals[0] == pytest.approx(3 * np.pi**2, rel=1e-15)
-    with pytest.raises(ValueError):
-        dirichlet_reference(2, (1.0, 1.0), 10_000)
 
 
 @pytest.mark.parametrize(
-    "lengths,counts,first_refused",
+    "lengths,counts,beyond_the_old_table",
     [
         ((1.0, 4.0), (1, 50, 112), 113),
         ((1.0, 1.0), (1, 100, 300, 465), 466),
         ((1.0, 2.0, 3.0), (1, 200, 1580), 1581),
     ],
 )
-def test_dirichlet_reference_matches_brute_force(lengths, counts, first_refused):
-    # a table with far more modes per axis than the reference keeps
+def test_dirichlet_reference_matches_brute_force(lengths, counts, beyond_the_old_table):
+    # a table with far more modes per axis than these counts need
     top = 60 if len(lengths) == 2 else 30
     brute = sorted(
         np.pi**2 * sum((m / L) ** 2 for m, L in zip(combo, lengths))
         for combo in itertools.product(range(1, top), repeat=len(lengths))
     )
-    for count in counts:
+    # a table of the modes 1..24 per axis was exact up to the listed counts
+    # and refused the next one; 113 for lengths (1, 4) needs mode 25
+    for count in counts + (beyond_the_old_table,):
         vals = dirichlet_reference(len(lengths), lengths, count)
+        assert vals.shape == (count,)
         assert np.allclose(vals, brute[:count], rtol=1e-14, atol=0)
-    # the values grow with the count, so every larger count is refused too;
-    # 113 for lengths (1, 4) used to return 404.65 where the truth is 395.40
-    with pytest.raises(ValueError, match="table too small"):
-        dirichlet_reference(len(lengths), lengths, first_refused)
 
 
 def test_runconfig_validation():
@@ -899,13 +909,12 @@ def test_runconfig_validation():
     with pytest.raises(ValueError, match="in 3D pass --b bx,by,bz"):
         RunConfig("solve", dim=3, b=(1.0,))
     with pytest.raises(ValueError, match="solve takes a single --n value"):
-        RunConfig("solve", levels=(4, 8))
+        RunConfig("solve", n=(4, 8))
     for dim, a0 in ((2, (0.1,)), (2, (0.1, 0.2, 0.3)), (3, (0.1, 0.2))):
         with pytest.raises(ValueError, match=f"^--a0 needs {dim} values$"):
             RunConfig("solve", dim=dim, a0=a0)
     assert RunConfig("solve", b=(1.0,)).b == (0.0, 0.0, 1.0)
-    assert RunConfig("solve").levels == (8,)
-    cfg = RunConfig("convergence")
-    assert cfg.levels == (4, 8, 16)
-    with pytest.raises(ValueError):
-        cfg.n
+    # n is an int, or for convergence a tuple, whichever form is passed
+    assert RunConfig("solve").n == RunConfig("solve", n=(8,)).n == 8
+    assert RunConfig("convergence").n == (4, 8, 16)
+    assert RunConfig("convergence", n=[2, 4, 8]).n == (2, 4, 8)
