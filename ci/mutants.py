@@ -9,7 +9,8 @@ mutant's tests pass, or if a snippet no longer occurs exactly once, so a
 refactor must update the list instead of dropping a mutant silently.  A
 control run first runs every listed test the same way against an unpatched
 copy; unless it passes, a failing test proves nothing about a mutant and
-the gate fails before any mutant runs.
+the gate fails before any mutant runs, printing the ids of the tests that
+failed.
 
 Run from the repository root:
 
@@ -73,10 +74,11 @@ MUTANTS = [
      "mass_floor = float(floor.min())", "mass_floor = float(floor.max())",
      [f"{ASSEMBLY}::test_one_pass_equals_the_single_forms"]),
     ("lower triangle not conjugated", "assembly.py",
-     "data = np.concatenate([upper.conj(), diag[keep], upper])",
-     "data = np.concatenate([upper, diag[keep], upper])", [ASSEMBLY]),
+     "where=order.data < inner.size", "where=order.data < 0", [ASSEMBLY]),
+    ("data left in COO order", "assembly.py",
+     "nv + inner])[order.data]", "nv + inner])", [ASSEMBLY]),
     ("interior mask on the upper rows only", "assembly.py",
-     "inner = keep[lo] & keep[hi]", "inner = keep[lo]",
+     "np.flatnonzero(keep[lo] & keep[hi])", "np.flatnonzero(keep[lo])",
      [f"{ASSEMBLY}::test_the_problem_is_assembled_straight_onto_the_interior"]),
     ("empty problem reaches the cell pass", "assembly.py",
      "    if not interior.any():\n        raise EmptyProblemError(", "    if False:\n        raise EmptyProblemError(",
@@ -128,6 +130,9 @@ MUTANTS = [
     # pauli
     ("Pauli sort not stable", "pauli.py",
      'np.argsort(energies, kind="stable")', 'np.argsort(energies[::-1])[::-1]', [PAULI]),
+    ("Zeeman overflow unchecked in solve_pauli", "pauli.py",
+     "if not np.isfinite(sum(x * x for x in problem.b.tolist())):", "if False:",
+     [f"{PAULI}::test_solve_pauli_refuses_an_overflowing_zeeman_term"]),
     # cli
     ("mesh cache of zero bytes", "cli.py",
      "_MESH_CACHE_BYTES = 8 << 20", "_MESH_CACHE_BYTES = 0", [CLI]),
@@ -180,9 +185,9 @@ MUTANTS = [
 
 
 def pytest_exit(tests, file=None, snippet=None, replacement=None):
-    """pytest's exit code on ``tests`` against a copy of ``src/``, with
-    ``snippet`` replaced in ``file`` if given, or a message if ``snippet``
-    does not occur there exactly once."""
+    """pytest's exit code and output on ``tests`` against a copy of
+    ``src/``, with ``snippet`` replaced in ``file`` if given, or a message
+    and no output if ``snippet`` does not occur there exactly once."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -191,31 +196,38 @@ def pytest_exit(tests, file=None, snippet=None, replacement=None):
             text = path.read_text()
             count = text.count(snippet)
             if count != 1:
-                return f"snippet occurs {count} times in {file}"
+                return f"snippet occurs {count} times in {file}", ""
             path.write_text(text.replace(snippet, replacement))
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                    OPENBLAS_NUM_THREADS="1")
         # run in the temporary directory, so that Hypothesis keeps the
         # examples a mutant fails on there, not for later runs
-        return subprocess.run(
+        done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              "-c", str(ROOT / "pyproject.toml"), *(str(ROOT / t) for t in tests)],
-            cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        ).returncode
+            cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        # name tests from the repository root, not from the temporary directory
+        return done.returncode, done.stdout.replace(os.path.relpath(ROOT, tmp) + os.sep, "")
 
 
 def run(name, file, snippet, replacement, tests):
     """(name, None) if a test of the mutant fails, else (name, why not)."""
-    code = pytest_exit(tests, file, snippet, replacement)
+    code, _ = pytest_exit(tests, file, snippet, replacement)
     # pytest exits 1 when a test failed, other codes when it could not run them
     return name, None if code == 1 else f"pytest exited {code}"
 
 
 def main():
     start = time.perf_counter()
-    control = pytest_exit(sorted({t for m in MUTANTS for t in m[4]}))
+    control, output = pytest_exit(sorted({t for m in MUTANTS for t in m[4]}))
     if control != 0:
         print(f"control run: the listed tests exited {control} on unpatched src/")
+        # pytest's short summary names the failing test; without one (a
+        # collection or usage error), its last lines say what went wrong
+        lines = output.splitlines()
+        print("\n".join([line for line in lines if line.startswith(("FAILED", "ERROR"))]
+                        or lines[-5:]))
         return 1
     # two pytest processes at a time: each is single-threaded and small
     with ThreadPoolExecutor(max_workers=2) as pool:

@@ -33,12 +33,12 @@ column per vertex pair from the edge table and the barycentric gradients
 that ``make_mesh`` computed once, and from them forms the columns of the
 stiffness (plus potential) block, with U_T^2 A_T as explicit sums over the
 unit diagonal and the upper pairs, of the mass block c |T| A_T and of the
-mass floor lambda_min(A_T).  ``np.bincount`` sums the columns into one slot
-per vertex and one per edge, and one COO -> CSR conversion turns the slots
-into the matrix (:func:`_hermitian_matrix`) on the kept vertices (for a
-problem its interior, so no Dirichlet row is formed): the diagonal and both
-directions of every edge between them, the lower triangle as exact
-conjugates.  Entries that vanish exactly, such as the stiffness of an
+mass floor lambda_min(A_T).  ``np.bincount`` sums the columns into a row of
+slots per form, one per vertex and one per edge, and one COO -> CSR
+conversion per pass makes both matrices (:func:`_hermitian_matrices`) on the
+kept vertices (for a problem its interior, so no Dirichlet row is formed):
+the diagonal and both directions of every edge between them, the lower
+triangle as exact conjugates.  Exact zeros, such as the stiffness of an
 orthogonal Kuhn pair, stay stored, so all matrices of a mesh share a pattern.
 
 A conventional (non-invariant) P1 discretization of |grad u + i A u|^2 with
@@ -215,27 +215,29 @@ class _CellEntries:
 _CELL_ENTRIES = {m: _CellEntries(m) for m in CELL_PAIRS}
 
 
-def _hermitian_matrix(mesh, acc, keep):
-    """The HermitianSparse matrix of the summed slots ``acc`` on the vertices
-    of the mask ``keep``, renumbered in ascending order: slot v is entry
-    (v, v), slot nv + e is entry (lo, hi) of edge e = (lo, hi) of ``mesh``,
-    and entry (hi, lo) is its conjugate."""
+def _hermitian_matrices(mesh, acc, keep):
+    """HermitianSparse matrices of the slot rows ``acc`` on the ``keep``
+    vertices, renumbered in ascending order and sharing one indptr and indices:
+    slot v is entry (v, v), slot nv + e entry (lo, hi) of edge e of ``mesh``
+    and (hi, lo) its conjugate."""
     nv = mesh.n_vertices
-    diag = acc[:nv]
-    _check_real_diag(diag)
-    diag.imag = 0.0
-    # The edges are sorted (lo, hi) and the renumbering is monotone, so listing
-    # the lower entries, then the diagonal, then the upper ones puts each row's
-    # columns in ascending order, which scipy's stable COO -> CSR conversion
-    # keeps: nothing is sorted, and entries that vanish exactly stay stored.
+    for diag in acc[:, :nv]:
+        _check_real_diag(diag)
+    acc[:, :nv].imag = 0.0
+    # Edges are sorted (lo, hi) and the renumbering is monotone, so the lower
+    # entries, the diagonal, then the upper ones list each row's columns in
+    # ascending order, which scipy's stable COO -> CSR conversion keeps.  It
+    # converts the entries' positions once; both rows gather their slots in that order.
     index = np.cumsum(keep) - 1
     lo, hi = mesh.edges.T
-    inner = keep[lo] & keep[hi]
-    lo, hi = index[lo[inner]], index[hi[inner]]
-    upper, verts = acc[nv:][inner], index[keep]
-    rows, cols = np.concatenate([hi, verts, lo]), np.concatenate([lo, verts, hi])
-    data = np.concatenate([upper.conj(), diag[keep], upper])
-    return HermitianSparse(sparse.csr_matrix((data, (rows, cols)), shape=(verts.size,) * 2))
+    inner, verts = np.flatnonzero(keep[lo] & keep[hi]), np.flatnonzero(keep)
+    lo, hi, new = index[lo[inner]], index[hi[inner]], index[verts]
+    rows, cols = np.concatenate([hi, new, lo]), np.concatenate([lo, new, hi])
+    order = sparse.csr_matrix((np.arange(rows.size), (rows, cols)), shape=(verts.size,) * 2)
+    data = np.take(acc, np.concatenate([nv + inner, verts, nv + inner])[order.data], axis=1)
+    np.negative(data.imag, out=data.imag, where=order.data < inner.size)  # lower: conjugates
+    return [HermitianSparse(sparse.csr_matrix((d, order.indices, order.indptr), order.shape))
+            for d in data]
 
 
 def _scatter_add(out, slots, values):
@@ -405,12 +407,12 @@ def _cell_pass(table, kinetic, potential, interior=None):
     H - v_min M >= -diag(d); a cell whose floor is negative sets d = +inf
     on its vertices.
 
-    ``np.bincount`` adds each column into one slot per vertex and one per
-    edge, which :func:`_hermitian_matrix` turns into a matrix on the vertex
-    mask ``interior`` (all vertices for None).  Returns (stiffness, mass,
-    floor, deficit): HermitianSparse matrices with the diagonal and both
-    directions of every kept edge stored, and the floor and deficit of every
-    vertex.
+    ``np.bincount`` adds the stiffness and mass columns into the rows of one
+    slot stack, which one :func:`_hermitian_matrices` call turns into both
+    matrices on the vertex mask ``interior`` (all vertices for None).
+    Returns (stiffness, mass, floor, deficit): HermitianSparse matrices on one
+    pattern, the diagonal and both directions of every kept edge, and the
+    floor and deficit of every vertex.
     """
     mesh = table.mesh
     m = mesh.dim + 1
@@ -419,8 +421,7 @@ def _cell_pass(table, kinetic, potential, interior=None):
     entries = _CELL_ENTRIES[m]
     if potential is not None:
         v_min = min(0.0, potential.min())
-    k_acc = np.zeros(nv + mesh.n_edges, np.complex128)
-    m_acc = np.zeros(nv + mesh.n_edges, np.complex128)
+    acc = np.zeros((2, nv + mesh.n_edges), np.complex128)  # stiffness, mass
     f = np.zeros(nv)
     deficit = np.zeros(nv)
     for lo in range(0, mesh.n_cells, _CHUNK):
@@ -446,14 +447,13 @@ def _cell_pass(table, kinetic, potential, interior=None):
             # max_x (W_T)_xx / |T|, reduced over the leading axis (fast)
             top = (entries.cubic_diag @ (samples - v_min)).max(axis=0)
             drop = delta * vols * top
-        _scatter_add(k_acc, slots, block)
+        _scatter_add(acc[0], slots, block)
         diagonal = np.broadcast_to(2.0 * scaled, (m, scaled.size))
-        _scatter_add(m_acc, slots, np.concatenate([diagonal, scaled * u]))
+        _scatter_add(acc[1], slots, np.concatenate([diagonal, scaled * u]))
         f += np.bincount(cells.ravel(), np.repeat(scaled * lam, m), nv)
         drop = np.where(lam < 0.0, np.inf, drop)
         deficit += np.bincount(cells.ravel(), np.repeat(drop, m), nv)
-    return (_hermitian_matrix(mesh, k_acc, keep), _hermitian_matrix(mesh, m_acc, keep),
-            f, deficit)
+    return (*_hermitian_matrices(mesh, acc, keep), f, deficit)
 
 
 # ---------------------------------------------------------------------------

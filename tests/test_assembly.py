@@ -174,7 +174,16 @@ def _relabelled(mesh, seed):
     return make_mesh(mesh.dim, vertices, rng.permutation(label[mesh.cells]))
 
 
+def _layout(nv, lo, hi):
+    """indptr and indices of the canonical CSR matrix on nv vertices that
+    stores the diagonal and both directions of every edge (lo, hi)."""
+    keys = np.sort(np.concatenate([np.arange(nv) * (nv + 1), lo * nv + hi, hi * nv + lo]))
+    return np.searchsorted(keys, np.arange(nv + 1) * nv), keys % nv
+
+
 @pytest.mark.parametrize("build", [
+    lambda: build_box_mesh(2, 5),
+    lambda: build_box_mesh(3, 3),
     lambda: perturbed_box_mesh(2, 5, seed=3),
     lambda: perturbed_box_mesh(3, 3, seed=4),
     lambda: shuffled_cells(_relabelled(perturbed_box_mesh(2, 5, seed=5), 6), seed=7),
@@ -182,32 +191,40 @@ def _relabelled(mesh, seed):
     lambda: make_mesh(2, *ring_disk(0.25)[:2]),
     lambda: make_mesh(2, *delaunay_cloud(2, 40, 11)[:2]),
     lambda: make_mesh(3, *delaunay_cloud(3, 40, 12)[:2]),
-], ids=["perturbed-2d", "perturbed-3d", "shuffled-2d", "shuffled-3d", "ring-disk-2d",
-        "delaunay-2d", "delaunay-3d"])
+], ids=["box-2d", "box-3d", "perturbed-2d", "perturbed-3d", "shuffled-2d", "shuffled-3d",
+        "ring-disk-2d", "delaunay-2d", "delaunay-3d"])
 def test_csr_layout_on_unstructured_meshes(build):
     # Every assembled matrix stores, in canonical CSR (columns ascending in
     # each row, no duplicates), its diagonal and both directions of every
     # edge, and its lower triangle is the exact conjugate of the upper.  The
-    # export and the SpMV summation orders follow these rows.
+    # export and the SpMV summation orders follow these rows.  So the
+    # stiffness and the mass of one pass, on all vertices or on the interior
+    # problem of either method, have one indptr and one indices.
     mesh = build()
     rng = np.random.default_rng(13)
-    table = transports(EdgeCirculation(mesh, rng.uniform(-1.0, 1.0, mesh.n_edges)))
+    circ = EdgeCirculation(mesh, rng.uniform(-1.0, 1.0, mesh.n_edges))
     potential = rng.uniform(-1.0, 1.0, mesh.n_vertices)
-    stiffness, mass, _, _ = covariant_stiffness(table, potential, with_mass=True)
-    nv = mesh.n_vertices
+    stiffness, mass, _, _ = covariant_stiffness(transports(circ), potential, with_mass=True)
     lo, hi = mesh.edges.T
-    keys = np.sort(np.concatenate([np.arange(nv) * (nv + 1), lo * nv + hi, hi * nv + lo]))
-    indptr = np.searchsorted(keys, np.arange(nv + 1) * nv)
-    for matrix in (stiffness, mass):
-        csr = matrix.to_csr()
-        assert csr.has_canonical_format
-        assert np.array_equal(csr.indptr, indptr)
-        assert np.array_equal(csr.indices, keys % nv)
-        mirror = csr.conj().T.tocsr()
-        mirror.sort_indices()
-        assert np.array_equal(mirror.indptr, csr.indptr)
-        assert np.array_equal(mirror.indices, csr.indices)
-        assert np.array_equal(mirror.data, csr.data)
+    interior = ~mesh.boundary_vertex
+    index = np.cumsum(interior) - 1
+    inner = interior[lo] & interior[hi]
+    layouts = [(_layout(mesh.n_vertices, lo, hi), (stiffness, mass))]
+    for method in ("covariant", "baseline"):
+        problem = assemble_scalar_problem(circ, potential, method)
+        layouts.append((_layout(problem.n, index[lo[inner]], index[hi[inner]]),
+                        (problem.stiffness, problem.mass)))
+    for (indptr, indices), pencil in layouts:
+        for matrix in pencil:
+            csr = matrix.to_csr()
+            assert csr.has_canonical_format
+            assert np.array_equal(csr.indptr, indptr)
+            assert np.array_equal(csr.indices, indices)
+            mirror = csr.conj().T.tocsr()
+            mirror.sort_indices()
+            assert np.array_equal(mirror.indptr, csr.indptr)
+            assert np.array_equal(mirror.indices, csr.indices)
+            assert np.array_equal(mirror.data, csr.data)
 
 
 def _constant_kernel(block):

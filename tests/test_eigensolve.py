@@ -639,6 +639,20 @@ def test_dense_and_arpack_paths_agree(dim, mesh_seed, a0, b, zero_shift, k):
     assert np.allclose(arpack.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("path", ["dense", "band", "superlu"])
+def test_every_path_leaves_the_pencil_unchanged(path):
+    # the stiffness and the mass of one cell pass share their indptr and
+    # indices arrays, so a write to either matrix would corrupt the other
+    _, problem = _magnetic_problem(dim=2, n=8, bz=3.0, potential=-20.0)
+    stored = [getattr(matrix.to_csr(), name) for matrix in (problem.stiffness, problem.mass)
+              for name in ("indptr", "indices", "data")]
+    before = [a.copy() for a in stored]
+    assert _solve(problem, 3, path).method_tag == (
+        "dense-eigh" if path == "dense" else "arpack-shift-invert")
+    for a, b in zip(stored, before):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_k_near_n_takes_the_dense_path():
     # ARPACK cannot return k >= n - 1 pairs; such requests go dense whatever
     # the cutoff instead of failing inside scipy

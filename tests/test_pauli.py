@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -197,6 +200,17 @@ def test_solve_pauli_k_range():
         with pytest.raises(ValueError):
             solve_pauli(problem, k)
     assert solve_pauli(problem, 2 * n).eigenvalues.size == 2 * n
+
+
+def test_solve_pauli_refuses_an_overflowing_zeeman_term():
+    # the command line refuses such a field before any mesh; this is the
+    # check for library callers, and no numpy warning may come before it
+    problem = assemble_pauli(build_box_mesh(2, 3), GaugeFieldSpec([0.0, 0.0], [0.0, 0.0, 0.5]))
+    huge = dataclasses.replace(problem, b=np.array([1e200, 0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"the Zeeman term \|B\| overflows"):
+            solve_pauli(huge, 1)
 
 
 _FIELD = st.tuples(*[st.floats(-6.0, 6.0)] * 3)
