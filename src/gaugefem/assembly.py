@@ -129,7 +129,7 @@ class HermitianSparse:
 
 @dataclass
 class AssembledProblem:
-    """Interior-eliminated stiffness/mass pair ready for the eigensolver.
+    """Stiffness/mass pair assembled onto the interior, ready for the eigensolver.
 
     ``interior`` is the vertex mask ``~mesh.boundary_vertex``; the n DOFs
     are its interior vertices in ascending order.
